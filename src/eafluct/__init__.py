@@ -14,12 +14,14 @@ from .disorder import (  # noqa: E402
     set_block,
     translate_couplings,
 )
+from .errors import TaskError  # noqa: E402
 from .exactsolve import (  # noqa: E402
     BoundaryCondition,
     GibbsSpec,
     SpinConfig,
     antiperiodic_bc,
     edge_correlation,
+    edge_correlations,
     energy,
     fixed_bc,
     free_bc,

@@ -55,3 +55,7 @@ class IncompleteRunError(EafluctError):
 
 class OracleMismatchError(EafluctError):
     """Cross-validation between independent solvers failed."""
+
+
+class TaskError(EafluctError):
+    """An experiment task failed; the original exception is its ``__cause__``."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -549,20 +549,11 @@ def _transfer_plan(region: Region, bc: BoundaryCondition, width_cap: int) -> _Tr
     )
 
 
-def _transfer_sweep(
-    spec: GibbsSpec,
-    width_cap: int | None = None,
-    extra_fields: Mapping[Site, float] | None = None,
-    insertions: Mapping[int, np.ndarray] | None = None,
-) -> tuple[float, float]:
-    """Returns (log |Z*|, sign) for the transfer product with optional
-    diagonal sign insertions per column."""
-    width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
-    plan = _transfer_plan(spec.region, spec.bc, width_cap)
-    beta = spec.beta
+def _column_weights(
+    spec: GibbsSpec, plan: _TransferPlan, extra_fields: Mapping[Site, float] | None = None
+) -> np.ndarray:
+    """(2^W, length) Boltzmann weights of each column's own bonds and fields."""
     values = spec.couplings.values
-    s = plan.s_matrix
-
     jv = values[plan.v_pos] * plan.v_sign
     col_expo = plan.sp_matrix @ jv
     hfield = np.zeros((plan.width, plan.length))
@@ -580,42 +571,71 @@ def _transfer_sweep(
             r = site[plan.t_axis] - spec.region.origin[plan.t_axis]
             hfield[r, c] += float(value)
     if hfield.any():
-        col_expo = col_expo + s @ hfield
-    d = np.exp(beta * col_expo)  # (2^W, length) column weights
-    if insertions:
-        d = d.copy()
-        for c, sign_vec in insertions.items():
-            d[:, c] *= sign_vec
+        col_expo = col_expo + plan.s_matrix @ hfield
+    return np.exp(spec.beta * col_expo)
 
-    jh = values[plan.h_pos] * plan.h_sign
 
-    def link(j: int) -> np.ndarray:
-        return np.exp(beta * ((s * jh[:, j]) @ s.T))
+def _link(s: np.ndarray, couplings: np.ndarray, beta: float) -> np.ndarray:
+    """Dense 2^W x 2^W weight exp(beta sum_r J_r s_r s'_r) of one column-to-column link."""
+    return np.exp(beta * ((s * couplings) @ s.T))
+
+
+_RANGE_ERROR = "transfer weights left the floating-point range at this beta"
+
+
+def _transfer_sweep(
+    spec: GibbsSpec,
+    width_cap: int | None = None,
+    extra_fields: Mapping[Site, float] | None = None,
+    keep: bool = False,
+) -> tuple[float, list[np.ndarray]]:
+    """Forward transfer product with per-column rescaling.
+
+    Returns (log Z, environments).  With ``keep``, environment c is the
+    rescaled product of columns 0..c and the links between them: a
+    (1, 2^W) row for an open length axis, a 2^W x 2^W matrix (first index
+    the state of column 0) for a wrapped one.  Otherwise the list is empty.
+    """
+    width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
+    plan = _transfer_plan(spec.region, spec.bc, width_cap)
+    beta = spec.beta
+    s = plan.s_matrix
+    d = _column_weights(spec, plan, extra_fields)
+    jh = spec.couplings.values[plan.h_pos] * plan.h_sign
 
     acc = 0.0
+    envs: list[np.ndarray] = []
     if not plan.wrap_l:
         v = d[:, 0]
+        if keep:
+            envs.append(v[None, :])
         for c in range(1, plan.length):
-            v = (v @ link(c - 1)) * d[:, c]
-            m = float(np.abs(v).max())
-            if m == 0.0:
-                return -np.inf, 0.0
+            v = (v @ _link(s, jh[:, c - 1], beta)) * d[:, c]
+            m = float(v.max())
+            if not 0.0 < m < math.inf:
+                raise ArithmeticError(_RANGE_ERROR)
             v /= m
             acc += math.log(m)
+            if keep:
+                envs.append(v[None, :])
         total = float(v.sum())
     else:
         mat = np.diag(d[:, 0])
+        if keep:
+            envs.append(mat)
         for c in range(1, plan.length):
-            mat = (mat @ link(c - 1)) * d[:, c][None, :]
-            m = float(np.abs(mat).max())
-            if m == 0.0:
-                return -np.inf, 0.0
+            mat = (mat @ _link(s, jh[:, c - 1], beta)) * d[:, c][None, :]
+            m = float(mat.max())
+            if not 0.0 < m < math.inf:
+                raise ArithmeticError(_RANGE_ERROR)
             mat /= m
             acc += math.log(m)
-        total = float(np.einsum("ij,ji->", mat, link(plan.length - 1)))
-    if total == 0.0:
-        return -np.inf, 0.0
-    return acc + math.log(abs(total)), math.copysign(1.0, total)
+            if keep:
+                envs.append(mat)
+        total = float(np.einsum("ij,ji->", mat, _link(s, jh[:, -1], beta)))
+    if not 0.0 < total < math.inf:
+        raise ArithmeticError(_RANGE_ERROR)
+    return acc + math.log(total), envs
 
 
 def log_partition_transfer(
@@ -624,9 +644,7 @@ def log_partition_transfer(
     extra_fields: Mapping[Site, float] | None = None,
 ) -> float:
     """log Z via dense 2^W transfer operators with per-column rescaling."""
-    logz, sign = _transfer_sweep(spec, width_cap=width_cap, extra_fields=extra_fields)
-    if sign <= 0:
-        raise ArithmeticError("partition function must be positive")  # pragma: no cover
+    logz, _ = _transfer_sweep(spec, width_cap=width_cap, extra_fields=extra_fields)
     return logz
 
 
@@ -656,19 +674,93 @@ def log_partition(
     return log_partition_enum(spec, cap=enum_cap, extra_fields=extra_fields)
 
 
-def _transfer_correlation(spec: GibbsSpec, edge: Edge, width_cap: int | None) -> float:
-    plan = _transfer_plan(spec.region, spec.bc, width_cap or TRANSFER_WIDTH_CAP)
-    s = plan.s_matrix
-    insertions: dict[int, np.ndarray] = {}
-    for site in edge.endpoints():
-        c = site[plan.l_axis] - spec.region.origin[plan.l_axis]
-        r = site[plan.t_axis] - spec.region.origin[plan.t_axis]
-        insertions[c] = insertions.get(c, np.ones(1 << plan.width)) * s[:, r]
-    log_num, sign = _transfer_sweep(spec, width_cap=width_cap, insertions=insertions)
-    if sign == 0.0:
-        return 0.0
-    log_den, _ = _transfer_sweep(spec, width_cap=width_cap)
-    return sign * math.exp(log_num - log_den)
+def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
+    """<sigma_x sigma_y> of every in-region bond, indexed like the spec's
+    couplings (clamped ghost bonds are NaN), from one forward sweep and one
+    backward pass.
+
+    Walking from the last column back, ``right`` is the rescaled product of
+    everything after link c: a (2^W, 1) column for an open length axis, a
+    2^W x 2^W matrix closing the trace for a wrapped one.  The joint weight
+    of the states (x, y) of columns c and c+1 is then
+    link[x, y] * (right @ left_c)[y, x], whose row sums are the marginal of
+    column c.  Every ratio below is taken within one column or link, so the
+    rescaling factors cancel; each link is rebuilt once here and dropped.
+    """
+    plan = _transfer_plan(spec.region, spec.bc, width_cap)
+    _, envs = _transfer_sweep(spec, width_cap=width_cap, keep=True)
+    d = _column_weights(spec, plan)
+    s, sp = plan.s_matrix, plan.sp_matrix
+    jh = spec.couplings.values[plan.h_pos] * plan.h_sign
+    vert = np.empty((sp.shape[1], plan.length))
+    horz = np.empty(jh.shape)
+    side = 1 << plan.width
+    right = np.eye(side) if plan.wrap_l else np.ones((side, 1))
+    for c in reversed(range(plan.length)):
+        left = envs[c]
+        if c < jh.shape[1]:
+            link = _link(s, jh[:, c], spec.beta)
+            after = link @ right
+            link *= (right @ left).T
+            marginal = link.sum(axis=1)
+            horz[:, c] = np.einsum("xr,xr->r", s, link @ s) / marginal.sum()
+            del link
+            right = after
+        else:
+            marginal = (left.T * right).sum(axis=1)
+        vert[:, c] = (marginal @ sp) / marginal.sum()
+        right *= d[:, c][:, None]
+        right /= right.max()
+    if not (np.isfinite(vert).all() and np.isfinite(horz).all()):
+        raise ArithmeticError(_RANGE_ERROR)
+    out = np.full(spec.couplings.values.shape, np.nan)
+    out[plan.v_pos] = vert
+    out[plan.h_pos] = horz
+    return out
+
+
+def _corr_observable(region: Region, edge: Edge) -> VectorObservable:
+    """Vectorized observable sigma_x sigma_y of one edge of the region."""
+    _, index = _site_order(region)
+    ix, iy = index[edge.x], index[edge.y]
+
+    def corr(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
+        return (chunk[:, ix] * chunk[:, iy]).astype(np.float64)
+
+    return corr
+
+
+def edge_correlations(
+    spec: GibbsSpec,
+    edges: Iterable[Edge],
+    method: str = "auto",
+    enum_cap: int | None = None,
+    width_cap: int | None = None,
+) -> np.ndarray:
+    """<sigma_x sigma_y> for each edge, in order, under the spec's Gibbs measure.
+
+    One pass of one engine serves every edge: a forward and a backward
+    transfer pass, or a single enumeration with one observable per edge.
+    """
+    edges = tuple(edges)
+    position = spec.couplings.edge_set.position
+    for edge in edges:
+        for site in edge.endpoints():
+            if not spec.region.contains_site(site):
+                raise ContainmentError(f"edge endpoint {site} not in region")
+        if edge not in position:
+            raise ContainmentError(f"edge {edge} not in the spec's edge set")
+    if method == "auto":
+        method = "transfer" if transfer_supported(spec, width_cap) else "enum"
+    if method == "transfer":
+        width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
+        by_position = _transfer_bond_correlations(spec, width_cap)
+        return by_position[[position[e] for e in edges]]
+    if method != "enum":
+        raise ValueError(f"unknown solver method {method!r}")
+    observables = [_corr_observable(spec.region, e) for e in edges]
+    _, values = _enum_reduce(spec, observables, cap=enum_cap)
+    return np.asarray(values, dtype=np.float64)
 
 
 def edge_correlation(
@@ -679,25 +771,8 @@ def edge_correlation(
     width_cap: int | None = None,
 ) -> float:
     """<sigma_x sigma_y> under the spec's Gibbs measure."""
-    for site in edge.endpoints():
-        if not spec.region.contains_site(site):
-            raise ContainmentError(f"edge endpoint {site} not in region")
-    if edge not in spec.couplings.edge_set.position:
-        raise ContainmentError(f"edge {edge} not in the spec's edge set")
-    if method == "auto":
-        method = "transfer" if transfer_supported(spec, width_cap) else "enum"
-    if method == "transfer":
-        return _transfer_correlation(spec, edge, width_cap)
-    if method != "enum":
-        raise ValueError(f"unknown solver method {method!r}")
-    _, index = _site_order(spec.region)
-    ix, iy = index[edge.x], index[edge.y]
-
-    def corr(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
-        return (chunk[:, ix] * chunk[:, iy]).astype(np.float64)
-
-    _, (value,) = _enum_reduce(spec, [corr], cap=enum_cap)
-    return value
+    (value,) = edge_correlations(spec, (edge,), method, enum_cap, width_cap)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ from .errors import BoundViolationError, PartitionError, UnsupportedOperationErr
 from .exactsolve import (
     BoundaryCondition,
     GibbsSpec,
+    _corr_observable,
     edge_correlation,
+    edge_correlations,
     exp_bond_observable,
     free_bc,
     log_partition,
@@ -817,12 +819,10 @@ def mgf_check(
 def probe_realization(spec: EnsembleSpec, i: int) -> list[float]:
     """Correlation differences over the window edges for realization i."""
     pair = spec.pair_from(spec.master(i))
-    out = []
-    for e in spec.window_edge_set:
-        cg = edge_correlation(pair.gamma, e, method=spec.solver)
-        cgp = edge_correlation(pair.gamma_prime, e, method=spec.solver)
-        out.append(cg - cgp)
-    return out
+    edges = spec.window_edge_set
+    cg = edge_correlations(pair.gamma, edges, method=spec.solver)
+    cgp = edge_correlations(pair.gamma_prime, edges, method=spec.solver)
+    return (cg - cgp).tolist()
 
 
 def probe_report_from_rows(
@@ -1164,14 +1164,3 @@ def covariance_property_tests(
         "max_translation_deviation": max(r["translation_deviation"] for r in rows),
         "max_coupling_deviation": max(r["coupling_deviation"] for r in rows),
     }
-
-
-def _corr_observable(region: Region, edge: Edge):
-    sites = region.sites
-    index = {s: k for k, s in enumerate(sites)}
-    ix, iy = index[edge.x], index[edge.y]
-
-    def run(chunk: np.ndarray, _sites) -> np.ndarray:
-        return (chunk[:, ix] * chunk[:, iy]).astype(np.float64)
-
-    return run

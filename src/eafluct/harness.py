@@ -17,6 +17,7 @@ import json
 import math
 import os
 import time
+import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,12 +26,12 @@ import numpy as np
 
 from . import __version__
 from .disorder import SeedSpec, distribution_from_label, sample_couplings
-from .errors import ConfigError, IncompleteRunError, OracleMismatchError
+from .errors import ConfigError, IncompleteRunError, OracleMismatchError, TaskError
 from .exactsolve import (
     BoundaryCondition,
     GibbsSpec,
     antiperiodic_bc,
-    edge_correlation,
+    edge_correlations,
     free_bc,
     log_partition_enum,
     log_partition_transfer,
@@ -134,25 +135,49 @@ _INT_FIELDS = ("n", "n_outer", "bootstrap", "block_side", "n_observables",
                "enum_cap", "transfer_width_cap")
 _FLOAT_FIELDS = ("beta", "noise_tol")
 _INT_TUPLE_FIELDS = ("box", "window", "window_sizes", "seam_axes")
+_FLOAT_TUPLE_FIELDS = ("betas", "t_values", "epsilons")
+
+
+def _int(name: str, raw) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{name} must be an integer, got {raw!r}")
+    return raw
+
+
+def _number(name: str, raw) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _list(name: str, raw) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a list, got {raw!r}")
+    return raw
+
+
+def _typed(name: str, raw):
+    """A config field's JSON value checked against the field's type."""
+    if name in _INT_FIELDS:
+        return _int(name, raw)
+    if name in _FLOAT_FIELDS:
+        return _number(name, raw)
+    if name in _INT_TUPLE_FIELDS:
+        return tuple(_int(name, x) for x in _list(name, raw))
+    if name in _FLOAT_TUPLE_FIELDS:
+        return tuple(_number(name, x) for x in _list(name, raw))
+    if name == "geometries":
+        return tuple(tuple(_int(name, x) for x in _list(name, g)) for g in _list(name, raw))
+    if not isinstance(raw, str):
+        raise ConfigError(f"{name} must be a string, got {raw!r}")
+    return raw
 
 
 def _pop_known(section: str, data: dict, fields: dict) -> None:
     for name in _SECTIONS[section]:
         json_name = _SECTION_JSON_NAMES.get(name, name)
         if json_name in data:
-            raw = data.pop(json_name)
-            if isinstance(raw, list):
-                if name == "geometries":
-                    raw = tuple(tuple(int(x) for x in g) for g in raw)
-                elif name in _INT_TUPLE_FIELDS:
-                    raw = tuple(int(x) for x in raw)
-                else:
-                    raw = tuple(float(x) for x in raw)
-            elif name in _INT_FIELDS:
-                raw = int(raw)
-            elif name in _FLOAT_FIELDS:
-                raw = float(raw)
-            fields[name] = raw
+            fields[name] = _typed(name, data.pop(json_name))
     if data:
         raise ConfigError(f"unknown keys in config section {section!r}: {sorted(data)}")
 
@@ -258,6 +283,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("bootstrap resample count must be >= 2")
     if cfg.enum_cap < 1 or cfg.transfer_width_cap < 1:
         raise ConfigError("solver caps must be positive")
+    if cfg.block_side < 1:
+        raise ConfigError("block_side must be >= 1")
     try:
         distribution_from_label(cfg.distribution)
     except (ValueError, TypeError) as err:
@@ -273,7 +300,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kind not in ("fe", "domain-wall", "covariance", "oracle-verify"):
         if cfg.kind in ("ensemble", "martingale", "scaling", "probe", "mgf") and cfg.n < 2:
             raise ConfigError(f"{cfg.kind} needs n >= 2 realizations")
-    if cfg.seed is not None and not 0 <= cfg.seed < 2**64:
+    if cfg.seed is not None and not 0 <= _int("seed", cfg.seed) < 2**64:
         raise ConfigError("seed must be a 64-bit non-negative integer")
     # pair-mode geometry must leave a margin of at least one
     if cfg.kind not in ("domain-wall", "covariance", "oracle-verify"):
@@ -376,15 +403,15 @@ def _oracle_task(cfg: ExperimentConfig, task: int) -> dict:
         return {"status": "unsupported", **meta}
     logz_enum = log_partition_enum(spec, cap=cfg.enum_cap)
     logz_transfer = log_partition_transfer(spec, width_cap=cfg.transfer_width_cap)
-    corr_dev = 0.0
-    for e in interior_edges(region):
-        ce = edge_correlation(spec, e, method="enum", enum_cap=cfg.enum_cap)
-        ct = edge_correlation(spec, e, method="transfer", width_cap=cfg.transfer_width_cap)
-        corr_dev = max(corr_dev, abs(ce - ct))
+    edges = interior_edges(region)
+    corr_enum = edge_correlations(spec, edges, method="enum", enum_cap=cfg.enum_cap)
+    corr_transfer = edge_correlations(
+        spec, edges, method="transfer", width_cap=cfg.transfer_width_cap
+    )
     return {
         "status": "ok",
         "logz_dev": abs(logz_enum - logz_transfer),
-        "corr_dev": corr_dev,
+        "corr_dev": float(np.abs(corr_enum - corr_transfer).max(initial=0.0)),
         **meta,
     }
 
@@ -518,27 +545,46 @@ def _worker(cfg_json: str, task: int) -> tuple[int, dict, float]:
     return task, payload, time.perf_counter() - t0
 
 
-def _load_existing_records(path: Path, digest: str) -> dict[int, dict]:
+def _load_existing_records(path: Path, digest: str) -> tuple[dict[int, dict], int]:
+    """Payloads of the completed tasks, and the byte length of the file's
+    newline-terminated lines.
+
+    A last line without its newline was torn by an interrupted write: it is
+    left out with a warning, so its task runs again.  A line anywhere else
+    that does not parse is an error.
+    """
     if not path.exists():
-        return {}
+        return {}, 0
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    torn = lines.pop()
+    if torn:
+        warnings.warn(
+            f"records file {path}: dropping a torn last line of {len(torn)} bytes; "
+            "its task runs again",
+            stacklevel=3,
+        )
     done: dict[int, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
-            return {}
-        header = json.loads(header_line)
-        if header.get("type") != "header" or header.get("config_digest") != digest:
-            raise ConfigError(
-                f"records file {path} belongs to a different configuration; "
-                "refusing to mix runs"
-            )
-        for line in fh:
-            if not line.strip():
-                continue
+    header = None
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
             rec = json.loads(line)
-            if rec.get("type") == "record" and rec.get("status") == "ok":
-                done[rec["task"]] = rec["payload"]
-    return done
+        except ValueError:
+            rec = None
+        if not isinstance(rec, dict):
+            raise ConfigError(f"records file {path} line {number} is corrupt; refusing to resume")
+        if header is None:
+            if rec.get("type") != "header" or rec.get("config_digest") != digest:
+                raise ConfigError(
+                    f"records file {path} belongs to a different configuration; "
+                    "refusing to mix runs"
+                )
+            header = rec
+        elif rec.get("type") == "record" and rec.get("status") == "ok":
+            done[rec["task"]] = rec["payload"]
+    return done, len(data) - len(torn)
 
 
 def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
@@ -554,13 +600,15 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     digest = config_digest(cfg)
     records_path = Path(cfg.records)
     records_path.parent.mkdir(parents=True, exist_ok=True)
-    done = _load_existing_records(records_path, digest)
+    done, intact = _load_existing_records(records_path, digest)
     total = task_count(cfg)
     todo = [t for t in range(total) if t not in done]
 
     fresh = not records_path.exists() or not done
     mode = "a" if done else "w"
     with open(records_path, mode, encoding="utf-8") as fh:
+        if mode == "a":
+            fh.truncate(intact)  # appended records must not extend a torn line
         if fresh and mode == "w":
             fh.write(
                 json.dumps(
@@ -594,6 +642,11 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
             )
             fh.flush()
 
+        def failed(task: int, err: Exception) -> TaskError:
+            return TaskError(
+                f"task {task} failed (master seed {cfg.seed}, realization {task}): {err}"
+            )
+
         if workers <= 1:
             for task in todo:
                 try:
@@ -601,10 +654,7 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
                 except OracleMismatchError:
                     raise
                 except Exception as err:
-                    raise type(err)(
-                        f"task {task} failed (master seed {cfg.seed}, realization "
-                        f"{task}): {err}"
-                    ) from err
+                    raise failed(task, err) from err
                 record(task, payload, elapsed)
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -616,13 +666,12 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
                         task = futures[fut]
                         try:
                             _, payload, elapsed = fut.result()
-                        except OracleMismatchError:
-                            raise
                         except Exception as err:
-                            raise type(err)(
-                                f"task {task} failed (master seed {cfg.seed}, "
-                                f"realization {task}): {err}"
-                            ) from err
+                            for other in pending:
+                                other.cancel()
+                            if isinstance(err, OracleMismatchError):
+                                raise
+                            raise failed(task, err) from err
                         record(task, payload, elapsed)
 
     payloads = [done[t] for t in range(total)]

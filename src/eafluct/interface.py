@@ -26,6 +26,7 @@ from .exactsolve import (
     GibbsSpec,
     antiperiodic_bc,
     edge_correlation,
+    edge_correlations,
     exp_bond_observable,
     gibbs_expectation_enum,
     log_partition,
@@ -288,14 +289,14 @@ def free_energy_gradient(
     the ratio-form value.
     """
     method = _resolve_method(pair, method, width_cap)
-    out = {}
-    for e in pair.window_edges:
-        cg = edge_correlation(pair.gamma, e, method=method, enum_cap=enum_cap, width_cap=width_cap)
-        cgp = edge_correlation(
-            pair.gamma_prime, e, method=method, enum_cap=enum_cap, width_cap=width_cap
-        )
-        out[e] = GradientEntry(pair.beta * (cgp - cg), cg, cgp)
-    return out
+    edges = tuple(pair.window_edges)
+    kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
+    corr_g = edge_correlations(pair.gamma, edges, **kwargs).tolist()
+    corr_gp = edge_correlations(pair.gamma_prime, edges, **kwargs).tolist()
+    return {
+        e: GradientEntry(pair.beta * (cgp - cg), cg, cgp)
+        for e, cg, cgp in zip(edges, corr_g, corr_gp)
+    }
 
 
 def correlation_difference(

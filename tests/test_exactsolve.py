@@ -11,10 +11,12 @@ from eafluct.errors import (
     SizeCapError,
     UnsupportedOperationError,
 )
+from eafluct import exactsolve
 from eafluct.exactsolve import (
     GibbsSpec,
     antiperiodic_bc,
     edge_correlation,
+    edge_correlations,
     energy,
     fixed_bc,
     free_bc,
@@ -268,10 +270,89 @@ def test_transfer_correlation_3x3_fixed_instance():
         )
 
 
+BATCH_EXTENTS = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)]
+BATCH_BCS = ["free", "fixed", "periodic", "seam0", "seam1", "seam01"]
+
+
+def batch_spec(extents, bc_name, beta):
+    wrapped = bc_name not in ("free", "fixed")
+    if bc_name == "fixed":  # a mixed clamped ring, not one uniform field
+        ring = ghost_sites(Region(extents))
+        bc = fixed_bc({s: (-1) ** k for k, s in enumerate(ring)})
+    else:
+        bc = {
+            "free": free_bc(),
+            "periodic": periodic_bc(),
+            "seam0": antiperiodic_bc(0),
+            "seam1": antiperiodic_bc(1),
+            "seam01": antiperiodic_bc(0, 1),
+        }[bc_name]
+    return make_spec(extents, (wrapped, wrapped), bc, beta, seed=5)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("bc_name", BATCH_BCS)
+@pytest.mark.parametrize("extents", BATCH_EXTENTS)
+def test_batched_correlations_match_per_edge_enumeration(extents, bc_name, beta):
+    # thin tori (an extent of 2) put a wrap bond and a plain bond on the
+    # same pair of rows or columns
+    spec = batch_spec(extents, bc_name, beta)
+    edges = interior_edges(spec.region)
+    per_edge = np.array([edge_correlation(spec, e, method="enum") for e in edges])
+    batch_enum = edge_correlations(spec, edges, method="enum")
+    batch_transfer = edge_correlations(spec, edges, method="transfer")
+    assert batch_enum.shape == batch_transfer.shape == (len(edges),)
+    assert np.array_equal(batch_enum, per_edge)
+    assert np.max(np.abs(batch_transfer - per_edge)) <= 1e-10
+    if beta == 0.0:
+        assert np.all(batch_enum == 0.0) and np.all(batch_transfer == 0.0)
+    for method, batch in (("enum", batch_enum), ("transfer", batch_transfer)):
+        for e, value in zip(edges, batch):
+            assert edge_correlation(spec, e, method=method) == value
+
+
+def test_batched_correlations_follow_the_requested_order():
+    spec = make_spec((3, 4), (False, False), free_bc(), 1.3, seed=8)
+    edges = tuple(interior_edges(spec.region))
+    forward = edge_correlations(spec, edges, method="transfer")
+    backward = edge_correlations(spec, edges[::-1], method="transfer")
+    assert np.array_equal(backward, forward[::-1])
+    assert edge_correlations(spec, (), method="enum").shape == (0,)
+
+
+def test_open_strip_builds_each_link_at_most_twice(monkeypatch):
+    spec = make_spec((3, 7), (False, False), free_bc(), 1.0, seed=3)
+    builds = {}
+    original = exactsolve._link
+
+    def counting(s, couplings, beta):
+        key = couplings.tobytes()
+        builds[key] = builds.get(key, 0) + 1
+        return original(s, couplings, beta)
+
+    monkeypatch.setattr(exactsolve, "_link", counting)
+    edge_correlations(spec, interior_edges(spec.region), method="transfer")
+    assert len(builds) == 6  # the links between the 7 columns of width 3
+    assert max(builds.values()) <= 2
+
+
+def test_transfer_out_of_float_range_is_loud():
+    # enumeration stays exact here; the unscaled transfer weights overflow
+    spec = make_spec((3, 3), (False, False), free_bc(), 400.0)
+    assert math.isfinite(log_partition_enum(spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError):
+            log_partition_transfer(spec)
+        with pytest.raises(ArithmeticError):
+            edge_correlations(spec, interior_edges(spec.region), method="transfer")
+
+
 def test_correlation_requires_contained_edge():
     spec = make_spec((3, 3), (False, False), free_bc(), 1.0)
     with pytest.raises(ContainmentError):
         edge_correlation(spec, Edge((8, 8), (8, 9), axis=1))
+    with pytest.raises(ContainmentError):
+        edge_correlations(spec, [*interior_edges(spec.region), Edge((8, 8), (8, 9), axis=1)])
 
 
 # --- Gibbs expectations ----------------------------------------------------

@@ -1,10 +1,17 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from eafluct import harness
 from eafluct.cli import main
-from eafluct.errors import ConfigError, IncompleteRunError
+from eafluct.errors import ConfigError, IncompleteRunError, SizeCapError, TaskError
 from eafluct.harness import (
+    KINDS,
     config_digest,
     config_to_dict,
     dump_config,
@@ -89,6 +96,56 @@ def test_numeric_preconditions_validated_at_load(tmp_path):
         parse_config_dict(base_config(tmp_path, geometry={"window": [5, 5]}))
 
 
+def test_fractional_value_for_int_field_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="n must be an integer"):
+        parse_config_dict(base_config(tmp_path, sampling={"n": 6.9}))
+
+
+def test_bool_rejected_for_numeric_fields(tmp_path):
+    with pytest.raises(ConfigError, match="beta must be a number"):
+        parse_config_dict(base_config(tmp_path, physics={"beta": True}))
+    with pytest.raises(ConfigError, match="n must be an integer"):
+        parse_config_dict(base_config(tmp_path, sampling={"n": True}))
+    with pytest.raises(ConfigError, match="box must be an integer"):
+        parse_config_dict(base_config(tmp_path, geometry={"box": [5, False]}))
+
+
+def test_string_seed_rejected(tmp_path):
+    data = base_config(tmp_path)
+    data["seed"] = "42"
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        parse_config_dict(data)
+
+
+def test_zero_block_side_rejected(tmp_path):
+    data = base_config(tmp_path, kind="martingale", sampling={"block_side": 0, "n": 4})
+    with pytest.raises(ConfigError, match="block_side"):
+        parse_config_dict(data)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats(-2.0, 8.0) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=5,
+)
+_FIELDS = [
+    (section, harness._SECTION_JSON_NAMES.get(name, name))
+    for section, names in harness._SECTIONS.items()
+    for name in names
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KINDS), st.sampled_from(_FIELDS), _JSON_VALUES)
+def test_any_field_value_parses_or_is_a_config_error(kind, field, value):
+    data = base_config(Path("out"), kind=kind, sampling={"n": 4})
+    data.setdefault(field[0], {})[field[1]] = value
+    try:
+        parse_config_dict(data)
+    except ConfigError:
+        pass
+
+
 def test_seed_required_to_run(tmp_path):
     data = base_config(tmp_path)
     data["seed"] = None
@@ -136,6 +193,83 @@ def test_interrupted_run_resumes_to_identical_report(tmp_path):
     recs = [json.loads(l) for l in (tmp_path / "records.jsonl").read_text().splitlines()]
     tasks = [r["task"] for r in recs if r["type"] == "record"]
     assert sorted(tasks) == list(range(6))
+
+
+def _fe_config(root):
+    return parse_config_dict(base_config(root, kind="fe", sampling={"n": 4}))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.floats(0.0, 1.0, exclude_max=True))
+def test_resume_after_torn_last_record_matches_serial_report(fraction):
+    # the cut is drawn as a fraction because record lengths vary with timing
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg = _fe_config(root)
+        run(cfg)
+        serial = (root / "report.json").read_bytes()
+        records = (root / "records.jsonl").read_bytes()
+        last_start = records.rstrip(b"\n").rfind(b"\n") + 1
+        cut = last_start + int(fraction * (len(records) - last_start))
+        (root / "records.jsonl").write_bytes(records[:cut])
+        (root / "report.json").unlink()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(cfg)
+        torn = [w for w in caught if "torn last line" in str(w.message)]
+        assert len(torn) == (cut > last_start)
+        assert (root / "report.json").read_bytes() == serial
+        # the rewritten file is intact: every task once, every line complete
+        lines = (root / "records.jsonl").read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        tasks = [json.loads(line).get("task") for line in lines[1:]]
+        assert sorted(tasks) == list(range(4))
+
+
+def test_torn_line_before_the_last_is_an_error(tmp_path):
+    cfg = _fe_config(tmp_path)
+    run(cfg)
+    lines = (tmp_path / "records.jsonl").read_text().splitlines(keepends=True)
+    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+    (tmp_path / "records.jsonl").write_text("".join(lines))
+    with pytest.raises(ConfigError, match="line 3 is corrupt"):
+        run(cfg)
+
+
+def test_torn_header_restarts_the_run(tmp_path):
+    cfg = _fe_config(tmp_path)
+    run(cfg)
+    serial = (tmp_path / "report.json").read_bytes()
+    header = (tmp_path / "records.jsonl").read_text().splitlines()[0]
+    (tmp_path / "records.jsonl").write_text(header[:10])
+    with pytest.warns(UserWarning, match="torn last line"):
+        run(cfg)
+    assert (tmp_path / "report.json").read_bytes() == serial
+
+
+class _TwoArgError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def test_task_failure_is_chained_task_error(tmp_path, monkeypatch):
+    def broken(cfg, task):
+        raise _TwoArgError(7, "no constructor for a message alone")
+
+    monkeypatch.setattr(harness, "run_task", broken)
+    with pytest.raises(TaskError, match="task 0 failed") as info:
+        run(_fe_config(tmp_path))
+    assert isinstance(info.value.__cause__, _TwoArgError)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_tasks_raise_task_error_for_any_worker_count(tmp_path, workers):
+    # 25 spins exceed the enumeration cap inside every task
+    data = base_config(tmp_path, kind="fe", sampling={"n": 3})
+    data["solver"] = {"method": "enum"}
+    with pytest.raises(TaskError) as info:
+        run(parse_config_dict(data), workers=workers)
+    assert isinstance(info.value.__cause__, SizeCapError)
 
 
 def test_records_from_other_config_are_rejected(tmp_path):
