@@ -44,6 +44,7 @@ from .lattice import (
 
 ENUM_CAP = 24
 TRANSFER_WIDTH_CAP = 12
+SOLVER_METHODS = ("auto", "transfer", "enum")
 _CHUNK_BITS = 20
 
 
@@ -655,6 +656,16 @@ def transfer_supported(spec: GibbsSpec, width_cap: int | None = None) -> bool:
     return any(spec.region.extents[a] <= width_cap for a in (0, 1))
 
 
+def resolve_method(spec: GibbsSpec, method: str = "auto", width_cap: int | None = None) -> str:
+    """The engine, ``"transfer"`` or ``"enum"``, that ``method`` names for
+    this spec: ``auto`` is the transfer matrix wherever it applies."""
+    if method == "auto":
+        return "transfer" if transfer_supported(spec, width_cap) else "enum"
+    if method not in SOLVER_METHODS:
+        raise ValueError(f"unknown solver method {method!r}")
+    return method
+
+
 def log_partition(
     spec: GibbsSpec,
     method: str = "auto",
@@ -662,14 +673,8 @@ def log_partition(
     width_cap: int | None = None,
     extra_fields: Mapping[Site, float] | None = None,
 ) -> float:
-    """log Z by the requested engine; ``auto`` prefers the transfer matrix."""
-    if method == "enum":
-        return log_partition_enum(spec, cap=enum_cap, extra_fields=extra_fields)
-    if method == "transfer":
-        return log_partition_transfer(spec, width_cap=width_cap, extra_fields=extra_fields)
-    if method != "auto":
-        raise ValueError(f"unknown solver method {method!r}")
-    if transfer_supported(spec, width_cap):
+    """log Z by the requested engine (see :func:`resolve_method`)."""
+    if resolve_method(spec, method, width_cap) == "transfer":
         return log_partition_transfer(spec, width_cap=width_cap, extra_fields=extra_fields)
     return log_partition_enum(spec, cap=enum_cap, extra_fields=extra_fields)
 
@@ -750,14 +755,10 @@ def edge_correlations(
                 raise ContainmentError(f"edge endpoint {site} not in region")
         if edge not in position:
             raise ContainmentError(f"edge {edge} not in the spec's edge set")
-    if method == "auto":
-        method = "transfer" if transfer_supported(spec, width_cap) else "enum"
-    if method == "transfer":
+    if resolve_method(spec, method, width_cap) == "transfer":
         width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
         by_position = _transfer_bond_correlations(spec, width_cap)
         return by_position[[position[e] for e in edges]]
-    if method != "enum":
-        raise ValueError(f"unknown solver method {method!r}")
     observables = [_corr_observable(spec.region, e) for e in edges]
     _, values = _enum_reduce(spec, observables, cap=enum_cap)
     return np.asarray(values, dtype=np.float64)
@@ -820,15 +821,9 @@ def reweight_expectation(
     by enumeration.  This is the independent numerical route against which
     :func:`reweight` is checked.
     """
-    _, pairs = _block_values(spec, block, values)
+    block_edges, _ = _block_values(spec, block, values)
     f = observable if vectorized else _vectorize(observable)
-
-    def tilt(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
-        index = {s: k for k, s in enumerate(sites)}
-        acc = np.zeros(chunk.shape[0])
-        for e, v in pairs:
-            acc += v * (chunk[:, index[e.x]] * chunk[:, index[e.y]])
-        return np.exp(spec.beta * acc)
+    tilt = exp_bond_observable(block_edges, values, spec.beta)
 
     def weighted(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
         return np.asarray(f(chunk, sites), dtype=np.float64) * tilt(chunk, sites)

@@ -69,6 +69,19 @@ BOOTSTRAP_DEFAULT = 1000
 # bootstrap helpers
 
 
+def _resampled(
+    n: int,
+    statistic: Callable[[np.ndarray], float],
+    n_resamples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``statistic(idx)`` for each of ``n_resamples`` bootstrap index arrays
+    of length ``n``, all drawn at once: the same draws, in the same order,
+    as one ``rng.integers(0, n, size=n)`` call per resample."""
+    draws = rng.integers(0, n, size=(n_resamples, n))
+    return np.array([statistic(idx) for idx in draws], dtype=np.float64)
+
+
 def bootstrap_stderr(
     values: np.ndarray,
     statistic: Callable[[np.ndarray], float],
@@ -76,10 +89,7 @@ def bootstrap_stderr(
     rng: np.random.Generator,
 ) -> float:
     values = np.asarray(values)
-    n = len(values)
-    stats = np.empty(n_resamples)
-    for b in range(n_resamples):
-        stats[b] = statistic(values[rng.integers(0, n, size=n)])
+    stats = _resampled(len(values), lambda idx: statistic(values[idx]), n_resamples, rng)
     return float(stats.std(ddof=1))
 
 
@@ -91,10 +101,7 @@ def bootstrap_ci(
     level: float = 0.95,
 ) -> tuple[float, float]:
     values = np.asarray(values)
-    n = len(values)
-    stats = np.empty(n_resamples)
-    for b in range(n_resamples):
-        stats[b] = statistic(values[rng.integers(0, n, size=n)])
+    stats = _resampled(len(values), lambda idx: statistic(values[idx]), n_resamples, rng)
     lo = (1.0 - level) / 2.0
     return float(np.quantile(stats, lo)), float(np.quantile(stats, 1.0 - lo))
 
@@ -482,11 +489,12 @@ def block_martingale_report(
     block_vars = block_means.var(axis=0, ddof=1)
 
     rng = SeedSpec(spec.master_seed, 0, "bootstrap").rng()
-    n = len(rows)
-    gap_stats = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        gap_stats[b] = f_vals[idx].var(ddof=1) - deltas[idx].var(axis=0, ddof=1).sum()
+    gap_stats = _resampled(
+        len(rows),
+        lambda idx: f_vals[idx].var(ddof=1) - deltas[idx].var(axis=0, ddof=1).sum(),
+        n_boot,
+        rng,
+    )
     gap = var_f - sum_var_deltas
     gap_stderr = float(gap_stats.std(ddof=1))
     block_var_stderr = [
@@ -614,14 +622,9 @@ def lindeberg_diagnostic(
     if len(window_sizes) < 2:
         raise ValueError("need at least two window sizes")
     n = n or min(spec.n_realizations, 16)
-    margin = (spec.box_extents[0] - spec.window_extents[0]) // 2
     rows = []
     for size in window_sizes:
-        sub = replace(
-            spec,
-            window_extents=(size,) * len(spec.box_extents),
-            box_extents=(size + 2 * margin,) * len(spec.box_extents),
-        )
+        sub = scaling_sub_spec(spec, size)
         k_edges = len(sub.window_edge_set)
         dmat = np.empty((n, k_edges))
         for i in range(n):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,7 +21,9 @@ import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from . import __version__
 from .disorder import SeedSpec, distribution_from_label, sample_couplings
 from .errors import ConfigError, IncompleteRunError, OracleMismatchError, TaskError
 from .exactsolve import (
+    SOLVER_METHODS,
     BoundaryCondition,
     GibbsSpec,
     antiperiodic_bc,
@@ -59,19 +63,6 @@ from .fluctuation import (
 from .interface import region_for_bc
 from .lattice import Region, block_partition, interior_edges
 
-KINDS = (
-    "fe",
-    "domain-wall",
-    "ensemble",
-    "martingale",
-    "edge-martingale",
-    "bounds",
-    "mgf",
-    "probe",
-    "scaling",
-    "covariance",
-    "oracle-verify",
-)
 SCHEMA_VERSION = 1
 WORKERS_ENV = "EAFLUCT_WORKERS"
 ORACLE_BC_NAMES = ("free", "periodic", "antiperiodic", "fixed")
@@ -188,8 +179,6 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported or missing schema_version (expected {SCHEMA_VERSION})")
     kind = data.pop("kind", None)
-    if kind not in KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
     seed = data.pop("seed", None)
     fields: dict = {}
     for section in _SECTIONS:
@@ -248,7 +237,7 @@ def _bc_from_name(name: str, extents: tuple[int, ...], seam_axes: tuple[int, ...
 def ensemble_spec_from_config(cfg: ExperimentConfig, beta: float | None = None) -> EnsembleSpec:
     if cfg.seed is None:
         raise ConfigError("a seed is required (no wall-clock seeding)")
-    mode = "domain-wall" if cfg.kind == "domain-wall" else "pair"
+    mode = KIND_TABLE[cfg.kind].mode
     if mode == "domain-wall":
         bc, bc_prime = periodic_bc(), antiperiodic_bc(*cfg.seam_axes)
         window = cfg.box
@@ -271,134 +260,323 @@ def ensemble_spec_from_config(cfg: ExperimentConfig, beta: float | None = None) 
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    if cfg.kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind {cfg.kind!r}; expected one of {KINDS}")
+    kind = KIND_TABLE[cfg.kind]
     if not cfg.beta >= 0 or not math.isfinite(cfg.beta):
         raise ConfigError("beta must be finite and >= 0")
     if any(not (b >= 0 and math.isfinite(b)) for b in cfg.betas):
         raise ConfigError("betas must be finite and >= 0")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
+    if cfg.n < kind.min_n:
+        raise ConfigError(f"{cfg.kind} needs n >= {kind.min_n} realizations")
     if cfg.n_outer < 2:
         raise ConfigError("n_outer must be >= 2")
     if cfg.bootstrap < 2:
         raise ConfigError("bootstrap resample count must be >= 2")
     if cfg.enum_cap < 1 or cfg.transfer_width_cap < 1:
         raise ConfigError("solver caps must be positive")
+    if cfg.solver_method not in SOLVER_METHODS:
+        raise ConfigError(f"unknown solver method {cfg.solver_method!r}")
     if cfg.block_side < 1:
         raise ConfigError("block_side must be >= 1")
     try:
         distribution_from_label(cfg.distribution)
     except (ValueError, TypeError) as err:
         raise ConfigError(f"bad distribution: {err}") from None
-    if cfg.kind == "martingale":
-        for e in cfg.window:
-            if e % cfg.block_side != 0:
-                raise ConfigError(
-                    f"block side {cfg.block_side} does not divide window extent {e}"
-                )
-    if cfg.kind == "scaling" and len(cfg.window_sizes) < 3:
-        raise ConfigError("scaling needs at least three window sizes")
-    if cfg.kind not in ("fe", "domain-wall", "covariance", "oracle-verify"):
-        if cfg.kind in ("ensemble", "martingale", "scaling", "probe", "mgf") and cfg.n < 2:
-            raise ConfigError(f"{cfg.kind} needs n >= 2 realizations")
     if cfg.seed is not None and not 0 <= _int("seed", cfg.seed) < 2**64:
         raise ConfigError("seed must be a 64-bit non-negative integer")
-    # pair-mode geometry must leave a margin of at least one
-    if cfg.kind not in ("domain-wall", "covariance", "oracle-verify"):
+    if not cfg.box or min(cfg.box) < 1:
+        raise ConfigError("box needs at least one axis and every extent >= 1")
+    if kind.pair:
+        if len(cfg.window) != len(cfg.box) or min(cfg.window) < 1:
+            raise ConfigError("window needs the box's dimension and every extent >= 1")
         if any(w + 2 > b for w, b in zip(cfg.window, cfg.box)):
             raise ConfigError("window must fit in the box with margin >= 1")
+        _bc_from_name(cfg.bc, cfg.box, cfg.seam_axes)
+        _bc_from_name(cfg.bc_prime, cfg.box, cfg.seam_axes)
+    kind.check(cfg)
 
 
 # ---------------------------------------------------------------------------
-# experiment registry: per-kind task count, task body, reducer
+# experiment kinds: one table entry per kind
 
 
 def _betas(cfg: ExperimentConfig) -> tuple[float, ...]:
     return cfg.betas or (cfg.beta,)
 
 
-def task_count(cfg: ExperimentConfig) -> int:
-    if cfg.kind == "bounds":
-        return cfg.n * len(_betas(cfg))
-    if cfg.kind == "scaling":
-        return cfg.n * len(cfg.window_sizes)
-    if cfg.kind == "oracle-verify":
-        return cfg.n * len(cfg.geometries) * len(ORACLE_BC_NAMES) * len(_betas(cfg))
-    return cfg.n
+def _realizations(cfg: ExperimentConfig) -> list[dict]:
+    return [{"realization": i} for i in range(cfg.n)]
 
 
-def run_task(cfg: ExperimentConfig, task: int) -> dict:
-    """Execute one pure task; everything derives from (config, task index)."""
-    kind = cfg.kind
-    if kind in ("fe", "ensemble"):
-        spec = ensemble_spec_from_config(cfg)
-        result = spec.f_result(spec.master(task))
-        return {"value": result.value, "result": result.to_record()}
-    if kind == "domain-wall":
-        spec = ensemble_spec_from_config(cfg)
-        return {"value": spec.f_value(task)}
-    if kind == "martingale":
-        spec = ensemble_spec_from_config(cfg)
-        partition = block_partition(spec.window_region, cfg.block_side)
-        conditioning = BlockConditioning(partition, cfg.n_outer)
-        return block_martingale_realization(spec, conditioning, task)
-    if kind == "edge-martingale":
-        spec = ensemble_spec_from_config(cfg)
-        return edge_martingale_realization(spec, task, cfg.n_outer)
-    if kind == "bounds":
-        spec = ensemble_spec_from_config(cfg, beta=_betas(cfg)[task % len(_betas(cfg))])
-        pair = spec.pair_from(spec.master(task))
-        report = bound_check(
-            pair,
-            n_observables=cfg.n_observables,
-            seed=cfg.seed,
-            method=cfg.solver_method,
+@dataclass(frozen=True)
+class ExperimentKind:
+    """Everything the harness knows about one experiment kind.
+
+    ``tasks(cfg)`` lists each task's coordinates in task order; ``run(cfg,
+    coords)`` is the pure task body, and the records file keeps the
+    coordinates as the task's seed.  ``reduce(cfg, payloads)`` builds the
+    summary from the payloads in task order; ``csv_tables(summary)`` lists
+    its CSV files as ``(file name, header, rows)``.  ``min_n`` is the least
+    realization count; ``pair`` says the kind compares ``bc`` with
+    ``bc_prime`` on a window that needs a margin in the box; ``mode`` is the
+    ensemble mode; ``check(cfg)`` raises ``ConfigError`` for what only this
+    kind rejects.
+    """
+
+    run: Callable[[ExperimentConfig, dict], dict]
+    reduce: Callable[[ExperimentConfig, list[dict]], dict]
+    csv_tables: Callable[[dict], list[tuple[str, list[str], list]]]
+    tasks: Callable[[ExperimentConfig], list[dict]] = _realizations
+    min_n: int = 1
+    pair: bool = True
+    mode: str = "pair"
+    check: Callable[[ExperimentConfig], None] = lambda cfg: None
+
+
+def _on_ensemble(body: Callable[[ExperimentConfig, EnsembleSpec, int], dict]):
+    """A task running ``body`` on the config's ensemble and the task's realization."""
+    return lambda cfg, at: body(cfg, ensemble_spec_from_config(cfg), at["realization"])
+
+
+def _conditioning(cfg: ExperimentConfig, spec: EnsembleSpec) -> BlockConditioning:
+    return BlockConditioning(block_partition(spec.window_region, cfg.block_side), cfg.n_outer)
+
+
+def _csv(name: str, header: str, field: str | None = None, keys: str | None = None,
+         columns: str | None = None, numbered: bool = False, required: bool = False):
+    """CSV table ``name`` with the space-separated ``header``, read from
+    ``summary[field]`` (from the summary itself when ``field`` is None).
+
+    Its rows are that list of records, or that one record, and read the
+    space-separated ``keys`` (by default the header) from each record.  With
+    ``columns``, row k holds item k of each named list instead.  A
+    ``numbered`` table starts every row with its index, under the header's
+    first name; a ``required`` table without rows is an ``IncompleteRunError``.
+    """
+    names = header.split()
+    keys = keys.split() if keys else names[numbered:]
+
+    def table(summary: dict) -> tuple[str, list[str], list]:
+        source = summary if field is None else summary[field]
+        if columns:
+            rows = zip(*(source[c] for c in columns.split()))
+        else:
+            records = [source] if isinstance(source, dict) else source
+            rows = ([r[k] for k in keys] for r in records)
+        if numbered:
+            rows = ([i, *row] for i, row in enumerate(rows))
+        rows = list(rows)
+        if required and not rows:
+            raise IncompleteRunError(f"no recorded rows for {name}")
+        return name, names, rows
+
+    return table
+
+
+def _csvs(*tables):
+    return lambda summary: [table(summary) for table in tables]
+
+
+def _values_csv(kind: str):
+    return _csv(f"{kind}_values.csv", "realization value", columns="values", numbered=True,
+                required=True)
+
+
+def _fe_task(cfg: ExperimentConfig, spec: EnsembleSpec, i: int) -> dict:
+    result = spec.f_result(spec.master(i))
+    return {"value": result.value, "result": result.to_record()}
+
+
+def _reduce_domain_wall(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    values = np.array([p["value"] for p in payloads])
+    out = {"values": values.tolist(), "count": len(values)}
+    if len(values) >= 2:
+        out["mean"] = float(values.mean())
+        out["variance"] = float(values.var(ddof=1))
+    return out
+
+
+def _reduce_ensemble(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    values = [p["value"] for p in payloads]
+    report = variance_report_from_values(values, cfg.seed, cfg.bootstrap)
+    return {"values": values, "variance_report": report.to_record()}
+
+
+def _check_martingale(cfg: ExperimentConfig) -> None:
+    for e in cfg.window:
+        if e % cfg.block_side != 0:
+            raise ConfigError(f"block side {cfg.block_side} does not divide window extent {e}")
+
+
+def _reduce_martingale(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    spec = ensemble_spec_from_config(cfg)
+    conditioning = _conditioning(cfg, spec)
+    trace, report, details = block_martingale_report(spec, conditioning, payloads, cfg.bootstrap)
+    return {"variance_report": report.to_record(), "details": details, "trace": trace.to_record()}
+
+
+def _reduce_edge_martingale(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    rows = []
+    all_ok = True
+    worst_excess = -math.inf
+    for p in payloads:
+        ys = np.asarray(p["ys"])
+        deltas = np.abs(np.diff(ys))
+        bounds = np.asarray(p["bounds"])
+        sems = np.asarray(p["delta_sem"])
+        excess = deltas - (bounds + 3.0 * sems)
+        ok = bool(np.all(excess <= 0.0))
+        all_ok = all_ok and ok
+        worst_excess = max(worst_excess, float(excess.max()))
+        rows.append(
+            {
+                "index": p["index"],
+                "bound_ok": ok,
+                "max_abs_delta": float(deltas.max()),
+                "min_bound": float(bounds.min()),
+            }
         )
-        rec = report.to_record()
-        rec["beta"] = spec.beta
-        return rec
-    if kind == "mgf":
-        spec = ensemble_spec_from_config(cfg)
-        return {"g": mgf_conditional_mean(spec, task, cfg.n_outer)}
-    if kind == "probe":
-        spec = ensemble_spec_from_config(cfg)
-        return {"deltas": probe_realization(spec, task)}
-    if kind == "scaling":
-        spec = ensemble_spec_from_config(cfg)
-        size = cfg.window_sizes[task // cfg.n]
-        sub = scaling_sub_spec(spec, size)
-        return {"size": size, "value": sub.f_value(task % cfg.n)}
-    if kind == "covariance":
-        row = covariance_sample(
-            cfg.box,
-            cfg.beta,
-            distribution_from_label(cfg.distribution),
-            cfg.seed,
-            task,
-            enum_cap=cfg.enum_cap,
-        )
-        return row
-    if kind == "oracle-verify":
-        return _oracle_task(cfg, task)
-    raise ConfigError(f"unknown experiment kind {kind!r}")  # pragma: no cover
+    return {
+        "instances": rows,
+        "all_bounds_ok": all_ok,
+        "worst_excess": worst_excess,
+        "n_outer": cfg.n_outer,
+    }
 
 
-def _oracle_task(cfg: ExperimentConfig, task: int) -> dict:
+def _bounds_tasks(cfg: ExperimentConfig) -> list[dict]:
     betas = _betas(cfg)
-    n_bc = len(ORACLE_BC_NAMES)
-    geom_idx, rest = divmod(task, n_bc * len(betas) * cfg.n)
-    bc_idx, rest = divmod(rest, len(betas) * cfg.n)
-    beta_idx, _replicate = divmod(rest, cfg.n)
-    extents = cfg.geometries[geom_idx]
-    bc_name = ORACLE_BC_NAMES[bc_idx]
-    beta = betas[beta_idx]
-    bc = _bc_from_name(bc_name, extents, cfg.seam_axes)
+    return [{"beta": betas[t % len(betas)], "realization": t} for t in range(cfg.n * len(betas))]
+
+
+def _bounds_task(cfg: ExperimentConfig, at: dict) -> dict:
+    spec = ensemble_spec_from_config(cfg, beta=at["beta"])
+    pair = spec.pair_from(spec.master(at["realization"]))
+    report = bound_check(
+        pair, n_observables=cfg.n_observables, seed=cfg.seed, method=cfg.solver_method
+    )
+    rec = report.to_record()
+    rec["beta"] = spec.beta
+    return rec
+
+
+def _reduce_bounds(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    slacks = [p["slack"] for p in payloads]
+    ratio_mins = [min(p["ratio_slacks"]) for p in payloads]
+    hist, edges = np.histogram(slacks, bins=20)
+    return {
+        "count": len(payloads),
+        "min_slack": min(slacks),
+        "min_ratio_slack": min(ratio_mins),
+        "violations": 0,  # bound_check raises on violation
+        "histogram": {"bin_edges": edges.tolist(), "counts": hist.tolist()},
+        "rows": payloads,
+    }
+
+
+def _bounds_hist_csv(summary: dict) -> tuple[str, list[str], list]:
+    edges, counts = summary["histogram"]["bin_edges"], summary["histogram"]["counts"]
+    return "bounds_hist.csv", ["bin_lo", "bin_hi", "count"], list(zip(edges, edges[1:], counts))
+
+
+def _reduce_mgf(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    spec = ensemble_spec_from_config(cfg)
+    g_values = [p["g"] for p in payloads]
+    return mgf_report_from_values(spec, g_values, cfg.t_values, cfg.n_outer, cfg.bootstrap)
+
+
+def _reduce_probe(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    spec = ensemble_spec_from_config(cfg)
+    rows = [p["deltas"] for p in payloads]
+    return probe_report_from_rows(spec, rows, cfg.epsilons, cfg.noise_tol, cfg.bootstrap)
+
+
+def _probe_density_csv(summary: dict) -> tuple[str, list[str], list]:
+    rows = [[r["epsilon"], r["density"], *r["ci95"][:2]] for r in summary["densities"]]
+    return "probe_density.csv", ["epsilon", "density", "ci95_lo", "ci95_hi"], rows
+
+
+def _check_scaling(cfg: ExperimentConfig) -> None:
+    if len(cfg.window_sizes) < 3:
+        raise ConfigError("scaling needs at least three window sizes")
+
+
+def _scaling_task(cfg: ExperimentConfig, at: dict) -> dict:
+    sub = scaling_sub_spec(ensemble_spec_from_config(cfg), at["size"])
+    return {"size": at["size"], "value": sub.f_value(at["realization"])}
+
+
+def _reduce_scaling(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    spec = ensemble_spec_from_config(cfg)
+    values = [p["value"] for p in payloads]
+    value_sets = [values[s * cfg.n : (s + 1) * cfg.n] for s in range(len(cfg.window_sizes))]
+    return scaling_report_from_values(spec, cfg.window_sizes, value_sets, cfg.bootstrap)
+
+
+def _scaling_points_csv(summary: dict) -> tuple[str, list[str], list]:
+    keys = ["window_size", "window_sites", "boundary_edges", "variance", "variance_stderr"]
+    rows = [
+        [
+            *(r[k] for k in keys),
+            math.log(r["window_sites"]),
+            math.log(r["boundary_edges"]),
+            math.log(r["variance"]) if r["variance"] > 0 else "",
+        ]
+        for r in summary["rows"]
+    ]
+    header = [*keys, "log_window_sites", "log_boundary_edges", "log_variance"]
+    return "scaling_points.csv", header, rows
+
+
+def _scaling_fit_csv(summary: dict) -> tuple[str, list[str], list]:
+    rows = [
+        [name, f["exponent"], *f["ci95"][:2], f["intercept"], f["bootstrap_fits"]]
+        for name, f in summary.get("fits", {}).items()
+    ]
+    header = ["predictor", "exponent", "ci95_lo", "ci95_hi", "intercept", "bootstrap_fits"]
+    return "scaling_fit.csv", header, rows
+
+
+def _covariance_task(cfg: ExperimentConfig, at: dict) -> dict:
+    dist = distribution_from_label(cfg.distribution)
+    i = at["realization"]
+    return covariance_sample(cfg.box, cfg.beta, dist, cfg.seed, i, enum_cap=cfg.enum_cap)
+
+
+def _reduce_covariance(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    return {
+        "n_samples": len(payloads),
+        "max_translation_deviation": max(p["translation_deviation"] for p in payloads),
+        "max_coupling_deviation": max(p["coupling_deviation"] for p in payloads),
+    }
+
+
+def _check_oracle(cfg: ExperimentConfig) -> None:
+    if any(not g or min(g) < 1 for g in cfg.geometries):
+        raise ConfigError("every oracle geometry needs at least one axis and extents >= 1")
+
+
+def _oracle_tasks(cfg: ExperimentConfig) -> list[dict]:
+    grid = itertools.product(cfg.geometries, ORACLE_BC_NAMES, _betas(cfg), range(cfg.n))
+    return [
+        {"geometry": g, "bc": bc, "beta": beta, "replicate": r, "realization": t}
+        for t, (g, bc, beta, r) in enumerate(grid)
+    ]
+
+
+def _oracle_task(cfg: ExperimentConfig, at: dict) -> dict:
+    extents, beta = at["geometry"], at["beta"]
+    bc = _bc_from_name(at["bc"], extents, cfg.seam_axes)
     region = region_for_bc(extents, bc)
     dist = distribution_from_label(cfg.distribution)
     couplings = sample_couplings(
-        dist, required_edges(region, bc), SeedSpec(cfg.seed, task, "oracle")
+        dist, required_edges(region, bc), SeedSpec(cfg.seed, at["realization"], "oracle")
     )
     spec = GibbsSpec(region, couplings, beta, bc)
-    meta = {"extents": list(extents), "bc": bc_name, "beta": beta}
+    meta = {"extents": list(extents), "bc": at["bc"], "beta": beta}
     if region.n_sites > cfg.enum_cap or not transfer_supported(spec, cfg.transfer_width_cap):
         return {"status": "unsupported", **meta}
     logz_enum = log_partition_enum(spec, cap=cfg.enum_cap)
@@ -416,116 +594,147 @@ def _oracle_task(cfg: ExperimentConfig, task: int) -> dict:
     }
 
 
+def _reduce_oracle(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
+    ok_rows = [p for p in payloads if p["status"] == "ok"]
+    unsupported = [p for p in payloads if p["status"] == "unsupported"]
+    max_logz = max((p["logz_dev"] for p in ok_rows), default=0.0)
+    max_corr = max((p["corr_dev"] for p in ok_rows), default=0.0)
+    passed = max_logz <= ORACLE_LOGZ_TOL and max_corr <= ORACLE_CORR_TOL
+    if not passed:
+        raise OracleMismatchError(
+            f"solver cross-validation failed: max |dlogZ| = {max_logz:.3e}, "
+            f"max correlation deviation = {max_corr:.3e}"
+        )
+    return {
+        "instances": len(payloads),
+        "checked": len(ok_rows),
+        "unsupported": len(unsupported),
+        "max_logz_deviation": max_logz,
+        "max_corr_deviation": max_corr,
+        "passed": True,
+    }
+
+
+KIND_TABLE: dict[str, ExperimentKind] = {
+    "fe": ExperimentKind(
+        run=_on_ensemble(_fe_task),
+        reduce=lambda cfg, ps: {"values": [p["value"] for p in ps], "count": len(ps)},
+        csv_tables=_csvs(_values_csv("fe")),
+    ),
+    "domain-wall": ExperimentKind(
+        run=_on_ensemble(lambda cfg, spec, i: {"value": spec.f_value(i)}),
+        reduce=_reduce_domain_wall,
+        csv_tables=_csvs(_values_csv("domain-wall")),
+        pair=False, mode="domain-wall",
+    ),
+    "ensemble": ExperimentKind(
+        run=_on_ensemble(_fe_task),
+        reduce=_reduce_ensemble,
+        csv_tables=_csvs(_values_csv("ensemble"), _csv(
+            "ensemble_summary.csv", "n f_mean f_mean_stderr f_variance f_variance_stderr",
+            "variance_report", keys="n mean mean_stderr variance stderr",
+        )),
+        min_n=2,
+    ),
+    "martingale": ExperimentKind(
+        run=_on_ensemble(
+            lambda cfg, spec, i: block_martingale_realization(spec, _conditioning(cfg, spec), i)
+        ),
+        reduce=_reduce_martingale,
+        csv_tables=_csvs(_csv(
+            "martingale_blocks.csv", "block delta_variance conditional_mean_variance stderr",
+            "details", columns="var_deltas block_variances block_variance_stderr", numbered=True,
+        ), _csv(
+            "martingale_summary.csv", "var_f sum_var_deltas gap gap_stderr inequality_ok", "details"
+        )),
+        min_n=2, check=_check_martingale,
+    ),
+    "edge-martingale": ExperimentKind(
+        run=_on_ensemble(lambda cfg, spec, i: edge_martingale_realization(spec, i, cfg.n_outer)),
+        reduce=_reduce_edge_martingale,
+        csv_tables=_csvs(_csv(
+            "edge_martingale.csv", "instance bound_ok max_abs_delta min_bound",
+            "instances", keys="index bound_ok max_abs_delta min_bound",
+        )),
+    ),
+    "bounds": ExperimentKind(
+        tasks=_bounds_tasks,
+        run=_bounds_task,
+        reduce=_reduce_bounds,
+        csv_tables=_csvs(_csv(
+            "bounds_slack.csv", "instance beta f_value bound slack min_ratio_slack", "rows",
+            numbered=True,
+        ), _bounds_hist_csv),
+    ),
+    "mgf": ExperimentKind(
+        run=_on_ensemble(lambda cfg, spec, i: {"g": mgf_conditional_mean(spec, i, cfg.n_outer)}),
+        reduce=_reduce_mgf,
+        csv_tables=_csvs(
+            _csv("mgf.csv", "t empirical stderr bound bound_normalized_nu passed", "rows")
+        ),
+        min_n=2,
+    ),
+    "probe": ExperimentKind(
+        run=_on_ensemble(lambda cfg, spec, i: {"deltas": probe_realization(spec, i)}),
+        reduce=_reduce_probe,
+        csv_tables=_csvs(_probe_density_csv, _csv(
+            "probe_edges.csv", "edge mean_delta stderr nonzero_fraction",
+            columns="edges per_edge_mean per_edge_stderr per_edge_nonzero_fraction",
+        )),
+        min_n=2,
+    ),
+    "scaling": ExperimentKind(
+        tasks=lambda cfg: [
+            {"size": s, "realization": i} for s in cfg.window_sizes for i in range(cfg.n)
+        ],
+        run=_scaling_task,
+        reduce=_reduce_scaling,
+        csv_tables=_csvs(_scaling_points_csv, _scaling_fit_csv),
+        min_n=2, check=_check_scaling,
+    ),
+    "covariance": ExperimentKind(
+        run=_covariance_task,
+        reduce=_reduce_covariance,
+        csv_tables=_csvs(
+            _csv("covariance.csv", "n_samples max_translation_deviation max_coupling_deviation")
+        ),
+        pair=False,
+    ),
+    "oracle-verify": ExperimentKind(
+        tasks=_oracle_tasks,
+        run=_oracle_task,
+        reduce=_reduce_oracle,
+        csv_tables=_csvs(_csv(
+            "oracle_verify.csv",
+            "instances checked unsupported max_logz_deviation max_corr_deviation passed",
+        )),
+        pair=False, check=_check_oracle,
+    ),
+}
+KINDS = tuple(KIND_TABLE)
+
+
+@lru_cache(maxsize=16)
+def task_coordinates(cfg: ExperimentConfig) -> tuple[dict, ...]:
+    """The coordinates of each of the config's tasks, in task order.
+
+    Cached, so every caller shares the same dicts: read them, never mutate.
+    """
+    return tuple(KIND_TABLE[cfg.kind].tasks(cfg))
+
+
+def task_count(cfg: ExperimentConfig) -> int:
+    return len(task_coordinates(cfg))
+
+
+def run_task(cfg: ExperimentConfig, task: int) -> dict:
+    """Execute one pure task; everything derives from (config, task index)."""
+    return KIND_TABLE[cfg.kind].run(cfg, task_coordinates(cfg)[task])
+
+
 def reduce_report(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     """Aggregate payloads (in canonical task order) into the final summary."""
-    kind = cfg.kind
-    if kind == "fe":
-        values = [p["value"] for p in payloads]
-        return {"values": values, "count": len(values)}
-    if kind == "domain-wall":
-        values = np.array([p["value"] for p in payloads])
-        out = {"values": values.tolist(), "count": len(values)}
-        if len(values) >= 2:
-            out["mean"] = float(values.mean())
-            out["variance"] = float(values.var(ddof=1))
-        return out
-    if kind == "ensemble":
-        values = [p["value"] for p in payloads]
-        report = variance_report_from_values(values, cfg.seed, cfg.bootstrap)
-        return {"values": values, "variance_report": report.to_record()}
-    if kind == "martingale":
-        spec = ensemble_spec_from_config(cfg)
-        partition = block_partition(spec.window_region, cfg.block_side)
-        conditioning = BlockConditioning(partition, cfg.n_outer)
-        trace, report, details = block_martingale_report(
-            spec, conditioning, payloads, cfg.bootstrap
-        )
-        return {
-            "variance_report": report.to_record(),
-            "details": details,
-            "trace": trace.to_record(),
-        }
-    if kind == "edge-martingale":
-        rows = []
-        all_ok = True
-        worst_excess = -math.inf
-        for p in payloads:
-            ys = np.asarray(p["ys"])
-            deltas = np.abs(np.diff(ys))
-            bounds = np.asarray(p["bounds"])
-            sems = np.asarray(p["delta_sem"])
-            excess = deltas - (bounds + 3.0 * sems)
-            ok = bool(np.all(excess <= 0.0))
-            all_ok = all_ok and ok
-            worst_excess = max(worst_excess, float(excess.max()))
-            rows.append(
-                {
-                    "index": p["index"],
-                    "bound_ok": ok,
-                    "max_abs_delta": float(deltas.max()),
-                    "min_bound": float(bounds.min()),
-                }
-            )
-        return {
-            "instances": rows,
-            "all_bounds_ok": all_ok,
-            "worst_excess": worst_excess,
-            "n_outer": cfg.n_outer,
-        }
-    if kind == "bounds":
-        slacks = [p["slack"] for p in payloads]
-        ratio_mins = [min(p["ratio_slacks"]) for p in payloads]
-        hist, edges = np.histogram(slacks, bins=20)
-        return {
-            "count": len(payloads),
-            "min_slack": min(slacks),
-            "min_ratio_slack": min(ratio_mins),
-            "violations": 0,  # bound_check raises on violation
-            "histogram": {"bin_edges": edges.tolist(), "counts": hist.tolist()},
-            "rows": payloads,
-        }
-    if kind == "mgf":
-        spec = ensemble_spec_from_config(cfg)
-        g_values = [p["g"] for p in payloads]
-        return mgf_report_from_values(spec, g_values, cfg.t_values, cfg.n_outer, cfg.bootstrap)
-    if kind == "probe":
-        spec = ensemble_spec_from_config(cfg)
-        rows = [p["deltas"] for p in payloads]
-        return probe_report_from_rows(spec, rows, cfg.epsilons, cfg.noise_tol, cfg.bootstrap)
-    if kind == "scaling":
-        spec = ensemble_spec_from_config(cfg)
-        value_sets = []
-        for s, size in enumerate(cfg.window_sizes):
-            value_sets.append(
-                [payloads[s * cfg.n + i]["value"] for i in range(cfg.n)]
-            )
-        return scaling_report_from_values(spec, cfg.window_sizes, value_sets, cfg.bootstrap)
-    if kind == "covariance":
-        return {
-            "n_samples": len(payloads),
-            "max_translation_deviation": max(p["translation_deviation"] for p in payloads),
-            "max_coupling_deviation": max(p["coupling_deviation"] for p in payloads),
-        }
-    if kind == "oracle-verify":
-        ok_rows = [p for p in payloads if p["status"] == "ok"]
-        unsupported = [p for p in payloads if p["status"] == "unsupported"]
-        max_logz = max((p["logz_dev"] for p in ok_rows), default=0.0)
-        max_corr = max((p["corr_dev"] for p in ok_rows), default=0.0)
-        passed = max_logz <= ORACLE_LOGZ_TOL and max_corr <= ORACLE_CORR_TOL
-        if not passed:
-            raise OracleMismatchError(
-                f"solver cross-validation failed: max |dlogZ| = {max_logz:.3e}, "
-                f"max correlation deviation = {max_corr:.3e}"
-            )
-        return {
-            "instances": len(payloads),
-            "checked": len(ok_rows),
-            "unsupported": len(unsupported),
-            "max_logz_deviation": max_logz,
-            "max_corr_deviation": max_corr,
-            "passed": True,
-        }
-    raise ConfigError(f"unknown experiment kind {kind!r}")  # pragma: no cover
+    return KIND_TABLE[cfg.kind].reduce(cfg, payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -601,51 +810,32 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     records_path = Path(cfg.records)
     records_path.parent.mkdir(parents=True, exist_ok=True)
     done, intact = _load_existing_records(records_path, digest)
-    total = task_count(cfg)
+    coords = task_coordinates(cfg)
+    total = len(coords)
     todo = [t for t in range(total) if t not in done]
 
-    fresh = not records_path.exists() or not done
-    mode = "a" if done else "w"
-    with open(records_path, mode, encoding="utf-8") as fh:
-        if mode == "a":
+    with open(records_path, "a" if done else "w", encoding="utf-8") as fh:
+
+        def write(line: dict) -> None:
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
+
+        if done:
             fh.truncate(intact)  # appended records must not extend a torn line
-        if fresh and mode == "w":
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "header",
-                        "config_digest": digest,
-                        "kind": cfg.kind,
-                        "version": __version__,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        else:
+            write({"type": "header", "config_digest": digest, "kind": cfg.kind,
+                   "version": __version__})
         cfg_json = json.dumps(config_to_dict(cfg), sort_keys=True)
 
         def record(task: int, payload: dict, elapsed: float) -> None:
             done[task] = payload
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "record",
-                        "task": task,
-                        "status": "ok",
-                        "seed": {"master": cfg.seed, "realization": task},
-                        "payload": payload,
-                        "timing": elapsed,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            seed = {"master": cfg.seed, **coords[task]}
+            write({"type": "record", "task": task, "status": "ok", "seed": seed,
+                   "payload": payload, "timing": elapsed})
             fh.flush()
 
         def failed(task: int, err: Exception) -> TaskError:
-            return TaskError(
-                f"task {task} failed (master seed {cfg.seed}, realization {task}): {err}"
-            )
+            at = ", ".join(f"{name} {value}" for name, value in coords[task].items())
+            return TaskError(f"task {task} failed (master seed {cfg.seed}, {at}): {err}")
 
         if workers <= 1:
             for task in todo:
@@ -698,216 +888,28 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
 # CSV summaries
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> str:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return str(path)
-
-
 def write_csv_reports(report: dict, out_dir) -> list[str]:
     """Emit the plain-CSV summaries for a completed run's report."""
-    kind = report.get("kind")
     summary = report.get("summary")
     if not summary:
         raise IncompleteRunError("report carries no summary; run the experiment first")
+    kind = report.get("kind")
+    if kind not in KINDS:
+        raise IncompleteRunError(f"no CSV emitter for kind {kind!r}")
+    try:
+        tables = KIND_TABLE[kind].csv_tables(summary)
+    except KeyError as err:
+        raise IncompleteRunError(f"the {kind} summary has no field {err}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    if kind in ("fe", "domain-wall", "ensemble"):
-        values = summary.get("values", [])
-        if not values:
-            raise IncompleteRunError("no recorded values")
-        written.append(
-            _write_csv(
-                out / f"{kind}_values.csv",
-                ["realization", "value"],
-                [[i, v] for i, v in enumerate(values)],
-            )
-        )
-        if kind == "ensemble":
-            rep = summary["variance_report"]
-            written.append(
-                _write_csv(
-                    out / "ensemble_summary.csv",
-                    ["n", "f_mean", "f_mean_stderr", "f_variance", "f_variance_stderr"],
-                    [[rep["n"], rep["mean"], rep["mean_stderr"], rep["variance"], rep["stderr"]]],
-                )
-            )
-    elif kind == "scaling":
-        rows = summary["rows"]
-        written.append(
-            _write_csv(
-                out / "scaling_points.csv",
-                [
-                    "window_size",
-                    "window_sites",
-                    "boundary_edges",
-                    "variance",
-                    "variance_stderr",
-                    "log_window_sites",
-                    "log_boundary_edges",
-                    "log_variance",
-                ],
-                [
-                    [
-                        r["window_size"],
-                        r["window_sites"],
-                        r["boundary_edges"],
-                        r["variance"],
-                        r["variance_stderr"],
-                        math.log(r["window_sites"]),
-                        math.log(r["boundary_edges"]),
-                        math.log(r["variance"]) if r["variance"] > 0 else "",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-        fit_rows = [
-            [name, f["exponent"], f["ci95"][0], f["ci95"][1], f["intercept"], f["bootstrap_fits"]]
-            for name, f in summary.get("fits", {}).items()
-        ]
-        written.append(
-            _write_csv(
-                out / "scaling_fit.csv",
-                ["predictor", "exponent", "ci95_lo", "ci95_hi", "intercept", "bootstrap_fits"],
-                fit_rows,
-            )
-        )
-    elif kind == "bounds":
-        written.append(
-            _write_csv(
-                out / "bounds_slack.csv",
-                ["instance", "beta", "f_value", "bound", "slack", "min_ratio_slack"],
-                [
-                    [i, r["beta"], r["f_value"], r["bound"], r["slack"], r["min_ratio_slack"]]
-                    for i, r in enumerate(summary["rows"])
-                ],
-            )
-        )
-        hist = summary["histogram"]
-        written.append(
-            _write_csv(
-                out / "bounds_hist.csv",
-                ["bin_lo", "bin_hi", "count"],
-                [
-                    [hist["bin_edges"][i], hist["bin_edges"][i + 1], c]
-                    for i, c in enumerate(hist["counts"])
-                ],
-            )
-        )
-    elif kind == "probe":
-        written.append(
-            _write_csv(
-                out / "probe_density.csv",
-                ["epsilon", "density", "ci95_lo", "ci95_hi"],
-                [
-                    [r["epsilon"], r["density"], r["ci95"][0], r["ci95"][1]]
-                    for r in summary["densities"]
-                ],
-            )
-        )
-        written.append(
-            _write_csv(
-                out / "probe_edges.csv",
-                ["edge", "mean_delta", "stderr", "nonzero_fraction"],
-                list(
-                    map(
-                        list,
-                        zip(
-                            summary["edges"],
-                            summary["per_edge_mean"],
-                            summary["per_edge_stderr"],
-                            summary["per_edge_nonzero_fraction"],
-                        ),
-                    )
-                ),
-            )
-        )
-    elif kind == "mgf":
-        written.append(
-            _write_csv(
-                out / "mgf.csv",
-                ["t", "empirical", "stderr", "bound", "bound_normalized_nu", "passed"],
-                [
-                    [r["t"], r["empirical"], r["stderr"], r["bound"], r["bound_normalized_nu"], r["passed"]]
-                    for r in summary["rows"]
-                ],
-            )
-        )
-    elif kind == "martingale":
-        details = summary["details"]
-        written.append(
-            _write_csv(
-                out / "martingale_blocks.csv",
-                ["block", "delta_variance", "conditional_mean_variance", "stderr"],
-                [
-                    [k, details["var_deltas"][k], details["block_variances"][k], details["block_variance_stderr"][k]]
-                    for k in range(len(details["var_deltas"]))
-                ],
-            )
-        )
-        written.append(
-            _write_csv(
-                out / "martingale_summary.csv",
-                ["var_f", "sum_var_deltas", "gap", "gap_stderr", "inequality_ok"],
-                [
-                    [
-                        details["var_f"],
-                        details["sum_var_deltas"],
-                        details["gap"],
-                        details["gap_stderr"],
-                        details["inequality_ok"],
-                    ]
-                ],
-            )
-        )
-    elif kind == "edge-martingale":
-        written.append(
-            _write_csv(
-                out / "edge_martingale.csv",
-                ["instance", "bound_ok", "max_abs_delta", "min_bound"],
-                [
-                    [r["index"], r["bound_ok"], r["max_abs_delta"], r["min_bound"]]
-                    for r in summary["instances"]
-                ],
-            )
-        )
-    elif kind == "covariance":
-        written.append(
-            _write_csv(
-                out / "covariance.csv",
-                ["n_samples", "max_translation_deviation", "max_coupling_deviation"],
-                [
-                    [
-                        summary["n_samples"],
-                        summary["max_translation_deviation"],
-                        summary["max_coupling_deviation"],
-                    ]
-                ],
-            )
-        )
-    elif kind == "oracle-verify":
-        written.append(
-            _write_csv(
-                out / "oracle_verify.csv",
-                ["instances", "checked", "unsupported", "max_logz_deviation", "max_corr_deviation", "passed"],
-                [
-                    [
-                        summary["instances"],
-                        summary["checked"],
-                        summary["unsupported"],
-                        summary["max_logz_deviation"],
-                        summary["max_corr_deviation"],
-                        summary["passed"],
-                    ]
-                ],
-            )
-        )
-    else:  # pragma: no cover
-        raise IncompleteRunError(f"no CSV emitter for kind {kind!r}")
+    for name, header, rows in tables:
+        path = out / name
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        written.append(str(path))
     return written
 
 

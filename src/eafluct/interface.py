@@ -31,7 +31,7 @@ from .exactsolve import (
     gibbs_expectation_enum,
     log_partition,
     periodic_bc,
-    transfer_supported,
+    resolve_method,
 )
 from .lattice import (
     Edge,
@@ -199,12 +199,6 @@ class FreeEnergyResult:
         )
 
 
-def _resolve_method(pair: StatePair, method: str, width_cap: int | None) -> str:
-    if method != "auto":
-        return method
-    return "transfer" if transfer_supported(pair.gamma, width_cap) else "enum"
-
-
 def interface_free_energy(
     pair: StatePair,
     method: str = "auto",
@@ -213,7 +207,7 @@ def interface_free_energy(
 ) -> FreeEnergyResult:
     """F = log Gamma(exp beta H_window) - log Gamma'(exp beta H_window),
     via the exact partition-function-ratio identity."""
-    method = _resolve_method(pair, method, width_cap)
+    method = resolve_method(pair.gamma, method, width_cap)
     g, gp = pair.gamma, pair.gamma_prime
     g0 = g.with_couplings(set_block(g.couplings, pair.window, ZERO))
     gp0 = gp.with_couplings(set_block(gp.couplings, pair.window, ZERO))
@@ -264,8 +258,7 @@ def domain_wall_free_energy(
         raise UnsupportedOperationError("domain walls need a fully wrapped region")
     spec_p = GibbsSpec(region, couplings, beta, periodic_bc())
     spec_a = GibbsSpec(region, couplings, beta, antiperiodic_bc(seam_axis))
-    if method == "auto":
-        method = "transfer" if transfer_supported(spec_p, width_cap) else "enum"
+    method = resolve_method(spec_p, method, width_cap)
     kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
     return log_partition(spec_p, **kwargs) - log_partition(spec_a, **kwargs)
 
@@ -288,7 +281,6 @@ def free_energy_gradient(
     The sign convention is pinned by the central-finite-difference test of
     the ratio-form value.
     """
-    method = _resolve_method(pair, method, width_cap)
     edges = tuple(pair.window_edges)
     kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
     corr_g = edge_correlations(pair.gamma, edges, **kwargs).tolist()
@@ -312,7 +304,6 @@ def correlation_difference(
         or edge not in pair.gamma_prime.couplings.edge_set.position
     ):
         raise ContainmentError(f"edge {edge} is not shared by both states")
-    method = _resolve_method(pair, method, width_cap)
     cg = edge_correlation(pair.gamma, edge, method=method, enum_cap=enum_cap, width_cap=width_cap)
     cgp = edge_correlation(
         pair.gamma_prime, edge, method=method, enum_cap=enum_cap, width_cap=width_cap

@@ -21,10 +21,12 @@ from eafluct.exactsolve import (
     fixed_bc,
     free_bc,
     gibbs_expectation_enum,
+    log_partition,
     log_partition_enum,
     log_partition_transfer,
     periodic_bc,
     required_edges,
+    resolve_method,
     reweight,
     reweight_expectation,
     spin_config_for_region,
@@ -526,3 +528,33 @@ def test_beta_must_be_finite_nonnegative():
         GibbsSpec(region, couplings, -0.1, free_bc())
     with pytest.raises(ValueError):
         GibbsSpec(region, couplings, math.inf, free_bc())
+
+
+def test_auto_resolves_to_transfer_where_it_applies():
+    strip = Region((3, 7))
+    plane = GibbsSpec(strip, sample_couplings(Gaussian(), interior_edges(strip), SeedSpec(2)),
+                      1.0, free_bc())
+    assert resolve_method(plane) == "transfer"
+    assert resolve_method(plane, width_cap=2) == "enum"
+    assert resolve_method(plane, "enum") == "enum"
+    cube = Region((2, 2, 2))
+    solid = GibbsSpec(cube, sample_couplings(Gaussian(), interior_edges(cube), SeedSpec(2)),
+                      1.0, free_bc())
+    assert resolve_method(solid) == "enum"
+    assert log_partition(solid) == log_partition_enum(solid)
+    assert log_partition(plane) == log_partition_transfer(plane)
+
+
+def test_unknown_method_raises_value_error_at_every_entry_point():
+    region = Region((2, 3))
+    spec = GibbsSpec(region, sample_couplings(Gaussian(), interior_edges(region), SeedSpec(2)),
+                     1.0, free_bc())
+    edge = interior_edges(region).edges[0]
+    for call in (
+        lambda: resolve_method(spec, "exact"),
+        lambda: log_partition(spec, method="exact"),
+        lambda: edge_correlations(spec, [edge], method="exact"),
+        lambda: edge_correlation(spec, edge, method="exact"),
+    ):
+        with pytest.raises(ValueError, match="unknown solver method"):
+            call()

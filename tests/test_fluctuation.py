@@ -10,6 +10,8 @@ from eafluct.fluctuation import (
     BlockConditioning,
     EnsembleSpec,
     VarianceReport,
+    bootstrap_ci,
+    bootstrap_stderr,
     bound_check,
     conditional_mean_given_block,
     conditioned_variance_identity,
@@ -514,3 +516,22 @@ def test_fixed_bc_pair_supported():
     )
     values = ensemble_values(spec)
     assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 257, 1000])
+@pytest.mark.parametrize("n_resamples", [2, 50])
+def test_bootstrap_draws_equal_one_draw_per_resample(n, n_resamples):
+    values = np.linspace(-1.0, 2.0, n) ** 3
+    batched = SeedSpec(5, 0, "bootstrap").rng()
+    sequential = SeedSpec(5, 0, "bootstrap").rng()
+    stats = [values[sequential.integers(0, n, size=n)].var(ddof=1) for _ in range(n_resamples)]
+    assert bootstrap_stderr(values, lambda v: v.var(ddof=1), n_resamples, batched) == float(
+        np.std(stats, ddof=1)
+    )
+    # the stream is left where the sequential draws leave it
+    assert batched.integers(0, 2**62) == sequential.integers(0, 2**62)
+    means = [values[sequential.integers(0, n, size=n)].mean() for _ in range(n_resamples)]
+    tail = (1.0 - 0.95) / 2.0
+    assert bootstrap_ci(values, np.mean, n_resamples, batched) == (
+        float(np.quantile(means, tail)), float(np.quantile(means, 1.0 - tail))
+    )

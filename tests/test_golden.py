@@ -1,0 +1,34 @@
+"""Golden report and CSV bytes for every experiment kind.
+
+Each directory under ``tests/golden`` holds one small config of one kind,
+together with the ``report.json`` and CSV files that the per-kind ``if``
+chains of the harness wrote for it before the kind table replaced them
+(commit bb198fb).  Every kind must still write the same bytes, serially
+and with two workers.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from eafluct.harness import KINDS, load_config, run, write_csv_reports
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_every_kind_has_a_golden_run():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(KINDS)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_report_and_csv_bytes_match_golden(kind, workers, tmp_path, monkeypatch):
+    golden = GOLDEN / kind
+    monkeypatch.chdir(tmp_path)  # the config's output paths are relative
+    cfg = load_config(golden / "config.json")
+    report = run(cfg, workers=workers)
+    assert (tmp_path / "report.json").read_bytes() == (golden / "report.json").read_bytes()
+    written = sorted(Path(p).name for p in write_csv_reports(report, "csv"))
+    assert written == sorted(p.name for p in (golden / "csv").iterdir())
+    for name in written:
+        assert (tmp_path / "csv" / name).read_bytes() == (golden / "csv" / name).read_bytes()

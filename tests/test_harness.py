@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eafluct import harness
-from eafluct.cli import main
+from eafluct.cli import build_parser, main
 from eafluct.errors import ConfigError, IncompleteRunError, SizeCapError, TaskError
 from eafluct.harness import (
     KINDS,
@@ -121,6 +121,51 @@ def test_zero_block_side_rejected(tmp_path):
     data = base_config(tmp_path, kind="martingale", sampling={"block_side": 0, "n": 4})
     with pytest.raises(ConfigError, match="block_side"):
         parse_config_dict(data)
+
+
+def test_empty_box_rejected_at_parse(tmp_path):
+    with pytest.raises(ConfigError, match="box"):
+        parse_config_dict(base_config(tmp_path, kind="fe", geometry={"box": []}))
+
+
+def test_window_of_other_dimension_rejected_at_parse(tmp_path):
+    data = base_config(tmp_path, kind="fe", geometry={"box": [5, 5], "window": [3]})
+    with pytest.raises(ConfigError, match="window"):
+        parse_config_dict(data)
+
+
+def test_unknown_solver_method_rejected_at_parse(tmp_path):
+    with pytest.raises(ConfigError, match="solver method"):
+        parse_config_dict(base_config(tmp_path, solver={"method": "exact"}))
+
+
+@pytest.mark.parametrize("field", ["bc", "bc_prime"])
+@pytest.mark.parametrize("kind", ["fe", "ensemble", "probe"])
+def test_unknown_bc_name_rejected_at_parse(tmp_path, kind, field):
+    with pytest.raises(ConfigError, match="boundary condition"):
+        parse_config_dict(base_config(tmp_path, kind=kind, physics={field: "fixed:0"}))
+
+
+def test_bc_names_are_not_checked_for_kinds_that_ignore_them(tmp_path):
+    data = base_config(tmp_path, kind="domain-wall", physics={"bc": "nonsense"})
+    data["geometry"] = {"box": [4, 4]}
+    assert parse_config_dict(data).bc == "nonsense"
+
+
+def test_kind_rules_come_from_the_table(tmp_path):
+    for kind, entry in harness.KIND_TABLE.items():
+        if entry.min_n > 1:
+            with pytest.raises(ConfigError, match=f"{kind} needs n >= {entry.min_n}"):
+                parse_config_dict(base_config(tmp_path, kind=kind, sampling={"n": 1}))
+    # only a kind that compares a pair of states on a window needs a margin
+    tight = {"box": [4, 4], "window": [4, 4], "window_sizes": [2, 3, 4]}
+    for kind, entry in harness.KIND_TABLE.items():
+        data = base_config(tmp_path, kind=kind, geometry=tight, sampling={"block_side": 1})
+        if entry.pair:
+            with pytest.raises(ConfigError, match="margin"):
+                parse_config_dict(data)
+        else:
+            parse_config_dict(data)
 
 
 _JSON_VALUES = st.recursive(
@@ -288,6 +333,44 @@ def test_records_carry_seed_provenance(tmp_path):
     assert payload["result"]["seed"] == {"master": 42, "realization": 1, "purpose": "couplings"}
 
 
+def _record_seeds(tmp_path):
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    recs = [json.loads(line) for line in lines[1:]]
+    return {r["task"]: r["seed"] for r in recs}
+
+
+def test_scaling_records_carry_size_and_replicate(tmp_path):
+    data = base_config(tmp_path, kind="scaling", sampling={"n": 2, "bootstrap": 20})
+    data["geometry"] = {"box": [4, 4], "window": [2, 2], "window_sizes": [2, 3, 4]}
+    run(parse_config_dict(data))
+    seeds = _record_seeds(tmp_path)
+    assert seeds == {
+        s * 2 + i: {"master": 42, "size": size, "realization": i}
+        for s, size in enumerate([2, 3, 4])
+        for i in range(2)
+    }
+
+
+def test_oracle_verify_records_carry_geometry_bc_beta_and_replicate(tmp_path):
+    data = base_config(tmp_path, kind="oracle-verify")
+    data["geometry"] = {"geometries": [[2, 2], [2, 3]]}
+    data["physics"] = {"betas": [0.5, 1.0]}
+    data["sampling"] = {"n": 2}
+    run(parse_config_dict(data))
+    seeds = _record_seeds(tmp_path)
+    assert len(seeds) == 2 * 4 * 2 * 2
+    task = 0
+    for geometry in ([2, 2], [2, 3]):
+        for bc in harness.ORACLE_BC_NAMES:
+            for beta in (0.5, 1.0):
+                for replicate in range(2):
+                    assert seeds[task] == {
+                        "master": 42, "geometry": geometry, "bc": bc, "beta": beta,
+                        "replicate": replicate, "realization": task,
+                    }
+                    task += 1
+
+
 def test_oracle_verify_unsupported_width_is_clean(tmp_path):
     data = base_config(tmp_path, kind="oracle-verify")
     data["geometry"] = {"geometries": [[3, 3]]}
@@ -381,7 +464,43 @@ def test_empty_values_rejected(tmp_path):
         write_csv_reports({"kind": "ensemble", "summary": {"values": []}}, tmp_path)
 
 
+@pytest.mark.parametrize("report", [
+    {"summary": {"values": [1.0]}},
+    {"kind": "frobnicate", "summary": {"values": [1.0]}},
+    {"kind": None, "summary": {"values": [1.0]}},
+    {"kind": "scaling", "summary": {"values": [1.0]}},
+])
+def test_csv_report_of_unknown_kind_or_summary_is_incomplete(tmp_path, report):
+    with pytest.raises(IncompleteRunError):
+        write_csv_reports(report, tmp_path)
+
+
+def test_readme_csv_table_matches_the_emitted_headers(tmp_path, monkeypatch):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## CSV summaries")[1].split("\n## ")[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) > 3 and cells[1].startswith("`"):
+            header = cells[2].split("`")[1]
+            for name in cells[1].replace("`", "").split(","):
+                documented[name.strip()] = header
+    emitted = {}
+    monkeypatch.chdir(tmp_path)
+    golden = Path(__file__).parent / "golden"
+    for kind in KINDS:
+        report = json.loads((golden / kind / "report.json").read_text())
+        for path in write_csv_reports(report, kind):
+            emitted[Path(path).name] = Path(path).read_text().splitlines()[0]
+    assert documented == emitted
+
+
 # --- CLI -------------------------------------------------------------------------------
+
+
+def test_cli_subcommands_are_the_kind_table_and_report():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == [*harness.KIND_TABLE, "report"]
 
 
 def test_cli_runs_experiment_and_report(tmp_path, capsys):

@@ -332,3 +332,28 @@ def test_master_edge_set_covers_all_boundary_conditions():
         region = Region((4, 4), (bc.kind in ("periodic", "antiperiodic"),) * 2)
         for e in required_edges(region, bc):
             assert e in master.position
+
+
+def test_auto_engine_is_resolved_once_on_gamma():
+    pair = pair_4x4()
+    by_transfer = interface_free_energy(pair)
+    by_enum = interface_free_energy(pair, width_cap=2)
+    assert by_transfer.solver == "transfer"
+    assert by_enum.solver == "enum"
+    assert by_transfer.value == pytest.approx(by_enum.value, abs=1e-9)
+    assert by_enum.log_z_gamma == log_partition_enum(pair.gamma)
+
+
+def test_unknown_method_raises_value_error():
+    pair = pair_4x4()
+    torus = Region((3, 3), (True, True))
+    couplings = sample_couplings(Gaussian(), interior_edges(torus), SeedSpec(3))
+    edge = next(iter(pair.window_edges))
+    for call in (
+        lambda: interface_free_energy(pair, method="exact"),
+        lambda: free_energy_gradient(pair, method="exact"),
+        lambda: correlation_difference(pair, edge, method="exact"),
+        lambda: domain_wall_free_energy(couplings, torus, 1.0, method="exact"),
+    ):
+        with pytest.raises(ValueError, match="unknown solver method"):
+            call()
