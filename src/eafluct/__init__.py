@@ -28,6 +28,7 @@ from .exactsolve import (  # noqa: E402
     gibbs_expectation_enum,
     log_partition,
     log_partition_enum,
+    log_partition_pair,
     log_partition_transfer,
     periodic_bc,
     reweight,

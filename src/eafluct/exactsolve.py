@@ -589,13 +589,18 @@ def _transfer_sweep(
     width_cap: int | None = None,
     extra_fields: Mapping[Site, float] | None = None,
     keep: bool = False,
-) -> tuple[float, list[np.ndarray]]:
+    negated_close: bool = False,
+) -> tuple[tuple[float, ...], list[np.ndarray]]:
     """Forward transfer product with per-column rescaling.
 
-    Returns (log Z, environments).  With ``keep``, environment c is the
-    rescaled product of columns 0..c and the links between them: a
-    (1, 2^W) row for an open length axis, a 2^W x 2^W matrix (first index
-    the state of column 0) for a wrapped one.  Otherwise the list is empty.
+    Returns ((log Z,), environments).  With ``negated_close`` (a wrapped
+    length axis only) the product of the first L-1 links is closed a second
+    time, by the closing link with its couplings negated, and the first
+    item is (log Z, log Z of that second closing).  With ``keep``,
+    environment c is the rescaled product of columns 0..c and the links
+    between them: a (1, 2^W) row for an open length axis, a 2^W x 2^W
+    matrix (first index the state of column 0) for a wrapped one.
+    Otherwise the list is empty.
     """
     width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
@@ -619,13 +624,14 @@ def _transfer_sweep(
             acc += math.log(m)
             if keep:
                 envs.append(v[None, :])
-        total = float(v.sum())
+        totals = [float(v.sum())]
     else:
-        mat = np.diag(d[:, 0])
+        mat = d[:, 0][:, None]  # diag(d_0), applied to the first link as row scaling
         if keep:
-            envs.append(mat)
+            envs.append(np.diag(d[:, 0]))
         for c in range(1, plan.length):
-            mat = (mat @ _link(s, jh[:, c - 1], beta)) * d[:, c][None, :]
+            step = np.multiply if c == 1 else np.matmul
+            mat = step(mat, _link(s, jh[:, c - 1], beta)) * d[:, c][None, :]
             m = float(mat.max())
             if not 0.0 < m < math.inf:
                 raise ArithmeticError(_RANGE_ERROR)
@@ -633,10 +639,12 @@ def _transfer_sweep(
             acc += math.log(m)
             if keep:
                 envs.append(mat)
-        total = float(np.einsum("ij,ji->", mat, _link(s, jh[:, -1], beta)))
-    if not 0.0 < total < math.inf:
-        raise ArithmeticError(_RANGE_ERROR)
-    return acc + math.log(total), envs
+        closings = (jh[:, -1], -jh[:, -1]) if negated_close else (jh[:, -1],)
+        totals = [float(np.einsum("ij,ji->", mat, _link(s, j, beta))) for j in closings]
+    for total in totals:
+        if not 0.0 < total < math.inf:
+            raise ArithmeticError(_RANGE_ERROR)
+    return tuple(acc + math.log(total) for total in totals), envs
 
 
 def log_partition_transfer(
@@ -645,7 +653,7 @@ def log_partition_transfer(
     extra_fields: Mapping[Site, float] | None = None,
 ) -> float:
     """log Z via dense 2^W transfer operators with per-column rescaling."""
-    logz, _ = _transfer_sweep(spec, width_cap=width_cap, extra_fields=extra_fields)
+    (logz,), _ = _transfer_sweep(spec, width_cap=width_cap, extra_fields=extra_fields)
     return logz
 
 
@@ -677,6 +685,51 @@ def log_partition(
     if resolve_method(spec, method, width_cap) == "transfer":
         return log_partition_transfer(spec, width_cap=width_cap, extra_fields=extra_fields)
     return log_partition_enum(spec, cap=enum_cap, extra_fields=extra_fields)
+
+
+def _negated_close(spec: GibbsSpec, other: GibbsSpec, width_cap: int) -> bool:
+    """Whether ``other``'s transfer sweep is ``spec``'s with only the closing
+    link's couplings negated: same region, beta and coupling values, and
+    plans that differ only in the sign of the last column of ``h_sign``
+    (an antiperiodic seam on the wrapped length axis)."""
+    if spec.region != other.region or spec.beta != other.beta:
+        return False
+    p = _transfer_plan(spec.region, spec.bc, width_cap)
+    q = _transfer_plan(other.region, other.bc, width_cap)
+    return (
+        p.wrap_l
+        and np.array_equal(p.v_pos, q.v_pos)
+        and np.array_equal(p.v_sign, q.v_sign)
+        and np.array_equal(p.h_pos, q.h_pos)
+        and np.array_equal(p.h_sign[:, :-1], q.h_sign[:, :-1])
+        and np.array_equal(p.h_sign[:, -1], -q.h_sign[:, -1])
+        # a wrapped region has no clamped ghosts, so both carry its interior edges
+        and np.array_equal(spec.couplings.values, other.couplings.values)
+    )
+
+
+def log_partition_pair(
+    spec: GibbsSpec,
+    other: GibbsSpec,
+    method: str = "auto",
+    enum_cap: int | None = None,
+    width_cap: int | None = None,
+) -> tuple[float, float]:
+    """(log Z of ``spec``, log Z of ``other``).
+
+    When the two transfer sweeps differ only in the sign of the closing
+    link's couplings (periodic vs antiperiodic with the seam on the wrapped
+    length axis), one sweep closes the trace both ways; the values are
+    bit-identical to two :func:`log_partition` calls, which serve every
+    other pair.
+    """
+    if resolve_method(spec, method, width_cap) == "transfer":
+        cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
+        if _negated_close(spec, other, cap):
+            (logz, logz_other), _ = _transfer_sweep(spec, cap, negated_close=True)
+            return logz, logz_other
+    kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
+    return log_partition(spec, **kwargs), log_partition(other, **kwargs)
 
 
 def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:

@@ -131,7 +131,6 @@ class EnsembleSpec:
     master_seed: int
     mode: str = "pair"
     solver: str = "auto"
-    seam_axis: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "box_extents", tuple(int(e) for e in self.box_extents))
@@ -145,6 +144,15 @@ class EnsembleSpec:
                 raise ValueError("domain-wall mode requires window == box")
             if (self.bc.kind, self.bc_prime.kind) != ("periodic", "antiperiodic"):
                 raise ValueError("domain-wall mode is the periodic/antiperiodic pair")
+            if len(self.bc_prime.seam_axes) != 1:
+                raise ValueError("domain-wall mode needs exactly one seam axis")
+
+    @property
+    def seam_axis(self) -> int:
+        """The domain wall's seam axis: the one seam axis of ``bc_prime``."""
+        if self.mode != "domain-wall":
+            raise UnsupportedOperationError("a seam axis exists only in domain-wall mode")
+        return self.bc_prime.seam_axes[0]
 
     @property
     def window_region(self) -> Region:

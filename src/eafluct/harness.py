@@ -19,9 +19,10 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -296,7 +297,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("window must fit in the box with margin >= 1")
         _bc_from_name(cfg.bc, cfg.box, cfg.seam_axes)
         _bc_from_name(cfg.bc_prime, cfg.box, cfg.seam_axes)
+        if "antiperiodic" in (cfg.bc, cfg.bc_prime):
+            _check_seam_axes(cfg.seam_axes, len(cfg.box))
     kind.check(cfg)
+
+
+def _check_seam_axes(axes: tuple[int, ...], dimension: int) -> None:
+    if not axes or len(set(axes)) != len(axes) or not all(0 <= a < dimension for a in axes):
+        raise ConfigError(
+            f"seam_axes must be a non-empty list of distinct axes in [0, {dimension}), "
+            f"got {list(axes)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +401,12 @@ def _fe_task(cfg: ExperimentConfig, spec: EnsembleSpec, i: int) -> dict:
     return {"value": result.value, "result": result.to_record()}
 
 
+def _check_domain_wall(cfg: ExperimentConfig) -> None:
+    if len(cfg.seam_axes) != 1:
+        raise ConfigError(f"domain-wall needs exactly one seam axis, got {list(cfg.seam_axes)}")
+    _check_seam_axes(cfg.seam_axes, len(cfg.box))
+
+
 def _reduce_domain_wall(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     values = np.array([p["value"] for p in payloads])
     out = {"values": values.tolist(), "count": len(values)}
@@ -406,6 +423,8 @@ def _reduce_ensemble(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
 
 
 def _check_martingale(cfg: ExperimentConfig) -> None:
+    if cfg.block_side < 2:
+        raise ConfigError("martingale needs block_side >= 2: a 1x1 block has no interior edges")
     for e in cfg.window:
         if e % cfg.block_side != 0:
             raise ConfigError(f"block side {cfg.block_side} does not divide window extent {e}")
@@ -557,6 +576,8 @@ def _reduce_covariance(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
 def _check_oracle(cfg: ExperimentConfig) -> None:
     if any(not g or min(g) < 1 for g in cfg.geometries):
         raise ConfigError("every oracle geometry needs at least one axis and extents >= 1")
+    for g in cfg.geometries:  # every geometry is also run antiperiodic
+        _check_seam_axes(cfg.seam_axes, len(g))
 
 
 def _oracle_tasks(cfg: ExperimentConfig) -> list[dict]:
@@ -625,7 +646,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
         run=_on_ensemble(lambda cfg, spec, i: {"value": spec.f_value(i)}),
         reduce=_reduce_domain_wall,
         csv_tables=_csvs(_values_csv("domain-wall")),
-        pair=False, mode="domain-wall",
+        pair=False, mode="domain-wall", check=_check_domain_wall,
     ),
     "ensemble": ExperimentKind(
         run=_on_ensemble(_fe_task),
@@ -754,6 +775,25 @@ def _worker(cfg_json: str, task: int) -> tuple[int, dict, float]:
     return task, payload, time.perf_counter() - t0
 
 
+def _finished(cfg_json: str, todo: list[int], workers: int):
+    """``(task, result)`` for each task as it finishes, where ``result()``
+    returns ``_worker``'s ``(task, payload, elapsed)`` or raises the task's
+    error.  One worker runs the tasks here, in order; more run them in a
+    process pool, and closing the generator cancels the tasks not started."""
+    if workers <= 1:
+        for task in todo:
+            yield task, partial(_worker, cfg_json, task)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(_worker, cfg_json, t): t for t in todo}
+        try:
+            for fut in as_completed(futures):
+                yield futures[fut], fut.result
+        finally:
+            for fut in futures:
+                fut.cancel()
+
+
 def _load_existing_records(path: Path, digest: str) -> tuple[dict[int, dict], int]:
     """Payloads of the completed tasks, and the byte length of the file's
     newline-terminated lines.
@@ -837,32 +877,15 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
             at = ", ".join(f"{name} {value}" for name, value in coords[task].items())
             return TaskError(f"task {task} failed (master seed {cfg.seed}, {at}): {err}")
 
-        if workers <= 1:
-            for task in todo:
+        with closing(_finished(cfg_json, todo, workers)) as results:
+            for task, result in results:
                 try:
-                    _, payload, elapsed = _worker(cfg_json, task)
+                    _, payload, elapsed = result()
                 except OracleMismatchError:
                     raise
                 except Exception as err:
                     raise failed(task, err) from err
                 record(task, payload, elapsed)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(_worker, cfg_json, t): t for t in todo}
-                pending = set(futures)
-                while pending:
-                    finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        task = futures[fut]
-                        try:
-                            _, payload, elapsed = fut.result()
-                        except Exception as err:
-                            for other in pending:
-                                other.cancel()
-                            if isinstance(err, OracleMismatchError):
-                                raise
-                            raise failed(task, err) from err
-                        record(task, payload, elapsed)
 
     payloads = [done[t] for t in range(total)]
     report = {

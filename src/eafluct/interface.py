@@ -29,7 +29,7 @@ from .exactsolve import (
     edge_correlations,
     exp_bond_observable,
     gibbs_expectation_enum,
-    log_partition,
+    log_partition_pair,
     periodic_bc,
     resolve_method,
 )
@@ -206,16 +206,18 @@ def interface_free_energy(
     width_cap: int | None = None,
 ) -> FreeEnergyResult:
     """F = log Gamma(exp beta H_window) - log Gamma'(exp beta H_window),
-    via the exact partition-function-ratio identity."""
+    via the exact partition-function-ratio identity.
+
+    The pairs (Gamma, Gamma') and (Gamma0, Gamma'0) each go through
+    :func:`log_partition_pair`, so a periodic/antiperiodic pair with the
+    seam on the transfer's length axis costs two sweeps, not four."""
     method = resolve_method(pair.gamma, method, width_cap)
     g, gp = pair.gamma, pair.gamma_prime
     g0 = g.with_couplings(set_block(g.couplings, pair.window, ZERO))
     gp0 = gp.with_couplings(set_block(gp.couplings, pair.window, ZERO))
     kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
-    t_g = log_partition(g, **kwargs)
-    t_g0 = log_partition(g0, **kwargs)
-    t_gp = log_partition(gp, **kwargs)
-    t_gp0 = log_partition(gp0, **kwargs)
+    t_g, t_gp = log_partition_pair(g, gp, **kwargs)
+    t_g0, t_gp0 = log_partition_pair(g0, gp0, **kwargs)
     seed = g.couplings.provenance.seed
     return FreeEnergyResult(
         value=(t_g0 - t_g) - (t_gp0 - t_gp),
@@ -253,14 +255,16 @@ def domain_wall_free_energy(
     width_cap: int | None = None,
 ) -> float:
     """log Z_periodic - log Z_antiperiodic on the region itself (the classic
-    gauge-related boundary-condition pair; needs a wrapped seam axis)."""
+    gauge-related boundary-condition pair; needs a wrapped seam axis).
+
+    With the seam on the transfer's length axis both terms come from one
+    sweep (see :func:`log_partition_pair`)."""
     if not region.fully_wrapped:
         raise UnsupportedOperationError("domain walls need a fully wrapped region")
     spec_p = GibbsSpec(region, couplings, beta, periodic_bc())
     spec_a = GibbsSpec(region, couplings, beta, antiperiodic_bc(seam_axis))
-    method = resolve_method(spec_p, method, width_cap)
-    kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
-    return log_partition(spec_p, **kwargs) - log_partition(spec_a, **kwargs)
+    log_z_p, log_z_a = log_partition_pair(spec_p, spec_a, method, enum_cap, width_cap)
+    return log_z_p - log_z_a
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from eafluct.exactsolve import (
     gibbs_expectation_enum,
     log_partition,
     log_partition_enum,
+    log_partition_pair,
     log_partition_transfer,
     periodic_bc,
     required_edges,
@@ -32,6 +35,7 @@ from eafluct.exactsolve import (
     spin_config_for_region,
     uniform_fixed_bc,
 )
+from eafluct.interface import domain_wall_free_energy
 from eafluct.lattice import Edge, Region, ghost_sites, interior_edges
 
 
@@ -558,3 +562,106 @@ def test_unknown_method_raises_value_error_at_every_entry_point():
     ):
         with pytest.raises(ValueError, match="unknown solver method"):
             call()
+
+
+# --- periodic and antiperiodic log Z from one sweep ------------------------
+
+# Tori and boundary conditions of the pinned values.  For a square torus the
+# transfer runs along axis 0, for a non-square one along the longer axis.
+PINNED_TORI = [(2, 2), (3, 4), (4, 6), (6, 5), (10, 10)]
+PINNED_BCS = {"periodic": (), "antiperiodic(0)": (0,), "antiperiodic(1)": (1,),
+              "antiperiodic(0,1)": (0, 1)}
+PINNED_BETAS = [0.0, 1.0, 3.0]
+
+
+def _torus(extents, k):
+    region = Region(extents, (True, True))
+    couplings = sample_couplings(Gaussian(0.0, 1.0), interior_edges(region),
+                                 SeedSpec(2014, k, "pinned"))
+    return region, couplings
+
+
+def _torus_bc(axes):
+    return antiperiodic_bc(*axes) if axes else periodic_bc()
+
+
+@pytest.mark.parametrize("k", range(len(PINNED_TORI)))
+def test_torus_values_match_pins_from_before_the_shared_closing(k):
+    """``tests/data/torus_transfer_hex.json`` holds ``float.hex`` of each log Z
+    and domain-wall value below, as computed at commit cd925c6 (four sweeps
+    per domain wall, first wrapped step a diagonal matmul).  The shared
+    closing and the row-scaled first step must give the same bits."""
+    pins = json.loads((Path(__file__).parent / "data" / "torus_transfer_hex.json").read_text())
+    extents = PINNED_TORI[k]
+    region, couplings = _torus(extents, k)
+    name = f"{extents[0]}x{extents[1]}"
+    for beta in PINNED_BETAS:
+        for label, axes in PINNED_BCS.items():
+            spec = GibbsSpec(region, couplings, beta, _torus_bc(axes))
+            assert log_partition(spec).hex() == pins["log_z"][f"{name} {label} beta={beta:g}"]
+        for seam in (0, 1):
+            value = domain_wall_free_energy(couplings, region, beta, seam_axis=seam)
+            assert value.hex() == pins["domain_wall"][f"{name} seam={seam} beta={beta:g}"]
+            assert beta > 0.0 or value == 0.0
+
+
+@pytest.mark.parametrize("extents", [(2, 2), (3, 4), (4, 3), (6, 5)])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+def test_shared_route_equals_two_log_partition_calls(extents, beta):
+    region, couplings = _torus(extents, 1)
+    specs = [GibbsSpec(region, couplings, beta, _torus_bc(axes)) for axes in PINNED_BCS.values()]
+    for spec in specs:
+        for other in specs:
+            assert log_partition_pair(spec, other) == (log_partition(spec), log_partition(other))
+
+
+@pytest.mark.parametrize("extents", [(2, 2), (3, 4), (4, 4), (3, 5), (5, 3)])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_shared_route_matches_enumeration(extents, beta):
+    region, couplings = _torus(extents, 2)
+    for seam in (0, 1):
+        p = GibbsSpec(region, couplings, beta, periodic_bc())
+        ap = GibbsSpec(region, couplings, beta, antiperiodic_bc(seam))
+        got = log_partition_pair(p, ap, method="transfer")
+        want = log_partition_pair(p, ap, method="enum")
+        assert got == pytest.approx(want, abs=1e-9, rel=0)
+        assert want == (log_partition_enum(p), log_partition_enum(ap))
+        value = domain_wall_free_energy(couplings, region, beta, seam_axis=seam)
+        enum = domain_wall_free_energy(couplings, region, beta, seam_axis=seam, method="enum")
+        assert abs(value - enum) <= 1e-9
+
+
+@pytest.mark.parametrize("extents, length_axis", [((4, 4), 0), ((3, 4), 1), ((5, 3), 0)])
+def test_one_sweep_per_domain_wall_with_the_seam_on_the_length_axis(
+    monkeypatch, extents, length_axis
+):
+    sweeps = []
+    original = exactsolve._transfer_sweep
+
+    def counting(*args, **kwargs):
+        sweeps.append(args[0].bc.label)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
+    region, couplings = _torus(extents, 4)
+    domain_wall_free_energy(couplings, region, 1.0, seam_axis=length_axis)
+    assert sweeps == ["periodic"]
+    sweeps.clear()
+    domain_wall_free_energy(couplings, region, 1.0, seam_axis=1 - length_axis)
+    assert sweeps == ["periodic", f"antiperiodic[seam={1 - length_axis}]"]
+
+
+def test_shared_route_needs_matching_specs():
+    region, couplings = _torus((4, 4), 5)
+    p = GibbsSpec(region, couplings, 1.0, periodic_bc())
+    ap = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
+    other_beta = GibbsSpec(region, couplings, 2.0, antiperiodic_bc(0))
+    other_couplings = ap.with_couplings(couplings.with_values(-couplings.values, "negated"))
+    assert exactsolve._negated_close(p, ap, exactsolve.TRANSFER_WIDTH_CAP)
+    assert exactsolve._negated_close(ap, p, exactsolve.TRANSFER_WIDTH_CAP)
+    for other in (p, other_beta, other_couplings, GibbsSpec(region, couplings, 1.0,
+                                                            antiperiodic_bc(1))):
+        assert not exactsolve._negated_close(p, other, exactsolve.TRANSFER_WIDTH_CAP)
+        assert log_partition_pair(p, other) == (log_partition(p), log_partition(other))
+    with pytest.raises(ValueError, match="unknown solver method"):
+        log_partition_pair(p, ap, method="exact")

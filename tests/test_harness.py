@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from eafluct import harness
 from eafluct.cli import build_parser, main
-from eafluct.errors import ConfigError, IncompleteRunError, SizeCapError, TaskError
+from eafluct.errors import (
+    ConfigError,
+    IncompleteRunError,
+    OracleMismatchError,
+    SizeCapError,
+    TaskError,
+)
 from eafluct.harness import (
     KINDS,
     config_digest,
@@ -22,6 +28,8 @@ from eafluct.harness import (
     task_count,
     write_csv_reports,
 )
+from eafluct.interface import domain_wall_free_energy
+from eafluct.lattice import Region
 
 
 def base_config(tmp_path, kind="ensemble", **overrides):
@@ -150,6 +158,44 @@ def test_bc_names_are_not_checked_for_kinds_that_ignore_them(tmp_path):
     data = base_config(tmp_path, kind="domain-wall", physics={"bc": "nonsense"})
     data["geometry"] = {"box": [4, 4]}
     assert parse_config_dict(data).bc == "nonsense"
+
+
+def test_martingale_block_side_one_rejected(tmp_path):
+    # a 1x1 block has no interior edges, so every Delta_k would be exactly 0
+    data = base_config(tmp_path, kind="martingale", sampling={"block_side": 1, "n": 4})
+    with pytest.raises(ConfigError, match="block_side >= 2"):
+        parse_config_dict(data)
+
+
+def _domain_wall_config(tmp_path, seam_axes, box=(4, 4)):
+    data = base_config(tmp_path, kind="domain-wall", physics={"seam_axes": list(seam_axes)})
+    data["geometry"] = {"box": list(box)}
+    return data
+
+
+@pytest.mark.parametrize("seam_axes", [[5], [-1], [2], [], [0, 1]])
+def test_domain_wall_needs_one_seam_axis_of_the_box(tmp_path, seam_axes):
+    with pytest.raises(ConfigError, match="seam"):
+        parse_config_dict(_domain_wall_config(tmp_path, seam_axes))
+
+
+@pytest.mark.parametrize("seam_axes", [[5], [], [0, 0], [1, 2]])
+@pytest.mark.parametrize("field", ["bc", "bc_prime"])
+def test_antiperiodic_pair_needs_distinct_seam_axes_of_the_box(tmp_path, field, seam_axes):
+    physics = {field: "antiperiodic", "seam_axes": seam_axes}
+    with pytest.raises(ConfigError, match="seam_axes"):
+        parse_config_dict(base_config(tmp_path, kind="fe", physics=physics))
+
+
+def test_oracle_verify_needs_seam_axes_of_every_geometry(tmp_path):
+    data = base_config(tmp_path, kind="oracle-verify", physics={"seam_axes": [1]})
+    data["geometry"] = {"geometries": [[3, 3], [4]]}
+    with pytest.raises(ConfigError, match="seam_axes"):
+        parse_config_dict(data)
+
+
+def test_seam_axes_are_not_checked_without_an_antiperiodic_state(tmp_path):
+    assert parse_config_dict(base_config(tmp_path, kind="fe", physics={"seam_axes": []}))
 
 
 def test_kind_rules_come_from_the_table(tmp_path):
@@ -317,6 +363,17 @@ def test_failing_tasks_raise_task_error_for_any_worker_count(tmp_path, workers):
     assert isinstance(info.value.__cause__, SizeCapError)
 
 
+def _oracle_mismatch(cfg, task):
+    raise OracleMismatchError(f"task {task} disagrees")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oracle_mismatch_passes_through_for_any_worker_count(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(harness, "run_task", _oracle_mismatch)
+    with pytest.raises(OracleMismatchError, match="disagrees"):
+        run(_fe_config(tmp_path), workers=workers)
+
+
 def test_records_from_other_config_are_rejected(tmp_path):
     cfg = parse_config_dict(base_config(tmp_path, sampling={"n": 4, "bootstrap": 50}))
     run(cfg)
@@ -412,6 +469,23 @@ def test_domain_wall_run(tmp_path):
     report = run(cfg)
     assert report["summary"]["count"] == 3
     assert "variance" in report["summary"]
+
+
+@pytest.mark.parametrize("seam", [0, 1])
+def test_domain_wall_run_uses_the_configured_seam_axis(tmp_path, seam):
+    cfg = parse_config_dict(_domain_wall_config(tmp_path, [seam], box=(3, 4)))
+    values = run(cfg)["summary"]["values"]
+    spec = harness.ensemble_spec_from_config(cfg)
+    assert spec.seam_axis == seam
+    assert spec.bc_prime.label == f"antiperiodic[seam={seam}]"
+    region = Region((3, 4), (True, True))
+    for i, value in enumerate(values):
+        couplings = spec.master(i)
+        assert value == domain_wall_free_energy(couplings, region, 1.0, seam_axis=seam)
+        enum = domain_wall_free_energy(couplings, region, 1.0, seam_axis=seam, method="enum")
+        assert abs(value - enum) <= 1e-9
+        other = domain_wall_free_energy(couplings, region, 1.0, seam_axis=1 - seam)
+        assert abs(value - other) > 1e-6
 
 
 # --- CSV reports --------------------------------------------------------------------

@@ -10,6 +10,7 @@ from eafluct.exactsolve import (
     GibbsSpec,
     antiperiodic_bc,
     free_bc,
+    log_partition,
     log_partition_enum,
     periodic_bc,
     uniform_fixed_bc,
@@ -357,3 +358,18 @@ def test_unknown_method_raises_value_error():
     ):
         with pytest.raises(ValueError, match="unknown solver method"):
             call()
+
+
+@pytest.mark.parametrize("extents, seam", [((6, 6), 0), ((6, 6), 1), ((5, 7), 1), ((6, 5), 0)])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+def test_periodic_antiperiodic_pair_equals_four_log_partition_calls(extents, seam, beta):
+    master = sample_master(Gaussian(), extents, SeedSpec(21, 0, "couplings"))
+    pair = make_state_pair(extents, (2, 2), beta, periodic_bc(), antiperiodic_bc(seam), master)
+    result = interface_free_energy(pair)
+    g, gp = pair.gamma, pair.gamma_prime
+    g0 = g.with_couplings(set_block(g.couplings, pair.window, ZERO))
+    gp0 = gp.with_couplings(set_block(gp.couplings, pair.window, ZERO))
+    terms = [log_partition(spec) for spec in (g, g0, gp, gp0)]
+    assert [result.log_z_gamma, result.log_z_gamma_zero, result.log_z_gamma_prime,
+            result.log_z_gamma_prime_zero] == terms
+    assert result.value == (terms[1] - terms[0]) - (terms[3] - terms[2])
