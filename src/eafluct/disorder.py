@@ -10,12 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping, Union
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     IncompleteAssignmentError,
     ContainmentError,
     UndeclaredEdgeError,
@@ -196,9 +199,6 @@ class CouplingConfig:
         except KeyError:
             raise UndeclaredEdgeError(f"edge {edge} carries no coupling") from None
 
-    def as_dict(self) -> dict[Edge, float]:
-        return {e: float(v) for e, v in zip(self.edge_set, self.values)}
-
     def values_equal(self, other: "CouplingConfig") -> bool:
         return self.edge_set.edges == other.edge_set.edges and np.array_equal(
             self.values, other.values
@@ -217,28 +217,53 @@ def sample_couplings(
     return CouplingConfig(edges, values, Provenance(dist.label(), seed))
 
 
+@lru_cache(maxsize=None)
+def edge_positions(
+    edge_set: EdgeSet,
+    edges: EdgeSet | tuple[Edge, ...],
+    error: type[Exception] = ContainmentError,
+) -> np.ndarray:
+    """Positions of ``edges``, in their order, in ``edge_set``'s canonical order.
+
+    The read-only ``intp`` array is cached per (edge set, edges), so every
+    edit of the same edges is one gather or scatter.  The first edge not in
+    ``edge_set`` raises ``error``.
+    """
+    position = edge_set.position
+    try:
+        idx = np.fromiter((position[e] for e in edges), dtype=np.intp, count=len(edges))
+    except KeyError as err:
+        raise error(f"edge {err.args[0]} is not declared in the edge set") from None
+    idx.flags.writeable = False
+    return idx
+
+
+def block_assignment(
+    config: CouplingConfig, block: Region, values: Union[Mapping[Edge, float], _Zero]
+) -> tuple[np.ndarray, Union[np.ndarray, float]]:
+    """Positions of E(block) in ``config`` and the value ``values`` gives each
+    block edge (0.0 for ``ZERO``).  A block edge the config does not declare
+    is a ContainmentError, one without a value an IncompleteAssignmentError."""
+    block_edges = interior_edges(block)
+    idx = edge_positions(config.edge_set, block_edges)
+    if isinstance(values, _Zero):
+        return idx, 0.0
+    try:
+        return idx, np.fromiter((values[e] for e in block_edges), np.float64, len(block_edges))
+    except KeyError as err:
+        raise IncompleteAssignmentError(f"no value supplied for block edge {err.args[0]}") from None
+
+
 def set_block(
     config: CouplingConfig,
     block: Region,
     values: Union[Mapping[Edge, float], _Zero],
 ) -> CouplingConfig:
     """New config equal to ``config`` outside E(block), overwritten on E(block)."""
-    block_edges = interior_edges(block)
-    positions = []
-    for e in block_edges:
-        if e not in config.edge_set.position:
-            raise ContainmentError(f"block edge {e} not declared in the coupling config")
-        positions.append(config.edge_set.position[e])
+    idx, assigned = block_assignment(config, block, values)
     out = config.values.copy()
-    if isinstance(values, _Zero):
-        out[positions] = 0.0
-        note = "set_block:zero"
-    else:
-        for e, pos in zip(block_edges, positions):
-            if e not in values:
-                raise IncompleteAssignmentError(f"no value supplied for block edge {e}")
-            out[pos] = float(values[e])
-        note = "set_block:values"
+    out[idx] = assigned
+    note = "set_block:zero" if isinstance(values, _Zero) else "set_block:values"
     return config.with_values(out, note)
 
 
@@ -246,11 +271,11 @@ def overlay(
     config: CouplingConfig, source: CouplingConfig, edges: tuple[Edge, ...]
 ) -> CouplingConfig:
     """New config equal to ``config`` except on ``edges``, copied from ``source``."""
+    edges = tuple(edges)  # the position cache needs a hashable key
     out = config.values.copy()
-    for e in edges:
-        if e not in config.edge_set.position:
-            raise ContainmentError(f"edge {e} not declared in the coupling config")
-        out[config.edge_set.position[e]] = source.values[source.edge_set.index(e)]
+    out[edge_positions(config.edge_set, edges)] = source.values[
+        edge_positions(source.edge_set, edges)
+    ]
     return config.with_values(out, "overlay")
 
 
@@ -263,20 +288,18 @@ def translate_couplings(
         raise UnsupportedOperationError(
             "coupling translation is only defined on fully wrapped (torus) regions"
         )
+    # on the torus's own bonds translation is injective; a ghost-ring bond
+    # would land on one of them
+    edge_positions(interior_edges(region), config.edge_set)
+    moved = tuple(translate_edge(e, vector, region) for e in config.edge_set)
     out = np.empty_like(config.values)
-    for e, v in zip(config.edge_set, config.values):
-        te = translate_edge(e, vector, region)
-        out[config.edge_set.index(te)] = v
+    out[edge_positions(config.edge_set, moved)] = config.values
     return config.with_values(out, f"translated:{vector}")
 
 
 def restrict(config: CouplingConfig, edges: EdgeSet) -> CouplingConfig:
     """Restriction of a config to a sub edge set (every target edge must be declared)."""
-    pos = config.edge_set.position
-    try:
-        idx = np.fromiter((pos[e] for e in edges), dtype=np.intp, count=len(edges))
-    except KeyError as err:
-        raise UndeclaredEdgeError(f"edge {err.args[0]} carries no coupling") from None
+    idx = edge_positions(config.edge_set, edges, UndeclaredEdgeError)
     return CouplingConfig(
         edges, config.values[idx], replace(config.provenance, note="restricted")
     )
@@ -308,24 +331,39 @@ def dump_couplings(config: CouplingConfig, path) -> None:
 
 
 def load_couplings(path) -> CouplingConfig:
+    """Read a :func:`dump_couplings` file.  Each edge needs an endpoint in the
+    header's region (a ghost-ring bond has one), a finite number as its value
+    and no second record; otherwise ContainmentError or ConfigError, which
+    also reports any line that does not parse."""
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+        lines = fh.readlines()
+    try:
+        header = json.loads(lines[0])
         region = Region(
             tuple(header["region"]["extents"]),
             tuple(header["region"]["wrap"]),
             tuple(header["region"]["origin"]),
         )
-        edges, values = [], []
-        for line in fh:
-            rec = json.loads(line)
-            edges.append(
-                Edge(tuple(rec["x"]), tuple(rec["y"]), rec["orientation"], rec["wrap"])
-            )
-            values.append(rec["value"])
-    edge_set = EdgeSet(region, tuple(edges))
-    aligned = np.empty(len(edges))
-    for e, v in zip(edges, values):
-        aligned[edge_set.index(e)] = v
+        records = [json.loads(line) for line in lines[1:]]
+        edges = [
+            Edge(tuple(r["x"]), tuple(r["y"]), r["orientation"], r["wrap"]) for r in records
+        ]
+    except (IndexError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed coupling dump {path}: {err!r}") from None
+    loaded: dict[Edge, float] = {}
+    for e, rec in zip(edges, records):
+        value = rec.get("value")
+        if not (region.contains_site(e.x) or region.contains_site(e.y)):
+            raise ContainmentError(f"edge {e} has no endpoint in the region {region}")
+        if e in loaded:
+            raise ConfigError(f"edge {e} appears twice")
+        # abs(value) <= max is exact for an int of any size, and False for NaN
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"edge {e} carries {value!r}, not a finite number")
+        loaded[e] = float(value)
+    edge_set = EdgeSet(region, tuple(loaded))
+    aligned = np.empty(len(loaded))
+    aligned[edge_positions(edge_set, tuple(loaded))] = list(loaded.values())
     return CouplingConfig(
         edge_set, aligned, Provenance(header.get("distribution", ""), None, "loaded")
     )

@@ -5,8 +5,11 @@ Two independent partition-function engines over the same spec:
 * exhaustive enumeration (any dimension, capped spin count): the oracle;
 * a 2d column-to-column transfer matrix (capped strip width): the workhorse.
 
-Both work in log domain with running max extraction, so large beta and wide
-strips do not overflow.  Boundary conditions: free, periodic, antiperiodic
+Enumeration shifts its weights by a running max, so it is exact at any beta.
+The transfer matrix rescales column by column, but its column weights and
+links are unscaled ``exp(beta * energy)``: it raises ``ArithmeticError`` from
+a beta of about 100-150 (3x3 Gaussian box), where ``method="enum"`` serves.
+Boundary conditions: free, periodic, antiperiodic
 (seam bonds sign-flipped, per wrapped axis), and fixed (clamped ghost sites
 just outside the region, attached by their own sampled couplings).  Fixed
 boundary terms enter the Gibbs weights but are not part of the window
@@ -22,11 +25,10 @@ from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
-from .disorder import CouplingConfig, restrict
+from .disorder import CouplingConfig, block_assignment, edge_positions, restrict
 from .errors import (
     ContainmentError,
     CoverageError,
-    IncompleteAssignmentError,
     SizeCapError,
     UnsupportedOperationError,
 )
@@ -801,17 +803,12 @@ def edge_correlations(
     transfer pass, or a single enumeration with one observable per edge.
     """
     edges = tuple(edges)
-    position = spec.couplings.edge_set.position
-    for edge in edges:
-        for site in edge.endpoints():
-            if not spec.region.contains_site(site):
-                raise ContainmentError(f"edge endpoint {site} not in region")
-        if edge not in position:
-            raise ContainmentError(f"edge {edge} not in the spec's edge set")
+    # a clamped ghost bond is in the spec's edge set but has no correlation
+    edge_positions(interior_edges(spec.region), edges)
     if resolve_method(spec, method, width_cap) == "transfer":
         width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
         by_position = _transfer_bond_correlations(spec, width_cap)
-        return by_position[[position[e] for e in edges]]
+        return by_position[edge_positions(spec.couplings.edge_set, edges)]
     observables = [_corr_observable(spec.region, e) for e in edges]
     _, values = _enum_reduce(spec, observables, cap=enum_cap)
     return np.asarray(values, dtype=np.float64)
@@ -833,18 +830,6 @@ def edge_correlation(
 # local coupling modification (additive reweighting)
 
 
-def _block_values(spec: GibbsSpec, block: Region, values: Mapping[Edge, float]):
-    block_edges = interior_edges(block)
-    pairs = []
-    for e in block_edges:
-        if e not in spec.couplings.edge_set.position:
-            raise ContainmentError(f"block edge {e} not in the spec's edge set")
-        if e not in values:
-            raise IncompleteAssignmentError(f"no modification value for block edge {e}")
-        pairs.append((e, float(values[e])))
-    return block_edges, pairs
-
-
 def reweight(spec: GibbsSpec, block: Region, values: Mapping[Edge, float]) -> GibbsSpec:
     """The spec with couplings J + J_B on E(block) (additive local modification).
 
@@ -852,10 +837,9 @@ def reweight(spec: GibbsSpec, block: Region, values: Mapping[Edge, float]) -> Gi
     applied to the original spec; ``reweight_expectation`` evaluates that
     formula directly, as the independent route.
     """
-    _, pairs = _block_values(spec, block, values)
+    idx, added = block_assignment(spec.couplings, block, values)
     out = spec.couplings.values.copy()
-    for e, v in pairs:
-        out[spec.couplings.edge_set.position[e]] += v
+    out[idx] += added
     return spec.with_couplings(spec.couplings.with_values(out, "reweighted"))
 
 
@@ -874,9 +858,9 @@ def reweight_expectation(
     by enumeration.  This is the independent numerical route against which
     :func:`reweight` is checked.
     """
-    block_edges, _ = _block_values(spec, block, values)
+    block_assignment(spec.couplings, block, values)
     f = observable if vectorized else _vectorize(observable)
-    tilt = exp_bond_observable(block_edges, values, spec.beta)
+    tilt = exp_bond_observable(interior_edges(block), values, spec.beta)
 
     def weighted(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
         return np.asarray(f(chunk, sites), dtype=np.float64) * tilt(chunk, sites)

@@ -23,8 +23,8 @@ from .disorder import (
     CouplingConfig,
     CouplingDistribution,
     SeedSpec,
+    edge_positions,
     overlay,
-    restrict,
     sample_couplings,
     set_block,
     translate_couplings,
@@ -195,10 +195,8 @@ class EnsembleSpec:
 
     def f_from(self, config: CouplingConfig) -> float:
         if self.mode == "domain-wall":
-            region = self.window_region
-            couplings = restrict(config, interior_edges(region))
             return domain_wall_free_energy(
-                couplings, region, self.beta, seam_axis=self.seam_axis, method=self.solver
+                config, self.window_region, self.beta, self.seam_axis, self.solver
             )
         return self.f_result(config).value
 
@@ -565,16 +563,14 @@ def edge_martingale_realization(
     path = _conditional_path(spec, i, master_i, prefixes, n_outer, "edgemart")
     ys = path.mean(axis=0)
     delta_sem = [_sem(path[:, k + 1] - path[:, k]) for k in range(len(edges))]
-    nu_abs = spec.dist.abs_first_moment
-    bounds = [
-        2.0 * spec.beta * (abs(master_i.value(e)) + nu_abs) for e in edges
-    ]
+    couplings = master_i.values[edge_positions(master_i.edge_set, spec.window_edge_set)]
+    bounds = 2.0 * spec.beta * (np.abs(couplings) + spec.dist.abs_first_moment)
     return {
         "index": i,
         "ys": ys.tolist(),
         "delta_sem": delta_sem,
-        "bounds": bounds,
-        "couplings": [master_i.value(e) for e in edges],
+        "bounds": bounds.tolist(),
+        "couplings": couplings.tolist(),
     }
 
 
@@ -720,12 +716,7 @@ def bound_check(
         field_sets.append({s: float(v) for s, v in zip(window_sites, g)})
     two_beta_sum = 2.0 * pair.beta * s_abs
     for spec in (pair.gamma, pair.gamma_prime):
-        window_spec = GibbsSpec(
-            pair.window,
-            restrict(spec.couplings, interior_edges(pair.window)),
-            pair.beta,
-            free_bc(),
-        )
+        window_spec = GibbsSpec(pair.window, spec.couplings, pair.beta, free_bc())
         log_z_spec = log_partition(spec, method=method)
         log_z_win = log_partition(window_spec, method=method)
         for fields in field_sets:

@@ -171,6 +171,7 @@ class EdgeSet:
         if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate edges in edge set")
         object.__setattr__(self, "edges", ordered)
+        object.__setattr__(self, "_hash", hash((self.region, ordered)))
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
@@ -180,6 +181,10 @@ class EdgeSet:
 
     def __contains__(self, edge: Edge) -> bool:
         return edge in self.position
+
+    def __hash__(self) -> int:
+        # computed once: edge sets key the caches of every coupling edit
+        return self._hash
 
     @cached_property
     def position(self) -> dict[Edge, int]:
