@@ -173,7 +173,8 @@ class Provenance:
 
 @dataclass(frozen=True, eq=False)
 class CouplingConfig:
-    """One realization J: a real coupling per edge of a declared edge set.
+    """One realization J: a finite real coupling per edge of a declared edge
+    set (a NaN or infinite value is a ConfigError).
 
     ``values`` is aligned to the edge set's canonical order and is
     immutable; modifications return new configs.
@@ -189,6 +190,9 @@ class CouplingConfig:
             raise ValueError(
                 f"expected {len(self.edge_set)} coupling values, got shape {values.shape}"
             )
+        if not np.isfinite(values).all():
+            e = self.edge_set.edges[np.flatnonzero(~np.isfinite(values))[0]]
+            raise ConfigError(f"edge {e} carries a non-finite coupling")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

@@ -97,9 +97,7 @@ class BoundaryCondition:
                 raise UnsupportedOperationError(
                     "fixed boundary condition needs a fully open region"
                 )
-            expected = set(ghost_sites(region))
-            got = {s for s, _ in self.fixed_spins}
-            if got != expected:
+            if not _covers_ghost_ring(self, region):
                 raise CoverageError(
                     "fixed assignments must cover exactly the clamped sites adjacent to the region"
                 )
@@ -113,6 +111,12 @@ class BoundaryCondition:
 
     def fixed_map(self) -> dict[Site, int]:
         return dict(self.fixed_spins)
+
+
+@lru_cache(maxsize=None)
+def _covers_ghost_ring(bc: BoundaryCondition, region: Region) -> bool:
+    """Whether ``bc`` clamps exactly the ghost sites adjacent to ``region``."""
+    return {s for s, _ in bc.fixed_spins} == set(ghost_sites(region))
 
 
 def free_bc() -> BoundaryCondition:
@@ -608,41 +612,44 @@ def _transfer_sweep(
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
     beta = spec.beta
     s = plan.s_matrix
-    d = _column_weights(spec, plan, extra_fields)
     jh = spec.couplings.values[plan.h_pos] * plan.h_sign
 
     acc = 0.0
     envs: list[np.ndarray] = []
-    if not plan.wrap_l:
-        v = d[:, 0]
-        if keep:
-            envs.append(v[None, :])
-        for c in range(1, plan.length):
-            v = (v @ _link(s, jh[:, c - 1], beta)) * d[:, c]
-            m = float(v.max())
-            if not 0.0 < m < math.inf:
-                raise ArithmeticError(_RANGE_ERROR)
-            v /= m
-            acc += math.log(m)
+    # overflow surfaces as an ArithmeticError from the range checks, never
+    # as a numpy warning
+    with np.errstate(all="ignore"):
+        d = _column_weights(spec, plan, extra_fields)
+        if not plan.wrap_l:
+            v = d[:, 0]
             if keep:
                 envs.append(v[None, :])
-        totals = [float(v.sum())]
-    else:
-        mat = d[:, 0][:, None]  # diag(d_0), applied to the first link as row scaling
-        if keep:
-            envs.append(np.diag(d[:, 0]))
-        for c in range(1, plan.length):
-            step = np.multiply if c == 1 else np.matmul
-            mat = step(mat, _link(s, jh[:, c - 1], beta)) * d[:, c][None, :]
-            m = float(mat.max())
-            if not 0.0 < m < math.inf:
-                raise ArithmeticError(_RANGE_ERROR)
-            mat /= m
-            acc += math.log(m)
+            for c in range(1, plan.length):
+                v = (v @ _link(s, jh[:, c - 1], beta)) * d[:, c]
+                m = float(v.max())
+                if not 0.0 < m < math.inf:
+                    raise ArithmeticError(_RANGE_ERROR)
+                v /= m
+                acc += math.log(m)
+                if keep:
+                    envs.append(v[None, :])
+            totals = [float(v.sum())]
+        else:
+            mat = d[:, 0][:, None]  # diag(d_0), applied to the first link as row scaling
             if keep:
-                envs.append(mat)
-        closings = (jh[:, -1], -jh[:, -1]) if negated_close else (jh[:, -1],)
-        totals = [float(np.einsum("ij,ji->", mat, _link(s, j, beta))) for j in closings]
+                envs.append(np.diag(d[:, 0]))
+            for c in range(1, plan.length):
+                step = np.multiply if c == 1 else np.matmul
+                mat = step(mat, _link(s, jh[:, c - 1], beta)) * d[:, c][None, :]
+                m = float(mat.max())
+                if not 0.0 < m < math.inf:
+                    raise ArithmeticError(_RANGE_ERROR)
+                mat /= m
+                acc += math.log(m)
+                if keep:
+                    envs.append(mat)
+            closings = (jh[:, -1], -jh[:, -1]) if negated_close else (jh[:, -1],)
+            totals = [float(np.einsum("ij,ji->", mat, _link(s, j, beta))) for j in closings]
     for total in totals:
         if not 0.0 < total < math.inf:
             raise ArithmeticError(_RANGE_ERROR)
@@ -756,21 +763,22 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     horz = np.empty(jh.shape)
     side = 1 << plan.width
     right = np.eye(side) if plan.wrap_l else np.ones((side, 1))
-    for c in reversed(range(plan.length)):
-        left = envs[c]
-        if c < jh.shape[1]:
-            link = _link(s, jh[:, c], spec.beta)
-            after = link @ right
-            link *= (right @ left).T
-            marginal = link.sum(axis=1)
-            horz[:, c] = np.einsum("xr,xr->r", s, link @ s) / marginal.sum()
-            del link
-            right = after
-        else:
-            marginal = (left.T * right).sum(axis=1)
-        vert[:, c] = (marginal @ sp) / marginal.sum()
-        right *= d[:, c][:, None]
-        right /= right.max()
+    with np.errstate(all="ignore"):  # see _transfer_sweep
+        for c in reversed(range(plan.length)):
+            left = envs[c]
+            if c < jh.shape[1]:
+                link = _link(s, jh[:, c], spec.beta)
+                after = link @ right
+                link *= (right @ left).T
+                marginal = link.sum(axis=1)
+                horz[:, c] = np.einsum("xr,xr->r", s, link @ s) / marginal.sum()
+                del link
+                right = after
+            else:
+                marginal = (left.T * right).sum(axis=1)
+            vert[:, c] = (marginal @ sp) / marginal.sum()
+            right *= d[:, c][:, None]
+            right /= right.max()
     if not (np.isfinite(vert).all() and np.isfinite(horz).all()):
         raise ArithmeticError(_RANGE_ERROR)
     out = np.full(spec.couplings.values.shape, np.nan)

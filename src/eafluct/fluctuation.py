@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ from .interface import (
     FreeEnergyResult,
     StatePair,
     domain_wall_free_energy,
+    interface_free_energies,
     interface_free_energy,
     make_state_pair,
     master_edge_set,
@@ -203,6 +205,14 @@ class EnsembleSpec:
     def f_value(self, i: int) -> float:
         return self.f_from(self.master(i))
 
+    def f_values(self, configs: Sequence[CouplingConfig]) -> list[float]:
+        """F of each config; pair mode makes one :func:`interface_free_energies`
+        call, which evaluates each distinct window-zeroed pair once."""
+        if self.mode == "domain-wall":
+            return [self.f_from(config) for config in configs]
+        pairs = [self.pair_from(config) for config in configs]
+        return [r.value for r in interface_free_energies(pairs, method=self.solver)]
+
     def to_record(self) -> dict:
         return {
             "distribution": self.dist.label(),
@@ -344,13 +354,14 @@ def conditional_mean_given_block(
         raise ValueError("need n_outer >= 2")
     if route not in ("direct", "reweight"):
         raise ValueError(f"unknown route {route!r}")
-    vals = np.empty(n_outer)
-    for t in range(n_outer):
-        inner = spec.inner_master(0, t, "cond")
-        if route == "direct":
-            cfg = set_block(inner, block, block_values)
-            vals[t] = spec.f_from(cfg)
-        else:
+    if route == "direct":
+        held = set_block(spec.master(0), block, block_values)  # only E(block) is read
+        edges = tuple(interior_edges(block))
+        vals = _conditional_path(spec, 0, held, [edges], n_outer, "cond")[:, 0]
+    else:
+        vals = np.empty(n_outer)
+        for t in range(n_outer):
+            inner = spec.inner_master(0, t, "cond")
             cfg0 = set_block(inner, block, ZERO)
             pair0 = spec.pair_from(cfg0)
             full = set_block(inner, block, block_values)
@@ -433,13 +444,13 @@ def _conditional_path(
 
     The same inner resample stream is reused for every prefix (common
     random numbers), which is what makes successive differences quiet.
+    All prefixes of one inner draw go through one :meth:`EnsembleSpec.f_values`
+    call, so they share the draw's window-zeroed terms.
     """
     out = np.empty((n_outer, len(prefixes)))
     for t in range(n_outer):
         inner = spec.inner_master(i, t, purpose)
-        for p, edges in enumerate(prefixes):
-            cfg = overlay(inner, held_master, edges) if edges else inner
-            out[t, p] = spec.f_from(cfg)
+        out[t] = spec.f_values([overlay(inner, held_master, e) if e else inner for e in prefixes])
     return out
 
 
@@ -452,25 +463,16 @@ def block_martingale_realization(
         raise PartitionError("block partition must tile the ensemble's window")
     master_i = spec.master(i)
     block_edges = [tuple(interior_edges(b)) for b in part]
-    prefixes: list[tuple[Edge, ...]] = [()]
-    for edges in block_edges:
-        prefixes.append(prefixes[-1] + edges)
+    n = len(block_edges)
+    # each later block alone rides on the path's draws; the first is prefix 1
+    prefixes = [*accumulate(block_edges, initial=()), *block_edges[1:]]
     path = _conditional_path(spec, i, master_i, prefixes, conditioning.n_outer, "mart")
-    singles = np.empty(len(part))
-    singles[0] = path[:, 1].mean()  # prefix of length one == first block alone
-    for k in range(1, len(part)):
-        vals = _conditional_path(
-            spec, i, master_i, [block_edges[k]], conditioning.n_outer, "mart"
-        )
-        singles[k] = vals[:, 0].mean()
     return {
         "index": i,
         "f": spec.f_from(master_i),
-        "ys": path.mean(axis=0).tolist(),
-        "delta_sem": [
-            _sem(path[:, k + 1] - path[:, k]) for k in range(len(block_edges))
-        ],
-        "block_means": singles.tolist(),
+        "ys": path[:, : n + 1].mean(axis=0).tolist(),
+        "delta_sem": [_sem(path[:, k + 1] - path[:, k]) for k in range(n)],
+        "block_means": [float(path[:, k].mean()) for k in (1, *range(n + 1, 2 * n))],
     }
 
 
@@ -557,9 +559,7 @@ def edge_martingale_realization(
     """Lexicographic edge-martingale path for one realization."""
     master_i = spec.master(i)
     edges = tuple(spec.window_edge_set)
-    prefixes: list[tuple[Edge, ...]] = [()]
-    for e in edges:
-        prefixes.append(prefixes[-1] + (e,))
+    prefixes = list(accumulate(((e,) for e in edges), initial=()))
     path = _conditional_path(spec, i, master_i, prefixes, n_outer, "edgemart")
     ys = path.mean(axis=0)
     delta_sem = [_sem(path[:, k + 1] - path[:, k]) for k in range(len(edges))]

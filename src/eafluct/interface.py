@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -207,6 +208,45 @@ class FreeEnergyResult:
         )
 
 
+def interface_free_energies(
+    pairs: Sequence[StatePair],
+    method: str = "auto",
+    enum_cap: int | None = None,
+    width_cap: int | None = None,
+) -> list[FreeEnergyResult]:
+    """:func:`interface_free_energy` of each pair, bit for bit.  The zero
+    terms are keyed on the states and their window-zeroed coupling values, so
+    pairs that differ only inside their windows (the prefixes of one
+    conditioning path) evaluate (Gamma0, Gamma'0) once."""
+    zero_terms: dict[tuple, tuple[float, float]] = {}
+    out = []
+    for pair in pairs:
+        g, gp = pair.gamma, pair.gamma_prime
+        resolved = resolve_method(g, method, width_cap)
+        kwargs = dict(method=resolved, enum_cap=enum_cap, width_cap=width_cap)
+        t_g, t_gp = log_partition_pair(g, gp, **kwargs)
+        z, zp = (set_block(s.couplings, pair.window, ZERO) for s in (g, gp))
+        key = (g.region, g.bc, gp.region, gp.bc, g.beta, z.values.tobytes(), zp.values.tobytes())
+        if key not in zero_terms:
+            zeroed = (g.with_couplings(z), gp.with_couplings(zp))
+            zero_terms[key] = log_partition_pair(*zeroed, **kwargs)
+        t_g0, t_gp0 = zero_terms[key]
+        seed = g.couplings.provenance.seed
+        out.append(FreeEnergyResult(
+            value=(t_g0 - t_g) - (t_gp0 - t_gp),
+            log_z_gamma=t_g,
+            log_z_gamma_zero=t_g0,
+            log_z_gamma_prime=t_gp,
+            log_z_gamma_prime_zero=t_gp0,
+            solver=resolved,
+            beta=pair.beta,
+            bc_pair=(g.bc.label, gp.bc.label),
+            margin=pair.margin,
+            seed=seed.to_record() if seed is not None else None,
+        ))
+    return out
+
+
 def interface_free_energy(
     pair: StatePair,
     method: str = "auto",
@@ -219,26 +259,8 @@ def interface_free_energy(
     The pairs (Gamma, Gamma') and (Gamma0, Gamma'0) each go through
     :func:`log_partition_pair`, so a periodic/antiperiodic pair with the
     seam on the transfer's length axis costs two sweeps, not four."""
-    method = resolve_method(pair.gamma, method, width_cap)
-    g, gp = pair.gamma, pair.gamma_prime
-    g0 = g.with_couplings(set_block(g.couplings, pair.window, ZERO))
-    gp0 = gp.with_couplings(set_block(gp.couplings, pair.window, ZERO))
-    kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
-    t_g, t_gp = log_partition_pair(g, gp, **kwargs)
-    t_g0, t_gp0 = log_partition_pair(g0, gp0, **kwargs)
-    seed = g.couplings.provenance.seed
-    return FreeEnergyResult(
-        value=(t_g0 - t_g) - (t_gp0 - t_gp),
-        log_z_gamma=t_g,
-        log_z_gamma_zero=t_g0,
-        log_z_gamma_prime=t_gp,
-        log_z_gamma_prime_zero=t_gp0,
-        solver=method,
-        beta=pair.beta,
-        bc_pair=(g.bc.label, gp.bc.label),
-        margin=pair.margin,
-        seed=seed.to_record() if seed is not None else None,
-    )
+    (result,) = interface_free_energies([pair], method, enum_cap, width_cap)
+    return result
 
 
 def interface_free_energy_direct(pair: StatePair, enum_cap: int | None = None) -> float:

@@ -15,6 +15,7 @@ import pytest
 
 from eafluct.disorder import (
     ZERO,
+    CouplingConfig,
     Gaussian,
     SeedSpec,
     dump_couplings,
@@ -283,6 +284,22 @@ def test_pair_error_names_a_differing_shared_edge():
     bad = gp.with_couplings(gp.couplings.with_values(tweaked, "bad"))
     with pytest.raises(PairError, match=re.escape(str(edge))):
         StatePair(pair.window, pair.gamma, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_couplings_are_a_config_error(bad):
+    config = ring_config()
+    values = config.values.copy()
+    values[4] = bad
+    with pytest.raises(ConfigError, match=re.escape(str(config.edge_set.edges[4]))):
+        CouplingConfig(config.edge_set, values)
+    block_values = {e: bad for e in interior_edges(BOX_BLOCK)}
+    # without the check this surfaced later as a PairError on a shared edge
+    with pytest.raises(ConfigError):
+        set_block(sample_master(Gaussian(), (3, 3), SeedSpec(5, 2, "edits")), BOX_BLOCK,
+                  block_values)
+    with pytest.raises(ConfigError):
+        reweight(GibbsSpec(BOX, config, 1.0, FIXED), BOX_BLOCK, block_values)
 
 
 # --- load_couplings rejects bad files ----------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,17 @@ def test_transfer_out_of_float_range_is_loud():
             edge_correlations(spec, interior_edges(spec.region), method="transfer")
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_transfer_overflow_signals_only_an_arithmetic_error(seed):
+    spec = make_spec((3, 3), (False, False), free_bc(), 200.0, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError):
+            log_partition_transfer(spec)
+        with pytest.raises(ArithmeticError):
+            edge_correlations(spec, interior_edges(spec.region), method="transfer")
+
+
 def test_correlation_requires_contained_edge():
     spec = make_spec((3, 3), (False, False), free_bc(), 1.0)
     with pytest.raises(ContainmentError):
@@ -523,6 +535,21 @@ def test_fixed_bc_must_cover_ghost_ring():
         )
     with pytest.raises(ValueError):
         fixed_bc({s: 2 for s in ghost_sites(region)})
+
+
+def test_fixed_bc_coverage_is_checked_per_region(monkeypatch):
+    small, large = Region((2, 2)), Region((3, 3))
+    bc = uniform_fixed_bc(small, 1)
+    couplings = sample_couplings(Gaussian(), required_edges(large, uniform_fixed_bc(large)),
+                                 SeedSpec(1))
+    calls = []
+    monkeypatch.setattr(exactsolve, "ghost_sites", lambda r: calls.append(r) or ghost_sites(r))
+    for _ in range(3):
+        GibbsSpec(small, couplings, 1.0, bc)
+    assert len(calls) <= 1  # the ring is built once per (bc, region), not per spec
+    # the ring of the small box is not the ring of the large one
+    with pytest.raises(CoverageError):
+        GibbsSpec(large, couplings, 1.0, bc)
 
 
 def test_beta_must_be_finite_nonnegative():

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from eafluct.disorder import Gaussian, SeedSpec, Uniform
+from eafluct import exactsolve
+from eafluct.disorder import Gaussian, SeedSpec, Uniform, overlay, set_block
 from eafluct.errors import BoundViolationError
 from eafluct.exactsolve import antiperiodic_bc, free_bc, periodic_bc, uniform_fixed_bc
 from eafluct.fluctuation import (
     BlockConditioning,
     EnsembleSpec,
     VarianceReport,
+    _conditional_path,
+    block_martingale_realization,
     bootstrap_ci,
     bootstrap_stderr,
     bound_check,
@@ -150,6 +153,77 @@ def test_conditional_mean_block_equals_window():
     assert res.n_outer == 5
     assert math.isfinite(res.mean)
     assert res.stderr > 0.0
+
+
+# A block that crosses the window edge: four of its seven edges lie in the
+# 3x3 window of the 5x5 box, three outside.  A prefix that holds it zeroes
+# other couplings than one that does not, so the two must not share zero terms.
+CROSSING = Region((3, 2), None, (0, 1))
+
+
+def per_prefix_reference(spec, i, held, prefixes, n_outer, purpose):
+    """The nested-MC loop with one interface_free_energy call per prefix."""
+    rows = []
+    for t in range(n_outer):
+        inner = spec.inner_master(i, t, purpose)
+        cfgs = [overlay(inner, held, edges) if edges else inner for edges in prefixes]
+        rows.append([interface_free_energy(spec.pair_from(c)).value for c in cfgs])
+    return np.array(rows)
+
+
+def test_conditional_path_equals_per_prefix_reference_across_the_window_edge():
+    spec = spec_3x3_in_5x5(n=2)
+    inside = tuple(interior_edges(Region((2, 2), None, (1, 1))))
+    crossing = tuple(interior_edges(CROSSING))
+    prefixes = [(), inside, crossing, inside + crossing, inside]
+    held = spec.master(1)
+    path = _conditional_path(spec, 1, held, prefixes, 3, "test")
+    assert np.array_equal(path, per_prefix_reference(spec, 1, held, prefixes, 3, "test"))
+
+
+def test_direct_route_equals_per_draw_reference_across_the_window_edge():
+    spec = spec_3x3_in_5x5(n=2)
+    rng = SeedSpec(57, 0, "jb").rng()
+    edges = interior_edges(CROSSING)
+    values = {e: float(v) for e, v in zip(edges, rng.normal(size=len(edges)))}
+    res = conditional_mean_given_block(spec, CROSSING, values, n_outer=4)
+    draws = [set_block(spec.inner_master(0, t, "cond"), CROSSING, values) for t in range(4)]
+    ref = [interface_free_energy(spec.pair_from(cfg)).value for cfg in draws]
+    assert res.values == tuple(ref)
+    assert res.mean == float(np.array(ref).mean())
+
+
+def test_lotv_equals_per_prefix_reference_across_the_window_edge():
+    spec = spec_3x3_in_5x5(n=4, seed=112)
+    rep = conditioned_variance_identity(spec, CROSSING, n=4, n_outer=3, n_boot=20)
+    edges = tuple(interior_edges(CROSSING))
+    f = np.array([interface_free_energy(spec.pair_from(spec.master(i))).value for i in range(4)])
+    paths = [
+        per_prefix_reference(spec, i, spec.master(i), [edges], 3, "lotv")[:, 0] for i in range(4)
+    ]
+    inner_mean = np.array([p.mean() for p in paths])
+    inner_var = np.array([p.var(ddof=1) for p in paths])
+    e_var = float(inner_var.mean())
+    assert rep["var_direct"] == float(f.var(ddof=1))
+    assert rep["e_var_given_block"] == e_var
+    assert rep["var_e_given_block"] == float(inner_mean.var(ddof=1) - e_var / 3)
+
+
+def test_block_martingale_costs_2p_plus_2_sweeps_per_inner_draw(monkeypatch):
+    # 4 blocks: 5 path prefixes and 3 singles, 8 pairs plus one shared zero
+    # pair per inner draw, after the 4 sweeps of F itself
+    sweeps = []
+    original = exactsolve._transfer_sweep
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
+    spec = spec_4x4_in_6x6(n=1)
+    cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
+    block_martingale_realization(spec, cond, 0)
+    assert len(sweeps) == 4 + 2 * (2 * 8 + 2)
 
 
 # --- block martingale ----------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import brute_correlation
 
+from eafluct import exactsolve
 from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_block
 from eafluct.errors import ContainmentError, PairError, UnsupportedOperationError
 from eafluct.exactsolve import (
@@ -20,6 +21,7 @@ from eafluct.interface import (
     correlation_difference,
     domain_wall_free_energy,
     free_energy_gradient,
+    interface_free_energies,
     interface_free_energy,
     interface_free_energy_direct,
     make_state_pair,
@@ -373,3 +375,30 @@ def test_periodic_antiperiodic_pair_equals_four_log_partition_calls(extents, sea
     assert [result.log_z_gamma, result.log_z_gamma_zero, result.log_z_gamma_prime,
             result.log_z_gamma_prime_zero] == terms
     assert result.value == (terms[1] - terms[0]) - (terms[3] - terms[2])
+
+
+def test_batch_equals_one_call_per_pair_on_mixed_pairs():
+    # pairs in one batch that share a window-zeroed pair (the first two, whose
+    # masters differ only inside the window) and pairs that must not: other
+    # couplings outside the window, other boundary conditions, a shared sweep
+    master = sample_master(Gaussian(), (4, 4), SeedSpec(4, 0, "couplings"))
+    window = Region((2, 2), None, (1, 1))
+    inside = set_block(master, window, {e: 0.25 for e in interior_edges(window)})
+    other = sample_master(Gaussian(), (4, 4), SeedSpec(4, 1, "couplings"))
+    fixed = uniform_fixed_bc(Region((4, 4)))
+    pairs = [
+        make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), master),
+        make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), inside),
+        make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), other),
+        make_state_pair((4, 4), (2, 2), 1.0, free_bc(), fixed, master),
+        make_state_pair((4, 4), (2, 2), 1.0, periodic_bc(), antiperiodic_bc(0), master),
+        make_state_pair((4, 4), (2, 2), 1.0, periodic_bc(), antiperiodic_bc(0), other),
+    ]
+    shared = pairs[-1]
+    cap = exactsolve.TRANSFER_WIDTH_CAP
+    assert exactsolve._negated_close(shared.gamma, shared.gamma_prime, cap)
+    for method in ("transfer", "enum"):
+        results = interface_free_energies(pairs, method=method)
+        assert results == [interface_free_energy(p, method=method) for p in pairs]
+        assert results[0].log_z_gamma_zero == results[1].log_z_gamma_zero
+        assert results[0].log_z_gamma_zero != results[2].log_z_gamma_zero

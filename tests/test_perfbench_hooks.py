@@ -58,3 +58,5 @@ def test_tracer_counts_the_martingale_layers(tmp_path):
     metrics = json.loads(done.stdout.splitlines()[-1])
     for layer in ("disorder.edit", "interface.pair", "fluctuation.f"):
         assert metrics[f"{layer}.calls"] > 0, layer
+    # 2 realizations x (4 sweeps of F + 2 inner draws x (2 prefixes x 2 + 2))
+    assert metrics["exactsolve.transfer.sweeps"] == 32
