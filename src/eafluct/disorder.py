@@ -140,13 +140,6 @@ class SeedSpec:
         if not 0 <= self.realization < 2**64:
             raise ValueError("realization index must be a 64-bit non-negative integer")
 
-    def derive(self, realization: int | None = None, purpose: str | None = None) -> "SeedSpec":
-        return replace(
-            self,
-            realization=self.realization if realization is None else realization,
-            purpose=self.purpose if purpose is None else purpose,
-        )
-
     def rng(self) -> np.random.Generator:
         digest = hashlib.sha256(self.purpose.encode("utf-8")).digest()
         p0 = int.from_bytes(digest[:4], "little")

@@ -38,6 +38,7 @@ from .lattice import (
     Region,
     Site,
     boundary_edges,
+    edge_from_origin,
     ghost_sites,
     grow,
     interior_edges,
@@ -216,10 +217,6 @@ class GibbsSpec:
         if self.couplings.edge_set.edges != needed.edges:
             object.__setattr__(self, "couplings", restrict(self.couplings, needed))
 
-    @property
-    def free_site_count(self) -> int:
-        return self.region.n_sites
-
     def with_couplings(self, couplings: CouplingConfig) -> "GibbsSpec":
         return GibbsSpec(self.region, couplings, self.beta, self.bc)
 
@@ -362,15 +359,13 @@ def _enum_reduce(
         w = np.exp(expo - mc)
         c0 = float(w.sum())
         cf = [float(np.dot(np.asarray(f(s, sites), dtype=np.float64), w)) for f in observables]
-        if mc > running_max:
-            scale = math.exp(running_max - mc) if running_max > -np.inf else 0.0
-            s0 = s0 * scale + c0
-            sf = [a * scale + b for a, b in zip(sf, cf)]
-            running_max = mc
-        else:
-            scale = math.exp(mc - running_max)
-            s0 += c0 * scale
-            sf = [a + b * scale for a, b in zip(sf, cf)]
+        # rescale both sums to the larger max: the side holding it is
+        # multiplied by exp(0) = 1 exactly
+        top = max(running_max, mc)
+        old, new = math.exp(running_max - top), math.exp(mc - top)
+        s0 = s0 * old + c0 * new
+        sf = [a * old + b * new for a, b in zip(sf, cf)]
+        running_max = top
     return running_max + math.log(s0), [a / s0 for a in sf]
 
 
@@ -449,7 +444,6 @@ class _TransferPlan:
     width: int
     length: int
     wrap_l: bool
-    v_pairs: tuple[tuple[int, int], ...]
     v_pos: np.ndarray  # (n_vbonds, length)
     v_sign: np.ndarray
     h_pos: np.ndarray  # (width, n_links)
@@ -479,7 +473,6 @@ def _transfer_plan(region: Region, bc: BoundaryCondition, width_cap: int) -> _Tr
     w = region.extents[t_axis]
     length = region.extents[l_axis]
     edges = required_edges(region, bc)
-    fixed = bc.fixed_map()
 
     def site(c: int, r: int) -> Site:
         coords = [0, 0]
@@ -487,41 +480,27 @@ def _transfer_plan(region: Region, bc: BoundaryCondition, width_cap: int) -> _Tr
         coords[t_axis] = region.origin[t_axis] + r
         return tuple(coords)
 
-    def seam_sign(e: Edge) -> float:
-        flip = e.wrap and bc.kind == "antiperiodic" and e.axis in bc.seam_axes
-        return -1.0 if flip else 1.0
+    def bonds(axis: int, rows: int, columns: int) -> np.ndarray:
+        """Position of the +axis bond from site(c, r), at [r, c]."""
+        grid = tuple(
+            edge_from_origin(site(c, r), axis, region)
+            for r in range(rows) for c in range(columns)
+        )
+        return edge_positions(edges, grid).reshape(rows, columns)
 
-    # vertical bonds within a column (the wrap pair last, marked as seam bond)
-    v_pairs = [(r, r + 1) for r in range(w - 1)]
-    if region.wrap[t_axis] and w >= 2:
-        v_pairs.append((w - 1, 0))
-    v_pos = np.empty((len(v_pairs), length), dtype=np.intp)
-    v_sign = np.empty((len(v_pairs), length))
-    for c in range(length):
-        for b, (r1, r2) in enumerate(v_pairs):
-            x, y = sorted((site(c, r1), site(c, r2)))
-            e = Edge(x, y, t_axis, wrap=r2 < r1)
-            v_pos[b, c] = edges.index(e)
-            v_sign[b, c] = seam_sign(e)
-
-    # horizontal links between neighboring columns (seam link last if wrapped)
+    # vertical bond b of a column leaves row b, and horizontal link j leaves
+    # column j; a wrapped axis adds its seam bond last
+    n_v = w if region.wrap[t_axis] and w >= 2 else w - 1
     wrap_l = region.wrap[l_axis] and length >= 2
-    links = [(c, c + 1, False) for c in range(length - 1)]
-    if wrap_l:
-        links.append((length - 1, 0, True))
-    h_pos = np.empty((w, len(links)), dtype=np.intp)
-    h_sign = np.empty((w, len(links)))
-    for j, (c1, c2, wrap) in enumerate(links):
-        for r in range(w):
-            x, y = sorted((site(c1, r), site(c2, r)))
-            e = Edge(x, y, l_axis, wrap)
-            h_pos[r, j] = edges.index(e)
-            h_sign[r, j] = seam_sign(e)
+    v_pos = bonds(t_axis, n_v, length)
+    h_pos = bonds(l_axis, w, length if wrap_l else length - 1)
+    # only an antiperiodic bc has seam axes, whose wrap bonds are sign-flipped
+    sign = np.array([-1.0 if e.wrap and e.axis in bc.seam_axes else 1.0 for e in edges])
 
     # clamped ghost contributions (fixed bc only)
     ghost_rc, ghost_pos, ghost_tau = [], [], []
     if bc.kind == "fixed":
-        _, index = _site_order(region)
+        fixed = bc.fixed_map()
         for k, e in enumerate(edges):
             in_x, in_y = region.contains_site(e.x), region.contains_site(e.y)
             if in_x and in_y:
@@ -534,20 +513,19 @@ def _transfer_plan(region: Region, bc: BoundaryCondition, width_cap: int) -> _Tr
             ghost_tau.append(float(fixed[outer]))
 
     s = _spin_matrix(w)
-    sp = np.empty((1 << w, len(v_pairs)))
-    for b, (r1, r2) in enumerate(v_pairs):
-        sp[:, b] = s[:, r1] * s[:, r2]
+    sp = np.empty((1 << w, n_v))
+    for b in range(n_v):
+        sp[:, b] = s[:, b] * s[:, (b + 1) % w]
     return _TransferPlan(
         t_axis=t_axis,
         l_axis=l_axis,
         width=w,
         length=length,
         wrap_l=wrap_l,
-        v_pairs=tuple(v_pairs),
         v_pos=v_pos,
-        v_sign=v_sign,
+        v_sign=sign[v_pos],
         h_pos=h_pos,
-        h_sign=h_sign,
+        h_sign=sign[h_pos],
         ghost_rc=np.asarray(ghost_rc, dtype=np.intp).reshape(-1, 2),
         ghost_pos=np.asarray(ghost_pos, dtype=np.intp),
         ghost_tau=np.asarray(ghost_tau, dtype=np.float64),
@@ -590,6 +568,13 @@ def _link(s: np.ndarray, couplings: np.ndarray, beta: float) -> np.ndarray:
 _RANGE_ERROR = "transfer weights left the floating-point range at this beta"
 
 
+def _in_range(x: float) -> float:
+    """``x``, if it is positive and finite; otherwise the sweep left the range."""
+    if not 0.0 < x < math.inf:
+        raise ArithmeticError(_RANGE_ERROR)
+    return x
+
+
 def _transfer_sweep(
     spec: GibbsSpec,
     width_cap: int | None = None,
@@ -599,14 +584,16 @@ def _transfer_sweep(
 ) -> tuple[tuple[float, ...], list[np.ndarray]]:
     """Forward transfer product with per-column rescaling.
 
-    Returns ((log Z,), environments).  With ``negated_close`` (a wrapped
-    length axis only) the product of the first L-1 links is closed a second
-    time, by the closing link with its couplings negated, and the first
-    item is (log Z, log Z of that second closing).  With ``keep``,
-    environment c is the rescaled product of columns 0..c and the links
-    between them: a (1, 2^W) row for an open length axis, a 2^W x 2^W
-    matrix (first index the state of column 0) for a wrapped one.
-    Otherwise the list is empty.
+    Returns ((log Z,), environments).  Environment c is the rescaled product
+    of columns 0..c and the links between them, a 2-D array whose columns
+    are the states of column c and whose rows are the states of column 0
+    that the close still needs: 2^W rows on a wrapped length axis, one row on
+    an open one.  The close is the sum of the last environment on an open
+    axis and its trace against the closing link on a wrapped one.  With
+    ``negated_close`` (a wrapped length axis only) the trace is taken a
+    second time, against the closing link with its couplings negated, and
+    the first item is (log Z, log Z of that second closing).  Environments
+    are kept only with ``keep``; otherwise the list is empty.
     """
     width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
@@ -620,40 +607,25 @@ def _transfer_sweep(
     # as a numpy warning
     with np.errstate(all="ignore"):
         d = _column_weights(spec, plan, extra_fields)
-        if not plan.wrap_l:
-            v = d[:, 0]
+        # a wrapped axis starts from diag(d_0), applied to the first link as
+        # row scaling
+        env = d[:, 0][:, None] if plan.wrap_l else d[:, 0][None, :]
+        if keep:
+            envs.append(np.diag(d[:, 0]) if plan.wrap_l else env)
+        for c in range(1, plan.length):
+            step = np.multiply if plan.wrap_l and c == 1 else np.matmul
+            env = step(env, _link(s, jh[:, c - 1], beta)) * d[:, c]
+            m = _in_range(float(env.max()))
+            env /= m
+            acc += math.log(m)
             if keep:
-                envs.append(v[None, :])
-            for c in range(1, plan.length):
-                v = (v @ _link(s, jh[:, c - 1], beta)) * d[:, c]
-                m = float(v.max())
-                if not 0.0 < m < math.inf:
-                    raise ArithmeticError(_RANGE_ERROR)
-                v /= m
-                acc += math.log(m)
-                if keep:
-                    envs.append(v[None, :])
-            totals = [float(v.sum())]
-        else:
-            mat = d[:, 0][:, None]  # diag(d_0), applied to the first link as row scaling
-            if keep:
-                envs.append(np.diag(d[:, 0]))
-            for c in range(1, plan.length):
-                step = np.multiply if c == 1 else np.matmul
-                mat = step(mat, _link(s, jh[:, c - 1], beta)) * d[:, c][None, :]
-                m = float(mat.max())
-                if not 0.0 < m < math.inf:
-                    raise ArithmeticError(_RANGE_ERROR)
-                mat /= m
-                acc += math.log(m)
-                if keep:
-                    envs.append(mat)
+                envs.append(env)
+        if plan.wrap_l:
             closings = (jh[:, -1], -jh[:, -1]) if negated_close else (jh[:, -1],)
-            totals = [float(np.einsum("ij,ji->", mat, _link(s, j, beta))) for j in closings]
-    for total in totals:
-        if not 0.0 < total < math.inf:
-            raise ArithmeticError(_RANGE_ERROR)
-    return tuple(acc + math.log(total) for total in totals), envs
+            totals = [float(np.einsum("ij,ji->", env, _link(s, j, beta))) for j in closings]
+        else:
+            totals = [float(env.sum())]
+    return tuple(acc + math.log(_in_range(total)) for total in totals), envs
 
 
 def log_partition_transfer(

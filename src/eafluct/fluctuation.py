@@ -133,6 +133,8 @@ class EnsembleSpec:
     master_seed: int
     mode: str = "pair"
     solver: str = "auto"
+    enum_cap: int | None = None  # None: the solver module's caps
+    width_cap: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "box_extents", tuple(int(e) for e in self.box_extents))
@@ -193,12 +195,15 @@ class EnsembleSpec:
         )
 
     def f_result(self, config: CouplingConfig) -> FreeEnergyResult:
-        return interface_free_energy(self.pair_from(config), method=self.solver)
+        return interface_free_energy(
+            self.pair_from(config), self.solver, self.enum_cap, self.width_cap
+        )
 
     def f_from(self, config: CouplingConfig) -> float:
         if self.mode == "domain-wall":
             return domain_wall_free_energy(
-                config, self.window_region, self.beta, self.seam_axis, self.solver
+                config, self.window_region, self.beta, self.seam_axis,
+                self.solver, self.enum_cap, self.width_cap,
             )
         return self.f_result(config).value
 
@@ -211,7 +216,8 @@ class EnsembleSpec:
         if self.mode == "domain-wall":
             return [self.f_from(config) for config in configs]
         pairs = [self.pair_from(config) for config in configs]
-        return [r.value for r in interface_free_energies(pairs, method=self.solver)]
+        results = interface_free_energies(pairs, self.solver, self.enum_cap, self.width_cap)
+        return [r.value for r in results]
 
     def to_record(self) -> dict:
         return {
@@ -694,6 +700,8 @@ def bound_check(
     seed: int = 0,
     slack_tol: float = 1e-9,
     method: str = "auto",
+    enum_cap: int | None = None,
+    width_cap: int | None = None,
 ) -> BoundSlackReport:
     """Assert |F| <= 4 beta sum_{boundary} |J_e| and the two-sided
     exp(+-2 beta sum |J_e|) sandwich for Gibbs averages of positive window
@@ -701,8 +709,9 @@ def bound_check(
 
     Violations raise :class:`BoundViolationError` with the full instance dump.
     """
+    kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
     if result is None:
-        result = interface_free_energy(pair, method=method)
+        result = interface_free_energy(pair, **kwargs)
     s_abs = pair.boundary_abs_sum()
     bound = 4.0 * pair.beta * s_abs
     slack = bound - abs(result.value)
@@ -717,11 +726,11 @@ def bound_check(
     two_beta_sum = 2.0 * pair.beta * s_abs
     for spec in (pair.gamma, pair.gamma_prime):
         window_spec = GibbsSpec(pair.window, spec.couplings, pair.beta, free_bc())
-        log_z_spec = log_partition(spec, method=method)
-        log_z_win = log_partition(window_spec, method=method)
+        log_z_spec = log_partition(spec, **kwargs)
+        log_z_win = log_partition(window_spec, **kwargs)
         for fields in field_sets:
-            log_gamma_f = log_partition(spec, method=method, extra_fields=fields) - log_z_spec
-            log_win_f = log_partition(window_spec, method=method, extra_fields=fields) - log_z_win
+            log_gamma_f = log_partition(spec, extra_fields=fields, **kwargs) - log_z_spec
+            log_win_f = log_partition(window_spec, extra_fields=fields, **kwargs) - log_z_win
             log_ratio = log_gamma_f - log_win_f
             ratio_slacks.append(two_beta_sum - abs(log_ratio))
 
@@ -822,8 +831,9 @@ def probe_realization(spec: EnsembleSpec, i: int) -> list[float]:
     """Correlation differences over the window edges for realization i."""
     pair = spec.pair_from(spec.master(i))
     edges = spec.window_edge_set
-    cg = edge_correlations(pair.gamma, edges, method=spec.solver)
-    cgp = edge_correlations(pair.gamma_prime, edges, method=spec.solver)
+    kwargs = dict(method=spec.solver, enum_cap=spec.enum_cap, width_cap=spec.width_cap)
+    cg = edge_correlations(pair.gamma, edges, **kwargs)
+    cgp = edge_correlations(pair.gamma_prime, edges, **kwargs)
     return (cg - cgp).tolist()
 
 

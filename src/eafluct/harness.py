@@ -257,6 +257,8 @@ def ensemble_spec_from_config(cfg: ExperimentConfig, beta: float | None = None) 
         master_seed=cfg.seed,
         mode=mode,
         solver=cfg.solver_method,
+        enum_cap=cfg.enum_cap,
+        width_cap=cfg.transfer_width_cap,
     )
 
 
@@ -471,11 +473,17 @@ def _bounds_tasks(cfg: ExperimentConfig) -> list[dict]:
     return [{"beta": betas[t % len(betas)], "realization": t} for t in range(cfg.n * len(betas))]
 
 
+def _check_bounds(cfg: ExperimentConfig) -> None:
+    if cfg.n_observables < 0:
+        raise ConfigError(f"n_observables must be >= 0, got {cfg.n_observables}")
+
+
 def _bounds_task(cfg: ExperimentConfig, at: dict) -> dict:
     spec = ensemble_spec_from_config(cfg, beta=at["beta"])
     pair = spec.pair_from(spec.master(at["realization"]))
     report = bound_check(
-        pair, n_observables=cfg.n_observables, seed=cfg.seed, method=cfg.solver_method
+        pair, n_observables=cfg.n_observables, seed=cfg.seed, method=spec.solver,
+        enum_cap=spec.enum_cap, width_cap=spec.width_cap,
     )
     rec = report.to_record()
     rec["beta"] = spec.beta
@@ -513,14 +521,28 @@ def _reduce_probe(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     return probe_report_from_rows(spec, rows, cfg.epsilons, cfg.noise_tol, cfg.bootstrap)
 
 
+def _check_probe(cfg: ExperimentConfig) -> None:
+    if not cfg.noise_tol >= 0:
+        raise ConfigError(f"noise_tol must be >= 0, got {cfg.noise_tol}")
+
+
 def _probe_density_csv(summary: dict) -> tuple[str, list[str], list]:
     rows = [[r["epsilon"], r["density"], *r["ci95"][:2]] for r in summary["densities"]]
     return "probe_density.csv", ["epsilon", "density", "ci95_lo", "ci95_hi"], rows
 
 
 def _check_scaling(cfg: ExperimentConfig) -> None:
-    if len(cfg.window_sizes) < 3:
-        raise ConfigError("scaling needs at least three window sizes")
+    if any(s < 1 for s in cfg.window_sizes):
+        raise ConfigError(f"scaling window sizes must be >= 1, got {list(cfg.window_sizes)}")
+    if len(set(cfg.window_sizes)) < 3:
+        raise ConfigError("scaling needs at least three distinct window sizes")
+    # every size keeps the template's margin, the same on every axis
+    margins = {b - w for b, w in zip(cfg.box, cfg.window)}
+    if len(margins) != 1 or min(margins) % 2:
+        raise ConfigError(
+            "scaling needs box - window to be the same even number on every axis, "
+            f"got box {list(cfg.box)} and window {list(cfg.window)}"
+        )
 
 
 def _scaling_task(cfg: ExperimentConfig, at: dict) -> dict:
@@ -686,6 +708,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
             "bounds_slack.csv", "instance beta f_value bound slack min_ratio_slack", "rows",
             numbered=True,
         ), _bounds_hist_csv),
+        check=_check_bounds,
     ),
     "mgf": ExperimentKind(
         run=_on_ensemble(lambda cfg, spec, i: {"g": mgf_conditional_mean(spec, i, cfg.n_outer)}),
@@ -702,7 +725,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
             "probe_edges.csv", "edge mean_delta stderr nonzero_fraction",
             columns="edges per_edge_mean per_edge_stderr per_edge_nonzero_fraction",
         )),
-        min_n=2,
+        min_n=2, check=_check_probe,
     ),
     "scaling": ExperimentKind(
         tasks=lambda cfg: [

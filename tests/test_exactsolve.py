@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -36,7 +37,7 @@ from eafluct.exactsolve import (
     spin_config_for_region,
     uniform_fixed_bc,
 )
-from eafluct.interface import domain_wall_free_energy
+from eafluct.interface import domain_wall_free_energy, region_for_bc
 from eafluct.lattice import Edge, Region, ghost_sites, interior_edges
 
 
@@ -325,6 +326,49 @@ def test_batched_correlations_follow_the_requested_order():
     backward = edge_correlations(spec, edges[::-1], method="transfer")
     assert np.array_equal(backward, forward[::-1])
     assert edge_correlations(spec, (), method="enum").shape == (0,)
+
+
+PLAN_BCS = {
+    "free": lambda extents: free_bc(),
+    "periodic": lambda extents: periodic_bc(),
+    "antiperiodic[0]": lambda extents: antiperiodic_bc(0),
+    "antiperiodic[1]": lambda extents: antiperiodic_bc(1),
+    "antiperiodic[0,1]": lambda extents: antiperiodic_bc(0, 1),
+    "fixed": lambda extents: uniform_fixed_bc(Region(extents), -1),
+}
+
+
+@pytest.mark.parametrize("bc_name", PLAN_BCS)
+def test_transfer_plan_places_every_required_edge_once(bc_name):
+    for extents in itertools.product((1, 2, 3, 4), repeat=2):
+        bc = PLAN_BCS[bc_name](extents)
+        region = region_for_bc(extents, bc)
+        plan = exactsolve._transfer_plan(region, bc, exactsolve.TRANSFER_WIDTH_CAP)
+        edges = required_edges(region, bc).edges
+        placed = [*plan.v_pos.ravel(), *plan.h_pos.ravel(), *plan.ghost_pos]
+        assert sorted(placed) == list(range(len(edges))), extents
+
+        def site(c, r):
+            coords = [0, 0]
+            coords[plan.l_axis], coords[plan.t_axis] = c, r
+            return tuple(coords)
+
+        # bond b of column c leaves row b; link j leaves column j at each row r
+        for (b, c), k in np.ndenumerate(plan.v_pos):
+            assert (edges[k].axis, edges[k].origin) == (plan.t_axis, site(c, b)), extents
+        for (r, j), k in np.ndenumerate(plan.h_pos):
+            assert (edges[k].axis, edges[k].origin) == (plan.l_axis, site(j, r)), extents
+        for k in plan.ghost_pos:
+            assert not all(region.contains_site(s) for s in edges[k].endpoints())
+        # -1 exactly on the wrap bonds along a seam axis
+        for pos, sign in ((plan.v_pos, plan.v_sign), (plan.h_pos, plan.h_sign)):
+            seam = [edges[k].wrap and edges[k].axis in bc.seam_axes for k in pos.ravel()]
+            assert sign.shape == pos.shape
+            assert sign.ravel().tolist() == [-1.0 if s else 1.0 for s in seam], extents
+        if bc.kind == "antiperiodic":
+            flips = (plan.v_sign < 0).sum() + (plan.h_sign < 0).sum()
+            axes = [a for a in bc.seam_axes if extents[a] >= 2]
+            assert flips == sum(len(region.sites) // extents[a] for a in axes), extents
 
 
 def test_open_strip_builds_each_link_at_most_twice(monkeypatch):

@@ -194,6 +194,24 @@ def test_oracle_verify_needs_seam_axes_of_every_geometry(tmp_path):
         parse_config_dict(data)
 
 
+@pytest.mark.parametrize("kind, section, body, match", [
+    ("scaling", "geometry", {"window_sizes": [0, 2, 3]}, "window sizes must be >= 1"),
+    ("scaling", "geometry", {"window_sizes": [-2, 2, 3]}, "window sizes must be >= 1"),
+    ("scaling", "geometry", {"window_sizes": [2, 2, 2]}, "three distinct"),
+    ("scaling", "geometry", {"window_sizes": [2, 3, 3]}, "three distinct"),
+    ("scaling", "geometry", {"box": [5, 6]}, "same even number"),
+    ("scaling", "geometry", {"box": [6, 6]}, "same even number"),
+    ("scaling", "geometry", {"box": [7, 5]}, "same even number"),
+    ("bounds", "sampling", {"n_observables": -1}, "n_observables"),
+    ("probe", "sampling", {"noise_tol": -1e-12}, "noise_tol"),
+])
+def test_kind_checks_reject_silently_wrong_inputs(tmp_path, kind, section, body, match):
+    # each of these used to run: a repeated size fits a line through one
+    # point, and an odd or uneven margin was replaced by axis 0's, floored
+    with pytest.raises(ConfigError, match=match):
+        parse_config_dict(base_config(tmp_path, kind=kind, **{section: body}))
+
+
 def test_seam_axes_are_not_checked_without_an_antiperiodic_state(tmp_path):
     assert parse_config_dict(base_config(tmp_path, kind="fe", physics={"seam_axes": []}))
 
@@ -360,6 +378,23 @@ def test_failing_tasks_raise_task_error_for_any_worker_count(tmp_path, workers):
     data["solver"] = {"method": "enum"}
     with pytest.raises(TaskError) as info:
         run(parse_config_dict(data), workers=workers)
+    assert isinstance(info.value.__cause__, SizeCapError)
+
+
+@pytest.mark.parametrize("kind", [
+    "fe", "ensemble", "domain-wall", "martingale", "edge-martingale", "bounds", "mgf",
+    "probe", "scaling",
+])
+def test_config_solver_caps_bind_every_ensemble_kind(tmp_path, kind):
+    # no axis of any box fits width 2, and every box has more than 4 spins
+    data = base_config(
+        tmp_path, kind=kind,
+        geometry={"box": [4, 4], "window": [2, 2], "window_sizes": [1, 2, 3]},
+        sampling={"n": 2, "n_outer": 2, "bootstrap": 10},
+        solver={"transfer_width_cap": 2, "enum_cap": 4},
+    )
+    with pytest.raises(TaskError) as info:
+        run(parse_config_dict(data))
     assert isinstance(info.value.__cause__, SizeCapError)
 
 
