@@ -45,8 +45,8 @@ class BoundViolationError(EafluctError):
     """A deterministic inequality was violated; carries the instance dump."""
 
 
-class ConfigError(EafluctError):
-    """An experiment configuration is malformed."""
+class ConfigError(EafluctError, ValueError):
+    """An experiment configuration, or a library call that sets one up, is malformed."""
 
 
 class IncompleteRunError(EafluctError):

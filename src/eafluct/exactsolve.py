@@ -81,6 +81,15 @@ class BoundaryCondition:
         if any(v not in (-1, 1) for _, v in self.fixed_spins):
             raise ValueError("fixed boundary spins must be +-1")
         object.__setattr__(self, "fixed_spins", tuple(sorted(self.fixed_spins)))
+        object.__setattr__(self, "_hash", hash((self.kind, self.seam_axes, self.fixed_spins)))
+
+    def __hash__(self) -> int:
+        # computed once: a fixed bc keys two caches per GibbsSpec by its ghost spins
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild rather than copy it
+        return BoundaryCondition, (self.kind, self.seam_axes, self.fixed_spins)
 
     def validate_for(self, region: Region) -> None:
         if self.kind == "free" and not region.fully_open:
@@ -587,10 +596,16 @@ def _transfer_sweep(
     Returns ((log Z,), environments).  Environment c is the rescaled product
     of columns 0..c and the links between them, a 2-D array whose columns
     are the states of column c and whose rows are the states of column 0
-    that the close still needs: 2^W rows on a wrapped length axis, one row on
-    an open one.  The close is the sum of the last environment on an open
-    axis and its trace against the closing link on a wrapped one.  With
-    ``negated_close`` (a wrapped length axis only) the trace is taken a
+    that the close still needs: one row on an open length axis, and on a
+    wrapped one 2^W rows, or 2^(W-1) when no field term breaks the global
+    spin flip.  The flip maps state x to ~x = 2^W-1-x and leaves every link
+    (``M[~x, ~y] = M[x, y]``) and every field-free column weight unchanged,
+    so the rows of the column-0 states with the top bit set are the others
+    mirrored, ``env[~x, ~y] = env[x, y]``, and are not carried.  The close
+    is the sum of the last environment on an open axis, and on a wrapped one
+    its trace against the closing link: 2^W / rows times the dot product of
+    the carried rows with the same rows of that symmetric link.  With
+    ``negated_close`` (a wrapped length axis only) the close is taken a
     second time, against the closing link with its couplings negated, and
     the first item is (log Z, log Z of that second closing).  Environments
     are kept only with ``keep``; otherwise the list is empty.
@@ -600,6 +615,7 @@ def _transfer_sweep(
     beta = spec.beta
     s = plan.s_matrix
     jh = spec.couplings.values[plan.h_pos] * plan.h_sign
+    side = 1 << plan.width
 
     acc = 0.0
     envs: list[np.ndarray] = []
@@ -607,14 +623,20 @@ def _transfer_sweep(
     # as a numpy warning
     with np.errstate(all="ignore"):
         d = _column_weights(spec, plan, extra_fields)
+        # the flip reverses the row order of the column weights, so a field
+        # term shows as weights that are not even under it
+        rows = side // 2 if plan.wrap_l and np.array_equal(d, d[::-1]) else side
         # a wrapped axis starts from diag(d_0), applied to the first link as
         # row scaling
-        env = d[:, 0][:, None] if plan.wrap_l else d[:, 0][None, :]
+        env = d[:rows, 0][:, None] if plan.wrap_l else d[:, 0][None, :]
         if keep:
-            envs.append(np.diag(d[:, 0]) if plan.wrap_l else env)
+            envs.append(np.eye(rows, side) * d[:, 0] if plan.wrap_l else env)
         for c in range(1, plan.length):
-            step = np.multiply if plan.wrap_l and c == 1 else np.matmul
-            env = step(env, _link(s, jh[:, c - 1], beta)) * d[:, c]
+            if plan.wrap_l and c == 1:
+                env = env * _link(s, jh[:, 0], beta)[:rows]
+            else:
+                env = env @ _link(s, jh[:, c - 1], beta)
+            env *= d[:, c]
             m = _in_range(float(env.max()))
             env /= m
             acc += math.log(m)
@@ -622,7 +644,9 @@ def _transfer_sweep(
                 envs.append(env)
         if plan.wrap_l:
             closings = (jh[:, -1], -jh[:, -1]) if negated_close else (jh[:, -1],)
-            totals = [float(np.einsum("ij,ji->", env, _link(s, j, beta))) for j in closings]
+            totals = [
+                (side // rows) * float(np.vdot(env, _link(s, j, beta)[:rows])) for j in closings
+            ]
         else:
             totals = [float(env.sum())]
     return tuple(acc + math.log(_in_range(total)) for total in totals), envs
@@ -723,7 +747,10 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     2^W x 2^W matrix closing the trace for a wrapped one.  The joint weight
     of the states (x, y) of columns c and c+1 is then
     link[x, y] * (right @ left_c)[y, x], whose row sums are the marginal of
-    column c.  Every ratio below is taken within one column or link, so the
+    column c.  Where the sweep kept only the top half of the rows of a
+    wrapped environment (see :func:`_transfer_sweep`), the full ``left_c``
+    is that half stacked on its mirror image, since ``~x = 2^W-1-x`` reverses
+    both axes.  Every ratio below is taken within one column or link, so the
     rescaling factors cancel; each link is rebuilt once here and dropped.
     """
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
@@ -734,10 +761,11 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     vert = np.empty((sp.shape[1], plan.length))
     horz = np.empty(jh.shape)
     side = 1 << plan.width
+    halved = plan.wrap_l and envs[0].shape[0] < side
     right = np.eye(side) if plan.wrap_l else np.ones((side, 1))
     with np.errstate(all="ignore"):  # see _transfer_sweep
         for c in reversed(range(plan.length)):
-            left = envs[c]
+            left = np.vstack((envs[c], envs[c][::-1, ::-1])) if halved else envs[c]
             if c < jh.shape[1]:
                 link = _link(s, jh[:, c], spec.beta)
                 after = link @ right

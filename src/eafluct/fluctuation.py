@@ -30,7 +30,12 @@ from .disorder import (
     set_block,
     translate_couplings,
 )
-from .errors import BoundViolationError, PartitionError, UnsupportedOperationError
+from .errors import (
+    BoundViolationError,
+    ConfigError,
+    PartitionError,
+    UnsupportedOperationError,
+)
 from .exactsolve import (
     BoundaryCondition,
     GibbsSpec,
@@ -1005,14 +1010,42 @@ def conditioned_variance_identity(
 # variance scaling (report-only)
 
 
+def scaling_margin(
+    box_extents: Sequence[int], window_extents: Sequence[int], window_sizes: Sequence[int]
+) -> int:
+    """The margin ``box - window`` that every window size of a scaling study
+    keeps, half of it on each side.  Raises :class:`ConfigError` for a window
+    size below 1, or a margin that is not the same even number on every axis.
+    """
+    if any(s < 1 for s in window_sizes):
+        raise ConfigError(f"scaling window sizes must be >= 1, got {list(window_sizes)}")
+    margins = {b - w for b, w in zip(box_extents, window_extents)}
+    if len(margins) != 1 or min(margins) % 2:
+        raise ConfigError(
+            "scaling needs box - window to be the same even number on every axis, "
+            f"got box {list(box_extents)} and window {list(window_extents)}"
+        )
+    return margins.pop()
+
+
+def check_scaling(
+    box_extents: Sequence[int], window_extents: Sequence[int], window_sizes: Sequence[int]
+) -> None:
+    """Reject a scaling study that cannot be fitted as asked: fewer than three
+    distinct window sizes, or what :func:`scaling_margin` rejects."""
+    if len(set(window_sizes)) < 3:
+        raise ConfigError("scaling needs at least three distinct window sizes")
+    scaling_margin(box_extents, window_extents, window_sizes)
+
+
 def scaling_sub_spec(spec_template: EnsembleSpec, window_size: int) -> EnsembleSpec:
     """The template rescaled to one window size, keeping the margin."""
-    margin = (spec_template.box_extents[0] - spec_template.window_extents[0]) // 2
-    d = len(spec_template.box_extents)
+    box, window = spec_template.box_extents, spec_template.window_extents
+    margin = scaling_margin(box, window, (window_size,))
     return replace(
         spec_template,
-        window_extents=(window_size,) * d,
-        box_extents=(window_size + 2 * margin,) * d,
+        window_extents=(window_size,) * len(box),
+        box_extents=(window_size + margin,) * len(box),
     )
 
 
@@ -1098,8 +1131,7 @@ def variance_scaling(
     because the incongruence hypothesis behind the variance growth bound is
     not certifiable at desk scale; the emitted report says so.
     """
-    if len(window_sizes) < 3:
-        raise ValueError("need at least three window sizes for a fit")
+    check_scaling(spec_template.box_extents, spec_template.window_extents, window_sizes)
     value_sets = [
         ensemble_values(scaling_sub_spec(spec_template, size)) for size in window_sizes
     ]

@@ -51,6 +51,7 @@ from .fluctuation import (
     block_martingale_report,
     block_martingale_realization,
     bound_check,
+    check_scaling,
     covariance_sample,
     edge_martingale_realization,
     mgf_report_from_values,
@@ -532,17 +533,7 @@ def _probe_density_csv(summary: dict) -> tuple[str, list[str], list]:
 
 
 def _check_scaling(cfg: ExperimentConfig) -> None:
-    if any(s < 1 for s in cfg.window_sizes):
-        raise ConfigError(f"scaling window sizes must be >= 1, got {list(cfg.window_sizes)}")
-    if len(set(cfg.window_sizes)) < 3:
-        raise ConfigError("scaling needs at least three distinct window sizes")
-    # every size keeps the template's margin, the same on every axis
-    margins = {b - w for b, w in zip(cfg.box, cfg.window)}
-    if len(margins) != 1 or min(margins) % 2:
-        raise ConfigError(
-            "scaling needs box - window to be the same even number on every axis, "
-            f"got box {list(cfg.box)} and window {list(cfg.window)}"
-        )
+    check_scaling(cfg.box, cfg.window, cfg.window_sizes)
 
 
 def _scaling_task(cfg: ExperimentConfig, at: dict) -> dict:

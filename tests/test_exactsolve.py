@@ -1,6 +1,11 @@
 import itertools
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -596,6 +601,36 @@ def test_fixed_bc_coverage_is_checked_per_region(monkeypatch):
         GibbsSpec(large, couplings, 1.0, bc)
 
 
+def test_equal_boundary_conditions_hash_equal_and_share_the_caches():
+    region = Region((6, 6))
+    bc, same = uniform_fixed_bc(region, 1), uniform_fixed_bc(region, 1)
+    assert bc == same and bc is not same and hash(bc) == hash(same)
+    assert bc != uniform_fixed_bc(region, -1)
+    couplings = sample_couplings(Gaussian(), required_edges(region, bc), SeedSpec(3))
+    GibbsSpec(region, couplings, 1.0, bc)
+    caches = (exactsolve._covers_ghost_ring, required_edges)
+    before = [f.cache_info() for f in caches]
+    GibbsSpec(region, couplings, 1.0, same)
+    after = [f.cache_info() for f in caches]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1]
+    assert [a.misses for a in after] == [b.misses for b in before]
+
+
+def test_a_pickled_boundary_condition_hashes_like_a_fresh_one_in_another_process():
+    # str hashes are salted per process, so a cached hash must not travel
+    bc = antiperiodic_bc(0, 1)
+    script = (
+        "import pickle, sys\n"
+        "from eafluct.exactsolve import antiperiodic_bc\n"
+        "bc = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert bc == antiperiodic_bc(0, 1) and hash(bc) == hash(antiperiodic_bc(0, 1))\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345",
+           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    subprocess.run([sys.executable, "-c", script], input=pickle.dumps(bc), env=env,
+                   check=True, timeout=60)
+
+
 def test_beta_must_be_finite_nonnegative():
     region = Region((2, 2))
     couplings = sample_couplings(Gaussian(), interior_edges(region), SeedSpec(1))
@@ -659,9 +694,12 @@ def _torus_bc(axes):
 @pytest.mark.parametrize("k", range(len(PINNED_TORI)))
 def test_torus_values_match_pins_from_before_the_shared_closing(k):
     """``tests/data/torus_transfer_hex.json`` holds ``float.hex`` of each log Z
-    and domain-wall value below, as computed at commit cd925c6 (four sweeps
-    per domain wall, first wrapped step a diagonal matmul).  The shared
-    closing and the row-scaled first step must give the same bits."""
+    and domain-wall value below.  They were computed at commit cd925c6 (four
+    sweeps per domain wall, first wrapped step a diagonal matmul) and kept
+    bit for bit by the shared closing and the row-scaled first step.  They
+    were re-pinned once when zero-field wrapped sweeps began to carry half
+    the rows: 8 of the 90 values moved, by at most 2.5e-16 relative on a
+    log Z and 2.9e-14 absolute on a domain wall."""
     pins = json.loads((Path(__file__).parent / "data" / "torus_transfer_hex.json").read_text())
     extents = PINNED_TORI[k]
     region, couplings = _torus(extents, k)
@@ -736,3 +774,94 @@ def test_shared_route_needs_matching_specs():
         assert log_partition_pair(p, other) == (log_partition(p), log_partition(other))
     with pytest.raises(ValueError, match="unknown solver method"):
         log_partition_pair(p, ap, method="exact")
+
+
+# --- flip-halved wrapped sweeps ----------------------------------------------
+
+# tori of at most 16 spins, thin ones and both orientations of a long axis
+SMALL_TORI = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("extents", SMALL_TORI)
+def test_halved_torus_sweeps_match_enumeration(extents, beta):
+    region, couplings = _torus(extents, 6)
+    edges = interior_edges(region)
+    for axes in PINNED_BCS.values():
+        spec = GibbsSpec(region, couplings, beta, _torus_bc(axes))
+        assert abs(log_partition_transfer(spec) - log_partition_enum(spec)) <= 1e-9
+        transfer = edge_correlations(spec, edges, method="transfer")
+        enum = edge_correlations(spec, edges, method="enum")
+        assert np.max(np.abs(transfer - enum)) <= 1e-10
+    for seam in (0, 1):
+        value = domain_wall_free_energy(couplings, region, beta, seam_axis=seam)
+        enum = domain_wall_free_energy(couplings, region, beta, seam_axis=seam, method="enum")
+        assert abs(value - enum) <= 1e-9
+        assert beta > 0.0 or value == 0.0
+
+
+def _full_row_log_z(spec, negated_close=False):
+    """log Z of a torus from the rescaled product of all 2^W rows, closed by
+    an explicit trace: the transfer product without the flip halving."""
+    plan = exactsolve._transfer_plan(spec.region, spec.bc, exactsolve.TRANSFER_WIDTH_CAP)
+    d = exactsolve._column_weights(spec, plan)
+    s = plan.s_matrix
+    jh = spec.couplings.values[plan.h_pos] * plan.h_sign
+    if negated_close:
+        jh[:, -1] = -jh[:, -1]
+    env, acc = np.diag(d[:, 0]), 0.0
+    for c in range(plan.length):
+        link = np.exp(spec.beta * ((s * jh[:, c]) @ s.T))
+        if c == plan.length - 1:
+            return acc + math.log(np.trace(env @ link))
+        env = (env @ link) * d[:, c + 1]
+        acc += math.log(env.max())
+        env /= env.max()
+
+
+@pytest.mark.parametrize("extents", [(6, 6), (8, 10), (10, 10)])
+def test_halved_sweep_matches_the_full_row_product(extents):
+    region, couplings = _torus(extents, 8)
+    for beta in (1.0, 3.0):
+        for axes in PINNED_BCS.values():
+            spec = GibbsSpec(region, couplings, beta, _torus_bc(axes))
+            want = _full_row_log_z(spec)
+            assert log_partition(spec) == pytest.approx(want, rel=1e-13, abs=0)
+        # the shared closing of the seam on the length axis
+        spec = GibbsSpec(region, couplings, beta, periodic_bc())
+        plan = exactsolve._transfer_plan(region, spec.bc, exactsolve.TRANSFER_WIDTH_CAP)
+        other = GibbsSpec(region, couplings, beta, antiperiodic_bc(plan.l_axis))
+        want = (_full_row_log_z(spec), _full_row_log_z(spec, negated_close=True))
+        got = log_partition_pair(spec, other)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+        assert got == (log_partition(spec), log_partition(other))
+
+
+def test_zero_field_wrapped_sweeps_carry_half_the_rows():
+    torus = make_spec((3, 4), (True, True), antiperiodic_bc(0, 1), 1.0)
+    side = 1 << exactsolve._transfer_plan(torus.region, torus.bc, 12).width
+    site = torus.region.sites[5]
+    for fields, rows in ((None, side // 2), ({site: 0.0}, side // 2), ({site: 0.4}, side)):
+        _, envs = exactsolve._transfer_sweep(torus, extra_fields=fields, keep=True)
+        assert [env.shape[0] for env in envs] == [rows] * len(envs)
+        want = log_partition_enum(torus, extra_fields=fields)
+        assert abs(log_partition_transfer(torus, extra_fields=fields) - want) <= 1e-9
+    # an open length axis carries one row, with or without clamped ghosts
+    for bc in (free_bc(), uniform_fixed_bc(Region((3, 4)), 1)):
+        _, envs = exactsolve._transfer_sweep(make_spec((3, 4), None, bc, 1.0), keep=True)
+        assert [env.shape[0] for env in envs] == [1] * len(envs)
+
+
+def test_torus_pair_sweep_holds_at_most_three_dense_links():
+    # a dense W=10 link is 8 MiB; holding one a step too long crosses 24 MiB
+    region, couplings = _torus((10, 10), 7)
+    spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
+    other = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
+    log_partition_pair(spec, other)  # warm the plan and edge caches
+    tracemalloc.start()
+    try:
+        log_partition_pair(spec, other)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20

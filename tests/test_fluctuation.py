@@ -1,11 +1,13 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eafluct import exactsolve
 from eafluct.disorder import Gaussian, SeedSpec, Uniform, overlay, set_block
-from eafluct.errors import BoundViolationError
+from eafluct.errors import BoundViolationError, EafluctError
 from eafluct.exactsolve import antiperiodic_bc, free_bc, periodic_bc, uniform_fixed_bc
 from eafluct.fluctuation import (
     BlockConditioning,
@@ -29,6 +31,7 @@ from eafluct.fluctuation import (
     lindeberg_diagnostic,
     martingale_block_decomposition,
     mgf_check,
+    scaling_sub_spec,
     variance_scaling,
 )
 from eafluct.interface import interface_free_energy, make_state_pair, sample_master
@@ -533,6 +536,34 @@ def test_scaling_golden_run_emits_fits_with_ci():
 def test_scaling_needs_three_sizes():
     with pytest.raises(ValueError):
         variance_scaling(spec_3x3_in_5x5(n=4), [2, 3])
+
+
+@pytest.mark.parametrize("sizes, match", [
+    ([2, 2, 2], "three distinct"),
+    ([2, 3, 3], "three distinct"),
+    ([0, 2, 3], "must be >= 1"),
+    ([-1, 2, 3], "must be >= 1"),
+])
+def test_library_scaling_rejects_what_the_config_rejects(sizes, match):
+    # [2, 2, 2] used to return an exponent fitted through one point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EafluctError, match=match):
+            variance_scaling(spec_3x3_in_5x5(n=4), sizes)
+
+
+@pytest.mark.parametrize("box, window", [((5, 6), (3, 3)), ((6, 6), (3, 3)), ((7, 5), (3, 3))])
+def test_scaling_sub_spec_keeps_an_even_margin_on_every_axis(box, window):
+    # box (5, 6) with window (3, 3) used to become box (5, 5)
+    template = replace(spec_3x3_in_5x5(n=4), box_extents=box, window_extents=window)
+    with pytest.raises(EafluctError, match="same even number"):
+        scaling_sub_spec(template, 3)
+    with pytest.raises(EafluctError, match="same even number"):
+        variance_scaling(template, [2, 3, 4])
+    with pytest.raises(EafluctError, match="must be >= 1"):
+        scaling_sub_spec(spec_3x3_in_5x5(n=4), 0)
+    sub = scaling_sub_spec(spec_3x3_in_5x5(n=4), 4)
+    assert (sub.box_extents, sub.window_extents) == ((6, 6), (4, 4))
 
 
 # --- covariance property tests --------------------------------------------------------
