@@ -4,11 +4,13 @@ Two independent partition-function engines over the same spec:
 
 * exhaustive enumeration (any dimension, capped spin count): the oracle;
 * a 2d column-to-column transfer matrix (capped strip width): the workhorse.
+  Each link between two columns is applied through its two Kronecker
+  factors, over the low and the high half of the strip's rows.
 
 Enumeration shifts its weights by a running max, so it is exact at any beta.
 The transfer matrix rescales column by column, but its column weights and
 links are unscaled ``exp(beta * energy)``: it raises ``ArithmeticError`` from
-a beta of about 100-150 (3x3 Gaussian box), where ``method="enum"`` serves.
+a beta of about 120-230 (3x3 Gaussian box), where ``method="enum"`` serves.
 Boundary conditions: free, periodic, antiperiodic
 (seam bonds sign-flipped, per wrapped axis), and fixed (clamped ghost sites
 just outside the region, attached by their own sampled couplings).  Fixed
@@ -569,9 +571,41 @@ def _column_weights(
     return np.exp(spec.beta * col_expo)
 
 
-def _link(s: np.ndarray, couplings: np.ndarray, beta: float) -> np.ndarray:
-    """Dense 2^W x 2^W weight exp(beta sum_r J_r s_r s'_r) of one column-to-column link."""
-    return np.exp(beta * ((s * couplings) @ s.T))
+def _link(s: np.ndarray, couplings: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker factors ``(hi, lo)`` of the weight exp(beta sum_r J_r s_r s'_r)
+    of one column-to-column link, which is ``np.kron(hi, lo)``.
+
+    ``lo`` covers rows 0..k-1 and ``hi`` rows k..W-1, with k = W // 2: a state
+    x of the column is ``x_hi * 2^k + x_lo``, and the first 2^m rows of
+    ``s[:, :m]`` are the states of m rows.  Both factors are symmetric.
+    """
+    k = couplings.size // 2
+    if 2 * k == couplings.size:  # equal halves: one exp over a (2, 2^k, 2^k) stack
+        t = s[: 1 << k, :k]
+        x = (t * (beta * couplings).reshape(2, 1, k)[::-1]) @ t.T
+        hi, lo = np.exp(x, out=x)
+        return hi, lo
+
+    def factor(j: np.ndarray) -> np.ndarray:
+        t = s[: 1 << j.size, : j.size]
+        x = (t * (beta * j)) @ t.T
+        return np.exp(x, out=x)
+
+    return factor(couplings[k:]), factor(couplings[:k])
+
+
+def _apply(env: np.ndarray, link: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``env @ np.kron(hi, lo)`` for a 2-D ``env``, as one small product per factor."""
+    hi, lo = link
+    rows = env.shape[0]
+    return np.matmul(hi, env.reshape(rows, hi.shape[0], lo.shape[0]) @ lo).reshape(rows, -1)
+
+
+def _link_rows(link: tuple[np.ndarray, np.ndarray], rows: int) -> np.ndarray:
+    """The first ``rows`` rows of ``np.kron(hi, lo)``, from one broadcast product."""
+    hi, lo = link
+    h = rows // lo.shape[0]
+    return (hi[:h, None, :, None] * lo[None, :, None, :]).reshape(rows, -1)
 
 
 _RANGE_ERROR = "transfer weights left the floating-point range at this beta"
@@ -601,7 +635,10 @@ def _transfer_sweep(
     spin flip.  The flip maps state x to ~x = 2^W-1-x and leaves every link
     (``M[~x, ~y] = M[x, y]``) and every field-free column weight unchanged,
     so the rows of the column-0 states with the top bit set are the others
-    mirrored, ``env[~x, ~y] = env[x, y]``, and are not carried.  The close
+    mirrored, ``env[~x, ~y] = env[x, y]``, and are not carried.  Every step
+    applies a link through its Kronecker factors (:func:`_apply`), except
+    the first wrapped one, which row-scales the carried rows of the link
+    (:func:`_link_rows`) by the column-0 weights.  The close
     is the sum of the last environment on an open axis, and on a wrapped one
     its trace against the closing link: 2^W / rows times the dot product of
     the carried rows with the same rows of that symmetric link.  With
@@ -632,10 +669,8 @@ def _transfer_sweep(
         if keep:
             envs.append(np.eye(rows, side) * d[:, 0] if plan.wrap_l else env)
         for c in range(1, plan.length):
-            if plan.wrap_l and c == 1:
-                env = env * _link(s, jh[:, 0], beta)[:rows]
-            else:
-                env = env @ _link(s, jh[:, c - 1], beta)
+            link = _link(s, jh[:, c - 1], beta)
+            env = env * _link_rows(link, rows) if plan.wrap_l and c == 1 else _apply(env, link)
             env *= d[:, c]
             m = _in_range(float(env.max()))
             env /= m
@@ -645,7 +680,8 @@ def _transfer_sweep(
         if plan.wrap_l:
             closings = (jh[:, -1], -jh[:, -1]) if negated_close else (jh[:, -1],)
             totals = [
-                (side // rows) * float(np.vdot(env, _link(s, j, beta)[:rows])) for j in closings
+                (side // rows) * float(np.vdot(env, _link_rows(_link(s, j, beta), rows)))
+                for j in closings
             ]
         else:
             totals = [float(env.sum())]
@@ -657,7 +693,7 @@ def log_partition_transfer(
     width_cap: int | None = None,
     extra_fields: Mapping[Site, float] | None = None,
 ) -> float:
-    """log Z via dense 2^W transfer operators with per-column rescaling."""
+    """log Z via Kronecker-factored 2^W transfer links with per-column rescaling."""
     (logz,), _ = _transfer_sweep(spec, width_cap=width_cap, extra_fields=extra_fields)
     return logz
 
@@ -743,14 +779,20 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     backward pass.
 
     Walking from the last column back, ``right`` is the rescaled product of
-    everything after link c: a (2^W, 1) column for an open length axis, a
-    2^W x 2^W matrix closing the trace for a wrapped one.  The joint weight
-    of the states (x, y) of columns c and c+1 is then
-    link[x, y] * (right @ left_c)[y, x], whose row sums are the marginal of
-    column c.  Where the sweep kept only the top half of the rows of a
-    wrapped environment (see :func:`_transfer_sweep`), the full ``left_c``
-    is that half stacked on its mirror image, since ``~x = 2^W-1-x`` reverses
-    both axes.  Every ratio below is taken within one column or link, so the
+    everything after link c, laid out like the environments: ``right[x0, y]``
+    for the carried column-0 states x0 (see :func:`_transfer_sweep`) and the
+    states y of column c+1, starting from the identity on a wrapped length
+    axis and from a row of ones on an open one.  Summed over x0, the joint
+    weight of the states (x, y) of columns c and c+1 is
+    left_c[x0, x] link[x, y] right[x0, y], so the column marginal is
+    ``(left_c * (right @ link)).sum(0)``, and bond r's correlation is the
+    dot product of ``(left_c * s_r) @ link`` with ``right * s_r`` over the
+    marginal's total: W + 1 factored applications of each link (see
+    :func:`_apply`), none dense.
+    Where the sweep carries half the rows of a wrapped environment, the
+    dropped x0 add the same weights mirrored, ``~x = 2^W-1-x``; every
+    observable here is even under that flip, so the carried half gives the
+    same ratios.  Every ratio is taken within one column or link, so the
     rescaling factors cancel; each link is rebuilt once here and dropped.
     """
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
@@ -761,23 +803,26 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     vert = np.empty((sp.shape[1], plan.length))
     horz = np.empty(jh.shape)
     side = 1 << plan.width
-    halved = plan.wrap_l and envs[0].shape[0] < side
-    right = np.eye(side) if plan.wrap_l else np.ones((side, 1))
+    rows = envs[0].shape[0]
+    right = np.eye(rows, side) if plan.wrap_l else np.ones((1, side))
+    buf = np.empty_like(right)
     with np.errstate(all="ignore"):  # see _transfer_sweep
         for c in reversed(range(plan.length)):
-            left = np.vstack((envs[c], envs[c][::-1, ::-1])) if halved else envs[c]
+            left = envs[c]
             if c < jh.shape[1]:
                 link = _link(s, jh[:, c], spec.beta)
-                after = link @ right
-                link *= (right @ left).T
-                marginal = link.sum(axis=1)
-                horz[:, c] = np.einsum("xr,xr->r", s, link @ s) / marginal.sum()
-                del link
+                after = _apply(right, link)
+                marginal = (left * after).sum(axis=0)
+                total = marginal.sum()
+                for r in range(plan.width):
+                    q = _apply(np.multiply(left, s[:, r], out=buf), link)
+                    horz[r, c] = np.vdot(q, np.multiply(right, s[:, r], out=buf)) / total
+                del q
                 right = after
             else:
-                marginal = (left.T * right).sum(axis=1)
+                marginal = (left * right).sum(axis=0)
             vert[:, c] = (marginal @ sp) / marginal.sum()
-            right *= d[:, c][:, None]
+            right *= d[:, c]
             right /= right.max()
     if not (np.isfinite(vert).all() and np.isfinite(horz).all()):
         raise ArithmeticError(_RANGE_ERROR)

@@ -208,6 +208,16 @@ class FreeEnergyResult:
         )
 
 
+@lru_cache(maxsize=None)
+def _outside_window(edge_set: EdgeSet, window: Region) -> np.ndarray:
+    """Positions in ``edge_set`` of every edge that zeroing ``window`` keeps."""
+    kept = np.ones(len(edge_set), dtype=bool)
+    kept[edge_positions(edge_set, interior_edges(window))] = False
+    positions = np.flatnonzero(kept)
+    positions.flags.writeable = False
+    return positions
+
+
 def interface_free_energies(
     pairs: Sequence[StatePair],
     method: str = "auto",
@@ -215,9 +225,10 @@ def interface_free_energies(
     width_cap: int | None = None,
 ) -> list[FreeEnergyResult]:
     """:func:`interface_free_energy` of each pair, bit for bit.  The zero
-    terms are keyed on the states and their window-zeroed coupling values, so
-    pairs that differ only inside their windows (the prefixes of one
-    conditioning path) evaluate (Gamma0, Gamma'0) once."""
+    terms are keyed on the states, the window and the coupling values
+    outside it, which fix the window-zeroed couplings, so pairs that differ
+    only inside their windows (the prefixes of one conditioning path)
+    evaluate (Gamma0, Gamma'0) once, and build its zeroed couplings once."""
     zero_terms: dict[tuple, tuple[float, float]] = {}
     out = []
     for pair in pairs:
@@ -225,10 +236,13 @@ def interface_free_energies(
         resolved = resolve_method(g, method, width_cap)
         kwargs = dict(method=resolved, enum_cap=enum_cap, width_cap=width_cap)
         t_g, t_gp = log_partition_pair(g, gp, **kwargs)
-        z, zp = (set_block(s.couplings, pair.window, ZERO) for s in (g, gp))
-        key = (g.region, g.bc, gp.region, gp.bc, g.beta, z.values.tobytes(), zp.values.tobytes())
+        kept = [
+            s.couplings.values[_outside_window(s.couplings.edge_set, pair.window)].tobytes()
+            for s in (g, gp)
+        ]
+        key = (g.region, g.bc, gp.region, gp.bc, g.beta, pair.window, *kept)
         if key not in zero_terms:
-            zeroed = (g.with_couplings(z), gp.with_couplings(zp))
+            zeroed = (s.with_couplings(set_block(s.couplings, pair.window, ZERO)) for s in (g, gp))
             zero_terms[key] = log_partition_pair(*zeroed, **kwargs)
         t_g0, t_gp0 = zero_terms[key]
         seed = g.couplings.provenance.seed

@@ -699,7 +699,11 @@ def test_torus_values_match_pins_from_before_the_shared_closing(k):
     bit for bit by the shared closing and the row-scaled first step.  They
     were re-pinned once when zero-field wrapped sweeps began to carry half
     the rows: 8 of the 90 values moved, by at most 2.5e-16 relative on a
-    log Z and 2.9e-14 absolute on a domain wall."""
+    log Z and 2.9e-14 absolute on a domain wall.  They were re-pinned once
+    more when every link began to be applied as its two Kronecker factors,
+    which sum each exponent in two halves and multiply in a new order: 12
+    of the 60 log Z moved, by at most 2.6e-16 relative, and 8 of the 30
+    domain walls, by at most 5.7e-14 absolute."""
     pins = json.loads((Path(__file__).parent / "data" / "torus_transfer_hex.json").read_text())
     extents = PINNED_TORI[k]
     region, couplings = _torus(extents, k)
@@ -865,3 +869,167 @@ def test_torus_pair_sweep_holds_at_most_three_dense_links():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2**20
+
+
+def test_torus_pair_sweep_builds_no_dense_link():
+    # a zero-field W=10 sweep carries 512 x 1024 environments (4 MiB); one
+    # dense link alone would be 8 MiB
+    region, couplings = _torus((10, 10), 7)
+    spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
+    other = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
+    log_partition_pair(spec, other)  # warm the plan and edge caches
+    tracemalloc.start()
+    try:
+        log_partition_pair(spec, other)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_torus_correlations_fit_in_the_dense_backward_pass_peak():
+    # 80 MiB is what the backward pass with dense links peaked at: the ten
+    # kept 4 MiB environments plus dense links and products
+    region, couplings = _torus((10, 10), 7)
+    spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
+    edges = interior_edges(region)
+    edge_correlations(spec, edges)  # warm the plan and edge caches
+    tracemalloc.start()
+    try:
+        edge_correlations(spec, edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2**20
+
+
+# --- Kronecker link factors ----------------------------------------------------
+
+
+def _dense_link_blocks(s, couplings, beta, block):
+    """(first row, rows) of the dense link exp(beta sum_r J_r s_r s'_r), built
+    unfactored, ``block`` rows at a time."""
+    for start in range(0, s.shape[0], block):
+        yield start, np.exp(beta * ((s[start:start + block] * couplings) @ s.T))
+
+
+def _times_dense_link(env, s, couplings, beta, block=256):
+    """``env @ link`` for a dense link built in row blocks."""
+    out = np.zeros((env.shape[0], s.shape[0]))
+    for start, rows in _dense_link_blocks(s, couplings, beta, block):
+        out += env[:, start:start + block] @ rows
+    return out
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_link_factors_multiply_to_the_dense_link(width):
+    s = exactsolve._spin_matrix(width)
+    rng = np.random.default_rng(width)
+    for beta in (0.0, 0.7, 3.0):
+        j = rng.normal(size=width)
+        hi, lo = exactsolve._link(s, j, beta)
+        assert hi.shape == (2 ** (width - width // 2),) * 2
+        assert lo.shape == (2 ** (width // 2),) * 2
+        # exp turns the rounding of its argument into relative error, so the
+        # bound grows with the exponent's size
+        tol = 1e-15 * (1.0 + beta * np.abs(j).sum())
+        for start, rows in _dense_link_blocks(s, j, beta, lo.shape[0]):
+            kron = np.kron(hi[start // lo.shape[0]][None], lo)
+            assert np.max(np.abs(kron - rows) / rows) <= tol
+        # the dense reference product costs rows * 4^W multiply-adds
+        for n_rows in (1, 2 ** (width - 1), 2 ** width):
+            if n_rows * 4**width > 2**30:
+                continue
+            env = rng.random((n_rows, 2 ** width))
+            want = _times_dense_link(env, s, j, beta)
+            got = exactsolve._apply(env, (hi, lo))
+            assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def _dense_open_strip(spec):
+    """(log Z, bond correlations indexed like the couplings) of an open strip
+    from unfactored links: the rescaled forward and backward vectors of the
+    transfer product, and for each link the joint weight of the columns it
+    joins, summed against s_r s'_r."""
+    plan = exactsolve._transfer_plan(spec.region, spec.bc, exactsolve.TRANSFER_WIDTH_CAP)
+    assert not plan.wrap_l
+    d = exactsolve._column_weights(spec, plan)
+    s, sp = plan.s_matrix, plan.sp_matrix
+    jh = spec.couplings.values[plan.h_pos] * plan.h_sign
+
+    def times_link(v, c):
+        return _times_dense_link(v[None], s, jh[:, c], spec.beta)[0]
+
+    n = plan.length
+    left, log_z = [d[:, 0] / d[:, 0].max()], math.log(d[:, 0].max())
+    for c in range(1, n):
+        v = times_link(left[-1], c - 1) * d[:, c]
+        log_z += math.log(v.max())
+        left.append(v / v.max())
+    log_z += math.log(left[-1].sum())
+    right = [np.ones(len(d))] * n  # everything after column c
+    for c in reversed(range(n - 1)):
+        v = times_link(right[c + 1] * d[:, c + 1], c)
+        right[c] = v / v.max()
+    out = np.full(spec.couplings.values.shape, np.nan)
+    for c in range(n):
+        marginal = left[c] * right[c]
+        out[plan.v_pos[:, c]] = (marginal @ sp) / marginal.sum()
+    for c in range(n - 1):
+        after = right[c + 1] * d[:, c + 1]
+        total = times_link(left[c], c) @ after
+        for r in range(plan.width):
+            out[plan.h_pos[r, c]] = times_link(left[c] * s[:, r], c) @ (after * s[:, r]) / total
+    return log_z, out
+
+
+def test_factored_sweep_matches_a_dense_link_sweep_on_an_open_w11_strip():
+    spec = make_spec((12, 11), (False, False), free_bc(), 1.0, seed=11)
+    assert exactsolve._transfer_plan(spec.region, spec.bc, 12).width == 11
+    want, _ = _dense_open_strip(spec)
+    assert log_partition_transfer(spec) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("extents, sign", [((16, 8), None), ((9, 11), -1)])
+def test_factored_correlations_match_a_dense_link_backward_pass(extents, sign):
+    region = Region(extents)
+    bc = free_bc() if sign is None else uniform_fixed_bc(region, sign)
+    spec = make_spec(extents, (False, False), bc, 1.0, seed=12)
+    log_z, want = _dense_open_strip(spec)
+    assert log_partition_transfer(spec) == pytest.approx(log_z, rel=1e-12, abs=0)
+    edges = interior_edges(region)
+    got = edge_correlations(spec, edges, method="transfer")
+    want = want[exactsolve.edge_positions(spec.couplings.edge_set, edges)]
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# thin, width-1 and single-site boxes, open and wrapped
+THIN_BOXES = [(1, 1), (1, 6), (6, 1), (2, 5), (5, 2), (3, 4)]
+
+
+def _every_bc(extents):
+    region = Region(extents)
+    mixed = {site: (-1) ** k for k, site in enumerate(ghost_sites(region))}
+    return [
+        ((False, False), free_bc()),
+        ((False, False), uniform_fixed_bc(region, 1)),
+        ((False, False), fixed_bc(mixed)),
+        ((True, True), periodic_bc()),
+        ((True, True), antiperiodic_bc(0)),
+        ((True, True), antiperiodic_bc(1)),
+        ((True, True), antiperiodic_bc(0, 1)),
+    ]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
+@pytest.mark.parametrize("extents", THIN_BOXES)
+def test_factored_links_match_enumeration_on_every_bc(extents, beta):
+    for wrap, bc in _every_bc(extents):
+        spec = make_spec(extents, wrap, bc, beta, seed=13)
+        assert abs(log_partition_transfer(spec) - log_partition_enum(spec)) <= 1e-9
+        edges = interior_edges(spec.region)
+        transfer = edge_correlations(spec, edges, method="transfer")
+        enum = edge_correlations(spec, edges, method="enum")
+        assert np.all(np.abs(transfer - enum) <= 1e-10), (extents, bc.label)
+        if beta == 0.0:
+            assert np.all(transfer == 0.0)

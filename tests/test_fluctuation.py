@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import count_calls
 
-from eafluct import exactsolve
+from eafluct import exactsolve, interface
 from eafluct.disorder import Gaussian, SeedSpec, Uniform, overlay, set_block
 from eafluct.errors import BoundViolationError, EafluctError
 from eafluct.exactsolve import antiperiodic_bc, free_bc, periodic_bc, uniform_fixed_bc
@@ -227,6 +228,16 @@ def test_block_martingale_costs_2p_plus_2_sweeps_per_inner_draw(monkeypatch):
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
     block_martingale_realization(spec, cond, 0)
     assert len(sweeps) == 4 + 2 * (2 * 8 + 2)
+
+
+def test_block_martingale_evaluates_one_zero_pair_per_inner_draw(monkeypatch):
+    # per inner draw: 8 pairs and one window-zeroed pair, whose couplings are
+    # built once; F itself adds one of each
+    calls = count_calls(monkeypatch, interface, ("set_block", "log_partition_pair"))
+    spec = spec_4x4_in_6x6(n=1)
+    cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
+    block_martingale_realization(spec, cond, 0)
+    assert calls == {"set_block": 2 * (1 + 2), "log_partition_pair": 2 + 2 * (8 + 1)}
 
 
 # --- block martingale ----------------------------------------------------------

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import brute_correlation
+from conftest import brute_correlation, count_calls
 
-from eafluct import exactsolve
+from eafluct import exactsolve, interface
 from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_block
 from eafluct.errors import ContainmentError, PairError, UnsupportedOperationError
 from eafluct.exactsolve import (
@@ -402,3 +402,21 @@ def test_batch_equals_one_call_per_pair_on_mixed_pairs():
         assert results == [interface_free_energy(p, method=method) for p in pairs]
         assert results[0].log_z_gamma_zero == results[1].log_z_gamma_zero
         assert results[0].log_z_gamma_zero != results[2].log_z_gamma_zero
+
+
+def test_batch_zero_key_edits_the_window_only_when_it_misses(monkeypatch):
+    # four prefixes of one draw: the same couplings outside the window, new
+    # values inside it; one zeroed pair serves them all
+    master = sample_master(Gaussian(), (6, 6), SeedSpec(9, 0, "couplings"))
+    window = Region((4, 4), None, (1, 1))
+    edges = interior_edges(window)
+    rng = np.random.default_rng(9)
+    configs = [set_block(master, window, dict(zip(edges, rng.normal(size=len(edges)))))
+               for _ in range(4)]
+    pairs = [make_state_pair((6, 6), (4, 4), 1.0, free_bc(), periodic_bc(), c) for c in configs]
+    want = [interface_free_energy(p) for p in pairs]
+    calls = count_calls(monkeypatch, interface, ("set_block", "log_partition_pair"))
+    got = interface_free_energies(pairs)
+    assert [r.to_record() for r in got] == [r.to_record() for r in want]
+    assert [r.value.hex() for r in got] == [r.value.hex() for r in want]
+    assert calls == {"set_block": 2, "log_partition_pair": len(pairs) + 1}
