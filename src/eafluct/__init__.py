@@ -29,6 +29,7 @@ from .exactsolve import (  # noqa: E402
     log_partition,
     log_partition_enum,
     log_partition_pair,
+    log_partition_pairs,
     log_partition_transfer,
     periodic_bc,
     reweight,

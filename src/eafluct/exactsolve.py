@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -546,18 +546,23 @@ def _transfer_plan(region: Region, bc: BoundaryCondition, width_cap: int) -> _Tr
 
 
 def _column_weights(
-    spec: GibbsSpec, plan: _TransferPlan, extra_fields: Mapping[Site, float] | None = None
+    spec: GibbsSpec,
+    plan: _TransferPlan,
+    extra_fields: Mapping[Site, float] | None = None,
+    values: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(2^W, length) Boltzmann weights of each column's own bonds and fields."""
-    values = spec.couplings.values
-    jv = values[plan.v_pos] * plan.v_sign
+    """(..., 2^W, length) Boltzmann weights of each column's own bonds and
+    fields, for coupling ``values`` of shape (..., n_edges) on the spec's
+    edge set (by default the spec's own)."""
+    values = spec.couplings.values if values is None else values
+    jv = values.take(plan.v_pos, axis=-1) * plan.v_sign
     col_expo = plan.sp_matrix @ jv
-    hfield = np.zeros((plan.width, plan.length))
+    hfield = np.zeros(values.shape[:-1] + (plan.width, plan.length))
     if plan.ghost_pos.size:
         np.add.at(
             hfield,
-            (plan.ghost_rc[:, 0], plan.ghost_rc[:, 1]),
-            values[plan.ghost_pos] * plan.ghost_tau,
+            (..., plan.ghost_rc[:, 0], plan.ghost_rc[:, 1]),
+            values.take(plan.ghost_pos, axis=-1) * plan.ghost_tau,
         )
     if extra_fields:
         for site, value in extra_fields.items():
@@ -565,7 +570,7 @@ def _column_weights(
                 raise ContainmentError(f"field site {site} not in region")
             c = site[plan.l_axis] - spec.region.origin[plan.l_axis]
             r = site[plan.t_axis] - spec.region.origin[plan.t_axis]
-            hfield[r, c] += float(value)
+            hfield[..., r, c] += float(value)
     if hfield.any():
         col_expo = col_expo + plan.s_matrix @ hfield
     return np.exp(spec.beta * col_expo)
@@ -573,49 +578,57 @@ def _column_weights(
 
 def _link(s: np.ndarray, couplings: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker factors ``(hi, lo)`` of the weight exp(beta sum_r J_r s_r s'_r)
-    of one column-to-column link, which is ``np.kron(hi, lo)``.
+    of one column-to-column link, which is ``np.kron(hi, lo)``; ``couplings``
+    of shape (..., W) give factors of shape (..., 2^(W-k), 2^(W-k)) and
+    (..., 2^k, 2^k), one pair per leading index.
 
     ``lo`` covers rows 0..k-1 and ``hi`` rows k..W-1, with k = W // 2: a state
     x of the column is ``x_hi * 2^k + x_lo``, and the first 2^m rows of
     ``s[:, :m]`` are the states of m rows.  Both factors are symmetric.
     """
-    k = couplings.size // 2
-    if 2 * k == couplings.size:  # equal halves: one exp over a (2, 2^k, 2^k) stack
+    k = couplings.shape[-1] // 2
+    if 2 * k == couplings.shape[-1]:  # equal halves: one exp over a (..., 2, 2^k, 2^k) stack
         t = s[: 1 << k, :k]
-        x = (t * (beta * couplings).reshape(2, 1, k)[::-1]) @ t.T
-        hi, lo = np.exp(x, out=x)
-        return hi, lo
+        x = (t * (beta * couplings).reshape(*couplings.shape[:-1], 2, 1, k)) @ t.T
+        x = np.exp(x, out=x)
+        return x[..., 1, :, :], x[..., 0, :, :]
 
     def factor(j: np.ndarray) -> np.ndarray:
-        t = s[: 1 << j.size, : j.size]
-        x = (t * (beta * j)) @ t.T
+        t = s[: 1 << j.shape[-1], : j.shape[-1]]
+        x = (t * (beta * j)[..., None, :]) @ t.T
         return np.exp(x, out=x)
 
-    return factor(couplings[k:]), factor(couplings[:k])
+    return factor(couplings[..., k:]), factor(couplings[..., :k])
 
 
 def _apply(env: np.ndarray, link: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``env @ np.kron(hi, lo)`` for a 2-D ``env``, as one small product per factor."""
+    """``env @ np.kron(hi, lo)`` for ``env`` of shape (..., 2^W), as one small
+    product per factor and row; the factors' leading axes broadcast against
+    those of ``env`` without its last (see :func:`_link`)."""
     hi, lo = link
-    rows = env.shape[0]
-    return np.matmul(hi, env.reshape(rows, hi.shape[0], lo.shape[0]) @ lo).reshape(rows, -1)
+    shape = env.shape
+    x = env.reshape(*shape[:-1], hi.shape[-1], lo.shape[-1]) @ lo
+    return np.matmul(hi, x).reshape(shape)
 
 
 def _link_rows(link: tuple[np.ndarray, np.ndarray], rows: int) -> np.ndarray:
-    """The first ``rows`` rows of ``np.kron(hi, lo)``, from one broadcast product."""
+    """The first ``rows`` rows of ``np.kron(hi, lo)``, from one broadcast
+    product, with the factors' leading axes in front."""
     hi, lo = link
-    h = rows // lo.shape[0]
-    return (hi[:h, None, :, None] * lo[None, :, None, :]).reshape(rows, -1)
+    h = rows // lo.shape[-1]
+    block = hi[..., :h, None, :, None] * lo[..., None, :, None, :]
+    return block.reshape(block.shape[:-4] + (rows, -1))
 
 
 _RANGE_ERROR = "transfer weights left the floating-point range at this beta"
 
 
-def _in_range(x: float) -> float:
-    """``x``, if it is positive and finite; otherwise the sweep left the range."""
-    if not 0.0 < x < math.inf:
+def _in_range(values: Sequence[float]) -> Sequence[float]:
+    """``values``, if every one is positive and finite; otherwise the sweep
+    left the range."""
+    if not all(0.0 < x < math.inf for x in values):
         raise ArithmeticError(_RANGE_ERROR)
-    return x
+    return values
 
 
 def _transfer_sweep(
@@ -624,15 +637,28 @@ def _transfer_sweep(
     extra_fields: Mapping[Site, float] | None = None,
     keep: bool = False,
     negated_close: bool = False,
-) -> tuple[tuple[float, ...], list[np.ndarray]]:
-    """Forward transfer product with per-column rescaling.
+    couplings: np.ndarray | None = None,
+) -> tuple[list[tuple[float, ...]], list[np.ndarray]]:
+    """Forward transfer product with per-column rescaling, for a stack of
+    coupling vectors over one plan.
 
-    Returns ((log Z,), environments).  Environment c is the rescaled product
-    of columns 0..c and the links between them, a 2-D array whose columns
-    are the states of column c and whose rows are the states of column 0
-    that the close still needs: one row on an open length axis, and on a
-    wrapped one 2^W rows, or 2^(W-1) when no field term breaks the global
-    spin flip.  The flip maps state x to ~x = 2^W-1-x and leaves every link
+    ``couplings`` is a (B, n_edges) coupling stack on the edge set of
+    ``spec``, the template that fixes the region, bc, beta and fields; by
+    default it is the spec's own values, B = 1.  Every array of the sweep
+    carries the stack as its leading axis, and each row's values are
+    bit-identical to a sweep of that row alone: the products are the same
+    per-row matrix products, and each row keeps its own rescale maxima and
+    ``math.log`` accumulator.  Returns (one tuple per row, environments);
+    the tuple is (log Z,), or with ``negated_close`` (log Z, log Z of the
+    second closing) as below.  Any row leaving the floating-point range
+    raises ``ArithmeticError`` for the whole stack.
+
+    Environment c is the rescaled product of columns 0..c and the links
+    between them, per row a 2-D array whose columns are the states of
+    column c and whose rows are the states of column 0 that the close still
+    needs: one row on an open length axis, and on a wrapped one 2^W rows,
+    or 2^(W-1) when no field term breaks the global spin flip in any row of
+    the stack.  The flip maps state x to ~x = 2^W-1-x and leaves every link
     (``M[~x, ~y] = M[x, y]``) and every field-free column weight unchanged,
     so the rows of the column-0 states with the top bit set are the others
     mirrored, ``env[~x, ~y] = env[x, y]``, and are not carried.  Every step
@@ -643,49 +669,60 @@ def _transfer_sweep(
     its trace against the closing link: 2^W / rows times the dot product of
     the carried rows with the same rows of that symmetric link.  With
     ``negated_close`` (a wrapped length axis only) the close is taken a
-    second time, against the closing link with its couplings negated, and
-    the first item is (log Z, log Z of that second closing).  Environments
-    are kept only with ``keep``; otherwise the list is empty.
+    second time, against the closing link with its couplings negated.
+    Environments, of shape (B, rows, 2^W), are kept only with ``keep``;
+    otherwise the list is empty.
     """
     width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
     beta = spec.beta
     s = plan.s_matrix
-    jh = spec.couplings.values[plan.h_pos] * plan.h_sign
+    values = spec.couplings.values[None] if couplings is None else couplings
+    jh = values.take(plan.h_pos, axis=-1) * plan.h_sign
     side = 1 << plan.width
 
-    acc = 0.0
+    maxima = np.empty((plan.length - 1, len(values), 1, 1))  # rescale of column c at c-1
     envs: list[np.ndarray] = []
     # overflow surfaces as an ArithmeticError from the range checks, never
     # as a numpy warning
     with np.errstate(all="ignore"):
-        d = _column_weights(spec, plan, extra_fields)
+        d = _column_weights(spec, plan, extra_fields, values)
         # the flip reverses the row order of the column weights, so a field
         # term shows as weights that are not even under it
-        rows = side // 2 if plan.wrap_l and np.array_equal(d, d[::-1]) else side
+        rows = side // 2 if plan.wrap_l and np.array_equal(d, d[:, ::-1]) else side
+        weights = d.transpose(2, 0, 1)[:, :, None]  # [c] is (B, 1, 2^W)
         # a wrapped axis starts from diag(d_0), applied to the first link as
         # row scaling
-        env = d[:rows, 0][:, None] if plan.wrap_l else d[:, 0][None, :]
+        env = d[:, :rows, None, 0] if plan.wrap_l else d[:, None, :, 0]
         if keep:
-            envs.append(np.eye(rows, side) * d[:, 0] if plan.wrap_l else env)
+            envs.append(np.eye(rows, side) * d[:, None, :, 0] if plan.wrap_l else env)
         for c in range(1, plan.length):
-            link = _link(s, jh[:, c - 1], beta)
-            env = env * _link_rows(link, rows) if plan.wrap_l and c == 1 else _apply(env, link)
-            env *= d[:, c]
-            m = _in_range(float(env.max()))
-            env /= m
-            acc += math.log(m)
+            hi, lo = _link(s, jh[..., c - 1], beta)
+            if plan.wrap_l and c == 1:
+                env = env * _link_rows((hi, lo), rows)
+            else:  # one link per stack row, shared by its carried rows
+                env = _apply(env, (hi[:, None], lo[:, None]))
+            env *= weights[c]
+            env /= env.max(axis=(1, 2), keepdims=True, out=maxima[c - 1])
             if keep:
                 envs.append(env)
         if plan.wrap_l:
-            closings = (jh[:, -1], -jh[:, -1]) if negated_close else (jh[:, -1],)
+            closings = (jh[..., -1], -jh[..., -1]) if negated_close else (jh[..., -1],)
             totals = [
-                (side // rows) * float(np.vdot(env, _link_rows(_link(s, j, beta), rows)))
+                [(side // rows) * float(np.vdot(e, r))
+                 for e, r in zip(env, _link_rows(_link(s, j, beta), rows))]
                 for j in closings
             ]
         else:
-            totals = [float(env.sum())]
-    return tuple(acc + math.log(_in_range(total)) for total in totals), envs
+            totals = [env.reshape(len(env), -1).sum(axis=1).tolist()]
+    logz = []
+    # each row sums its own logs in column order, as a one-row sweep does
+    for scales, ends in zip(maxima.reshape(plan.length - 1, len(values)).T.tolist(), zip(*totals)):
+        acc = 0.0
+        for m in _in_range(scales):
+            acc += math.log(m)
+        logz.append(tuple(acc + math.log(t) for t in _in_range(ends)))
+    return logz, envs
 
 
 def log_partition_transfer(
@@ -694,7 +731,7 @@ def log_partition_transfer(
     extra_fields: Mapping[Site, float] | None = None,
 ) -> float:
     """log Z via Kronecker-factored 2^W transfer links with per-column rescaling."""
-    (logz,), _ = _transfer_sweep(spec, width_cap=width_cap, extra_fields=extra_fields)
+    ((logz,),), _ = _transfer_sweep(spec, width_cap=width_cap, extra_fields=extra_fields)
     return logz
 
 
@@ -749,6 +786,55 @@ def _negated_close(spec: GibbsSpec, other: GibbsSpec, width_cap: int) -> bool:
     )
 
 
+def log_partition_pairs(
+    pairs: Sequence[tuple[GibbsSpec, GibbsSpec]],
+    method: str = "auto",
+    enum_cap: int | None = None,
+    width_cap: int | None = None,
+) -> list[tuple[float, float]]:
+    """(log Z of ``spec``, log Z of ``other``) for each pair, each value
+    bit-identical to a :func:`log_partition` call.
+
+    The transfer-resolved states that share (region, bc, beta) form one
+    coupling stack and go through one stacked sweep (see
+    :func:`_transfer_sweep`).  A pair whose two sweeps differ only in the
+    sign of the closing link's couplings (periodic vs antiperiodic with the
+    seam on the wrapped length axis, checked per pair) is one row of a
+    stack that closes the trace both ways.  To bound memory a stack is
+    swept in chunks whose environments hold at most ``2^_CHUNK_BITS``
+    doubles, and of at least one row each.  Enumeration runs one spec at a
+    time.
+    """
+    cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
+    out = [[0.0, 0.0] for _ in pairs]
+    # (region, bc, beta, closed both ways) -> [(state, pair index, slot)]
+    stacks: dict[tuple, list[tuple[GibbsSpec, int, int]]] = {}
+    for i, (spec, other) in enumerate(pairs):
+        if resolve_method(spec, method, width_cap) == "transfer" and _negated_close(
+            spec, other, cap
+        ):
+            stacks.setdefault((spec.region, spec.bc, spec.beta, True), []).append((spec, i, 0))
+            continue
+        for slot, state in enumerate((spec, other)):
+            if resolve_method(state, method, width_cap) == "transfer":
+                key = (state.region, state.bc, state.beta, False)
+                stacks.setdefault(key, []).append((state, i, slot))
+            else:
+                out[i][slot] = log_partition_enum(state, cap=enum_cap)
+    for (region, bc, _, negated), rows in stacks.items():
+        plan = _transfer_plan(region, bc, cap)
+        side = 1 << plan.width
+        step = max(1, (1 << _CHUNK_BITS) // ((side if plan.wrap_l else 1) * side))
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            stack = np.stack([state.couplings.values for state, _, _ in chunk])
+            logz, _ = _transfer_sweep(chunk[0][0], cap, negated_close=negated, couplings=stack)
+            # a row closed both ways fills both slots of its pair
+            for (_, i, slot), values in zip(chunk, logz):
+                out[i][slot : slot + len(values)] = values
+    return [tuple(values) for values in out]
+
+
 def log_partition_pair(
     spec: GibbsSpec,
     other: GibbsSpec,
@@ -756,21 +842,11 @@ def log_partition_pair(
     enum_cap: int | None = None,
     width_cap: int | None = None,
 ) -> tuple[float, float]:
-    """(log Z of ``spec``, log Z of ``other``).
-
-    When the two transfer sweeps differ only in the sign of the closing
-    link's couplings (periodic vs antiperiodic with the seam on the wrapped
-    length axis), one sweep closes the trace both ways; the values are
-    bit-identical to two :func:`log_partition` calls, which serve every
-    other pair.
-    """
-    if resolve_method(spec, method, width_cap) == "transfer":
-        cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
-        if _negated_close(spec, other, cap):
-            (logz, logz_other), _ = _transfer_sweep(spec, cap, negated_close=True)
-            return logz, logz_other
-    kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
-    return log_partition(spec, **kwargs), log_partition(other, **kwargs)
+    """(log Z of ``spec``, log Z of ``other``): :func:`log_partition_pairs`
+    of one pair, so a periodic/antiperiodic pair with the seam on the
+    wrapped length axis costs one sweep."""
+    (values,) = log_partition_pairs([(spec, other)], method, enum_cap, width_cap)
+    return values
 
 
 def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
@@ -797,6 +873,7 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     """
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
     _, envs = _transfer_sweep(spec, width_cap=width_cap, keep=True)
+    envs = [env[0] for env in envs]
     d = _column_weights(spec, plan)
     s, sp = plan.s_matrix, plan.sp_matrix
     jh = spec.couplings.values[plan.h_pos] * plan.h_sign

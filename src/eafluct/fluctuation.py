@@ -217,7 +217,8 @@ class EnsembleSpec:
 
     def f_values(self, configs: Sequence[CouplingConfig]) -> list[float]:
         """F of each config; pair mode makes one :func:`interface_free_energies`
-        call, which evaluates each distinct window-zeroed pair once."""
+        call, which evaluates each distinct window-zeroed pair once and sweeps
+        the configs' states as one coupling stack per boundary condition."""
         if self.mode == "domain-wall":
             return [self.f_from(config) for config in configs]
         pairs = [self.pair_from(config) for config in configs]

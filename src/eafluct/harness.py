@@ -176,6 +176,8 @@ def _pop_known(section: str, data: dict, fields: dict) -> None:
 
 
 def parse_config_dict(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(data).__name__}")
     data = dict(data)
     version = data.pop("schema_version", None)
     if version != SCHEMA_VERSION:
@@ -184,7 +186,10 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
     seed = data.pop("seed", None)
     fields: dict = {}
     for section in _SECTIONS:
-        _pop_known(section, dict(data.pop(section, {})), fields)
+        body = data.pop(section, {})
+        if not isinstance(body, dict):
+            raise ConfigError(f"config section {section!r} must be an object, got {body!r}")
+        _pop_known(section, dict(body), fields)
     if data:
         raise ConfigError(f"unknown top-level config keys: {sorted(data)}")
     cfg = ExperimentConfig(kind=kind, seed=seed, **fields)
@@ -206,8 +211,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_dict(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+    except ValueError as err:  # malformed JSON, or bytes that are not UTF-8
+        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+    return parse_config_dict(data)
 
 
 def dump_config(cfg: ExperimentConfig, path) -> None:
@@ -954,5 +965,13 @@ def report_from_file(path) -> dict:
     report_path = Path(path)
     if not report_path.exists():
         raise IncompleteRunError(f"no report at {report_path}")
-    with open(report_path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(report_path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except OSError as err:
+        raise IncompleteRunError(f"cannot read report {report_path}: {err}") from err
+    except ValueError as err:  # malformed JSON, or bytes that are not UTF-8
+        raise IncompleteRunError(f"report {report_path} is not valid JSON: {err}") from err
+    if not isinstance(report, dict):
+        raise IncompleteRunError(f"report {report_path} is not a JSON object")
+    return report

@@ -32,6 +32,7 @@ from .exactsolve import (
     exp_bond_observable,
     gibbs_expectation_enum,
     log_partition_pair,
+    log_partition_pairs,
     periodic_bc,
     resolve_method,
 )
@@ -224,27 +225,39 @@ def interface_free_energies(
     enum_cap: int | None = None,
     width_cap: int | None = None,
 ) -> list[FreeEnergyResult]:
-    """:func:`interface_free_energy` of each pair, bit for bit.  The zero
-    terms are keyed on the states, the window and the coupling values
-    outside it, which fix the window-zeroed couplings, so pairs that differ
-    only inside their windows (the prefixes of one conditioning path)
-    evaluate (Gamma0, Gamma'0) once, and build its zeroed couplings once."""
-    zero_terms: dict[tuple, tuple[float, float]] = {}
-    out = []
+    """:func:`interface_free_energy` of each pair, bit for bit.
+
+    Every log Z of the batch comes from one :func:`log_partition_pairs`
+    call, so the transfer-resolved states that share a region, bc and beta
+    are swept as one coupling stack: the (Gamma, Gamma') of the P prefixes
+    of one conditioning path and their one zeroed pair cost two stacked
+    sweeps of P + 1 rows.  The zero terms are keyed on the states, the
+    window and the coupling values outside it, which fix the window-zeroed
+    couplings, so pairs that differ only inside their windows evaluate
+    (Gamma0, Gamma'0) once, and build its zeroed couplings once."""
+    zero_index: dict[tuple, int] = {}
+    zeroed_pairs = []
+    zero_of = []
     for pair in pairs:
         g, gp = pair.gamma, pair.gamma_prime
-        resolved = resolve_method(g, method, width_cap)
-        kwargs = dict(method=resolved, enum_cap=enum_cap, width_cap=width_cap)
-        t_g, t_gp = log_partition_pair(g, gp, **kwargs)
         kept = [
             s.couplings.values[_outside_window(s.couplings.edge_set, pair.window)].tobytes()
             for s in (g, gp)
         ]
         key = (g.region, g.bc, gp.region, gp.bc, g.beta, pair.window, *kept)
-        if key not in zero_terms:
-            zeroed = (s.with_couplings(set_block(s.couplings, pair.window, ZERO)) for s in (g, gp))
-            zero_terms[key] = log_partition_pair(*zeroed, **kwargs)
-        t_g0, t_gp0 = zero_terms[key]
+        if key not in zero_index:
+            zero_index[key] = len(zeroed_pairs)
+            zeroed_pairs.append(tuple(
+                s.with_couplings(set_block(s.couplings, pair.window, ZERO)) for s in (g, gp)
+            ))
+        zero_of.append(zero_index[key])
+    terms = log_partition_pairs(
+        [(p.gamma, p.gamma_prime) for p in pairs] + zeroed_pairs, method, enum_cap, width_cap
+    )
+    out = []
+    for pair, (t_g, t_gp), z in zip(pairs, terms, zero_of):
+        g, gp = pair.gamma, pair.gamma_prime
+        t_g0, t_gp0 = terms[len(pairs) + z]
         seed = g.couplings.provenance.seed
         out.append(FreeEnergyResult(
             value=(t_g0 - t_g) - (t_gp0 - t_gp),
@@ -252,7 +265,7 @@ def interface_free_energies(
             log_z_gamma_zero=t_g0,
             log_z_gamma_prime=t_gp,
             log_z_gamma_prime_zero=t_gp0,
-            solver=resolved,
+            solver=resolve_method(g, method, width_cap),
             beta=pair.beta,
             bc_pair=(g.bc.label, gp.bc.label),
             margin=pair.margin,
@@ -270,9 +283,10 @@ def interface_free_energy(
     """F = log Gamma(exp beta H_window) - log Gamma'(exp beta H_window),
     via the exact partition-function-ratio identity.
 
-    The pairs (Gamma, Gamma') and (Gamma0, Gamma'0) each go through
-    :func:`log_partition_pair`, so a periodic/antiperiodic pair with the
-    seam on the transfer's length axis costs two sweeps, not four."""
+    The pairs (Gamma, Gamma') and (Gamma0, Gamma'0) go through one
+    :func:`log_partition_pairs` call: two stacked sweeps of two rows, or
+    for a periodic/antiperiodic pair with the seam on the transfer's length
+    axis one sweep of two rows, each closed both ways."""
     (result,) = interface_free_energies([pair], method, enum_cap, width_cap)
     return result
 

@@ -847,13 +847,14 @@ def test_zero_field_wrapped_sweeps_carry_half_the_rows():
     site = torus.region.sites[5]
     for fields, rows in ((None, side // 2), ({site: 0.0}, side // 2), ({site: 0.4}, side)):
         _, envs = exactsolve._transfer_sweep(torus, extra_fields=fields, keep=True)
-        assert [env.shape[0] for env in envs] == [rows] * len(envs)
+        # one stack row, carrying ``rows`` column-0 states
+        assert [env.shape[:2] for env in envs] == [(1, rows)] * len(envs)
         want = log_partition_enum(torus, extra_fields=fields)
         assert abs(log_partition_transfer(torus, extra_fields=fields) - want) <= 1e-9
     # an open length axis carries one row, with or without clamped ghosts
     for bc in (free_bc(), uniform_fixed_bc(Region((3, 4)), 1)):
         _, envs = exactsolve._transfer_sweep(make_spec((3, 4), None, bc, 1.0), keep=True)
-        assert [env.shape[0] for env in envs] == [1] * len(envs)
+        assert [env.shape[:2] for env in envs] == [(1, 1)] * len(envs)
 
 
 def test_torus_pair_sweep_holds_at_most_three_dense_links():
@@ -1033,3 +1034,121 @@ def test_factored_links_match_enumeration_on_every_bc(extents, beta):
         assert np.all(np.abs(transfer - enum) <= 1e-10), (extents, bc.label)
         if beta == 0.0:
             assert np.all(transfer == 0.0)
+
+
+# --- stacked sweeps ------------------------------------------------------------
+
+STACK_BOXES = [(a, b) for a in range(1, 7) for b in range(1, 7)] + [(10, 10)]
+
+
+def _row_sweeps(specs, negated_close=False):
+    """Hex log Z of each spec from one stacked sweep over the first spec's
+    plan, and from one sweep per spec."""
+    stack = np.stack([spec.couplings.values for spec in specs])
+    stacked, _ = exactsolve._transfer_sweep(
+        specs[0], negated_close=negated_close, couplings=stack
+    )
+    single = [exactsolve._transfer_sweep(spec, negated_close=negated_close)[0][0]
+              for spec in specs]
+    return [[v.hex() for v in row] for row in stacked], [[v.hex() for v in row] for row in single]
+
+
+@pytest.mark.parametrize("extents", STACK_BOXES)
+def test_stacked_sweep_rows_match_one_row_sweeps(extents):
+    for wrap, bc in _every_bc(extents):
+        for beta in (0.0, 0.7, 3.0):
+            specs = [make_spec(extents, wrap, bc, beta, seed=14, realization=k) for k in range(3)]
+            stacked, single = _row_sweeps(specs)
+            assert stacked == single, (bc.label, beta)
+            if exactsolve._transfer_plan(specs[0].region, bc, 12).wrap_l:
+                # both closings of a negated-close stack
+                stacked, single = _row_sweeps(specs, negated_close=True)
+                assert stacked == single, (bc.label, beta)
+                assert all(len(row) == 2 for row in stacked)
+
+
+def test_log_partition_pairs_equals_one_call_per_pair_on_a_mixed_batch(monkeypatch):
+    box = Region((4, 4))
+    torus = Region((4, 4), (True, True))
+    a = sample_couplings(Gaussian(), interior_edges(torus), SeedSpec(15, 0, "test"))
+    b = sample_couplings(Gaussian(), interior_edges(torus), SeedSpec(15, 1, "test"))
+    length_axis = exactsolve._transfer_plan(torus, periodic_bc(), 12).l_axis
+    strip = Region((3, 5))
+    fixed = uniform_fixed_bc(strip, -1)
+    pairs = [
+        (GibbsSpec(box, a, 1.0, free_bc()), GibbsSpec(torus, a, 1.0, periodic_bc())),
+        (GibbsSpec(box, b, 1.0, free_bc()), GibbsSpec(torus, b, 1.0, periodic_bc())),
+        # shares one sweep, closed both ways
+        (GibbsSpec(torus, b, 1.0, periodic_bc()),
+         GibbsSpec(torus, b, 1.0, antiperiodic_bc(length_axis))),
+        # no transfer in three dimensions
+        (make_spec((2, 2, 2), None, free_bc(), 1.0), make_spec((2, 2, 2), None, free_bc(), 0.5)),
+        (make_spec((3, 5), None, free_bc(), 1.0), make_spec((3, 5), None, fixed, 1.0)),
+    ]
+    want = [log_partition_pair(*pair) for pair in pairs]
+    assert want == [(log_partition(g), log_partition(gp)) for g, gp in pairs]
+    assert resolve_method(pairs[3][0]) == "enum"
+    stacks = []
+    original = exactsolve._transfer_sweep
+
+    def counting(spec, *args, **kwargs):
+        stacks.append((spec.region, spec.bc.label, len(kwargs["couplings"])))
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
+    assert exactsolve.log_partition_pairs(pairs) == want
+    assert stacks == [
+        (box, "free", 2),
+        (torus, "periodic", 2),
+        (torus, "periodic", 1),
+        (strip, "free", 1),
+        (strip, "fixed", 1),
+    ]
+    assert exactsolve.log_partition_pairs([]) == []
+
+
+def test_a_stack_with_one_overflowing_row_is_loud_and_silent():
+    # single sweeps of this box already fail at beta 400; rows of zero
+    # couplings alone stay in range
+    spec = make_spec((6, 6), (False, False), free_bc(), 400.0)
+    zeros = np.zeros_like(spec.couplings.values)
+    rows, _ = exactsolve._transfer_sweep(spec, couplings=np.stack([zeros, zeros]))
+    assert rows == [(pytest.approx(36 * math.log(2.0), rel=1e-15, abs=0),)] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError):
+            log_partition_transfer(spec)
+        with pytest.raises(ArithmeticError):
+            exactsolve._transfer_sweep(
+                spec, couplings=np.stack([zeros, spec.couplings.values, zeros])
+            )
+
+
+def test_a_torus_batch_sweeps_one_row_at_a_time_within_the_pair_bound(monkeypatch):
+    # a 10x10 torus environment fills a chunk: four pairs cost four one-row
+    # sweeps and peak no higher than one pair does
+    region = Region((10, 10), (True, True))
+    pairs = []
+    for k in range(4):
+        couplings = sample_couplings(Gaussian(), interior_edges(region), SeedSpec(16, k, "t"))
+        pairs.append((GibbsSpec(region, couplings, 1.0, periodic_bc()),
+                      GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))))
+    want = [log_partition_pair(*pair) for pair in pairs]  # warms the caches
+    tracemalloc.start()
+    try:
+        got = exactsolve.log_partition_pairs(pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 16 * 2**20
+    stacks = []
+    original = exactsolve._transfer_sweep
+
+    def counting(*args, **kwargs):
+        stacks.append(len(kwargs["couplings"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
+    exactsolve.log_partition_pairs(pairs)
+    assert stacks == [1] * 4

@@ -215,29 +215,31 @@ def test_lotv_equals_per_prefix_reference_across_the_window_edge():
 
 def test_block_martingale_costs_2p_plus_2_sweeps_per_inner_draw(monkeypatch):
     # 4 blocks: 5 path prefixes and 3 singles, 8 pairs plus one shared zero
-    # pair per inner draw, after the 4 sweeps of F itself
-    sweeps = []
+    # pair per inner draw, after the 4 swept rows of F itself; each batch is
+    # one stacked sweep per state
+    stacks = []
     original = exactsolve._transfer_sweep
 
     def counting(*args, **kwargs):
-        sweeps.append(1)
+        stacks.append(len(kwargs["couplings"]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
     spec = spec_4x4_in_6x6(n=1)
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
     block_martingale_realization(spec, cond, 0)
-    assert len(sweeps) == 4 + 2 * (2 * 8 + 2)
+    assert sum(stacks) == 4 + 2 * (2 * 8 + 2)
+    assert sorted(stacks) == [2, 2] + [8 + 1] * (2 * 2)
 
 
 def test_block_martingale_evaluates_one_zero_pair_per_inner_draw(monkeypatch):
     # per inner draw: 8 pairs and one window-zeroed pair, whose couplings are
-    # built once; F itself adds one of each
-    calls = count_calls(monkeypatch, interface, ("set_block", "log_partition_pair"))
+    # built once, in one batch; F itself adds one of each
+    calls = count_calls(monkeypatch, interface, ("set_block", "log_partition_pairs"))
     spec = spec_4x4_in_6x6(n=1)
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
     block_martingale_realization(spec, cond, 0)
-    assert calls == {"set_block": 2 * (1 + 2), "log_partition_pair": 2 + 2 * (8 + 1)}
+    assert calls == {"set_block": 2 * (1 + 2), "log_partition_pairs": 1 + 2}
 
 
 # --- block martingale ----------------------------------------------------------

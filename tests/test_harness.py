@@ -656,6 +656,47 @@ def test_cli_subcommand_overrides_config_kind(tmp_path):
     assert report_from_file(tmp_path / "report.json")["kind"] == "ensemble"
 
 
+BAD_CONFIG_FILES = {
+    "missing": None,
+    "malformed": '{"schema_version": 1, "kind": ',
+    "list": "[1, 2]",
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_FILES)
+def test_unreadable_config_file_is_a_config_error(tmp_path, case):
+    path = tmp_path / "cfg.json"
+    if BAD_CONFIG_FILES[case] is not None:
+        path.write_text(BAD_CONFIG_FILES[case])
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_FILES)
+def test_cli_reports_an_unreadable_config_file(tmp_path, capsys, case):
+    path = tmp_path / "cfg.json"
+    if BAD_CONFIG_FILES[case] is not None:
+        path.write_text(BAD_CONFIG_FILES[case])
+    assert main(["fe", "-c", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("section, body", [("geometry", 5), ("geometry", [1]), ("physics", "x")])
+def test_config_section_that_is_not_an_object_is_a_config_error(tmp_path, section, body):
+    with pytest.raises(ConfigError, match=f"section '{section}' must be an object"):
+        parse_config_dict(base_config(tmp_path, **{section: body}))
+
+
+@pytest.mark.parametrize("text", ['{"kind": "fe", ', "[1, 2]"])
+def test_unreadable_report_is_an_incomplete_run_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(IncompleteRunError):
+        report_from_file(path)
+    assert main(["report", "--report", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_digest_stable(tmp_path):
     cfg = parse_config_dict(base_config(tmp_path))
     assert config_digest(cfg) == config_digest(parse_config_dict(config_to_dict(cfg)))

@@ -415,8 +415,12 @@ def test_batch_zero_key_edits_the_window_only_when_it_misses(monkeypatch):
                for _ in range(4)]
     pairs = [make_state_pair((6, 6), (4, 4), 1.0, free_bc(), periodic_bc(), c) for c in configs]
     want = [interface_free_energy(p) for p in pairs]
-    calls = count_calls(monkeypatch, interface, ("set_block", "log_partition_pair"))
+    calls = count_calls(monkeypatch, interface, ("set_block", "log_partition_pairs"))
     got = interface_free_energies(pairs)
     assert [r.to_record() for r in got] == [r.to_record() for r in want]
     assert [r.value.hex() for r in got] == [r.value.hex() for r in want]
-    assert calls == {"set_block": 2, "log_partition_pair": len(pairs) + 1}
+    assert calls == {"set_block": 2, "log_partition_pairs": 1}
+
+
+def test_an_empty_batch_has_no_free_energies():
+    assert interface_free_energies([]) == []

@@ -58,5 +58,26 @@ def test_tracer_counts_the_martingale_layers(tmp_path):
     metrics = json.loads(done.stdout.splitlines()[-1])
     for layer in ("disorder.edit", "interface.pair", "fluctuation.f"):
         assert metrics[f"{layer}.calls"] > 0, layer
-    # 2 realizations x (4 sweeps of F + 2 inner draws x (2 prefixes x 2 + 2))
-    assert metrics["exactsolve.transfer.sweeps"] == 32
+    # one traced sweep per stacked call: 2 realizations x (2 for F + 2 inner
+    # draws x 2), each a stack per state (32 rows, see test_fluctuation.py)
+    assert metrics["exactsolve.transfer.sweeps"] == 12
+
+
+def test_the_traced_martingale_run_sweeps_32_rows(tmp_path, monkeypatch):
+    # the same run in process: its 12 stacked sweeps carry the 32 rows that
+    # were 32 separate sweeps, 2 realizations x (4 of F + 2 inner draws x
+    # (2 prefixes x 2 + 2))
+    from eafluct import exactsolve, harness
+
+    stacks = []
+    original = exactsolve._transfer_sweep
+
+    def counting(*args, **kwargs):
+        stacks.append(len(kwargs["couplings"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
+    monkeypatch.chdir(tmp_path)
+    harness.run(harness.parse_config_dict(CONFIG), workers=1)
+    assert len(stacks) == 12
+    assert sum(stacks) == 32
