@@ -765,15 +765,10 @@ def log_partition(
     return log_partition_enum(spec, cap=enum_cap, extra_fields=extra_fields)
 
 
-def _negated_close(spec: GibbsSpec, other: GibbsSpec, width_cap: int) -> bool:
-    """Whether ``other``'s transfer sweep is ``spec``'s with only the closing
-    link's couplings negated: same region, beta and coupling values, and
-    plans that differ only in the sign of the last column of ``h_sign``
-    (an antiperiodic seam on the wrapped length axis)."""
-    if spec.region != other.region or spec.beta != other.beta:
-        return False
-    p = _transfer_plan(spec.region, spec.bc, width_cap)
-    q = _transfer_plan(other.region, other.bc, width_cap)
+def _negated_close(p: _TransferPlan, q: _TransferPlan) -> bool:
+    """Whether plan ``q``'s sweep is plan ``p``'s with only the closing
+    link's couplings negated: plans that differ only in the sign of the last
+    column of ``h_sign`` (an antiperiodic seam on the wrapped length axis)."""
     return (
         p.wrap_l
         and np.array_equal(p.v_pos, q.v_pos)
@@ -781,58 +776,53 @@ def _negated_close(spec: GibbsSpec, other: GibbsSpec, width_cap: int) -> bool:
         and np.array_equal(p.h_pos, q.h_pos)
         and np.array_equal(p.h_sign[:, :-1], q.h_sign[:, :-1])
         and np.array_equal(p.h_sign[:, -1], -q.h_sign[:, -1])
-        # a wrapped region has no clamped ghosts, so both carry its interior edges
-        and np.array_equal(spec.couplings.values, other.couplings.values)
     )
 
 
 def log_partition_pairs(
-    pairs: Sequence[tuple[GibbsSpec, GibbsSpec]],
+    spec: GibbsSpec,
+    other: GibbsSpec,
+    values: np.ndarray,
+    other_values: np.ndarray,
     method: str = "auto",
     enum_cap: int | None = None,
     width_cap: int | None = None,
-) -> list[tuple[float, float]]:
-    """(log Z of ``spec``, log Z of ``other``) for each pair, each value
-    bit-identical to a :func:`log_partition` call.
+) -> np.ndarray:
+    """(B, 2) array of (log Z of ``spec``, log Z of ``other``) with their
+    couplings replaced by each row of the (B, n_edges) stacks ``values`` and
+    ``other_values``, each value bit-identical to a :func:`log_partition`
+    call on that row.
 
-    The transfer-resolved states that share (region, bc, beta) form one
-    coupling stack and go through one stacked sweep (see
-    :func:`_transfer_sweep`).  A pair whose two sweeps differ only in the
-    sign of the closing link's couplings (periodic vs antiperiodic with the
-    seam on the wrapped length axis, checked per pair) is one row of a
-    stack that closes the trace both ways.  To bound memory a stack is
-    swept in chunks whose environments hold at most ``2^_CHUNK_BITS``
-    doubles, and of at least one row each.  Enumeration runs one spec at a
-    time.
+    Each transfer-resolved state sweeps its stack as one coupling stack (see
+    :func:`_transfer_sweep`).  When the two sweeps differ only in the sign
+    of the closing link's couplings (periodic vs antiperiodic with the seam
+    on the wrapped length axis) and the stacks are equal, one sweep closes
+    the trace both ways.  To bound memory a stack is swept in chunks whose
+    environments hold at most ``2^_CHUNK_BITS`` doubles, and of at least one
+    row each.  Enumeration runs row by row.
     """
     cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
-    out = [[0.0, 0.0] for _ in pairs]
-    # (region, bc, beta, closed both ways) -> [(state, pair index, slot)]
-    stacks: dict[tuple, list[tuple[GibbsSpec, int, int]]] = {}
-    for i, (spec, other) in enumerate(pairs):
-        if resolve_method(spec, method, width_cap) == "transfer" and _negated_close(
-            spec, other, cap
-        ):
-            stacks.setdefault((spec.region, spec.bc, spec.beta, True), []).append((spec, i, 0))
+    engines = [resolve_method(state, method, width_cap) for state in (spec, other)]
+    out = np.empty((len(values), 2))
+    sweeps = [(spec, values, 0, False), (other, other_values, 1, False)]
+    if "enum" not in engines and spec.beta == other.beta and np.array_equal(values, other_values):
+        if _negated_close(*(_transfer_plan(s.region, s.bc, cap) for s in (spec, other))):
+            sweeps = [(spec, values, 0, True)]
+    for state, stack, slot, negated in sweeps:
+        if engines[slot] == "enum":
+            for r, row in enumerate(stack):
+                config = state.couplings.with_values(row, "stacked")
+                out[r, slot] = log_partition_enum(state.with_couplings(config), cap=enum_cap)
             continue
-        for slot, state in enumerate((spec, other)):
-            if resolve_method(state, method, width_cap) == "transfer":
-                key = (state.region, state.bc, state.beta, False)
-                stacks.setdefault(key, []).append((state, i, slot))
-            else:
-                out[i][slot] = log_partition_enum(state, cap=enum_cap)
-    for (region, bc, _, negated), rows in stacks.items():
-        plan = _transfer_plan(region, bc, cap)
+        plan = _transfer_plan(state.region, state.bc, cap)
         side = 1 << plan.width
         step = max(1, (1 << _CHUNK_BITS) // ((side if plan.wrap_l else 1) * side))
-        for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
-            stack = np.stack([state.couplings.values for state, _, _ in chunk])
-            logz, _ = _transfer_sweep(chunk[0][0], cap, negated_close=negated, couplings=stack)
-            # a row closed both ways fills both slots of its pair
-            for (_, i, slot), values in zip(chunk, logz):
-                out[i][slot : slot + len(values)] = values
-    return [tuple(values) for values in out]
+        for start in range(0, len(stack), step):
+            chunk = stack[start : start + step]
+            logz, _ = _transfer_sweep(state, cap, negated_close=negated, couplings=chunk)
+            # a stack closed both ways fills both columns
+            out[start : start + len(chunk), slot : slot + len(logz[0])] = logz
+    return out
 
 
 def log_partition_pair(
@@ -843,10 +833,11 @@ def log_partition_pair(
     width_cap: int | None = None,
 ) -> tuple[float, float]:
     """(log Z of ``spec``, log Z of ``other``): :func:`log_partition_pairs`
-    of one pair, so a periodic/antiperiodic pair with the seam on the
-    wrapped length axis costs one sweep."""
-    (values,) = log_partition_pairs([(spec, other)], method, enum_cap, width_cap)
-    return values
+    of the specs' own couplings, so a periodic/antiperiodic pair with the
+    seam on the wrapped length axis costs one sweep."""
+    stacks = (spec.couplings.values[None], other.couplings.values[None])
+    (values,) = log_partition_pairs(spec, other, *stacks, method, enum_cap, width_cap).tolist()
+    return tuple(values)
 
 
 def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:

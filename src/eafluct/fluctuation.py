@@ -25,7 +25,6 @@ from .disorder import (
     CouplingDistribution,
     SeedSpec,
     edge_positions,
-    overlay,
     sample_couplings,
     set_block,
     translate_couplings,
@@ -45,15 +44,17 @@ from .exactsolve import (
     exp_bond_observable,
     free_bc,
     log_partition,
+    log_partition_pairs,
     periodic_bc,
     reweight,
     reweight_expectation,
+    uniform_fixed_bc,
 )
 from .interface import (
     FreeEnergyResult,
     StatePair,
     domain_wall_free_energy,
-    interface_free_energies,
+    free_energy_terms,
     interface_free_energy,
     make_state_pair,
     master_edge_set,
@@ -78,37 +79,53 @@ BOOTSTRAP_DEFAULT = 1000
 
 def _resampled(
     n: int,
-    statistic: Callable[[np.ndarray], float],
+    statistic: Callable[[np.ndarray], np.ndarray],
     n_resamples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """``statistic(idx)`` for each of ``n_resamples`` bootstrap index arrays
-    of length ``n``, all drawn at once: the same draws, in the same order,
-    as one ``rng.integers(0, n, size=n)`` call per resample."""
+    """``statistic(draws)`` for the (n_resamples, n) matrix ``draws`` of
+    bootstrap index arrays, one per row, drawn at once: the same draws, in
+    the same order, as one ``rng.integers(0, n, size=n)`` call per
+    resample.  ``statistic`` returns one value per row."""
     draws = rng.integers(0, n, size=(n_resamples, n))
-    return np.array([statistic(idx) for idx in draws], dtype=np.float64)
+    return np.asarray(statistic(draws), dtype=np.float64)
+
+
+def _var_rows(v: np.ndarray) -> np.ndarray:
+    """Sample variance of each resample of an (R, n) stack."""
+    return v.var(axis=1, ddof=1)
+
+
+def _mean_rows(v: np.ndarray) -> np.ndarray:
+    """Mean of each resample of an (R, n) stack."""
+    return v.mean(axis=1)
 
 
 def bootstrap_stderr(
     values: np.ndarray,
-    statistic: Callable[[np.ndarray], float],
+    statistic: Callable[[np.ndarray], np.ndarray],
     n_resamples: int,
     rng: np.random.Generator,
 ) -> float:
+    """Bootstrap standard error of ``statistic``, which maps the
+    (n_resamples, n, ...) stack of resamples of ``values`` to one value per
+    resample (along axis 1)."""
     values = np.asarray(values)
-    stats = _resampled(len(values), lambda idx: statistic(values[idx]), n_resamples, rng)
+    stats = _resampled(len(values), lambda draws: statistic(values[draws]), n_resamples, rng)
     return float(stats.std(ddof=1))
 
 
 def bootstrap_ci(
     values: np.ndarray,
-    statistic: Callable[[np.ndarray], float],
+    statistic: Callable[[np.ndarray], np.ndarray],
     n_resamples: int,
     rng: np.random.Generator,
     level: float = 0.95,
 ) -> tuple[float, float]:
+    """Percentile bootstrap interval of ``statistic``, batched as in
+    :func:`bootstrap_stderr`."""
     values = np.asarray(values)
-    stats = _resampled(len(values), lambda idx: statistic(values[idx]), n_resamples, rng)
+    stats = _resampled(len(values), lambda draws: statistic(values[draws]), n_resamples, rng)
     lo = (1.0 - level) / 2.0
     return float(np.quantile(stats, lo)), float(np.quantile(stats, 1.0 - lo))
 
@@ -215,15 +232,25 @@ class EnsembleSpec:
     def f_value(self, i: int) -> float:
         return self.f_from(self.master(i))
 
-    def f_values(self, configs: Sequence[CouplingConfig]) -> list[float]:
-        """F of each config; pair mode makes one :func:`interface_free_energies`
-        call, which evaluates each distinct window-zeroed pair once and sweeps
-        the configs' states as one coupling stack per boundary condition."""
+    def f_stack(self, template: CouplingConfig, values: np.ndarray) -> np.ndarray:
+        """F of ``template`` with its couplings replaced by each row of the
+        (B, n_edges) stack ``values`` on its edge set, each bit-identical to
+        :meth:`f_from` of that row.  Each state's columns are gathered once,
+        and every log Z comes from one :func:`free_energy_terms` (pair mode)
+        or :func:`log_partition_pairs` (domain-wall mode) call."""
         if self.mode == "domain-wall":
-            return [self.f_from(config) for config in configs]
-        pairs = [self.pair_from(config) for config in configs]
-        results = interface_free_energies(pairs, self.solver, self.enum_cap, self.width_cap)
-        return [r.value for r in results]
+            bcs = (self.bc, self.bc_prime)
+            states = [GibbsSpec(self.window_region, template, self.beta, bc) for bc in bcs]
+        else:
+            pair = self.pair_from(template)
+            states = [pair.gamma, pair.gamma_prime]
+        stacks = [values[:, edge_positions(template.edge_set, s.couplings.edge_set)] for s in states]
+        solver = (self.solver, self.enum_cap, self.width_cap)
+        if self.mode == "domain-wall":
+            t = log_partition_pairs(*states, *stacks, *solver)
+            return t[:, 0] - t[:, 1]
+        t = free_energy_terms(pair, *stacks, *solver)
+        return (t[:, 1] - t[:, 0]) - (t[:, 3] - t[:, 2])
 
     def to_record(self) -> dict:
         return {
@@ -289,9 +316,9 @@ def variance_report_from_values(
         raise ValueError("variance needs at least two realizations")
     rng = SeedSpec(master_seed, 0, "bootstrap").rng()
     var = float(arr.var(ddof=1))
-    stderr = bootstrap_stderr(arr, lambda v: v.var(ddof=1), n_boot, rng)
+    stderr = bootstrap_stderr(arr, _var_rows, n_boot, rng)
     mean = float(arr.mean())
-    mean_stderr = bootstrap_stderr(arr, np.mean, n_boot, rng)
+    mean_stderr = bootstrap_stderr(arr, _mean_rows, n_boot, rng)
     if var == 0.0:
         flags = flags + ("degenerate",)
     return VarianceReport(
@@ -456,13 +483,20 @@ def _conditional_path(
 
     The same inner resample stream is reused for every prefix (common
     random numbers), which is what makes successive differences quiet.
-    All prefixes of one inner draw go through one :meth:`EnsembleSpec.f_values`
-    call, so they share the draw's window-zeroed terms.
+    Each inner draw is one (P, n_edges) coupling stack, a row per prefix
+    holding ``held_master``'s values on the prefix's edges, and goes through
+    one :meth:`EnsembleSpec.f_stack` call, so its prefixes share the draw's
+    window-zeroed terms.
     """
+    positions = [edge_positions(master_edge_set(spec.box_extents), e) for e in prefixes]
+    held = [held_master.values[edge_positions(held_master.edge_set, e)] for e in prefixes]
     out = np.empty((n_outer, len(prefixes)))
     for t in range(n_outer):
         inner = spec.inner_master(i, t, purpose)
-        out[t] = spec.f_values([overlay(inner, held_master, e) if e else inner for e in prefixes])
+        rows = np.tile(inner.values, (len(prefixes), 1))
+        for row, pos, value in zip(rows, positions, held):
+            row[pos] = value
+        out[t] = spec.f_stack(inner, rows)
     return out
 
 
@@ -511,14 +545,14 @@ def block_martingale_report(
     rng = SeedSpec(spec.master_seed, 0, "bootstrap").rng()
     gap_stats = _resampled(
         len(rows),
-        lambda idx: f_vals[idx].var(ddof=1) - deltas[idx].var(axis=0, ddof=1).sum(),
+        lambda draws: _var_rows(f_vals[draws]) - deltas[draws].var(axis=1, ddof=1).sum(axis=1),
         n_boot,
         rng,
     )
     gap = var_f - sum_var_deltas
     gap_stderr = float(gap_stats.std(ddof=1))
     block_var_stderr = [
-        bootstrap_stderr(block_means[:, k], lambda v: v.var(ddof=1), n_boot, rng)
+        bootstrap_stderr(block_means[:, k], _var_rows, n_boot, rng)
         for k in range(n_blocks)
     ]
 
@@ -789,7 +823,7 @@ def mgf_report_from_values(
     for t in t_values:
         x = np.exp(t * g_vals / n_boundary)
         emp = float(x.mean())
-        se = bootstrap_stderr(x, np.mean, n_boot, rng)
+        se = bootstrap_stderr(x, _mean_rows, n_boot, rng)
         bound = math.exp(4.0 * spec.beta * t * nu_abs)
         bound_normalized = math.exp(4.0 * spec.beta * t)
         rows.append(
@@ -858,7 +892,7 @@ def probe_report_from_rows(
     for eps in epsilons:
         dens = (np.abs(dmat) > eps).mean(axis=1)
         mean = float(dens.mean())
-        lo, hi = bootstrap_ci(dens, np.mean, n_boot, rng)
+        lo, hi = bootstrap_ci(dens, _mean_rows, n_boot, rng)
         density_rows.append(
             {"epsilon": float(eps), "density": mean, "ci95": [lo, hi]}
         )
@@ -916,21 +950,21 @@ def gaussian_sum_variance_identity(
     boot_rng = SeedSpec(seed, 0, "var-identity-boot").rng()
     report = {
         "var_direct": float(direct.var(ddof=1)),
-        "var_direct_stderr": bootstrap_stderr(direct, lambda v: v.var(ddof=1), n_boot, boot_rng),
+        "var_direct_stderr": bootstrap_stderr(direct, _var_rows, n_boot, boot_rng),
         "e_var_given": e_var,
         "e_var_given_stderr": bootstrap_stderr(
-            inner_var, np.mean, n_boot, boot_rng
+            inner_var, _mean_rows, n_boot, boot_rng
         ),
         "var_e_given": var_e,
         "var_e_given_stderr": bootstrap_stderr(
             np.stack([inner_mean, inner_var], axis=1),
-            lambda m: m[:, 0].var(ddof=1) - m[:, 1].mean() / n_inner,
+            lambda m: _var_rows(m[:, :, 0]) - _mean_rows(m[:, :, 1]) / n_inner,
             n_boot,
             boot_rng,
         ),
         "sym_var": sym,
         "sym_var_stderr": bootstrap_stderr(
-            (x - x_prime) ** 2 / 2.0, np.mean, n_boot, boot_rng
+            (x - x_prime) ** 2 / 2.0, _mean_rows, n_boot, boot_rng
         ),
         "expected": {"var": 2.0, "e_var_given": 1.0, "var_e_given": 1.0},
     }
@@ -968,26 +1002,21 @@ def conditioned_variance_identity(
     var_e = float(inner_mean.var(ddof=1) - e_var / n_outer)
     rhs = e_var + var_e
     rng = SeedSpec(spec.master_seed, 0, "lotv-bootstrap").rng()
-    lhs_se = bootstrap_stderr(f_direct, lambda v: v.var(ddof=1), n_boot, rng)
+    lhs_se = bootstrap_stderr(f_direct, _var_rows, n_boot, rng)
     stacked = np.stack([f_direct, inner_mean, inner_var], axis=1)
 
-    def gap_stat(m: np.ndarray) -> float:
-        return m[:, 0].var(ddof=1) - (
-            m[:, 2].mean() + m[:, 1].var(ddof=1) - m[:, 2].mean() / n_outer
-        )
+    def rhs_stat(m: np.ndarray) -> np.ndarray:
+        return _mean_rows(m[:, :, 2]) + _var_rows(m[:, :, 1]) - _mean_rows(m[:, :, 2]) / n_outer
 
-    rhs_se = bootstrap_stderr(
-        stacked,
-        lambda m: m[:, 2].mean() + m[:, 1].var(ddof=1) - m[:, 2].mean() / n_outer,
-        n_boot,
-        rng,
-    )
+    rhs_se = bootstrap_stderr(stacked, rhs_stat, n_boot, rng)
     # lhs and rhs share the underlying realizations; bootstrap the gap jointly
-    combined = bootstrap_stderr(stacked, gap_stat, n_boot, rng)
+    combined = bootstrap_stderr(
+        stacked, lambda m: _var_rows(m[:, :, 0]) - rhs_stat(m), n_boot, rng
+    )
     half = n // 2
     sym = float(((f_direct[:half] - f_direct[half : 2 * half]) ** 2).mean() / 2.0)
     sym_se = bootstrap_stderr(
-        (f_direct[:half] - f_direct[half : 2 * half]) ** 2 / 2.0, np.mean, n_boot, rng
+        (f_direct[:half] - f_direct[half : 2 * half]) ** 2 / 2.0, _mean_rows, n_boot, rng
     )
     return {
         "var_direct": lhs,
@@ -1039,14 +1068,26 @@ def check_scaling(
     scaling_margin(box_extents, window_extents, window_sizes)
 
 
+def _rescaled_bc(bc: BoundaryCondition, box: tuple[int, ...]) -> BoundaryCondition:
+    """``bc`` on ``box``: a fixed bc clamps the new box's ghost ring to its
+    one sign, and one with both signs raises :class:`ConfigError`."""
+    signs = {spin for _, spin in bc.fixed_spins}  # empty unless bc is fixed
+    if len(signs) > 1:
+        raise ConfigError("only a fixed boundary condition of one sign can be rescaled")
+    return uniform_fixed_bc(Region(box), signs.pop()) if signs else bc
+
+
 def scaling_sub_spec(spec_template: EnsembleSpec, window_size: int) -> EnsembleSpec:
     """The template rescaled to one window size, keeping the margin."""
     box, window = spec_template.box_extents, spec_template.window_extents
     margin = scaling_margin(box, window, (window_size,))
+    new_box = (window_size + margin,) * len(box)
     return replace(
         spec_template,
         window_extents=(window_size,) * len(box),
-        box_extents=(window_size + margin,) * len(box),
+        box_extents=new_box,
+        bc=_rescaled_bc(spec_template.bc, new_box),
+        bc_prime=_rescaled_bc(spec_template.bc_prime, new_box),
     )
 
 

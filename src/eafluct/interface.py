@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .disorder import ZERO, CouplingConfig, SeedSpec, edge_positions, sample_couplings, set_block
+from .disorder import CouplingConfig, SeedSpec, edge_positions, sample_couplings
 from .errors import PairError, UnsupportedOperationError
 from .exactsolve import (
     BoundaryCondition,
@@ -209,69 +208,37 @@ class FreeEnergyResult:
         )
 
 
-@lru_cache(maxsize=None)
-def _outside_window(edge_set: EdgeSet, window: Region) -> np.ndarray:
-    """Positions in ``edge_set`` of every edge that zeroing ``window`` keeps."""
-    kept = np.ones(len(edge_set), dtype=bool)
-    kept[edge_positions(edge_set, interior_edges(window))] = False
-    positions = np.flatnonzero(kept)
-    positions.flags.writeable = False
-    return positions
-
-
-def interface_free_energies(
-    pairs: Sequence[StatePair],
+def free_energy_terms(
+    pair: StatePair,
+    values: np.ndarray,
+    other_values: np.ndarray,
     method: str = "auto",
     enum_cap: int | None = None,
     width_cap: int | None = None,
-) -> list[FreeEnergyResult]:
-    """:func:`interface_free_energy` of each pair, bit for bit.
+) -> np.ndarray:
+    """(B, 4) array of (log Z_Gamma, log Z_Gamma0, log Z_Gamma', log Z_Gamma'0)
+    for the pair with its states' couplings replaced by each row of the
+    (B, n_edges) stacks ``values`` and ``other_values``; the *0 terms zero
+    the window couplings.  Each value is bit-identical to a
+    :func:`~eafluct.exactsolve.log_partition` call on that row.
 
-    Every log Z of the batch comes from one :func:`log_partition_pairs`
-    call, so the transfer-resolved states that share a region, bc and beta
-    are swept as one coupling stack: the (Gamma, Gamma') of the P prefixes
-    of one conditioning path and their one zeroed pair cost two stacked
-    sweeps of P + 1 rows.  The zero terms are keyed on the states, the
-    window and the coupling values outside it, which fix the window-zeroed
-    couplings, so pairs that differ only inside their windows evaluate
-    (Gamma0, Gamma'0) once, and build its zeroed couplings once."""
-    zero_index: dict[tuple, int] = {}
-    zeroed_pairs = []
-    zero_of = []
-    for pair in pairs:
-        g, gp = pair.gamma, pair.gamma_prime
-        kept = [
-            s.couplings.values[_outside_window(s.couplings.edge_set, pair.window)].tobytes()
-            for s in (g, gp)
-        ]
-        key = (g.region, g.bc, gp.region, gp.bc, g.beta, pair.window, *kept)
-        if key not in zero_index:
-            zero_index[key] = len(zeroed_pairs)
-            zeroed_pairs.append(tuple(
-                s.with_couplings(set_block(s.couplings, pair.window, ZERO)) for s in (g, gp)
-            ))
-        zero_of.append(zero_index[key])
-    terms = log_partition_pairs(
-        [(p.gamma, p.gamma_prime) for p in pairs] + zeroed_pairs, method, enum_cap, width_cap
-    )
-    out = []
-    for pair, (t_g, t_gp), z in zip(pairs, terms, zero_of):
-        g, gp = pair.gamma, pair.gamma_prime
-        t_g0, t_gp0 = terms[len(pairs) + z]
-        seed = g.couplings.provenance.seed
-        out.append(FreeEnergyResult(
-            value=(t_g0 - t_g) - (t_gp0 - t_gp),
-            log_z_gamma=t_g,
-            log_z_gamma_zero=t_g0,
-            log_z_gamma_prime=t_gp,
-            log_z_gamma_prime_zero=t_gp0,
-            solver=resolve_method(g, method, width_cap),
-            beta=pair.beta,
-            bc_pair=(g.bc.label, gp.bc.label),
-            margin=pair.margin,
-            seed=seed.to_record() if seed is not None else None,
-        ))
-    return out
+    Rows whose zeroed couplings agree (the prefixes of one conditioning
+    path, which differ only inside the window) share one zeroed row, found
+    by its bytes.  The rows and the distinct zeroed rows go through one
+    :func:`log_partition_pairs` call, so each transfer-resolved state sweeps
+    one stack of B + (distinct zeroed) rows."""
+    states, stacks = (pair.gamma, pair.gamma_prime), (values, other_values)
+    zeroed = [stack.copy() for stack in stacks]
+    for state, z in zip(states, zeroed):
+        z[:, edge_positions(state.couplings.edge_set, pair.window_edges)] = 0.0
+    index: dict[bytes, int] = {}
+    zero_of = [index.setdefault(a.tobytes() + b.tobytes(), len(index)) for a, b in zip(*zeroed)]
+    firsts = np.unique(zero_of, return_index=True)[1]
+    stacks = [np.concatenate([stack, z[firsts]]) for stack, z in zip(stacks, zeroed)]
+    terms = log_partition_pairs(*states, *stacks, method, enum_cap, width_cap)
+    n = len(values)
+    zero = terms[n:][zero_of]
+    return np.column_stack([terms[:n, 0], zero[:, 0], terms[:n, 1], zero[:, 1]])
 
 
 def interface_free_energy(
@@ -283,12 +250,27 @@ def interface_free_energy(
     """F = log Gamma(exp beta H_window) - log Gamma'(exp beta H_window),
     via the exact partition-function-ratio identity.
 
-    The pairs (Gamma, Gamma') and (Gamma0, Gamma'0) go through one
-    :func:`log_partition_pairs` call: two stacked sweeps of two rows, or
-    for a periodic/antiperiodic pair with the seam on the transfer's length
-    axis one sweep of two rows, each closed both ways."""
-    (result,) = interface_free_energies([pair], method, enum_cap, width_cap)
-    return result
+    :func:`free_energy_terms` of the pair's own couplings: two stacked
+    sweeps of two rows, or for a periodic/antiperiodic pair with the seam on
+    the transfer's length axis one sweep of two rows, each closed both ways."""
+    g, gp = pair.gamma, pair.gamma_prime
+    stacks = (g.couplings.values[None], gp.couplings.values[None])
+    ((t_g, t_g0, t_gp, t_gp0),) = free_energy_terms(
+        pair, *stacks, method, enum_cap, width_cap
+    ).tolist()
+    seed = g.couplings.provenance.seed
+    return FreeEnergyResult(
+        value=(t_g0 - t_g) - (t_gp0 - t_gp),
+        log_z_gamma=t_g,
+        log_z_gamma_zero=t_g0,
+        log_z_gamma_prime=t_gp,
+        log_z_gamma_prime_zero=t_gp0,
+        solver=resolve_method(g, method, width_cap),
+        beta=pair.beta,
+        bc_pair=(g.bc.label, gp.bc.label),
+        margin=pair.margin,
+        seed=seed.to_record() if seed is not None else None,
+    )
 
 
 def interface_free_energy_direct(pair: StatePair, enum_cap: int | None = None) -> float:

@@ -79,23 +79,6 @@ def brute_correlation(spec, edge):
     return brute_expectation(spec, lambda s: s[edge.x] * s[edge.y])
 
 
-def count_calls(monkeypatch, module, names):
-    """Count the calls of each named function of ``module`` from now on; the
-    returned dict fills as they happen."""
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, original):
-        def run(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return run
-
-    for name in names:
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    return calls
-
-
 @pytest.fixture
 def gaussian():
     from eafluct.disorder import Gaussian

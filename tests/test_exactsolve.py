@@ -764,18 +764,43 @@ def test_one_sweep_per_domain_wall_with_the_seam_on_the_length_axis(
     assert sweeps == ["periodic", f"antiperiodic[seam={1 - length_axis}]"]
 
 
-def test_shared_route_needs_matching_specs():
+def _stacked_sweeps(monkeypatch):
+    """The coupling-stack length of each transfer sweep from now on."""
+    stacks = []
+    original = exactsolve._transfer_sweep
+
+    def counting(*args, **kwargs):
+        stacks.append(len(kwargs["couplings"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
+    return stacks
+
+
+def test_shared_route_needs_matching_specs(monkeypatch):
     region, couplings = _torus((4, 4), 5)
     p = GibbsSpec(region, couplings, 1.0, periodic_bc())
     ap = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
     other_beta = GibbsSpec(region, couplings, 2.0, antiperiodic_bc(0))
     other_couplings = ap.with_couplings(couplings.with_values(-couplings.values, "negated"))
-    assert exactsolve._negated_close(p, ap, exactsolve.TRANSFER_WIDTH_CAP)
-    assert exactsolve._negated_close(ap, p, exactsolve.TRANSFER_WIDTH_CAP)
-    for other in (p, other_beta, other_couplings, GibbsSpec(region, couplings, 1.0,
-                                                            antiperiodic_bc(1))):
-        assert not exactsolve._negated_close(p, other, exactsolve.TRANSFER_WIDTH_CAP)
-        assert log_partition_pair(p, other) == (log_partition(p), log_partition(other))
+
+    def plan(spec):
+        return exactsolve._transfer_plan(spec.region, spec.bc, exactsolve.TRANSFER_WIDTH_CAP)
+
+    assert exactsolve._negated_close(plan(p), plan(ap))
+    assert exactsolve._negated_close(plan(ap), plan(p))
+    assert not exactsolve._negated_close(plan(p), plan(p))
+    assert not exactsolve._negated_close(plan(p), plan(GibbsSpec(region, couplings, 1.0,
+                                                                antiperiodic_bc(1))))
+    others = (ap, p, other_beta, other_couplings, GibbsSpec(region, couplings, 1.0,
+                                                           antiperiodic_bc(1)))
+    want = [(log_partition(p), log_partition(other)) for other in others]
+    stacks = _stacked_sweeps(monkeypatch)
+    for other, values, sweeps in zip(others, want, [[1]] + [[1, 1]] * 4):
+        # one sweep closed both ways only for matching plans, beta and stacks
+        stacks.clear()
+        assert log_partition_pair(p, other) == values
+        assert stacks == sweeps
     with pytest.raises(ValueError, match="unknown solver method"):
         log_partition_pair(p, ap, method="exact")
 
@@ -1067,7 +1092,7 @@ def test_stacked_sweep_rows_match_one_row_sweeps(extents):
                 assert all(len(row) == 2 for row in stacked)
 
 
-def test_log_partition_pairs_equals_one_call_per_pair_on_a_mixed_batch(monkeypatch):
+def test_log_partition_pairs_equals_one_call_per_row_for_each_kind_of_pair(monkeypatch):
     box = Region((4, 4))
     torus = Region((4, 4), (True, True))
     a = sample_couplings(Gaussian(), interior_edges(torus), SeedSpec(15, 0, "test"))
@@ -1075,36 +1100,35 @@ def test_log_partition_pairs_equals_one_call_per_pair_on_a_mixed_batch(monkeypat
     length_axis = exactsolve._transfer_plan(torus, periodic_bc(), 12).l_axis
     strip = Region((3, 5))
     fixed = uniform_fixed_bc(strip, -1)
-    pairs = [
-        (GibbsSpec(box, a, 1.0, free_bc()), GibbsSpec(torus, a, 1.0, periodic_bc())),
-        (GibbsSpec(box, b, 1.0, free_bc()), GibbsSpec(torus, b, 1.0, periodic_bc())),
-        # shares one sweep, closed both ways
-        (GibbsSpec(torus, b, 1.0, periodic_bc()),
-         GibbsSpec(torus, b, 1.0, antiperiodic_bc(length_axis))),
+    cube = [make_spec((2, 2, 2), None, free_bc(), beta, realization=k)
+            for k in range(2) for beta in (1.0, 0.5)]
+    strips = [(make_spec((3, 5), None, free_bc(), 1.0, realization=k),
+               make_spec((3, 5), None, fixed, 1.0, realization=k)) for k in range(2)]
+    batches = [
+        ([(GibbsSpec(box, c, 1.0, free_bc()), GibbsSpec(torus, c, 1.0, periodic_bc()))
+          for c in (a, b)], [2, 2]),
+        # one sweep, closed both ways
+        ([(GibbsSpec(torus, c, 1.0, periodic_bc()),
+           GibbsSpec(torus, c, 1.0, antiperiodic_bc(length_axis))) for c in (a, b)], [2]),
         # no transfer in three dimensions
-        (make_spec((2, 2, 2), None, free_bc(), 1.0), make_spec((2, 2, 2), None, free_bc(), 0.5)),
-        (make_spec((3, 5), None, free_bc(), 1.0), make_spec((3, 5), None, fixed, 1.0)),
+        ([(cube[0], cube[1]), (cube[2], cube[3])], []),
+        (strips, [2, 2]),
     ]
-    want = [log_partition_pair(*pair) for pair in pairs]
-    assert want == [(log_partition(g), log_partition(gp)) for g, gp in pairs]
-    assert resolve_method(pairs[3][0]) == "enum"
-    stacks = []
-    original = exactsolve._transfer_sweep
-
-    def counting(spec, *args, **kwargs):
-        stacks.append((spec.region, spec.bc.label, len(kwargs["couplings"])))
-        return original(spec, *args, **kwargs)
-
-    monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
-    assert exactsolve.log_partition_pairs(pairs) == want
-    assert stacks == [
-        (box, "free", 2),
-        (torus, "periodic", 2),
-        (torus, "periodic", 1),
-        (strip, "free", 1),
-        (strip, "fixed", 1),
-    ]
-    assert exactsolve.log_partition_pairs([]) == []
+    assert resolve_method(cube[0]) == "enum"
+    wants = [[(log_partition(g), log_partition(gp)) for g, gp in pairs] for pairs, _ in batches]
+    stacks = _stacked_sweeps(monkeypatch)
+    for (pairs, sweeps), want in zip(batches, wants):
+        assert [log_partition_pair(*pair) for pair in pairs] == want
+        stacks.clear()
+        got = exactsolve.log_partition_pairs(
+            *pairs[0], *(np.stack([pair[k].couplings.values for pair in pairs]) for k in (0, 1))
+        )
+        assert got.shape == (2, 2)
+        assert got.tolist() == [list(w) for w in want]
+        assert stacks == sweeps
+    spec, other = pairs[0]
+    empty = (np.empty((0, len(spec.couplings.values))), np.empty((0, len(other.couplings.values))))
+    assert exactsolve.log_partition_pairs(spec, other, *empty).shape == (0, 2)
 
 
 def test_a_stack_with_one_overflowing_row_is_loud_and_silent():
@@ -1133,22 +1157,16 @@ def test_a_torus_batch_sweeps_one_row_at_a_time_within_the_pair_bound(monkeypatc
         couplings = sample_couplings(Gaussian(), interior_edges(region), SeedSpec(16, k, "t"))
         pairs.append((GibbsSpec(region, couplings, 1.0, periodic_bc()),
                       GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))))
-    want = [log_partition_pair(*pair) for pair in pairs]  # warms the caches
+    want = [list(log_partition_pair(*pair)) for pair in pairs]  # warms the caches
+    stack = np.stack([spec.couplings.values for spec, _ in pairs])
     tracemalloc.start()
     try:
-        got = exactsolve.log_partition_pairs(pairs)
+        got = exactsolve.log_partition_pairs(*pairs[0], stack, stack)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got == want
+    assert got.tolist() == want
     assert peak <= 16 * 2**20
-    stacks = []
-    original = exactsolve._transfer_sweep
-
-    def counting(*args, **kwargs):
-        stacks.append(len(kwargs["couplings"]))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
-    exactsolve.log_partition_pairs(pairs)
+    stacks = _stacked_sweeps(monkeypatch)
+    exactsolve.log_partition_pairs(*pairs[0], stack, stack)
     assert stacks == [1] * 4

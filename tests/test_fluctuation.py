@@ -4,12 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import count_calls
 
 from eafluct import exactsolve, interface
 from eafluct.disorder import Gaussian, SeedSpec, Uniform, overlay, set_block
-from eafluct.errors import BoundViolationError, EafluctError
-from eafluct.exactsolve import antiperiodic_bc, free_bc, periodic_bc, uniform_fixed_bc
+from eafluct.errors import BoundViolationError, ConfigError, EafluctError
+from eafluct.exactsolve import antiperiodic_bc, fixed_bc, free_bc, periodic_bc, uniform_fixed_bc
 from eafluct.fluctuation import (
     BlockConditioning,
     EnsembleSpec,
@@ -185,6 +184,36 @@ def test_conditional_path_equals_per_prefix_reference_across_the_window_edge():
     assert np.array_equal(path, per_prefix_reference(spec, 1, held, prefixes, 3, "test"))
 
 
+# (mode, bc, bc_prime, solver) of a 4x4 box: pair mode with a 2x2 window
+# under stacks swept apart, clamped, closed both ways or enumerated, and
+# domain-wall mode with its seam on the transfer's length axis or enumerated
+STACK_CASES = [
+    ("pair", free_bc(), periodic_bc(), "auto"),
+    ("pair", periodic_bc(), antiperiodic_bc(0), "auto"),
+    ("pair", periodic_bc(), antiperiodic_bc(1), "auto"),
+    ("pair", free_bc(), uniform_fixed_bc(Region((4, 4)), +1), "auto"),
+    ("pair", free_bc(), periodic_bc(), "enum"),
+    ("domain-wall", periodic_bc(), antiperiodic_bc(0), "auto"),
+    ("domain-wall", periodic_bc(), antiperiodic_bc(1), "enum"),
+]
+
+
+@pytest.mark.parametrize("mode, bc, bc_prime, solver", STACK_CASES)
+def test_conditional_path_equals_overlay_and_f_from_row_by_row(mode, bc, bc_prime, solver):
+    window = (4, 4) if mode == "domain-wall" else (2, 2)
+    spec = EnsembleSpec(Gaussian(), (4, 4), window, 1.0, bc, bc_prime, 2, 31,
+                        mode=mode, solver=solver)
+    edges = tuple(spec.window_edge_set)
+    crossing = tuple(interior_edges(Region((2, 3), None, (1, 0))))
+    prefixes = [(), edges[:2], crossing, edges, edges[:2] + crossing, edges[1:3]]
+    held = spec.master(1)
+    path = _conditional_path(spec, 1, held, prefixes, 3, "stack")
+    for t, row in enumerate(path.tolist()):
+        inner = spec.inner_master(1, t, "stack")
+        ref = [spec.f_from(overlay(inner, held, e) if e else inner) for e in prefixes]
+        assert [v.hex() for v in row] == [v.hex() for v in ref], (t, row, ref)
+
+
 def test_direct_route_equals_per_draw_reference_across_the_window_edge():
     spec = spec_3x3_in_5x5(n=2)
     rng = SeedSpec(57, 0, "jb").rng()
@@ -233,13 +262,20 @@ def test_block_martingale_costs_2p_plus_2_sweeps_per_inner_draw(monkeypatch):
 
 
 def test_block_martingale_evaluates_one_zero_pair_per_inner_draw(monkeypatch):
-    # per inner draw: 8 pairs and one window-zeroed pair, whose couplings are
-    # built once, in one batch; F itself adds one of each
-    calls = count_calls(monkeypatch, interface, ("set_block", "log_partition_pairs"))
+    # per inner draw: 8 prefix rows and one window-zeroed row per state, in
+    # one log_partition_pairs call; F itself adds one row of each
+    rows = []
+    original = interface.log_partition_pairs
+
+    def counting(spec, other, values, other_values, *args):
+        rows.append((len(values), len(other_values)))
+        return original(spec, other, values, other_values, *args)
+
+    monkeypatch.setattr(interface, "log_partition_pairs", counting)
     spec = spec_4x4_in_6x6(n=1)
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
     block_martingale_realization(spec, cond, 0)
-    assert calls == {"set_block": 2 * (1 + 2), "log_partition_pairs": 1 + 2}
+    assert rows == [(8 + 1, 8 + 1)] * 2 + [(1 + 1, 1 + 1)]
 
 
 # --- block martingale ----------------------------------------------------------
@@ -546,6 +582,23 @@ def test_scaling_golden_run_emits_fits_with_ci():
     assert "not certifiable" in rep["note"]
 
 
+def test_fixed_bc_templates_rescale_by_their_one_sign():
+    # every window size clamps its own box's ghost ring; a fixed bc of both
+    # signs has no rule to carry to another box
+    template = spec_3x3_in_5x5(n=3, bc_prime=uniform_fixed_bc(Region((5, 5)), -1))
+    for size in (2, 3, 4):
+        sub = scaling_sub_spec(template, size)
+        assert sub.bc_prime == uniform_fixed_bc(Region((size + 2,) * 2), -1)
+        assert sub.bc == template.bc
+    rep = lindeberg_diagnostic(template, [2, 3, 4], n=2, n_outer=2)
+    assert [row["window_size"] for row in rep["rows"]] == [2, 3, 4]
+    ring = uniform_fixed_bc(Region((5, 5)), +1).fixed_map()
+    ring[min(ring)] = -1
+    mixed = replace(template, bc_prime=fixed_bc(ring))
+    with pytest.raises(ConfigError, match="one sign"):
+        scaling_sub_spec(mixed, 2)
+
+
 def test_scaling_needs_three_sizes():
     with pytest.raises(ValueError):
         variance_scaling(spec_3x3_in_5x5(n=4), [2, 3])
@@ -643,13 +696,14 @@ def test_bootstrap_draws_equal_one_draw_per_resample(n, n_resamples):
     batched = SeedSpec(5, 0, "bootstrap").rng()
     sequential = SeedSpec(5, 0, "bootstrap").rng()
     stats = [values[sequential.integers(0, n, size=n)].var(ddof=1) for _ in range(n_resamples)]
-    assert bootstrap_stderr(values, lambda v: v.var(ddof=1), n_resamples, batched) == float(
+    # a statistic maps the (R, n) stack of resamples to one value per row
+    assert bootstrap_stderr(values, lambda v: v.var(axis=1, ddof=1), n_resamples, batched) == float(
         np.std(stats, ddof=1)
     )
     # the stream is left where the sequential draws leave it
     assert batched.integers(0, 2**62) == sequential.integers(0, 2**62)
     means = [values[sequential.integers(0, n, size=n)].mean() for _ in range(n_resamples)]
     tail = (1.0 - 0.95) / 2.0
-    assert bootstrap_ci(values, np.mean, n_resamples, batched) == (
+    assert bootstrap_ci(values, lambda v: v.mean(axis=1), n_resamples, batched) == (
         float(np.quantile(means, tail)), float(np.quantile(means, 1.0 - tail))
     )

@@ -28,6 +28,8 @@ from eafluct.harness import (
     task_count,
     write_csv_reports,
 )
+from eafluct.exactsolve import uniform_fixed_bc
+from eafluct.fluctuation import scaling_sub_spec
 from eafluct.interface import domain_wall_free_energy
 from eafluct.lattice import Region
 
@@ -441,6 +443,20 @@ def test_scaling_records_carry_size_and_replicate(tmp_path):
         for s, size in enumerate([2, 3, 4])
         for i in range(2)
     }
+
+
+def test_scaling_with_a_fixed_bc_runs_at_every_window_size(tmp_path):
+    # the fixed bc is clamped on each size's own box, not the template's
+    data = base_config(tmp_path, kind="scaling", sampling={"n": 3, "bootstrap": 20},
+                       physics={"bc_prime": "fixed:+1"})
+    data["geometry"] = {"box": [6, 6], "window": [2, 2], "window_sizes": [2, 3, 4]}
+    cfg = parse_config_dict(data)
+    rows = run(cfg)["summary"]["rows"]
+    assert [(r["window_size"], r["n"]) for r in rows] == [(2, 3), (3, 3), (4, 3)]
+    spec = harness.ensemble_spec_from_config(cfg)
+    sub = scaling_sub_spec(spec, 4)
+    assert sub.bc_prime == uniform_fixed_bc(Region((8, 8)), +1)
+    assert all(r["variance"] > 0.0 for r in rows)
 
 
 def test_oracle_verify_records_carry_geometry_bc_beta_and_replicate(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import brute_correlation, count_calls
+from conftest import brute_correlation
 
 from eafluct import exactsolve, interface
 from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_block
@@ -21,7 +21,6 @@ from eafluct.interface import (
     correlation_difference,
     domain_wall_free_energy,
     free_energy_gradient,
-    interface_free_energies,
     interface_free_energy,
     interface_free_energy_direct,
     make_state_pair,
@@ -377,36 +376,60 @@ def test_periodic_antiperiodic_pair_equals_four_log_partition_calls(extents, sea
     assert result.value == (terms[1] - terms[0]) - (terms[3] - terms[2])
 
 
-def test_batch_equals_one_call_per_pair_on_mixed_pairs():
-    # pairs in one batch that share a window-zeroed pair (the first two, whose
-    # masters differ only inside the window) and pairs that must not: other
-    # couplings outside the window, other boundary conditions, a shared sweep
+def _stacks(pairs):
+    """The pairs' coupling stacks, one row per pair, on the first pair's states."""
+    return (np.stack([p.gamma.couplings.values for p in pairs]),
+            np.stack([p.gamma_prime.couplings.values for p in pairs]))
+
+
+def _count_rows(monkeypatch):
+    rows = []
+    original = interface.log_partition_pairs
+
+    def counting(spec, other, values, other_values, *args):
+        rows.append((len(values), len(other_values)))
+        return original(spec, other, values, other_values, *args)
+
+    monkeypatch.setattr(interface, "log_partition_pairs", counting)
+    return rows
+
+
+def test_batch_equals_one_call_per_pair_on_mixed_pairs(monkeypatch):
+    # rows of one stack that share a window-zeroed row (the first two, whose
+    # masters differ only inside the window) and one that must not (other
+    # couplings outside the window), under boundary-condition pairs that
+    # sweep two stacks, clamp a ghost ring, or share one sweep closed both
+    # ways, by transfer and by enumeration
     master = sample_master(Gaussian(), (4, 4), SeedSpec(4, 0, "couplings"))
     window = Region((2, 2), None, (1, 1))
     inside = set_block(master, window, {e: 0.25 for e in interior_edges(window)})
     other = sample_master(Gaussian(), (4, 4), SeedSpec(4, 1, "couplings"))
     fixed = uniform_fixed_bc(Region((4, 4)))
-    pairs = [
-        make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), master),
-        make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), inside),
-        make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), other),
-        make_state_pair((4, 4), (2, 2), 1.0, free_bc(), fixed, master),
-        make_state_pair((4, 4), (2, 2), 1.0, periodic_bc(), antiperiodic_bc(0), master),
-        make_state_pair((4, 4), (2, 2), 1.0, periodic_bc(), antiperiodic_bc(0), other),
-    ]
-    shared = pairs[-1]
+    rows = _count_rows(monkeypatch)
+    for bc, bc_prime in ((free_bc(), periodic_bc()), (free_bc(), fixed),
+                         (periodic_bc(), antiperiodic_bc(0))):
+        pairs = [make_state_pair((4, 4), (2, 2), 1.0, bc, bc_prime, c)
+                 for c in (master, inside, other)]
+        for method in ("transfer", "enum"):
+            want = [interface_free_energy(p, method=method) for p in pairs]
+            rows.clear()
+            terms = interface.free_energy_terms(pairs[0], *_stacks(pairs), method=method)
+            assert rows == [(3 + 2, 3 + 2)]
+            assert terms.tolist() == [
+                [r.log_z_gamma, r.log_z_gamma_zero, r.log_z_gamma_prime, r.log_z_gamma_prime_zero]
+                for r in want
+            ]
+            assert terms[0, 1] == terms[1, 1] and terms[0, 3] == terms[1, 3]
+            assert terms[0, 1] != terms[2, 1]
+    g, gp = pairs[0].gamma, pairs[0].gamma_prime
     cap = exactsolve.TRANSFER_WIDTH_CAP
-    assert exactsolve._negated_close(shared.gamma, shared.gamma_prime, cap)
-    for method in ("transfer", "enum"):
-        results = interface_free_energies(pairs, method=method)
-        assert results == [interface_free_energy(p, method=method) for p in pairs]
-        assert results[0].log_z_gamma_zero == results[1].log_z_gamma_zero
-        assert results[0].log_z_gamma_zero != results[2].log_z_gamma_zero
+    assert exactsolve._negated_close(exactsolve._transfer_plan(g.region, g.bc, cap),
+                                     exactsolve._transfer_plan(gp.region, gp.bc, cap))
 
 
-def test_batch_zero_key_edits_the_window_only_when_it_misses(monkeypatch):
+def test_term_stack_sweeps_one_zeroed_row_for_the_prefixes_of_one_draw(monkeypatch):
     # four prefixes of one draw: the same couplings outside the window, new
-    # values inside it; one zeroed pair serves them all
+    # values inside it; one zeroed row serves them all
     master = sample_master(Gaussian(), (6, 6), SeedSpec(9, 0, "couplings"))
     window = Region((4, 4), None, (1, 1))
     edges = interior_edges(window)
@@ -415,12 +438,16 @@ def test_batch_zero_key_edits_the_window_only_when_it_misses(monkeypatch):
                for _ in range(4)]
     pairs = [make_state_pair((6, 6), (4, 4), 1.0, free_bc(), periodic_bc(), c) for c in configs]
     want = [interface_free_energy(p) for p in pairs]
-    calls = count_calls(monkeypatch, interface, ("set_block", "log_partition_pairs"))
-    got = interface_free_energies(pairs)
-    assert [r.to_record() for r in got] == [r.to_record() for r in want]
-    assert [r.value.hex() for r in got] == [r.value.hex() for r in want]
-    assert calls == {"set_block": 2, "log_partition_pairs": 1}
+    rows = _count_rows(monkeypatch)
+    t = interface.free_energy_terms(pairs[0], *_stacks(pairs))
+    assert rows == [(4 + 1, 4 + 1)]
+    got = (t[:, 1] - t[:, 0]) - (t[:, 3] - t[:, 2])
+    assert [v.hex() for v in got.tolist()] == [r.value.hex() for r in want]
+    assert len(set(t[:, 1].tolist())) == len(set(t[:, 3].tolist())) == 1
 
 
 def test_an_empty_batch_has_no_free_energies():
-    assert interface_free_energies([]) == []
+    pair = pair_4x4()
+    stacks = (np.empty((0, len(pair.gamma.couplings.values))),
+              np.empty((0, len(pair.gamma_prime.couplings.values))))
+    assert interface.free_energy_terms(pair, *stacks).shape == (0, 4)
