@@ -13,7 +13,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import EafluctError
+from .errors import EafluctError, IncompleteRunError
 from .harness import (
     KINDS,
     load_config,
@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_run_parser(sub, kind)
     rp = sub.add_parser("report", help="emit CSV summaries from a finished run")
     rp.add_argument("--report", required=True, help="report JSON produced by a run")
-    rp.add_argument("--out-dir", default=".", help="directory for the CSV files")
+    rp.add_argument("--out-dir", default=None,
+                    help="directory for the CSV files (default: the report's output.csv_dir)")
     return parser
 
 
@@ -54,7 +55,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "report":
             report = report_from_file(args.report)
-            for path in write_csv_reports(report, args.out_dir):
+            out_dir = args.out_dir
+            if out_dir is None:
+                try:
+                    out_dir = report["config"]["output"]["csv_dir"]
+                except (KeyError, TypeError):
+                    msg = "report names no output.csv_dir; pass --out-dir"
+                    raise IncompleteRunError(msg) from None
+            for path in write_csv_reports(report, out_dir):
                 print(path)
             return 0
         cfg = load_config(args.config)

@@ -13,7 +13,12 @@ links are unscaled ``exp(beta * energy)``: it raises ``ArithmeticError`` from
 a beta of about 120-230 (3x3 Gaussian box), where ``method="enum"`` serves.
 Boundary conditions: free, periodic, antiperiodic
 (seam bonds sign-flipped, per wrapped axis), and fixed (clamped ghost sites
-just outside the region, attached by their own sampled couplings).  Fixed
+just outside the region, attached by their own sampled couplings).  A fixed
+bc is a rule, one sign for the ghost ring of whatever region it is resolved
+against (:func:`uniform_fixed_bc`), or an explicit ring that fits one region
+(:func:`fixed_bc`).  What a bc means on a region is decided once, in a cached
+term table per (region, bc): each edge's seam sign, the in-region bonds, and
+the ghost bonds as site fields.  Both engines read that table.  Fixed
 boundary terms enter the Gibbs weights but are not part of the window
 Hamiltonian reported by :func:`energy`.
 """
@@ -64,12 +69,15 @@ class BoundaryCondition:
     kinds: ``free`` (open box), ``periodic`` (torus), ``antiperiodic``
     (torus with the wrap bonds of each seam axis sign-flipped; several seam
     axes give the doubled antiperiodic variants), ``fixed`` (open box with
-    every adjacent ghost site clamped to +-1).
+    every adjacent ghost site clamped to +-1).  A fixed bc is either a rule,
+    one ``sign`` for the ghost ring of whatever region it is resolved
+    against, or an explicit ring of ``fixed_spins`` that fits one region.
     """
 
     kind: str
     seam_axes: tuple[int, ...] = ()
     fixed_spins: tuple[tuple[Site, int], ...] = ()
+    sign: int = 0
 
     def __post_init__(self):
         if self.kind not in ("free", "periodic", "antiperiodic", "fixed"):
@@ -78,20 +86,13 @@ class BoundaryCondition:
             raise ValueError("antiperiodic boundary condition needs at least one seam axis")
         if self.kind != "antiperiodic" and self.seam_axes:
             raise ValueError("seam axes only apply to antiperiodic boundary conditions")
-        if self.kind != "fixed" and self.fixed_spins:
+        if self.kind != "fixed" and (self.fixed_spins or self.sign):
             raise ValueError("fixed spin assignments only apply to fixed boundary conditions")
-        if any(v not in (-1, 1) for _, v in self.fixed_spins):
+        if self.sign and self.fixed_spins:
+            raise ValueError("a fixed boundary condition is a sign or an explicit ring, not both")
+        if self.sign not in (-1, 0, 1) or any(v not in (-1, 1) for _, v in self.fixed_spins):
             raise ValueError("fixed boundary spins must be +-1")
         object.__setattr__(self, "fixed_spins", tuple(sorted(self.fixed_spins)))
-        object.__setattr__(self, "_hash", hash((self.kind, self.seam_axes, self.fixed_spins)))
-
-    def __hash__(self) -> int:
-        # computed once: a fixed bc keys two caches per GibbsSpec by its ghost spins
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild rather than copy it
-        return BoundaryCondition, (self.kind, self.seam_axes, self.fixed_spins)
 
     def validate_for(self, region: Region) -> None:
         if self.kind == "free" and not region.fully_open:
@@ -121,14 +122,19 @@ class BoundaryCondition:
             return f"antiperiodic[seam={axes}]"
         return self.kind
 
-    def fixed_map(self) -> dict[Site, int]:
+    def fixed_map(self, region: Region) -> dict[Site, int]:
+        """The clamped spin of each ghost site of ``region``: the rule's sign
+        on its ghost ring, or the explicit ring (empty unless fixed)."""
+        if self.sign:
+            return dict.fromkeys(ghost_sites(region), self.sign)
         return dict(self.fixed_spins)
 
 
 @lru_cache(maxsize=None)
 def _covers_ghost_ring(bc: BoundaryCondition, region: Region) -> bool:
-    """Whether ``bc`` clamps exactly the ghost sites adjacent to ``region``."""
-    return {s for s, _ in bc.fixed_spins} == set(ghost_sites(region))
+    """Whether ``bc`` clamps exactly the ghost sites adjacent to ``region``:
+    a rule does on every region."""
+    return bool(bc.sign) or {s for s, _ in bc.fixed_spins} == set(ghost_sites(region))
 
 
 def free_bc() -> BoundaryCondition:
@@ -147,9 +153,11 @@ def fixed_bc(spins: Mapping[Site, int]) -> BoundaryCondition:
     return BoundaryCondition("fixed", fixed_spins=tuple(spins.items()))
 
 
-def uniform_fixed_bc(region: Region, sign: int = 1) -> BoundaryCondition:
-    """All ghost sites clamped to the same spin."""
-    return fixed_bc({s: sign for s in ghost_sites(region)})
+def uniform_fixed_bc(sign: int = 1) -> BoundaryCondition:
+    """The rule that clamps every ghost site of a region to ``sign``."""
+    if sign not in (-1, 1):
+        raise ValueError("fixed boundary spins must be +-1")
+    return BoundaryCondition("fixed", sign=sign)
 
 
 @lru_cache(maxsize=None)
@@ -260,23 +268,30 @@ def _site_order(region: Region) -> tuple[tuple[Site, ...], "dict[Site, int]"]:
 
 
 @dataclass(frozen=True)
-class _EnumPlan:
+class _Terms:
+    """The Hamiltonian of one (region, bc), by position in its edge set
+    ``required_edges(region, bc)`` and by site in ``region.sites`` order:
+    each edge's seam ``sign``, the in-region bonds ``bond_pos`` between
+    sites ``bond_ix`` and ``bond_iy``, and the clamped ghost bonds
+    ``ghost_pos``, each a field of ``ghost_tau`` times its coupling on its
+    inner site ``ghost_site``."""
+
     n: int
+    sign: np.ndarray
     bond_ix: np.ndarray
     bond_iy: np.ndarray
     bond_pos: np.ndarray
-    bond_sign: np.ndarray
     ghost_site: np.ndarray
     ghost_pos: np.ndarray
     ghost_tau: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _enum_plan(region: Region, bc: BoundaryCondition) -> _EnumPlan:
+def _terms(region: Region, bc: BoundaryCondition) -> _Terms:
     edges = required_edges(region, bc)
     _, index = _site_order(region)
-    fixed = bc.fixed_map()
-    bond_ix, bond_iy, bond_pos, bond_sign = [], [], [], []
+    fixed = bc.fixed_map(region)
+    bond_ix, bond_iy, bond_pos = [], [], []
     ghost_site, ghost_pos, ghost_tau = [], [], []
     for k, e in enumerate(edges):
         in_x, in_y = e.x in index, e.y in index
@@ -284,19 +299,19 @@ def _enum_plan(region: Region, bc: BoundaryCondition) -> _EnumPlan:
             bond_ix.append(index[e.x])
             bond_iy.append(index[e.y])
             bond_pos.append(k)
-            flip = e.wrap and bc.kind == "antiperiodic" and e.axis in bc.seam_axes
-            bond_sign.append(-1.0 if flip else 1.0)
         else:
             inner, outer = (e.x, e.y) if in_x else (e.y, e.x)
             ghost_site.append(index[inner])
             ghost_pos.append(k)
             ghost_tau.append(float(fixed[outer]))
-    return _EnumPlan(
+    # only an antiperiodic bc has seam axes, whose wrap bonds are sign-flipped
+    sign = [-1.0 if e.wrap and e.axis in bc.seam_axes else 1.0 for e in edges]
+    return _Terms(
         n=region.n_sites,
+        sign=np.asarray(sign, dtype=np.float64),
         bond_ix=np.asarray(bond_ix, dtype=np.intp),
         bond_iy=np.asarray(bond_iy, dtype=np.intp),
         bond_pos=np.asarray(bond_pos, dtype=np.intp),
-        bond_sign=np.asarray(bond_sign, dtype=np.float64),
         ghost_site=np.asarray(ghost_site, dtype=np.intp),
         ghost_pos=np.asarray(ghost_pos, dtype=np.intp),
         ghost_tau=np.asarray(ghost_tau, dtype=np.float64),
@@ -312,18 +327,23 @@ def _spin_chunk(start: int, stop: int, n: int) -> np.ndarray:
     return s
 
 
-def _field_vector(
-    plan: _EnumPlan, spec: GibbsSpec, extra_fields: Mapping[Site, float] | None
+def _site_fields(
+    spec: GibbsSpec, values: np.ndarray, extra_fields: Mapping[Site, float] | None
 ) -> np.ndarray:
-    h = np.zeros(plan.n)
-    if plan.ghost_site.size:
-        np.add.at(h, plan.ghost_site, spec.couplings.values[plan.ghost_pos] * plan.ghost_tau)
+    """(..., n_sites) field on each site, in ``region.sites`` order, for
+    coupling ``values`` of shape (..., n_edges) on the spec's edge set: the
+    clamped ghost bonds, then ``extra_fields``."""
+    terms = _terms(spec.region, spec.bc)
+    h = np.zeros(values.shape[:-1] + (terms.n,))
+    if terms.ghost_pos.size:
+        ghost = values.take(terms.ghost_pos, axis=-1) * terms.ghost_tau
+        np.add.at(h, (..., terms.ghost_site), ghost)
     if extra_fields:
         _, index = _site_order(spec.region)
         for site, value in extra_fields.items():
             if site not in index:
                 raise ContainmentError(f"field site {site} not in region")
-            h[index[site]] += float(value)
+            h[..., index[site]] += float(value)
     return h
 
 
@@ -343,26 +363,26 @@ def _enum_reduce(
     exact up to binary64 rounding at any beta.
     """
     cap = ENUM_CAP if cap is None else cap
-    plan = _enum_plan(spec.region, spec.bc)
-    if plan.n > cap:
-        raise SizeCapError(f"{plan.n} free spins exceed the enumeration cap {cap}")
+    terms = _terms(spec.region, spec.bc)
+    if terms.n > cap:
+        raise SizeCapError(f"{terms.n} free spins exceed the enumeration cap {cap}")
     sites, _ = _site_order(spec.region)
-    jv = spec.couplings.values[plan.bond_pos] * plan.bond_sign
-    h = _field_vector(plan, spec, extra_fields)
+    jv = spec.couplings.values[terms.bond_pos] * terms.sign[terms.bond_pos]
+    h = _site_fields(spec, spec.couplings.values, extra_fields)
     beta = spec.beta
     field_terms = [(k, hk) for k, hk in enumerate(h) if hk != 0.0]
 
     running_max = -np.inf
     s0 = 0.0
     sf = [0.0] * len(observables)
-    total = 1 << plan.n
+    total = 1 << terms.n
     step = 1 << _CHUNK_BITS
     for start in range(0, total, step):
         stop = min(start + step, total)
-        s = _spin_chunk(start, stop, plan.n)
+        s = _spin_chunk(start, stop, terms.n)
         expo = np.zeros(stop - start)
-        for b in range(plan.bond_ix.size):
-            expo += jv[b] * (s[:, plan.bond_ix[b]] * s[:, plan.bond_iy[b]])
+        for b in range(terms.bond_ix.size):
+            expo += jv[b] * (s[:, terms.bond_ix[b]] * s[:, terms.bond_iy[b]])
         for k, hk in field_terms:
             expo += hk * s[:, k]
         expo *= beta
@@ -459,9 +479,6 @@ class _TransferPlan:
     v_sign: np.ndarray
     h_pos: np.ndarray  # (width, n_links)
     h_sign: np.ndarray
-    ghost_rc: np.ndarray  # (n_ghost, 2) row, col
-    ghost_pos: np.ndarray
-    ghost_tau: np.ndarray
     s_matrix: np.ndarray  # (2^W, W)
     sp_matrix: np.ndarray  # (2^W, n_vbonds)
 
@@ -505,24 +522,7 @@ def _transfer_plan(region: Region, bc: BoundaryCondition, width_cap: int) -> _Tr
     wrap_l = region.wrap[l_axis] and length >= 2
     v_pos = bonds(t_axis, n_v, length)
     h_pos = bonds(l_axis, w, length if wrap_l else length - 1)
-    # only an antiperiodic bc has seam axes, whose wrap bonds are sign-flipped
-    sign = np.array([-1.0 if e.wrap and e.axis in bc.seam_axes else 1.0 for e in edges])
-
-    # clamped ghost contributions (fixed bc only)
-    ghost_rc, ghost_pos, ghost_tau = [], [], []
-    if bc.kind == "fixed":
-        fixed = bc.fixed_map()
-        for k, e in enumerate(edges):
-            in_x, in_y = region.contains_site(e.x), region.contains_site(e.y)
-            if in_x and in_y:
-                continue
-            inner, outer = (e.x, e.y) if in_x else (e.y, e.x)
-            c = inner[l_axis] - region.origin[l_axis]
-            r = inner[t_axis] - region.origin[t_axis]
-            ghost_rc.append((r, c))
-            ghost_pos.append(k)
-            ghost_tau.append(float(fixed[outer]))
-
+    sign = _terms(region, bc).sign
     s = _spin_matrix(w)
     sp = np.empty((1 << w, n_v))
     for b in range(n_v):
@@ -537,9 +537,6 @@ def _transfer_plan(region: Region, bc: BoundaryCondition, width_cap: int) -> _Tr
         v_sign=sign[v_pos],
         h_pos=h_pos,
         h_sign=sign[h_pos],
-        ghost_rc=np.asarray(ghost_rc, dtype=np.intp).reshape(-1, 2),
-        ghost_pos=np.asarray(ghost_pos, dtype=np.intp),
-        ghost_tau=np.asarray(ghost_tau, dtype=np.float64),
         s_matrix=s,
         sp_matrix=sp,
     )
@@ -557,22 +554,12 @@ def _column_weights(
     values = spec.couplings.values if values is None else values
     jv = values.take(plan.v_pos, axis=-1) * plan.v_sign
     col_expo = plan.sp_matrix @ jv
-    hfield = np.zeros(values.shape[:-1] + (plan.width, plan.length))
-    if plan.ghost_pos.size:
-        np.add.at(
-            hfield,
-            (..., plan.ghost_rc[:, 0], plan.ghost_rc[:, 1]),
-            values.take(plan.ghost_pos, axis=-1) * plan.ghost_tau,
-        )
-    if extra_fields:
-        for site, value in extra_fields.items():
-            if not spec.region.contains_site(site):
-                raise ContainmentError(f"field site {site} not in region")
-            c = site[plan.l_axis] - spec.region.origin[plan.l_axis]
-            r = site[plan.t_axis] - spec.region.origin[plan.t_axis]
-            hfield[..., r, c] += float(value)
-    if hfield.any():
-        col_expo = col_expo + plan.s_matrix @ hfield
+    # region.sites order is row-major over the extents, (W, L) or (L, W)
+    h = _site_fields(spec, values, extra_fields).reshape(values.shape[:-1] + spec.region.extents)
+    if plan.t_axis == 1:
+        h = h.swapaxes(-1, -2)
+    if h.any():
+        col_expo = col_expo + plan.s_matrix @ h
     return np.exp(spec.beta * col_expo)
 
 

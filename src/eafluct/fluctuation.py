@@ -48,12 +48,10 @@ from .exactsolve import (
     periodic_bc,
     reweight,
     reweight_expectation,
-    uniform_fixed_bc,
 )
 from .interface import (
     FreeEnergyResult,
     StatePair,
-    domain_wall_free_energy,
     free_energy_terms,
     interface_free_energy,
     make_state_pair,
@@ -222,12 +220,8 @@ class EnsembleSpec:
         )
 
     def f_from(self, config: CouplingConfig) -> float:
-        if self.mode == "domain-wall":
-            return domain_wall_free_energy(
-                config, self.window_region, self.beta, self.seam_axis,
-                self.solver, self.enum_cap, self.width_cap,
-            )
-        return self.f_result(config).value
+        """F of ``config``: the one-row :meth:`f_stack`."""
+        return float(self.f_stack(config, config.values[None])[0])
 
     def f_value(self, i: int) -> float:
         return self.f_from(self.master(i))
@@ -235,7 +229,7 @@ class EnsembleSpec:
     def f_stack(self, template: CouplingConfig, values: np.ndarray) -> np.ndarray:
         """F of ``template`` with its couplings replaced by each row of the
         (B, n_edges) stack ``values`` on its edge set, each bit-identical to
-        :meth:`f_from` of that row.  Each state's columns are gathered once,
+        a one-row stack of that row.  Each state's columns are gathered once,
         and every log Z comes from one :func:`free_energy_terms` (pair mode)
         or :func:`log_partition_pairs` (domain-wall mode) call."""
         if self.mode == "domain-wall":
@@ -251,19 +245,6 @@ class EnsembleSpec:
             return t[:, 0] - t[:, 1]
         t = free_energy_terms(pair, *stacks, *solver)
         return (t[:, 1] - t[:, 0]) - (t[:, 3] - t[:, 2])
-
-    def to_record(self) -> dict:
-        return {
-            "distribution": self.dist.label(),
-            "box_extents": list(self.box_extents),
-            "window_extents": list(self.window_extents),
-            "beta": self.beta,
-            "bc_pair": [self.bc.label, self.bc_prime.label],
-            "n_realizations": self.n_realizations,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-            "solver": self.solver,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +337,6 @@ class ConditionalMeanResult:
     n_outer: int
     route: str
     values: tuple[float, ...]
-
-    def to_record(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_outer": self.n_outer,
-            "route": self.route,
-        }
 
 
 def _sem(values: np.ndarray) -> float:
@@ -1068,26 +1041,19 @@ def check_scaling(
     scaling_margin(box_extents, window_extents, window_sizes)
 
 
-def _rescaled_bc(bc: BoundaryCondition, box: tuple[int, ...]) -> BoundaryCondition:
-    """``bc`` on ``box``: a fixed bc clamps the new box's ghost ring to its
-    one sign, and one with both signs raises :class:`ConfigError`."""
-    signs = {spin for _, spin in bc.fixed_spins}  # empty unless bc is fixed
-    if len(signs) > 1:
-        raise ConfigError("only a fixed boundary condition of one sign can be rescaled")
-    return uniform_fixed_bc(Region(box), signs.pop()) if signs else bc
-
-
 def scaling_sub_spec(spec_template: EnsembleSpec, window_size: int) -> EnsembleSpec:
-    """The template rescaled to one window size, keeping the margin."""
+    """The template rescaled to one window size, keeping the margin and the
+    bcs: a fixed bc of one sign is a rule that clamps each box's own ghost
+    ring, and an explicit ring, which fits one box, raises
+    :class:`ConfigError`."""
     box, window = spec_template.box_extents, spec_template.window_extents
     margin = scaling_margin(box, window, (window_size,))
-    new_box = (window_size + margin,) * len(box)
+    if spec_template.bc.fixed_spins or spec_template.bc_prime.fixed_spins:
+        raise ConfigError("only a fixed boundary condition of one sign can be rescaled")
     return replace(
         spec_template,
         window_extents=(window_size,) * len(box),
-        box_extents=new_box,
-        bc=_rescaled_bc(spec_template.bc, new_box),
-        bc_prime=_rescaled_bc(spec_template.bc_prime, new_box),
+        box_extents=(window_size + margin,) * len(box),
     )
 
 

@@ -63,7 +63,7 @@ from .fluctuation import (
     variance_report_from_values,
 )
 from .interface import region_for_bc
-from .lattice import Region, block_partition, interior_edges
+from .lattice import block_partition, interior_edges
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "EAFLUCT_WORKERS"
@@ -233,7 +233,7 @@ def config_digest(cfg: ExperimentConfig) -> str:
     ).hexdigest()
 
 
-def _bc_from_name(name: str, extents: tuple[int, ...], seam_axes: tuple[int, ...]) -> BoundaryCondition:
+def _bc_from_name(name: str, seam_axes: tuple[int, ...]) -> BoundaryCondition:
     if name == "free":
         return free_bc()
     if name == "periodic":
@@ -241,9 +241,9 @@ def _bc_from_name(name: str, extents: tuple[int, ...], seam_axes: tuple[int, ...
     if name == "antiperiodic":
         return antiperiodic_bc(*seam_axes)
     if name in ("fixed", "fixed:+1"):
-        return uniform_fixed_bc(Region(extents), +1)
+        return uniform_fixed_bc(+1)
     if name == "fixed:-1":
-        return uniform_fixed_bc(Region(extents), -1)
+        return uniform_fixed_bc(-1)
     raise ConfigError(f"unknown boundary condition name {name!r}")
 
 
@@ -255,8 +255,8 @@ def ensemble_spec_from_config(cfg: ExperimentConfig, beta: float | None = None) 
         bc, bc_prime = periodic_bc(), antiperiodic_bc(*cfg.seam_axes)
         window = cfg.box
     else:
-        bc = _bc_from_name(cfg.bc, cfg.box, cfg.seam_axes)
-        bc_prime = _bc_from_name(cfg.bc_prime, cfg.box, cfg.seam_axes)
+        bc = _bc_from_name(cfg.bc, cfg.seam_axes)
+        bc_prime = _bc_from_name(cfg.bc_prime, cfg.seam_axes)
         window = cfg.window
     return EnsembleSpec(
         dist=distribution_from_label(cfg.distribution),
@@ -309,8 +309,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("window needs the box's dimension and every extent >= 1")
         if any(w + 2 > b for w, b in zip(cfg.window, cfg.box)):
             raise ConfigError("window must fit in the box with margin >= 1")
-        _bc_from_name(cfg.bc, cfg.box, cfg.seam_axes)
-        _bc_from_name(cfg.bc_prime, cfg.box, cfg.seam_axes)
+        _bc_from_name(cfg.bc, cfg.seam_axes)
+        _bc_from_name(cfg.bc_prime, cfg.seam_axes)
         if "antiperiodic" in (cfg.bc, cfg.bc_prime):
             _check_seam_axes(cfg.seam_axes, len(cfg.box))
     kind.check(cfg)
@@ -614,7 +614,7 @@ def _oracle_tasks(cfg: ExperimentConfig) -> list[dict]:
 
 def _oracle_task(cfg: ExperimentConfig, at: dict) -> dict:
     extents, beta = at["geometry"], at["beta"]
-    bc = _bc_from_name(at["bc"], extents, cfg.seam_axes)
+    bc = _bc_from_name(at["bc"], cfg.seam_axes)
     region = region_for_bc(extents, bc)
     dist = distribution_from_label(cfg.distribution)
     couplings = sample_couplings(

@@ -20,7 +20,7 @@ def spin_assignments(sites):
 
 def effective_bonds(spec):
     """(x, y, J) triples with seam flips applied, plus ghost fields."""
-    fixed = spec.bc.fixed_map()
+    fixed = spec.bc.fixed_map(spec.region)
     bonds = []
     fields = {}
     for e in required_edges(spec.region, spec.bc):

@@ -61,7 +61,7 @@ def _bc_for(name, extents):
         "free": free_bc(),
         "periodic": periodic_bc(),
         "antiperiodic": antiperiodic_bc(0),
-        "fixed": uniform_fixed_bc(Region(extents), 1),
+        "fixed": uniform_fixed_bc(1),
     }[name]
 
 

@@ -48,7 +48,7 @@ from eafluct.lattice import Edge, Region, interior_edges, translate_edge
 
 TORUS = Region((2, 3), (True, True))
 BOX = Region((3, 3))
-FIXED = uniform_fixed_bc(BOX, -1)
+FIXED = uniform_fixed_bc(-1)
 TORUS_BLOCK = Region((2, 2), None, (0, 1))
 BOX_BLOCK = Region((2, 2), None, (1, 1))
 
@@ -133,7 +133,7 @@ def test_overlay_matches_per_edge_reference(case):
         ("torus", interior_edges(Region((2, 3)))),
         ("ring", interior_edges(BOX)),
         ("master", interior_edges(TORUS)),
-        ("master", required_edges(Region((2, 3)), uniform_fixed_bc(Region((2, 3))))),
+        ("master", required_edges(Region((2, 3)), uniform_fixed_bc())),
     ],
 )
 def test_restrict_matches_per_edge_reference(case, target):
@@ -266,7 +266,7 @@ def test_correlations_of_a_ghost_bond_are_refused(method):
 
 def test_correlation_difference_refuses_an_edge_one_state_lacks():
     master = sample_master(Gaussian(), (4, 4), SeedSpec(3, 0, "couplings"))
-    pair = make_state_pair((4, 4), (2, 2), 1.0, uniform_fixed_bc(Region((4, 4))),
+    pair = make_state_pair((4, 4), (2, 2), 1.0, uniform_fixed_bc(),
                            periodic_bc(), master)
     seam = next(e for e in pair.gamma_prime.couplings.edge_set if e.wrap)
     with pytest.raises(ContainmentError):
@@ -275,7 +275,7 @@ def test_correlation_difference_refuses_an_edge_one_state_lacks():
 
 def test_pair_error_names_a_differing_shared_edge():
     master = sample_master(Gaussian(), (4, 4), SeedSpec(3, 0, "couplings"))
-    pair = make_state_pair((4, 4), (2, 2), 1.0, uniform_fixed_bc(Region((4, 4))),
+    pair = make_state_pair((4, 4), (2, 2), 1.0, uniform_fixed_bc(),
                            periodic_bc(), master)
     gp = pair.gamma_prime
     edge = interior_edges(Region((4, 4))).edges[7]

@@ -148,9 +148,9 @@ def test_enum_matches_brute_force(extents, wrap, bc, beta):
 
 
 def test_enum_fixed_bc_matches_brute_force():
-    spec = make_spec((3, 2), (False, False), None or uniform_fixed_bc(Region((3, 2)), 1), 1.1)
+    spec = make_spec((3, 2), (False, False), None or uniform_fixed_bc(1), 1.1)
     assert log_partition_enum(spec) == pytest.approx(brute_log_z(spec), abs=1e-11)
-    spec_minus = make_spec((3, 2), (False, False), uniform_fixed_bc(Region((3, 2)), -1), 1.1)
+    spec_minus = make_spec((3, 2), (False, False), uniform_fixed_bc(-1), 1.1)
     assert log_partition_enum(spec_minus) == pytest.approx(brute_log_z(spec_minus), abs=1e-11)
 
 
@@ -188,7 +188,7 @@ def test_transfer_matches_enumeration(extents, wrap, bc, beta):
 
 
 def test_transfer_fixed_bc_matches_enumeration():
-    spec = make_spec((3, 3), (False, False), uniform_fixed_bc(Region((3, 3)), 1), 1.0)
+    spec = make_spec((3, 3), (False, False), uniform_fixed_bc(1), 1.0)
     assert log_partition_transfer(spec) == pytest.approx(
         log_partition_enum(spec), abs=1e-9
     )
@@ -339,7 +339,7 @@ PLAN_BCS = {
     "antiperiodic[0]": lambda extents: antiperiodic_bc(0),
     "antiperiodic[1]": lambda extents: antiperiodic_bc(1),
     "antiperiodic[0,1]": lambda extents: antiperiodic_bc(0, 1),
-    "fixed": lambda extents: uniform_fixed_bc(Region(extents), -1),
+    "fixed": lambda extents: uniform_fixed_bc(-1),
 }
 
 
@@ -350,7 +350,8 @@ def test_transfer_plan_places_every_required_edge_once(bc_name):
         region = region_for_bc(extents, bc)
         plan = exactsolve._transfer_plan(region, bc, exactsolve.TRANSFER_WIDTH_CAP)
         edges = required_edges(region, bc).edges
-        placed = [*plan.v_pos.ravel(), *plan.h_pos.ravel(), *plan.ghost_pos]
+        ghost_pos = exactsolve._terms(region, bc).ghost_pos
+        placed = [*plan.v_pos.ravel(), *plan.h_pos.ravel(), *ghost_pos]
         assert sorted(placed) == list(range(len(edges))), extents
 
         def site(c, r):
@@ -363,7 +364,7 @@ def test_transfer_plan_places_every_required_edge_once(bc_name):
             assert (edges[k].axis, edges[k].origin) == (plan.t_axis, site(c, b)), extents
         for (r, j), k in np.ndenumerate(plan.h_pos):
             assert (edges[k].axis, edges[k].origin) == (plan.l_axis, site(j, r)), extents
-        for k in plan.ghost_pos:
+        for k in ghost_pos:
             assert not all(region.contains_site(s) for s in edges[k].endpoints())
         # -1 exactly on the wrap bonds along a seam axis
         for pos, sign in ((plan.v_pos, plan.v_sign), (plan.h_pos, plan.h_sign)):
@@ -577,7 +578,7 @@ def test_fixed_bc_must_cover_ghost_ring():
         GibbsSpec(
             region,
             sample_couplings(
-                Gaussian(), required_edges(region, uniform_fixed_bc(region, 1)), SeedSpec(1)
+                Gaussian(), required_edges(region, uniform_fixed_bc(1)), SeedSpec(1)
             ),
             1.0,
             fixed_bc({(-1, 0): 1}),
@@ -588,8 +589,8 @@ def test_fixed_bc_must_cover_ghost_ring():
 
 def test_fixed_bc_coverage_is_checked_per_region(monkeypatch):
     small, large = Region((2, 2)), Region((3, 3))
-    bc = uniform_fixed_bc(small, 1)
-    couplings = sample_couplings(Gaussian(), required_edges(large, uniform_fixed_bc(large)),
+    bc = fixed_bc(dict.fromkeys(ghost_sites(small), 1))
+    couplings = sample_couplings(Gaussian(), required_edges(large, uniform_fixed_bc()),
                                  SeedSpec(1))
     calls = []
     monkeypatch.setattr(exactsolve, "ghost_sites", lambda r: calls.append(r) or ghost_sites(r))
@@ -603,9 +604,9 @@ def test_fixed_bc_coverage_is_checked_per_region(monkeypatch):
 
 def test_equal_boundary_conditions_hash_equal_and_share_the_caches():
     region = Region((6, 6))
-    bc, same = uniform_fixed_bc(region, 1), uniform_fixed_bc(region, 1)
+    bc, same = uniform_fixed_bc(1), uniform_fixed_bc(1)
     assert bc == same and bc is not same and hash(bc) == hash(same)
-    assert bc != uniform_fixed_bc(region, -1)
+    assert bc != uniform_fixed_bc(-1)
     couplings = sample_couplings(Gaussian(), required_edges(region, bc), SeedSpec(3))
     GibbsSpec(region, couplings, 1.0, bc)
     caches = (exactsolve._covers_ghost_ring, required_edges)
@@ -866,6 +867,39 @@ def test_halved_sweep_matches_the_full_row_product(extents):
         assert got == (log_partition(spec), log_partition(other))
 
 
+@pytest.mark.parametrize("extents, t_axis", [((3, 5), 0), ((5, 3), 1), ((4, 4), 1)])
+def test_extra_fields_land_on_their_sites_in_both_strip_orientations(extents, t_axis):
+    region = Region(extents)
+    assert exactsolve._transfer_plan(region, free_bc(), 12).t_axis == t_axis
+    ring = ghost_sites(region)
+    sites = region.sites
+    fields = {sites[0]: 0.9, sites[1]: -0.4, sites[len(sites) // 2]: 1.3, sites[-1]: -0.6}
+    mixed = fixed_bc({s: (-1) ** k for k, s in enumerate(ring)})
+    for bc in (free_bc(), uniform_fixed_bc(-1), mixed):
+        spec = make_spec(extents, (False, False), bc, 0.8, seed=17)
+        want = log_partition_enum(spec, extra_fields=fields)
+        assert abs(log_partition_transfer(spec, extra_fields=fields) - want) <= 1e-9
+        # the fields move log Z, so a misplaced one would show
+        assert abs(log_partition_enum(spec) - want) > 1e-3
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("extents", [(1, 1), (2, 5), (5, 2), (4, 4), (6, 3)])
+def test_the_fixed_rule_equals_its_explicit_ring(extents, sign):
+    region = Region(extents)
+    rule = make_spec(extents, (False, False), uniform_fixed_bc(sign), 1.1, seed=19)
+    explicit = fixed_bc(dict.fromkeys(ghost_sites(region), sign))
+    ring = GibbsSpec(region, rule.couplings, 1.1, explicit)
+    for engine in (log_partition_enum, log_partition_transfer):
+        assert engine(rule).hex() == engine(ring).hex()
+    edges = interior_edges(region)
+    for method in ("enum", "transfer"):
+        got = edge_correlations(rule, edges, method=method)
+        assert [x.hex() for x in got.tolist()] == [
+            x.hex() for x in edge_correlations(ring, edges, method=method).tolist()
+        ]
+
+
 def test_zero_field_wrapped_sweeps_carry_half_the_rows():
     torus = make_spec((3, 4), (True, True), antiperiodic_bc(0, 1), 1.0)
     side = 1 << exactsolve._transfer_plan(torus.region, torus.bc, 12).width
@@ -877,7 +911,7 @@ def test_zero_field_wrapped_sweeps_carry_half_the_rows():
         want = log_partition_enum(torus, extra_fields=fields)
         assert abs(log_partition_transfer(torus, extra_fields=fields) - want) <= 1e-9
     # an open length axis carries one row, with or without clamped ghosts
-    for bc in (free_bc(), uniform_fixed_bc(Region((3, 4)), 1)):
+    for bc in (free_bc(), uniform_fixed_bc(1)):
         _, envs = exactsolve._transfer_sweep(make_spec((3, 4), None, bc, 1.0), keep=True)
         assert [env.shape[:2] for env in envs] == [(1, 1)] * len(envs)
 
@@ -1019,7 +1053,7 @@ def test_factored_sweep_matches_a_dense_link_sweep_on_an_open_w11_strip():
 @pytest.mark.parametrize("extents, sign", [((16, 8), None), ((9, 11), -1)])
 def test_factored_correlations_match_a_dense_link_backward_pass(extents, sign):
     region = Region(extents)
-    bc = free_bc() if sign is None else uniform_fixed_bc(region, sign)
+    bc = free_bc() if sign is None else uniform_fixed_bc(sign)
     spec = make_spec(extents, (False, False), bc, 1.0, seed=12)
     log_z, want = _dense_open_strip(spec)
     assert log_partition_transfer(spec) == pytest.approx(log_z, rel=1e-12, abs=0)
@@ -1038,7 +1072,7 @@ def _every_bc(extents):
     mixed = {site: (-1) ** k for k, site in enumerate(ghost_sites(region))}
     return [
         ((False, False), free_bc()),
-        ((False, False), uniform_fixed_bc(region, 1)),
+        ((False, False), uniform_fixed_bc(1)),
         ((False, False), fixed_bc(mixed)),
         ((True, True), periodic_bc()),
         ((True, True), antiperiodic_bc(0)),
@@ -1099,7 +1133,7 @@ def test_log_partition_pairs_equals_one_call_per_row_for_each_kind_of_pair(monke
     b = sample_couplings(Gaussian(), interior_edges(torus), SeedSpec(15, 1, "test"))
     length_axis = exactsolve._transfer_plan(torus, periodic_bc(), 12).l_axis
     strip = Region((3, 5))
-    fixed = uniform_fixed_bc(strip, -1)
+    fixed = uniform_fixed_bc(-1)
     cube = [make_spec((2, 2, 2), None, free_bc(), beta, realization=k)
             for k in range(2) for beta in (1.0, 0.5)]
     strips = [(make_spec((3, 5), None, free_bc(), 1.0, realization=k),

@@ -191,7 +191,7 @@ STACK_CASES = [
     ("pair", free_bc(), periodic_bc(), "auto"),
     ("pair", periodic_bc(), antiperiodic_bc(0), "auto"),
     ("pair", periodic_bc(), antiperiodic_bc(1), "auto"),
-    ("pair", free_bc(), uniform_fixed_bc(Region((4, 4)), +1), "auto"),
+    ("pair", free_bc(), uniform_fixed_bc(+1), "auto"),
     ("pair", free_bc(), periodic_bc(), "enum"),
     ("domain-wall", periodic_bc(), antiperiodic_bc(0), "auto"),
     ("domain-wall", periodic_bc(), antiperiodic_bc(1), "enum"),
@@ -585,18 +585,25 @@ def test_scaling_golden_run_emits_fits_with_ci():
 def test_fixed_bc_templates_rescale_by_their_one_sign():
     # every window size clamps its own box's ghost ring; a fixed bc of both
     # signs has no rule to carry to another box
-    template = spec_3x3_in_5x5(n=3, bc_prime=uniform_fixed_bc(Region((5, 5)), -1))
+    template = spec_3x3_in_5x5(n=3, bc_prime=uniform_fixed_bc(-1))
     for size in (2, 3, 4):
         sub = scaling_sub_spec(template, size)
-        assert sub.bc_prime == uniform_fixed_bc(Region((size + 2,) * 2), -1)
+        assert sub.bc_prime == uniform_fixed_bc(-1)
         assert sub.bc == template.bc
     rep = lindeberg_diagnostic(template, [2, 3, 4], n=2, n_outer=2)
     assert [row["window_size"] for row in rep["rows"]] == [2, 3, 4]
-    ring = uniform_fixed_bc(Region((5, 5)), +1).fixed_map()
+    ring = uniform_fixed_bc(+1).fixed_map(Region((5, 5)))
     ring[min(ring)] = -1
     mixed = replace(template, bc_prime=fixed_bc(ring))
     with pytest.raises(ConfigError, match="one sign"):
         scaling_sub_spec(mixed, 2)
+
+
+def test_scaling_sub_specs_keep_the_templates_own_bcs():
+    template = spec_3x3_in_5x5(n=3, bc=uniform_fixed_bc(1), bc_prime=uniform_fixed_bc(-1))
+    for size in (2, 4):
+        sub = scaling_sub_spec(template, size)
+        assert sub.bc is template.bc and sub.bc_prime is template.bc_prime
 
 
 def test_scaling_needs_three_sizes():
@@ -682,7 +689,7 @@ def test_uniform_distribution_supported_end_to_end():
 def test_fixed_bc_pair_supported():
     spec = EnsembleSpec(
         Gaussian(), (4, 4), (2, 2), 1.0,
-        uniform_fixed_bc(Region((4, 4)), 1), uniform_fixed_bc(Region((4, 4)), -1),
+        uniform_fixed_bc(1), uniform_fixed_bc(-1),
         6, 78,
     )
     values = ensemble_values(spec)

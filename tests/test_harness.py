@@ -455,7 +455,7 @@ def test_scaling_with_a_fixed_bc_runs_at_every_window_size(tmp_path):
     assert [(r["window_size"], r["n"]) for r in rows] == [(2, 3), (3, 3), (4, 3)]
     spec = harness.ensemble_spec_from_config(cfg)
     sub = scaling_sub_spec(spec, 4)
-    assert sub.bc_prime == uniform_fixed_bc(Region((8, 8)), +1)
+    assert sub.bc_prime == uniform_fixed_bc(+1)
     assert all(r["variance"] > 0.0 for r in rows)
 
 
@@ -637,6 +637,19 @@ def test_cli_runs_experiment_and_report(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "csv")]) == 0
     out = capsys.readouterr().out
     assert "ensemble_summary.csv" in out
+
+
+def test_cli_report_writes_to_the_reports_csv_dir_by_default(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(base_config(tmp_path, sampling={"n": 3, "bootstrap": 50})))
+    assert main(["ensemble", "-c", str(config_path)]) == 0
+    assert main(["report", "--report", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "csv" / "ensemble_summary.csv").exists()
+    # a report without a config names no directory
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"kind": "ensemble", "summary": {"values": [1.0, 2.0]}}))
+    assert main(["report", "--report", str(bare)]) == 2
+    assert "csv_dir" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides(tmp_path):

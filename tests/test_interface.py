@@ -123,8 +123,8 @@ def test_route_equivalence_enumerable(beta, bc_prime_name):
     bc_prime = {
         "periodic": periodic_bc(),
         "antiperiodic": antiperiodic_bc(0),
-        "fixed+": uniform_fixed_bc(Region((4, 4)), 1),
-        "fixed-": uniform_fixed_bc(Region((4, 4)), -1),
+        "fixed+": uniform_fixed_bc(1),
+        "fixed-": uniform_fixed_bc(-1),
     }[bc_prime_name]
     p = pair_4x4(beta=beta, bc_prime=bc_prime, seed=37)
     ratio = interface_free_energy(p, method="enum").value
@@ -242,7 +242,7 @@ def _fd_gradient(master, box, window, beta, bc, bc_prime, edge, h=1e-4):
 def test_gradient_matches_central_finite_differences():
     # DERIVED: finite-difference oracle, step 1e-4, tolerance 1e-5
     master = sample_master(Gaussian(), (5, 5), SeedSpec(13, 1, "couplings"))
-    bc, bc_prime = free_bc(), uniform_fixed_bc(Region((5, 5)), 1)
+    bc, bc_prime = free_bc(), uniform_fixed_bc(1)
     p = make_state_pair((5, 5), (3, 3), 1.0, bc, bc_prime, master)
     grad = free_energy_gradient(p)
     assert len(grad) == len(interior_edges(p.window))
@@ -298,7 +298,7 @@ def test_clamped_neighbor_toy_closed_form():
         return num / den
 
     for sign in (1, -1):
-        bc = uniform_fixed_bc(region, sign)
+        bc = uniform_fixed_bc(sign)
         from eafluct.exactsolve import required_edges
 
         couplings = sample_couplings(
@@ -330,7 +330,7 @@ def test_master_edge_set_covers_all_boundary_conditions():
     from eafluct.exactsolve import required_edges
 
     master = master_edge_set((4, 4))
-    for bc in (free_bc(), periodic_bc(), antiperiodic_bc(0), uniform_fixed_bc(Region((4, 4)), 1)):
+    for bc in (free_bc(), periodic_bc(), antiperiodic_bc(0), uniform_fixed_bc(1)):
         region = Region((4, 4), (bc.kind in ("periodic", "antiperiodic"),) * 2)
         for e in required_edges(region, bc):
             assert e in master.position
@@ -404,7 +404,7 @@ def test_batch_equals_one_call_per_pair_on_mixed_pairs(monkeypatch):
     window = Region((2, 2), None, (1, 1))
     inside = set_block(master, window, {e: 0.25 for e in interior_edges(window)})
     other = sample_master(Gaussian(), (4, 4), SeedSpec(4, 1, "couplings"))
-    fixed = uniform_fixed_bc(Region((4, 4)))
+    fixed = uniform_fixed_bc()
     rows = _count_rows(monkeypatch)
     for bc, bc_prime in ((free_bc(), periodic_bc()), (free_bc(), fixed),
                          (periodic_bc(), antiperiodic_bc(0))):
