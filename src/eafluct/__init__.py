@@ -18,7 +18,6 @@ from .errors import TaskError  # noqa: E402
 from .exactsolve import (  # noqa: E402
     BoundaryCondition,
     GibbsSpec,
-    SpinConfig,
     antiperiodic_bc,
     edge_correlation,
     edge_correlations,

@@ -2,7 +2,10 @@
 
 Two independent partition-function engines over the same spec:
 
-* exhaustive enumeration (any dimension, capped spin count): the oracle;
+* exhaustive enumeration (any dimension, capped spin count): the oracle.
+  Its observables are arrays over states: ``f(spins, sites)`` maps a
+  (states, n_sites) chunk of +-1 spins, columns in ``sites`` order, to one
+  value per state;
 * a 2d column-to-column transfer matrix (capped strip width): the workhorse.
   Each link between two columns is applied through its two Kronecker
   factors, over the low and the high half of the strip's rows.
@@ -28,12 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .disorder import CouplingConfig, block_assignment, edge_positions, restrict
 from .errors import (
+    ConfigError,
     ContainmentError,
     CoverageError,
     SizeCapError,
@@ -117,9 +121,13 @@ class BoundaryCondition:
 
     @property
     def label(self) -> str:
+        """The bc's name: a fixed rule names its sign as ``fixed:+1`` or
+        ``fixed:-1``, an explicit ring is ``fixed``."""
         if self.kind == "antiperiodic":
             axes = ",".join(str(a) for a in self.seam_axes)
             return f"antiperiodic[seam={axes}]"
+        if self.sign:
+            return f"fixed:{self.sign:+d}"
         return self.kind
 
     def fixed_map(self, region: Region) -> dict[Site, int]:
@@ -171,45 +179,7 @@ def required_edges(region: Region, bc: BoundaryCondition) -> EdgeSet:
 
 
 # ---------------------------------------------------------------------------
-# spin configurations and specs
-
-
-class SpinConfig(Mapping):
-    """Immutable site -> spin (+-1) assignment."""
-
-    __slots__ = ("_sites", "_index", "_values")
-
-    def __init__(self, spins: Mapping[Site, int]):
-        sites = tuple(sorted(spins))
-        values = np.fromiter((spins[s] for s in sites), dtype=np.int8, count=len(sites))
-        if np.any(np.abs(values) != 1):
-            raise ValueError("spins must be +-1")
-        self._sites = sites
-        self._index = {s: k for k, s in enumerate(sites)}
-        self._values = values
-
-    @classmethod
-    def _from_row(cls, sites: tuple[Site, ...], index: dict[Site, int], row: np.ndarray):
-        obj = object.__new__(cls)
-        obj._sites = sites
-        obj._index = index
-        obj._values = row
-        return obj
-
-    def __getitem__(self, site: Site) -> int:
-        return int(self._values[self._index[site]])
-
-    def __iter__(self):
-        return iter(self._sites)
-
-    def __len__(self) -> int:
-        return len(self._sites)
-
-
-def spin_config_for_region(region: Region, spins: Mapping[Site, int]) -> SpinConfig:
-    if set(spins) != set(region.sites):
-        raise CoverageError("spin configuration must cover exactly the region's sites")
-    return SpinConfig(spins)
+# specs
 
 
 @dataclass(frozen=True)
@@ -347,7 +317,6 @@ def _site_fields(
     return h
 
 
-Observable = Callable[[SpinConfig], float]
 VectorObservable = Callable[[np.ndarray, tuple[Site, ...]], np.ndarray]
 
 
@@ -356,8 +325,11 @@ def _enum_reduce(
     observables: list[VectorObservable],
     cap: int | None = None,
     extra_fields: Mapping[Site, float] | None = None,
+    values: np.ndarray | None = None,
 ) -> tuple[float, list[float]]:
-    """Single enumeration pass: returns (log Z, [E[f] for each observable]).
+    """Single enumeration pass: returns (log Z, [E[f] for each observable])
+    for one coupling row ``values`` on the spec's edge set (by default the
+    spec's own).
 
     Weights are handled with a streaming running-max shift, so the result is
     exact up to binary64 rounding at any beta.
@@ -367,8 +339,9 @@ def _enum_reduce(
     if terms.n > cap:
         raise SizeCapError(f"{terms.n} free spins exceed the enumeration cap {cap}")
     sites, _ = _site_order(spec.region)
-    jv = spec.couplings.values[terms.bond_pos] * terms.sign[terms.bond_pos]
-    h = _site_fields(spec, spec.couplings.values, extra_fields)
+    values = spec.couplings.values if values is None else values
+    jv = values[terms.bond_pos] * terms.sign[terms.bond_pos]
+    h = _site_fields(spec, values, extra_fields)
     beta = spec.beta
     field_terms = [(k, hk) for k, hk in enumerate(h) if hk != 0.0]
 
@@ -404,44 +377,32 @@ def log_partition_enum(
     spec: GibbsSpec,
     cap: int | None = None,
     extra_fields: Mapping[Site, float] | None = None,
+    values: np.ndarray | None = None,
 ) -> float:
-    """log Z by exhaustive enumeration over all spin configurations."""
-    logz, _ = _enum_reduce(spec, [], cap=cap, extra_fields=extra_fields)
+    """log Z by exhaustive enumeration over all spin configurations, for
+    one coupling row ``values`` on the spec's edge set (by default the
+    spec's own)."""
+    logz, _ = _enum_reduce(spec, [], cap=cap, extra_fields=extra_fields, values=values)
     return logz
 
 
-def _vectorize(observable: Observable) -> VectorObservable:
-    def run(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
-        index = {s: k for k, s in enumerate(sites)}
-        out = np.empty(chunk.shape[0])
-        for r in range(chunk.shape[0]):
-            out[r] = observable(SpinConfig._from_row(sites, index, chunk[r]))
-        return out
-
-    return run
-
-
 def gibbs_expectation_enum(
-    spec: GibbsSpec,
-    observable: Union[Observable, VectorObservable],
-    cap: int | None = None,
-    vectorized: bool = False,
+    spec: GibbsSpec, observable: VectorObservable, cap: int | None = None
 ) -> float:
     """<f> under the spec's Gibbs measure, by enumeration.
 
-    ``observable`` maps a :class:`SpinConfig` to a real; pass
-    ``vectorized=True`` for the fast form ``f(spin_matrix, sites) -> array``
-    used by the heavier identity checks.
+    ``observable(spins, sites)`` takes a (states, n_sites) chunk of +-1
+    spins, one column per site of ``sites`` (the region's sites in order),
+    and returns one value per state.
     """
-    f = observable if vectorized else _vectorize(observable)
-    _, (value,) = _enum_reduce(spec, [f], cap=cap)
+    _, (value,) = _enum_reduce(spec, [observable], cap=cap)
     return value
 
 
 def exp_bond_observable(
     edges: EdgeSet | tuple[Edge, ...], values: Mapping[Edge, float], beta: float
 ) -> VectorObservable:
-    """Vectorized observable exp(beta * sum_e v_e sigma_x sigma_y)."""
+    """The observable exp(beta * sum_e v_e sigma_x sigma_y)."""
     pairs = [(e, float(values[e])) for e in edges]
 
     def run(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
@@ -786,8 +747,11 @@ def log_partition_pairs(
     on the wrapped length axis) and the stacks are equal, one sweep closes
     the trace both ways.  To bound memory a stack is swept in chunks whose
     environments hold at most ``2^_CHUNK_BITS`` doubles, and of at least one
-    row each.  Enumeration runs row by row.
+    row each.  Enumeration runs row by row.  A non-finite value in either
+    stack is a ``ConfigError``.
     """
+    if not (np.isfinite(values).all() and np.isfinite(other_values).all()):
+        raise ConfigError("a coupling stack carries a non-finite value")
     cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
     engines = [resolve_method(state, method, width_cap) for state in (spec, other)]
     out = np.empty((len(values), 2))
@@ -798,8 +762,7 @@ def log_partition_pairs(
     for state, stack, slot, negated in sweeps:
         if engines[slot] == "enum":
             for r, row in enumerate(stack):
-                config = state.couplings.with_values(row, "stacked")
-                out[r, slot] = log_partition_enum(state.with_couplings(config), cap=enum_cap)
+                out[r, slot] = log_partition_enum(state, cap=enum_cap, values=row)
             continue
         plan = _transfer_plan(state.region, state.bc, cap)
         side = 1 << plan.width
@@ -888,7 +851,7 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
 
 
 def _corr_observable(region: Region, edge: Edge) -> VectorObservable:
-    """Vectorized observable sigma_x sigma_y of one edge of the region."""
+    """The observable sigma_x sigma_y of one edge of the region."""
     _, index = _site_order(region)
     ix, iy = index[edge.x], index[edge.y]
 
@@ -955,23 +918,22 @@ def reweight_expectation(
     spec: GibbsSpec,
     block: Region,
     values: Mapping[Edge, float],
-    observable: Union[Observable, VectorObservable],
-    vectorized: bool = False,
+    observable: VectorObservable,
     cap: int | None = None,
 ) -> float:
     """< f >_{J+J_B} evaluated on the *original* spec via the tilt formula
 
         Gamma(f exp(beta sum_B J_B sigma sigma)) / Gamma(exp(beta sum_B ...)),
 
-    by enumeration.  This is the independent numerical route against which
-    :func:`reweight` is checked.
+    by enumeration, for an observable as in :func:`gibbs_expectation_enum`.
+    This is the independent numerical route against which :func:`reweight`
+    is checked.
     """
     block_assignment(spec.couplings, block, values)
-    f = observable if vectorized else _vectorize(observable)
     tilt = exp_bond_observable(interior_edges(block), values, spec.beta)
 
     def weighted(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
-        return np.asarray(f(chunk, sites), dtype=np.float64) * tilt(chunk, sites)
+        return np.asarray(observable(chunk, sites), dtype=np.float64) * tilt(chunk, sites)
 
     _, (num, den) = _enum_reduce(spec, [weighted, tilt], cap=cap)
     return num / den

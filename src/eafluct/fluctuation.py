@@ -69,6 +69,8 @@ from .lattice import (
 )
 
 BOOTSTRAP_DEFAULT = 1000
+PROBE_EPSILONS = (0.005, 0.01, 0.02, 0.05)
+PROBE_NOISE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +382,8 @@ def conditional_mean_given_block(
             window_edges = pair0.window_edges
             obs_values = {e: -full.value(e) for e in window_edges}
             obs = exp_bond_observable(window_edges, obs_values, spec.beta)
-            num = reweight_expectation(
-                pair0.gamma, block, block_values, obs, vectorized=True, cap=enum_cap
-            )
-            den = reweight_expectation(
-                pair0.gamma_prime, block, block_values, obs, vectorized=True, cap=enum_cap
-            )
+            num = reweight_expectation(pair0.gamma, block, block_values, obs, cap=enum_cap)
+            den = reweight_expectation(pair0.gamma_prime, block, block_values, obs, cap=enum_cap)
             vals[t] = math.log(num) - math.log(den)
     return ConditionalMeanResult(
         mean=float(vals.mean()),
@@ -853,8 +851,8 @@ def probe_realization(spec: EnsembleSpec, i: int) -> list[float]:
 def probe_report_from_rows(
     spec: EnsembleSpec,
     rows: Sequence[Sequence[float]],
-    epsilons: Sequence[float] = (0.005, 0.01, 0.02, 0.05),
-    noise_tol: float = 1e-10,
+    epsilons: Sequence[float] = PROBE_EPSILONS,
+    noise_tol: float = PROBE_NOISE_TOL,
     n_boot: int = BOOTSTRAP_DEFAULT,
 ) -> dict:
     edges = tuple(spec.window_edge_set)
@@ -887,8 +885,8 @@ def probe_report_from_rows(
 
 def incongruence_probe(
     spec: EnsembleSpec,
-    epsilons: Sequence[float] = (0.005, 0.01, 0.02, 0.05),
-    noise_tol: float = 1e-10,
+    epsilons: Sequence[float] = PROBE_EPSILONS,
+    noise_tol: float = PROBE_NOISE_TOL,
     n_boot: int = BOOTSTRAP_DEFAULT,
 ) -> dict:
     """Empirical density of window edges whose correlation differs between
@@ -1185,11 +1183,21 @@ def covariance_sample(
     probe_edge = edges.edges[int(rng.integers(0, len(edges)))]
     direct = edge_correlation(modified, probe_edge, method="enum", enum_cap=enum_cap)
     formula = reweight_expectation(
-        spec, block, j_b, _corr_observable(region, probe_edge), vectorized=True, cap=enum_cap
+        spec, block, j_b, _corr_observable(region, probe_edge), cap=enum_cap
     )
     return {
         "translation_deviation": abs(lhs - rhs),
         "coupling_deviation": abs(direct - formula),
+    }
+
+
+def covariance_report_from_rows(rows: Sequence[dict]) -> dict:
+    """The number of :func:`covariance_sample` rows and the largest
+    deviation of each check among them."""
+    return {
+        "n_samples": len(rows),
+        "max_translation_deviation": max(r["translation_deviation"] for r in rows),
+        "max_coupling_deviation": max(r["coupling_deviation"] for r in rows),
     }
 
 
@@ -1207,12 +1215,7 @@ def covariance_property_tests(
     translation: correlations computed from translated couplings at
     translated edges match the originals; coupling: expectations under
     J + J_B match the exponential-tilt evaluation on J."""
-    rows = [
+    return covariance_report_from_rows([
         covariance_sample(box_extents, beta, dist, master_seed, i, block_extents, enum_cap)
         for i in range(n_samples)
-    ]
-    return {
-        "n_samples": n_samples,
-        "max_translation_deviation": max(r["translation_deviation"] for r in rows),
-        "max_coupling_deviation": max(r["coupling_deviation"] for r in rows),
-    }
+    ])

@@ -32,7 +32,9 @@ from . import __version__
 from .disorder import SeedSpec, distribution_from_label, sample_couplings
 from .errors import ConfigError, IncompleteRunError, OracleMismatchError, TaskError
 from .exactsolve import (
+    ENUM_CAP,
     SOLVER_METHODS,
+    TRANSFER_WIDTH_CAP,
     BoundaryCondition,
     GibbsSpec,
     antiperiodic_bc,
@@ -46,12 +48,16 @@ from .exactsolve import (
     uniform_fixed_bc,
 )
 from .fluctuation import (
+    BOOTSTRAP_DEFAULT,
+    PROBE_EPSILONS,
+    PROBE_NOISE_TOL,
     BlockConditioning,
     EnsembleSpec,
     block_martingale_report,
     block_martingale_realization,
     bound_check,
     check_scaling,
+    covariance_report_from_rows,
     covariance_sample,
     edge_martingale_realization,
     mgf_report_from_values,
@@ -91,16 +97,16 @@ class ExperimentConfig:
     # sampling
     n: int = 1
     n_outer: int = 50
-    bootstrap: int = 1000
+    bootstrap: int = BOOTSTRAP_DEFAULT
     block_side: int = 2
     t_values: tuple[float, ...] = (0.5, 1.0, 2.0)
-    epsilons: tuple[float, ...] = (0.005, 0.01, 0.02, 0.05)
+    epsilons: tuple[float, ...] = PROBE_EPSILONS
     n_observables: int = 2
-    noise_tol: float = 1e-10
+    noise_tol: float = PROBE_NOISE_TOL
     # solver
     solver_method: str = "auto"
-    enum_cap: int = 24
-    transfer_width_cap: int = 12
+    enum_cap: int = ENUM_CAP
+    transfer_width_cap: int = TRANSFER_WIDTH_CAP
     # output
     records: str = "records.jsonl"
     report: str = "report.json"
@@ -589,14 +595,6 @@ def _covariance_task(cfg: ExperimentConfig, at: dict) -> dict:
     return covariance_sample(cfg.box, cfg.beta, dist, cfg.seed, i, enum_cap=cfg.enum_cap)
 
 
-def _reduce_covariance(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
-    return {
-        "n_samples": len(payloads),
-        "max_translation_deviation": max(p["translation_deviation"] for p in payloads),
-        "max_coupling_deviation": max(p["coupling_deviation"] for p in payloads),
-    }
-
-
 def _check_oracle(cfg: ExperimentConfig) -> None:
     if any(not g or min(g) < 1 for g in cfg.geometries):
         raise ConfigError("every oracle geometry needs at least one axis and extents >= 1")
@@ -740,7 +738,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
     ),
     "covariance": ExperimentKind(
         run=_covariance_task,
-        reduce=_reduce_covariance,
+        reduce=lambda cfg, payloads: covariance_report_from_rows(payloads),
         csv_tables=_csvs(
             _csv("covariance.csv", "n_samples max_translation_deviation max_coupling_deviation")
         ),

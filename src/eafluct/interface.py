@@ -48,18 +48,17 @@ from .lattice import (
 
 
 @lru_cache(maxsize=None)
-def master_edge_set(extents: tuple[int, ...], origin: tuple[int, ...] | None = None) -> EdgeSet:
+def master_edge_set(extents: tuple[int, ...]) -> EdgeSet:
     """Every edge any boundary condition on this box can need: the wrapped
     interior (torus bonds included) plus the clamped ghost ring."""
-    open_region = Region(extents, None, origin)
-    wrapped = Region(extents, (True,) * len(extents), origin)
+    open_region = Region(extents)
+    wrapped = Region(extents, (True,) * len(extents))
     return union(interior_edges(wrapped), boundary_edges(open_region, grow(open_region, 1)))
 
 
-def region_for_bc(extents: tuple[int, ...], bc: BoundaryCondition,
-                  origin: tuple[int, ...] | None = None) -> Region:
+def region_for_bc(extents: tuple[int, ...], bc: BoundaryCondition) -> Region:
     wrapped = bc.kind in ("periodic", "antiperiodic")
-    return Region(extents, (wrapped,) * len(extents), origin)
+    return Region(extents, (wrapped,) * len(extents))
 
 
 def sample_master(dist, extents: tuple[int, ...], seed: SeedSpec) -> CouplingConfig:
@@ -142,12 +141,9 @@ def make_state_pair(
     bc: BoundaryCondition,
     bc_prime: BoundaryCondition,
     master: CouplingConfig,
-    window: Region | None = None,
 ) -> StatePair:
     """Build the pair from one master realization (restricted per state)."""
-    open_box = Region(box_extents)
-    if window is None:
-        window = centered_window(open_box, window_extents)
+    window = centered_window(Region(box_extents), window_extents)
     gamma = GibbsSpec(region_for_bc(box_extents, bc), master, beta, bc)
     gamma_prime = GibbsSpec(region_for_bc(box_extents, bc_prime), master, beta, bc_prime)
     return StatePair(window, gamma, gamma_prime)
@@ -280,8 +276,8 @@ def interface_free_energy_direct(pair: StatePair, enum_cap: int | None = None) -
     # the observable is exp(beta H_window) with H = -sum J ss
     values = {e: -pair.gamma.couplings.value(e) for e in window_edges}
     obs = exp_bond_observable(window_edges, values, pair.beta)
-    num = gibbs_expectation_enum(pair.gamma, obs, cap=enum_cap, vectorized=True)
-    den = gibbs_expectation_enum(pair.gamma_prime, obs, cap=enum_cap, vectorized=True)
+    num = gibbs_expectation_enum(pair.gamma, obs, cap=enum_cap)
+    den = gibbs_expectation_enum(pair.gamma_prime, obs, cap=enum_cap)
     return math.log(num) - math.log(den)
 
 

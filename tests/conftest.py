@@ -8,6 +8,7 @@ enumeration or transfer engines.
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from eafluct.exactsolve import required_edges
@@ -77,6 +78,21 @@ def brute_expectation(spec, observable):
 
 def brute_correlation(spec, edge):
     return brute_expectation(spec, lambda s: s[edge.x] * s[edge.y])
+
+
+def bond_product(edge):
+    """sigma_x sigma_y of one edge as an enumeration observable: one value
+    per row of a (states, n_sites) spin chunk whose columns follow ``sites``."""
+
+    def product(spins, sites):
+        return spins[:, sites.index(edge.x)] * spins[:, sites.index(edge.y)]
+
+    return product
+
+
+def constant_one(spins, sites):
+    """The observable 1, as an enumeration observable."""
+    return np.ones(len(spins))
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import json
 import math
 
 import numpy as np
+from conftest import bond_product
 
 from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_block
 from eafluct.exactsolve import (
@@ -179,9 +180,7 @@ def test_criterion_04_reweighting_agreement():
             edges = tuple(interior_edges(region))
             probe = edges[int(rng.integers(0, len(edges)))]
             direct = edge_correlation(modified, probe, method="enum")
-            formula = reweight_expectation(
-                spec, block, j_b, lambda s: s[probe.x] * s[probe.y]
-            )
+            formula = reweight_expectation(spec, block, j_b, bond_product(probe))
             worst = max(worst, abs(direct - formula))
         assert worst <= 1e-10, f"worst deviation {worst}"
 

@@ -12,6 +12,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import constant_one
 
 from eafluct.disorder import (
     ZERO,
@@ -247,7 +248,7 @@ def test_edit_errors():
     spec = GibbsSpec(BOX, ring, 1.0, FIXED)
     for edit in (
         lambda b, v: reweight(spec, b, v),
-        lambda b, v: reweight_expectation(spec, b, v, lambda s: 1.0),
+        lambda b, v: reweight_expectation(spec, b, v, constant_one),
     ):
         with pytest.raises(ContainmentError):
             edit(outside, {})

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import brute_correlation, brute_log_z
+from conftest import bond_product, brute_correlation, brute_log_z, constant_one
 
 from eafluct.disorder import Gaussian, SeedSpec, sample_couplings
 from eafluct.errors import (
+    ConfigError,
     ContainmentError,
     CoverageError,
     SizeCapError,
@@ -39,7 +40,6 @@ from eafluct.exactsolve import (
     resolve_method,
     reweight,
     reweight_expectation,
-    spin_config_for_region,
     uniform_fixed_bc,
 )
 from eafluct.interface import domain_wall_free_energy, region_for_bc
@@ -74,7 +74,7 @@ def test_energy_zero_couplings():
     couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
         np.zeros(len(edges)), "zeroed"
     )
-    sigma = spin_config_for_region(region, {s: 1 for s in region.sites})
+    sigma = {s: 1 for s in region.sites}
     assert energy(sigma, couplings, edges) == 0.0
 
 
@@ -84,7 +84,7 @@ def test_energy_single_edge():
     couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
         np.ones(1), "unit"
     )
-    sigma = spin_config_for_region(region, {(0, 0): 1, (1, 0): 1})
+    sigma = {(0, 0): 1, (1, 0): 1}
     assert energy(sigma, couplings, edges) == -1.0
 
 
@@ -94,7 +94,7 @@ def test_energy_ferromagnet_2x2():
     couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
         np.ones(4), "unit"
     )
-    sigma = spin_config_for_region(region, {s: 1 for s in region.sites})
+    sigma = {s: 1 for s in region.sites}
     assert energy(sigma, couplings, edges) == -4.0
 
 
@@ -104,12 +104,6 @@ def test_energy_missing_spin_errors():
     couplings = sample_couplings(Gaussian(), edges, SeedSpec(1))
     with pytest.raises(CoverageError):
         energy({(0, 0): 1}, couplings, edges)
-
-
-def test_spin_config_coverage_enforced():
-    region = Region((2, 2))
-    with pytest.raises(CoverageError):
-        spin_config_for_region(region, {(0, 0): 1})
 
 
 # --- enumeration ----------------------------------------------------------
@@ -428,13 +422,13 @@ def test_correlation_requires_contained_edge():
 
 def test_normalization_is_exact():
     spec = make_spec((3, 3), (True, True), periodic_bc(), 1.4)
-    assert gibbs_expectation_enum(spec, lambda s: 1.0) == 1.0
+    assert gibbs_expectation_enum(spec, constant_one) == 1.0
 
 
 def test_expectation_reproduces_edge_correlation():
     spec = make_spec((3, 2), (False, False), free_bc(), 1.1)
     e = tuple(interior_edges(spec.region))[2]
-    val = gibbs_expectation_enum(spec, lambda s: s[e.x] * s[e.y])
+    val = gibbs_expectation_enum(spec, bond_product(e))
     assert val == pytest.approx(edge_correlation(spec, e, method="enum"), abs=1e-13)
 
 
@@ -446,11 +440,11 @@ def test_expectation_of_exp_beta_h_window_is_z_ratio():
     window = Region((2, 2), None, (0, 0))
     window_edges = interior_edges(window)
 
-    def observable(s):
-        h = 0.0
+    def observable(spins, sites):
+        h = np.zeros(len(spins))
         for e in window_edges:
-            h -= spec.couplings.value(e) * s[e.x] * s[e.y]
-        return math.exp(spec.beta * h)
+            h -= spec.couplings.value(e) * bond_product(e)(spins, sites)
+        return np.exp(spec.beta * h)
 
     lhs = gibbs_expectation_enum(spec, observable)
     zeroed = GibbsSpec(
@@ -534,7 +528,7 @@ def test_reweight_formula_matches_direct_recomputation():
     modified = reweight(spec, block, j_b)
     for e in list(interior_edges(spec.region))[:6]:
         direct = edge_correlation(modified, e, method="enum")
-        formula = reweight_expectation(spec, block, j_b, lambda s, e=e: s[e.x] * s[e.y])
+        formula = reweight_expectation(spec, block, j_b, bond_product(e))
         assert direct == pytest.approx(formula, abs=1e-10)
 
 
@@ -544,7 +538,7 @@ def test_reweight_formula_matches_brute_force():
     (edge,) = tuple(interior_edges(block))
     j_b = {edge: 0.7}
     probe = tuple(interior_edges(spec.region))[3]
-    formula = reweight_expectation(spec, block, j_b, lambda s: s[probe.x] * s[probe.y])
+    formula = reweight_expectation(spec, block, j_b, bond_product(probe))
     modified = reweight(spec, block, j_b)
     assert formula == pytest.approx(brute_correlation(modified, probe), abs=1e-12)
 
@@ -1163,6 +1157,17 @@ def test_log_partition_pairs_equals_one_call_per_row_for_each_kind_of_pair(monke
     spec, other = pairs[0]
     empty = (np.empty((0, len(spec.couplings.values))), np.empty((0, len(other.couplings.values))))
     assert exactsolve.log_partition_pairs(spec, other, *empty).shape == (0, 2)
+
+
+@pytest.mark.parametrize("method", ["enum", "transfer"])
+def test_a_non_finite_coupling_row_is_a_config_error(method):
+    spec = make_spec((3, 3), (False, False), free_bc(), 1.0)
+    good = np.stack([spec.couplings.values] * 2)
+    bad = good.copy()
+    bad[1, 2] = np.nan
+    for stacks in ((bad, good), (good, bad)):
+        with pytest.raises(ConfigError):
+            exactsolve.log_partition_pairs(spec, spec, *stacks, method=method)
 
 
 def test_a_stack_with_one_overflowing_row_is_loud_and_silent():

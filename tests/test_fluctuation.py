@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import bond_product
 
 from eafluct import exactsolve, interface
 from eafluct.disorder import Gaussian, SeedSpec, Uniform, overlay, set_block
@@ -660,7 +661,7 @@ def test_covariance_identity_cases_exact():
     # J_B = 0
     block = Region((2, 2), None, (0, 0))
     zero = {be: 0.0 for be in interior_edges(block)}
-    lhs = reweight_expectation(spec, block, zero, lambda s: s[e.x] * s[e.y])
+    lhs = reweight_expectation(spec, block, zero, bond_product(e))
     assert lhs == pytest.approx(edge_correlation(spec, e, method="enum"), abs=1e-13)
 
 

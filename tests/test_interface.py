@@ -10,12 +10,14 @@ from eafluct.errors import ContainmentError, PairError, UnsupportedOperationErro
 from eafluct.exactsolve import (
     GibbsSpec,
     antiperiodic_bc,
+    fixed_bc,
     free_bc,
     log_partition,
     log_partition_enum,
     periodic_bc,
     uniform_fixed_bc,
 )
+from eafluct.harness import _bc_from_name
 from eafluct.interface import (
     FreeEnergyResult,
     correlation_difference,
@@ -27,7 +29,7 @@ from eafluct.interface import (
     master_edge_set,
     sample_master,
 )
-from eafluct.lattice import Edge, Region, interior_edges
+from eafluct.lattice import Edge, Region, ghost_sites, interior_edges
 
 
 def pair_4x4(beta=1.0, bc=None, bc_prime=None, seed=11, realization=0):
@@ -112,6 +114,15 @@ def test_result_record_round_trip():
     result = interface_free_energy(pair_4x4())
     rec = result.to_record()
     assert FreeEnergyResult.from_record(rec) == result
+
+
+def test_bc_pair_names_the_sign_of_a_fixed_rule():
+    pairs = [interface_free_energy(pair_4x4(bc_prime=uniform_fixed_bc(s))).bc_pair
+             for s in (1, -1)]
+    assert pairs == [("free", "fixed:+1"), ("free", "fixed:-1")]
+    for s in (1, -1):  # the label is the config name of the same rule
+        assert _bc_from_name(uniform_fixed_bc(s).label, ()) == uniform_fixed_bc(s)
+    assert fixed_bc(dict.fromkeys(ghost_sites(Region((4, 4))), 1)).label == "fixed"
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
