@@ -3,9 +3,12 @@
 Two independent partition-function engines over the same spec:
 
 * exhaustive enumeration (any dimension, capped spin count): the oracle.
-  Its observables are arrays over states: ``f(spins, sites)`` maps a
-  (states, n_sites) chunk of +-1 spins, columns in ``sites`` order, to one
-  value per state;
+  It splits the sites into a low and a high half, tabulates each half's own
+  energies once, and gets every state's energy from the two tables and one
+  matrix product over the bonds between the halves; its bond correlations
+  come from one second-moment matrix.  Its observables are arrays over
+  states: ``f(spins, sites)`` maps a (states, n_sites) chunk of +-1 spins,
+  columns in ``sites`` order, to one value per state;
 * a 2d column-to-column transfer matrix (capped strip width): the workhorse.
   Each link between two columns is applied through its two Kronecker
   factors, over the low and the high half of the strip's rows.
@@ -237,6 +240,16 @@ def _site_order(region: Region) -> tuple[tuple[Site, ...], "dict[Site, int]"]:
     return sites, {s: k for k, s in enumerate(sites)}
 
 
+@lru_cache(maxsize=None)
+def _spin_matrix(w: int) -> np.ndarray:
+    idx = np.arange(1 << w, dtype=np.uint64)
+    s = np.empty((1 << w, w))
+    one = np.uint64(1)
+    for k in range(w):
+        s[:, k] = 1.0 - 2.0 * ((idx >> np.uint64(k)) & one).astype(np.float64)
+    return s
+
+
 @dataclass(frozen=True)
 class _Terms:
     """The Hamiltonian of one (region, bc), by position in its edge set
@@ -288,15 +301,6 @@ def _terms(region: Region, bc: BoundaryCondition) -> _Terms:
     )
 
 
-def _spin_chunk(start: int, stop: int, n: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.uint64)
-    s = np.empty((stop - start, n), dtype=np.int8)
-    one = np.uint64(1)
-    for k in range(n):
-        s[:, k] = 1 - 2 * ((idx >> np.uint64(k)) & one).astype(np.int8)
-    return s
-
-
 def _site_fields(
     spec: GibbsSpec, values: np.ndarray, extra_fields: Mapping[Site, float] | None
 ) -> np.ndarray:
@@ -320,57 +324,151 @@ def _site_fields(
 VectorObservable = Callable[[np.ndarray, tuple[Site, ...]], np.ndarray]
 
 
+@dataclass(frozen=True, eq=False)
+class _Halves:
+    """One (region, bc) split for enumeration: its n sites, in
+    ``region.sites`` order, as a low half of ``n_lo = ceil(n / 2)`` sites and
+    a high half of the rest, so state x is ``x_hi * 2^n_lo + x_lo`` (bit k is
+    site k, spin 1 - 2 * bit).  ``s_lo`` and ``s_hi`` are the halves' spin
+    matrices; the in-region bonds (positions into the :class:`_Terms` bond
+    arrays) are the ``lo`` and ``hi`` bonds, with their pair products
+    ``p_lo`` and ``p_hi`` over each half's states, and the ``cross`` bonds,
+    between high site ``cross_hi`` and low site ``cross_lo`` (indices within
+    their halves)."""
+
+    n_lo: int
+    s_lo: np.ndarray  # (2^n_lo, n_lo)
+    s_hi: np.ndarray  # (2^(n - n_lo), n - n_lo)
+    lo: np.ndarray
+    p_lo: np.ndarray  # (2^n_lo, len(lo))
+    hi: np.ndarray
+    p_hi: np.ndarray
+    cross: np.ndarray
+    cross_hi: np.ndarray
+    cross_lo: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _halves(region: Region, bc: BoundaryCondition) -> _Halves:
+    terms = _terms(region, bc)
+    n_lo = (terms.n + 1) // 2
+    s_lo, s_hi = _spin_matrix(n_lo), _spin_matrix(terms.n - n_lo)
+    ix, iy = terms.bond_ix, terms.bond_iy
+    lo = np.flatnonzero((ix < n_lo) & (iy < n_lo))
+    hi = np.flatnonzero((ix >= n_lo) & (iy >= n_lo))
+    cross = np.flatnonzero((ix < n_lo) != (iy < n_lo))
+    return _Halves(
+        n_lo=n_lo,
+        s_lo=s_lo,
+        s_hi=s_hi,
+        lo=lo,
+        p_lo=s_lo[:, ix[lo]] * s_lo[:, iy[lo]],
+        hi=hi,
+        p_hi=s_hi[:, ix[hi] - n_lo] * s_hi[:, iy[hi] - n_lo],
+        cross=cross,
+        cross_hi=np.maximum(ix[cross], iy[cross]) - n_lo,
+        cross_lo=np.minimum(ix[cross], iy[cross]),
+    )
+
+
+def _per_state(f: VectorObservable, spins: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
+    """``f(spins, sites)`` as float64, which must be one value per state."""
+    values = np.asarray(f(spins, sites), dtype=np.float64)
+    if values.shape != (len(spins),):
+        raise ConfigError(
+            f"an observable returned shape {values.shape}, not one value for each "
+            f"of {len(spins)} states"
+        )
+    return values
+
+
 def _enum_reduce(
     spec: GibbsSpec,
     observables: list[VectorObservable],
     cap: int | None = None,
     extra_fields: Mapping[Site, float] | None = None,
     values: np.ndarray | None = None,
-) -> tuple[float, list[float]]:
+    moments: bool = False,
+) -> tuple[float, list]:
     """Single enumeration pass: returns (log Z, [E[f] for each observable])
     for one coupling row ``values`` on the spec's edge set (by default the
-    spec's own).
+    spec's own); with ``moments`` the list ends with the (n, n) matrix of
+    E[sigma_i sigma_j] over the region's sites in order.
+
+    The energy of state ``(x_hi, x_lo)`` (see :class:`_Halves`) is
+    ``e_hi[x_hi] + e_lo[x_lo] + s_hi[x_hi] @ C @ s_lo[x_lo]``: each half's own
+    bonds and fields, tabulated once per coupling row, plus the cross bonds
+    as the (n_hi, n_lo) coupling matrix C.  The states are visited in chunks
+    of high states, each chunk one matrix product, one ``exp`` per state and
+    at most ``2^_CHUNK_BITS`` states (but at least one high state).  The
+    second moments of a chunk come from its weights ``w`` (high states by
+    low states): their column sums give the low-low block, their row sums
+    the high-high block, and ``s_hi.T @ w @ s_lo`` the cross block.  A
+    generic observable gets the chunk's (states, n) int8 spins, broadcast
+    from the two halves, and must return one value per state; its weighted
+    sum ``(f * w).sum()`` is the same reduction as the total ``w.sum()``, so
+    a constant observable normalizes exactly.
 
     Weights are handled with a streaming running-max shift, so the result is
     exact up to binary64 rounding at any beta.
     """
     cap = ENUM_CAP if cap is None else cap
     terms = _terms(spec.region, spec.bc)
-    if terms.n > cap:
-        raise SizeCapError(f"{terms.n} free spins exceed the enumeration cap {cap}")
+    n = terms.n
+    if n > cap:
+        raise SizeCapError(f"{n} free spins exceed the enumeration cap {cap}")
     sites, _ = _site_order(spec.region)
+    halves = _halves(spec.region, spec.bc)
+    n_lo, s_lo = halves.n_lo, halves.s_lo
     values = spec.couplings.values if values is None else values
     jv = values[terms.bond_pos] * terms.sign[terms.bond_pos]
     h = _site_fields(spec, values, extra_fields)
+    e_lo = halves.p_lo @ jv[halves.lo] + s_lo @ h[:n_lo]
+    e_hi = halves.p_hi @ jv[halves.hi] + halves.s_hi @ h[n_lo:]
+    c = np.zeros((n - n_lo, n_lo))
+    np.add.at(c, (halves.cross_hi, halves.cross_lo), jv[halves.cross])
+    hi_field = (s_lo @ c.T).T  # [k, x_lo]: the cross-bond field of state x_lo on high site k
     beta = spec.beta
-    field_terms = [(k, hk) for k, hk in enumerate(h) if hk != 0.0]
 
     running_max = -np.inf
-    s0 = 0.0
-    sf = [0.0] * len(observables)
-    total = 1 << terms.n
-    step = 1 << _CHUNK_BITS
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        s = _spin_chunk(start, stop, terms.n)
-        expo = np.zeros(stop - start)
-        for b in range(terms.bond_ix.size):
-            expo += jv[b] * (s[:, terms.bond_ix[b]] * s[:, terms.bond_iy[b]])
-        for k, hk in field_terms:
-            expo += hk * s[:, k]
+    sums = [0.0] * (1 + len(observables) + int(moments))
+    step = max(1, (1 << _CHUNK_BITS) >> n_lo)
+    # the step and the high-state count are powers of two, so every chunk has
+    # the same shape and one buffer serves them all
+    buf = np.empty((min(step, len(halves.s_hi)), len(s_lo)))
+    for start in range(0, len(halves.s_hi), step):
+        s_hi = halves.s_hi[start : start + step]
+        expo = np.matmul(s_hi, hi_field, out=buf)
+        expo += e_hi[start : start + step, None]
+        expo += e_lo
         expo *= beta
         mc = float(expo.max())
-        w = np.exp(expo - mc)
-        c0 = float(w.sum())
-        cf = [float(np.dot(np.asarray(f(s, sites), dtype=np.float64), w)) for f in observables]
+        expo -= mc
+        w = np.exp(expo, out=expo)
+        chunk = [float(w.sum())]
+        if observables:
+            spins = np.empty(w.shape + (n,), dtype=np.int8)
+            spins[..., :n_lo] = s_lo
+            spins[..., n_lo:] = s_hi[:, None]
+            spins = spins.reshape(-1, n)
+            for f in observables:
+                fv = _per_state(f, spins, sites).reshape(w.shape)
+                chunk.append(float((fv * w).sum()))
+        if moments:
+            m = np.empty((n, n))
+            m[:n_lo, :n_lo] = (s_lo.T * w.sum(axis=0)) @ s_lo
+            m[n_lo:, n_lo:] = (s_hi.T * w.sum(axis=1)) @ s_hi
+            m[n_lo:, :n_lo] = s_hi.T @ (w @ s_lo)
+            m[:n_lo, n_lo:] = m[n_lo:, :n_lo].T
+            chunk.append(m)
         # rescale both sums to the larger max: the side holding it is
         # multiplied by exp(0) = 1 exactly
         top = max(running_max, mc)
         old, new = math.exp(running_max - top), math.exp(mc - top)
-        s0 = s0 * old + c0 * new
-        sf = [a * old + b * new for a, b in zip(sf, cf)]
+        sums = [a * old + b * new for a, b in zip(sums, chunk)]
         running_max = top
-    return running_max + math.log(s0), [a / s0 for a in sf]
+    total, *weighted = sums
+    return running_max + math.log(total), [a / total for a in weighted]
 
 
 def log_partition_enum(
@@ -417,16 +515,6 @@ def exp_bond_observable(
 
 # ---------------------------------------------------------------------------
 # 2d transfer matrix
-
-
-@lru_cache(maxsize=None)
-def _spin_matrix(w: int) -> np.ndarray:
-    idx = np.arange(1 << w, dtype=np.uint64)
-    s = np.empty((1 << w, w))
-    one = np.uint64(1)
-    for k in range(w):
-        s[:, k] = 1.0 - 2.0 * ((idx >> np.uint64(k)) & one).astype(np.float64)
-    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -850,17 +938,6 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     return out
 
 
-def _corr_observable(region: Region, edge: Edge) -> VectorObservable:
-    """The observable sigma_x sigma_y of one edge of the region."""
-    _, index = _site_order(region)
-    ix, iy = index[edge.x], index[edge.y]
-
-    def corr(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
-        return (chunk[:, ix] * chunk[:, iy]).astype(np.float64)
-
-    return corr
-
-
 def edge_correlations(
     spec: GibbsSpec,
     edges: Iterable[Edge],
@@ -871,7 +948,8 @@ def edge_correlations(
     """<sigma_x sigma_y> for each edge, in order, under the spec's Gibbs measure.
 
     One pass of one engine serves every edge: a forward and a backward
-    transfer pass, or a single enumeration with one observable per edge.
+    transfer pass, or one enumeration pass that accumulates the second-moment
+    matrix of the region's spins.
     """
     edges = tuple(edges)
     # a clamped ghost bond is in the spec's edge set but has no correlation
@@ -880,9 +958,9 @@ def edge_correlations(
         width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
         by_position = _transfer_bond_correlations(spec, width_cap)
         return by_position[edge_positions(spec.couplings.edge_set, edges)]
-    observables = [_corr_observable(spec.region, e) for e in edges]
-    _, values = _enum_reduce(spec, observables, cap=enum_cap)
-    return np.asarray(values, dtype=np.float64)
+    _, (second,) = _enum_reduce(spec, [], cap=enum_cap, moments=True)
+    _, index = _site_order(spec.region)
+    return np.array([second[index[e.x], index[e.y]] for e in edges], dtype=np.float64)
 
 
 def edge_correlation(
@@ -933,7 +1011,7 @@ def reweight_expectation(
     tilt = exp_bond_observable(interior_edges(block), values, spec.beta)
 
     def weighted(chunk: np.ndarray, sites: tuple[Site, ...]) -> np.ndarray:
-        return np.asarray(observable(chunk, sites), dtype=np.float64) * tilt(chunk, sites)
+        return _per_state(observable, chunk, sites) * tilt(chunk, sites)
 
     _, (num, den) = _enum_reduce(spec, [weighted, tilt], cap=cap)
     return num / den

@@ -38,7 +38,6 @@ from .errors import (
 from .exactsolve import (
     BoundaryCondition,
     GibbsSpec,
-    _corr_observable,
     edge_correlation,
     edge_correlations,
     exp_bond_observable,
@@ -1182,9 +1181,12 @@ def covariance_sample(
     modified = reweight(spec, block, j_b)
     probe_edge = edges.edges[int(rng.integers(0, len(edges)))]
     direct = edge_correlation(modified, probe_edge, method="enum", enum_cap=enum_cap)
-    formula = reweight_expectation(
-        spec, block, j_b, _corr_observable(region, probe_edge), cap=enum_cap
-    )
+    ix, iy = region.sites.index(probe_edge.x), region.sites.index(probe_edge.y)
+
+    def probe(spins: np.ndarray, sites: tuple) -> np.ndarray:
+        return spins[:, ix] * spins[:, iy]
+
+    formula = reweight_expectation(spec, block, j_b, probe, cap=enum_cap)
     return {
         "translation_deviation": abs(lhs - rhs),
         "coupling_deviation": abs(direct - formula),

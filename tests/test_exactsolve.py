@@ -11,7 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bond_product, brute_correlation, brute_log_z, constant_one
+from conftest import (
+    bond_product,
+    brute_correlation,
+    brute_log_z,
+    brute_weight_exponent,
+    constant_one,
+    effective_bonds,
+    spin_assignments,
+)
 
 from eafluct.disorder import Gaussian, SeedSpec, sample_couplings
 from eafluct.errors import (
@@ -155,18 +163,119 @@ def test_enum_cap_enforced():
 
 
 def test_chunked_enumeration_agrees_with_single_chunk():
-    # force multiple chunks by shrinking the chunk size
+    # force multiple chunks by shrinking the chunk size: a 3x3 box splits
+    # into 32 low and 16 high states, so a 2^5-state chunk holds one high state
     import eafluct.exactsolve as ex
 
     spec = make_spec((3, 3), (True, True), periodic_bc(), 1.2)
+    edges = interior_edges(spec.region)
+    probe = bond_product(edges.edges[5])
     full = log_partition_enum(spec)
+    full_corr = edge_correlations(spec, edges, method="enum")
+    full_probe = gibbs_expectation_enum(spec, probe)
     old = ex._CHUNK_BITS
     try:
         ex._CHUNK_BITS = 5
         chunked = log_partition_enum(spec)
+        chunked_corr = edge_correlations(spec, edges, method="enum")
+        chunked_probe = gibbs_expectation_enum(spec, probe)
     finally:
         ex._CHUNK_BITS = old
     assert chunked == pytest.approx(full, abs=1e-12)
+    assert np.abs(chunked_corr - full_corr).max() <= 1e-12
+    assert chunked_probe == pytest.approx(full_probe, abs=1e-12)
+    assert chunked_probe == pytest.approx(brute_correlation(spec, edges.edges[5]), abs=1e-12)
+
+
+# boxes whose low and high halves meet every kind of term: chains of 1-3
+# sites, a lone clamped site, ghost fields on both halves, a doubled
+# antiperiodic cube and a torus
+SPLIT_BOXES = [
+    *[((n,), None, bc) for n in (1, 2, 3) for bc in (free_bc(), uniform_fixed_bc(-1))],
+    *[((n,), (True,), periodic_bc()) for n in (1, 2, 3)],
+    ((1, 1), None, uniform_fixed_bc(1)),
+    ((2, 3), None, uniform_fixed_bc(1)),
+    ((2, 2, 2), (True, True, True), antiperiodic_bc(0, 2)),
+    ((3, 3), (True, True), periodic_bc()),
+]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 1000.0])
+@pytest.mark.parametrize("extents,wrap,bc", SPLIT_BOXES)
+def test_split_enumeration_matches_brute_force(extents, wrap, bc, beta):
+    spec = make_spec(extents, wrap, bc, beta, seed=4)
+    want = brute_log_z(spec)
+    assert log_partition_enum(spec) == pytest.approx(want, rel=1e-12)
+    if beta == 0.0:
+        assert log_partition_enum(spec) == pytest.approx(
+            spec.region.n_sites * math.log(2.0), rel=1e-12
+        )
+    edges = interior_edges(spec.region)
+    got = edge_correlations(spec, edges, method="enum")
+    for e, value in zip(edges, got):
+        assert abs(value - brute_correlation(spec, e)) <= 1e-12, e
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 1000.0])
+def test_split_enumeration_extra_fields_on_both_halves(beta):
+    # sites 0-2 of a 2x3 box are the low half, sites 3-5 the high half
+    spec = make_spec((2, 3), None, uniform_fixed_bc(1), beta, seed=5)
+    sites = spec.region.sites
+    fields = {sites[0]: 0.4, sites[2]: -1.3, sites[3]: 0.9, sites[5]: -0.2}
+    bonds, ghost = effective_bonds(spec)
+    for site, value in fields.items():
+        ghost[site] = ghost.get(site, 0.0) + value
+    expos = [brute_weight_exponent(spec, sigma, bonds, ghost) for sigma in spin_assignments(sites)]
+    top = max(expos)
+    want = top + math.log(math.fsum(math.exp(v - top) for v in expos))
+    assert log_partition_enum(spec, extra_fields=fields) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "extents,wrap,bc",
+    [*ALL_BC_SPECS, ((3, 2), None, uniform_fixed_bc(-1)), ((2, 2, 3), None, free_bc())],
+)
+def test_moment_correlations_equal_per_edge_expectations(extents, wrap, bc):
+    spec = make_spec(extents, wrap, bc, 1.3, seed=6)
+    edges = interior_edges(spec.region)
+    got = edge_correlations(spec, edges, method="enum")
+    want = [gibbs_expectation_enum(spec, bond_product(e)) for e in edges]
+    assert np.abs(got - want).max() <= 1e-13
+
+
+BAD_OBSERVABLES = {
+    "scalar": lambda spins, sites: 1.0,
+    "column": lambda spins, sites: np.ones((len(spins), 1)),
+    "short": lambda spins, sites: np.ones(len(spins) - 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OBSERVABLES))
+def test_an_observable_must_return_one_value_per_state(name):
+    spec = make_spec((2, 2), None, free_bc(), 1.0)
+    block = Region((2, 1))
+    values = {e: 0.5 for e in interior_edges(block)}
+    with pytest.raises(ConfigError):
+        gibbs_expectation_enum(spec, BAD_OBSERVABLES[name])
+    with pytest.raises(ConfigError):
+        reweight_expectation(spec, block, values, BAD_OBSERVABLES[name])
+
+
+def test_enumeration_peaks_within_one_and_a_half_chunks():
+    # a 22-spin box is four chunks of 2^20 states; one chunk of doubles is
+    # 8 MiB, and log Z plus every correlation hold one at a time (about
+    # 8.5 MiB in all); a second live chunk would cross 12 MiB
+    spec = make_spec((2, 11), None, free_bc(), 1.0)
+    edges = interior_edges(spec.region)
+    log_partition_enum(spec)  # warm the term and half-table caches
+    tracemalloc.start()
+    try:
+        log_partition_enum(spec)
+        edge_correlations(spec, edges, method="enum")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 # --- transfer matrix ------------------------------------------------------

@@ -12,7 +12,12 @@ kinds (martingale, edge-martingale, bounds, mgf, probe, scaling and
 oracle-verify) were regenerated once more, from the same configs, when
 every transfer link began to be applied as its two Kronecker factors; no
 report float or CSV cell moved by more than 8.3e-13, and fe, domain-wall,
-ensemble and covariance kept their bytes.
+ensemble and covariance kept their bytes.  Covariance and oracle-verify were
+regenerated once more, from the same configs, when enumeration began to
+build its energies from two half-state tables and one cross product and its
+correlations from one second-moment matrix: only their four engine-deviation
+diagnostics moved, each a rounding-level maximum below 1.8e-15, and every
+other kind kept its bytes.
 """
 
 from pathlib import Path
