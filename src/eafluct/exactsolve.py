@@ -63,6 +63,7 @@ ENUM_CAP = 24
 TRANSFER_WIDTH_CAP = 12
 SOLVER_METHODS = ("auto", "transfer", "enum")
 _CHUNK_BITS = 20
+_BLOCK_DOUBLES = 1 << 15  # the largest block one link application takes at a time
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +638,52 @@ def _link(s: np.ndarray, couplings: np.ndarray, beta: float) -> tuple[np.ndarray
     return factor(couplings[..., k:]), factor(couplings[..., :k])
 
 
-def _apply(env: np.ndarray, link: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``env @ np.kron(hi, lo)`` for ``env`` of shape (..., 2^W), as one small
-    product per factor and row; the factors' leading axes broadcast against
-    those of ``env`` without its last (see :func:`_link`)."""
+def _apply(env: np.ndarray, link: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``env @ np.kron(hi, lo)`` written into ``out``, a C-contiguous array
+    of ``env``'s shape that may be ``env`` itself (it is written through
+    reshaped views); returns ``out``.  ``env`` is (rows, 2^W) with one
+    factor pair, or a stack (B, rows, 2^W) with one pair per stack row,
+    (B, n, n) each (see :func:`_link`).
+
+    The product is one small matrix product per factor and carried row
+    (``view @ lo``, then ``hi @ x``), taken one block of at most
+    ``_BLOCK_DOUBLES`` doubles at a time: whole stack rows when one stack row
+    fits, otherwise carried rows of one stack row.  A block is read in full
+    into its lo-stage product before its part of ``out`` is written, so that
+    product is the only temporary, and blocking does not change a bit.
+    """
     hi, lo = link
-    shape = env.shape
-    x = env.reshape(*shape[:-1], hi.shape[-1], lo.shape[-1]) @ lo
-    return np.matmul(hi, x).reshape(shape)
+    stacked = env.ndim == 3
+    if stacked:
+        hi, lo = hi[:, None], lo[:, None]
+    split = (hi.shape[-1], lo.shape[-1])
+    rows = env.shape[-2]
+    per = max(1, _BLOCK_DOUBLES // env.shape[-1])  # carried rows in a block
+    if not stacked:
+        blocks = [(slice(r, r + per),) for r in range(0, rows, per)]
+    elif rows <= per:
+        step = per // rows
+        blocks = [(slice(b, b + step),) for b in range(0, len(env), step)]
+    else:
+        blocks = [(slice(b, b + 1), slice(r, r + per))
+                  for b in range(len(env)) for r in range(0, rows, per)]
+    for block in blocks:
+        f = block[:1] if stacked else ()
+        view = env[block]
+        x = view.reshape(*view.shape[:-1], *split) @ lo[f]
+        np.matmul(hi[f], x, out=out[block].reshape(x.shape))
+    return out
 
 
-def _link_rows(link: tuple[np.ndarray, np.ndarray], rows: int) -> np.ndarray:
+def _link_rows(link: tuple[np.ndarray, np.ndarray], rows: int, out: np.ndarray) -> np.ndarray:
     """The first ``rows`` rows of ``np.kron(hi, lo)``, from one broadcast
-    product, with the factors' leading axes in front."""
+    product written into ``out``, a C-contiguous (..., rows, 2^W) array with
+    the factors' leading axes in front; returns ``out``."""
     hi, lo = link
-    h = rows // lo.shape[-1]
-    block = hi[..., :h, None, :, None] * lo[..., None, :, None, :]
-    return block.reshape(block.shape[:-4] + (rows, -1))
+    h, n = rows // lo.shape[-1], lo.shape[-1]
+    np.multiply(hi[..., :h, None, :, None], lo[..., None, :, None, :],
+                out=out.reshape(*out.shape[:-2], h, n, hi.shape[-1], n))
+    return out
 
 
 _RANGE_ERROR = "transfer weights left the floating-point range at this beta"
@@ -697,17 +727,18 @@ def _transfer_sweep(
     the stack.  The flip maps state x to ~x = 2^W-1-x and leaves every link
     (``M[~x, ~y] = M[x, y]``) and every field-free column weight unchanged,
     so the rows of the column-0 states with the top bit set are the others
-    mirrored, ``env[~x, ~y] = env[x, y]``, and are not carried.  Every step
+    mirrored, ``env[~x, ~y] = env[x, y]``, and are not carried.  The sweep
+    holds one environment buffer and every step overwrites it in place: it
     applies a link through its Kronecker factors (:func:`_apply`), except
-    the first wrapped one, which row-scales the carried rows of the link
-    (:func:`_link_rows`) by the column-0 weights.  The close
+    the first wrapped one, which writes the carried rows of the link
+    (:func:`_link_rows`) and row-scales them by the column-0 weights.  The close
     is the sum of the last environment on an open axis, and on a wrapped one
     its trace against the closing link: 2^W / rows times the dot product of
     the carried rows with the same rows of that symmetric link.  With
     ``negated_close`` (a wrapped length axis only) the close is taken a
     second time, against the closing link with its couplings negated.
-    Environments, of shape (B, rows, 2^W), are kept only with ``keep``;
-    otherwise the list is empty.
+    Environments, of shape (B, rows, 2^W), are kept only with ``keep``, as
+    copies of the buffer; otherwise the list is empty.
     """
     width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
@@ -725,28 +756,33 @@ def _transfer_sweep(
         d = _column_weights(spec, plan, extra_fields, values)
         # the flip reverses the row order of the column weights, so a field
         # term shows as weights that are not even under it
-        rows = side // 2 if plan.wrap_l and np.array_equal(d, d[:, ::-1]) else side
+        rows = 1
+        if plan.wrap_l:
+            rows = side // 2 if np.array_equal(d, d[:, ::-1]) else side
         weights = d.transpose(2, 0, 1)[:, :, None]  # [c] is (B, 1, 2^W)
-        # a wrapped axis starts from diag(d_0), applied to the first link as
-        # row scaling
-        env = d[:, :rows, None, 0] if plan.wrap_l else d[:, None, :, 0]
+        # the sweep's one environment buffer, overwritten step by step; a
+        # wrapped axis starts from diag(d_0), applied to the first link as
+        # row scaling, and an open one from the row d_0
+        buf = np.empty((len(values), rows, side))
+        env = buf if plan.wrap_l else d[:, None, :, 0]
         if keep:
             envs.append(np.eye(rows, side) * d[:, None, :, 0] if plan.wrap_l else env)
         for c in range(1, plan.length):
             hi, lo = _link(s, jh[..., c - 1], beta)
             if plan.wrap_l and c == 1:
-                env = env * _link_rows((hi, lo), rows)
+                env = _link_rows((hi, lo), rows, buf)
+                env *= d[:, :rows, None, 0]
             else:  # one link per stack row, shared by its carried rows
-                env = _apply(env, (hi[:, None], lo[:, None]))
+                env = _apply(env, (hi, lo), buf)
             env *= weights[c]
             env /= env.max(axis=(1, 2), keepdims=True, out=maxima[c - 1])
             if keep:
-                envs.append(env)
+                envs.append(env.copy())
         if plan.wrap_l:
             closings = (jh[..., -1], -jh[..., -1]) if negated_close else (jh[..., -1],)
             totals = [
                 [(side // rows) * float(np.vdot(e, r))
-                 for e, r in zip(env, _link_rows(_link(s, j, beta), rows))]
+                 for e, r in zip(env, _link_rows(_link(s, j, beta), rows, np.empty_like(env)))]
                 for j in closings
             ]
         else:
@@ -893,7 +929,8 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     ``(left_c * (right @ link)).sum(0)``, and bond r's correlation is the
     dot product of ``(left_c * s_r) @ link`` with ``right * s_r`` over the
     marginal's total: W + 1 factored applications of each link (see
-    :func:`_apply`), none dense.
+    :func:`_apply`), none dense, each into one of three buffers of the
+    right environment's shape.
     Where the sweep carries half the rows of a wrapped environment, the
     dropped x0 add the same weights mirrored, ``~x = 2^W-1-x``; every
     observable here is even under that flip, so the carried half gives the
@@ -911,20 +948,19 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     side = 1 << plan.width
     rows = envs[0].shape[0]
     right = np.eye(rows, side) if plan.wrap_l else np.ones((1, side))
-    buf = np.empty_like(right)
+    after, q, buf = (np.empty_like(right) for _ in range(3))
     with np.errstate(all="ignore"):  # see _transfer_sweep
         for c in reversed(range(plan.length)):
             left = envs[c]
             if c < jh.shape[1]:
                 link = _link(s, jh[:, c], spec.beta)
-                after = _apply(right, link)
+                _apply(right, link, after)
                 marginal = (left * after).sum(axis=0)
                 total = marginal.sum()
                 for r in range(plan.width):
-                    q = _apply(np.multiply(left, s[:, r], out=buf), link)
+                    _apply(np.multiply(left, s[:, r], out=q), link, q)
                     horz[r, c] = np.vdot(q, np.multiply(right, s[:, r], out=buf)) / total
-                del q
-                right = after
+                right, after = after, right
             else:
                 marginal = (left * right).sum(axis=0)
             vert[:, c] = (marginal @ sp) / marginal.sum()

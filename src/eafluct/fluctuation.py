@@ -126,7 +126,35 @@ def bootstrap_ci(
     values = np.asarray(values)
     stats = _resampled(len(values), lambda draws: statistic(values[draws]), n_resamples, rng)
     lo = (1.0 - level) / 2.0
-    return float(np.quantile(stats, lo)), float(np.quantile(stats, 1.0 - lo))
+    return _quantiles(stats, (lo, 1.0 - lo))
+
+
+def _quantiles(values: Sequence[float], qs: Sequence[float]) -> tuple[float, ...]:
+    """``np.quantile(values, q)`` for each q in ``qs``, bit for bit, from one
+    sorted copy: numpy's default 'linear' rule, the virtual index (n-1)q
+    between two order statistics and numpy's two-sided ``_lerp``.  It skips
+    ``np.quantile``'s ``np.unique``, whose first call imports ``numpy.ma``.
+    (Only the sign of a zero result can differ, where -0.0 and 0.0 tie and
+    the sort orders them unlike numpy's partition.)"""
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    n = len(v)
+    if math.isnan(v[-1]):  # NaN sorts last, and numpy then returns it
+        return (math.nan,) * len(qs)
+    out = []
+    for q in qs:
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile {q} is not in [0, 1]")
+        x = (n - 1) * q
+        if x >= n - 1:  # numpy takes the last value from index -1
+            i = j = n - 1
+            t = x + 1.0
+        else:
+            i = math.floor(x)
+            j, t = i + 1, x - i
+        a, b = float(v[i]), float(v[j])
+        d = b - a
+        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +255,23 @@ class EnsembleSpec:
     def f_value(self, i: int) -> float:
         return self.f_from(self.master(i))
 
-    def f_stack(self, template: CouplingConfig, values: np.ndarray) -> np.ndarray:
+    def f_stack(
+        self, template: CouplingConfig, values: np.ndarray, pair: StatePair | None = None
+    ) -> np.ndarray:
         """F of ``template`` with its couplings replaced by each row of the
         (B, n_edges) stack ``values`` on its edge set, each bit-identical to
         a one-row stack of that row.  Each state's columns are gathered once,
         and every log Z comes from one :func:`free_energy_terms` (pair mode)
-        or :func:`log_partition_pairs` (domain-wall mode) call."""
+        or :func:`log_partition_pairs` (domain-wall mode) call.
+
+        In pair mode only the structure of the state pair is read, so a
+        caller with many templates on one edge set passes one ``pair`` built
+        from any of them; by default it is built from ``template``."""
         if self.mode == "domain-wall":
             bcs = (self.bc, self.bc_prime)
             states = [GibbsSpec(self.window_region, template, self.beta, bc) for bc in bcs]
         else:
-            pair = self.pair_from(template)
+            pair = self.pair_from(template) if pair is None else pair
             states = [pair.gamma, pair.gamma_prime]
         stacks = [values[:, edge_positions(template.edge_set, s.couplings.edge_set)] for s in states]
         solver = (self.solver, self.enum_cap, self.width_cap)
@@ -456,17 +490,19 @@ def _conditional_path(
     Each inner draw is one (P, n_edges) coupling stack, a row per prefix
     holding ``held_master``'s values on the prefix's edges, and goes through
     one :meth:`EnsembleSpec.f_stack` call, so its prefixes share the draw's
-    window-zeroed terms.
+    window-zeroed terms.  Every draw lies on the master edge set, so in pair
+    mode one state pair serves the whole path.
     """
     positions = [edge_positions(master_edge_set(spec.box_extents), e) for e in prefixes]
     held = [held_master.values[edge_positions(held_master.edge_set, e)] for e in prefixes]
+    pair = spec.pair_from(held_master) if spec.mode == "pair" else None
     out = np.empty((n_outer, len(prefixes)))
     for t in range(n_outer):
         inner = spec.inner_master(i, t, purpose)
         rows = np.tile(inner.values, (len(prefixes), 1))
         for row, pos, value in zip(rows, positions, held):
             row[pos] = value
-        out[t] = spec.f_stack(inner, rows)
+        out[t] = spec.f_stack(inner, rows, pair)
     return out
 
 
@@ -1110,11 +1146,7 @@ def scaling_report_from_values(
                 resampled.append(v)
             if ok:
                 slopes.append(np.polyfit(xs, np.log(resampled), 1)[0])
-        lo, hi = (
-            (float(np.quantile(slopes, 0.025)), float(np.quantile(slopes, 0.975)))
-            if slopes
-            else (math.nan, math.nan)
-        )
+        lo, hi = _quantiles(slopes, (0.025, 0.975)) if slopes else (math.nan, math.nan)
         out["fits"][name] = {
             "exponent": float(slope),
             "intercept": float(intercept),

@@ -19,7 +19,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -807,6 +806,9 @@ def _finished(cfg_json: str, todo: list[int], workers: int):
         for task in todo:
             yield task, partial(_worker, cfg_json, task)
         return
+    # imported here: a one-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_worker, cfg_json, t): t for t in todo}
         try:
@@ -859,6 +861,20 @@ def _load_existing_records(path: Path, digest: str) -> tuple[dict[int, dict], in
     return done, len(data) - len(torn)
 
 
+def _worker_count(workers: int | None) -> int:
+    """``workers``, or when it is None the ``EAFLUCT_WORKERS`` variable
+    (default 1); anything but a positive integer is a ``ConfigError``."""
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"the worker count must be a positive integer, got {workers!r}")
+    return workers
+
+
 def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     """Run the configured experiment; returns (and writes) the final report.
 
@@ -867,8 +883,7 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     """
     if cfg.seed is None:
         raise ConfigError("a seed is required (no wall-clock seeding)")
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = _worker_count(workers)
     digest = config_digest(cfg)
     records_path = Path(cfg.records)
     records_path.parent.mkdir(parents=True, exist_ok=True)

@@ -1066,6 +1066,87 @@ def test_torus_correlations_fit_in_the_dense_backward_pass_peak():
     assert peak <= 80 * 2**20
 
 
+def test_torus_pair_sweep_holds_one_environment_and_the_closing_rows():
+    # the sweep's one 4 MiB environment buffer, overwritten in place, plus
+    # the closing link's 4 MiB of carried rows and a 256 KiB block; an
+    # environment-sized temporary in any step would cross 12 MiB
+    region, couplings = _torus((10, 10), 7)
+    spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
+    other = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
+    log_partition_pair(spec, other)  # warm the plan and edge caches
+    tracemalloc.start()
+    try:
+        log_partition_pair(spec, other)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
+
+
+# --- in-place, blocked link applications ---------------------------------------
+
+# (extents, wrap, bc, extra field on one site): open, clamped, wrapped with
+# half and with all rows carried
+BLOCK_GEOMETRIES = [
+    ((5, 3), None, free_bc(), None),
+    ((4, 5), None, uniform_fixed_bc(-1), None),
+    ((4, 4), (True, True), periodic_bc(), None),
+    ((5, 4), (True, True), antiperiodic_bc(0), None),
+    ((4, 4), (True, True), antiperiodic_bc(1), 0.4),
+]
+
+
+def _blocked_results():
+    """Hex of every stacked log Z (both closes on a wrapped length axis) and
+    of every bond correlation over ``BLOCK_GEOMETRIES``."""
+    out = []
+    for extents, wrap, bc, field in BLOCK_GEOMETRIES:
+        specs = [make_spec(extents, wrap, bc, 0.9, seed=21, realization=k) for k in range(9)]
+        spec = specs[0]
+        fields = None if field is None else {spec.region.sites[3]: field}
+        wrapped = exactsolve._transfer_plan(spec.region, bc, 12).wrap_l
+        for n in (1, 3, 9):
+            stack = np.stack([s.couplings.values for s in specs[:n]])
+            for negated in (False, True) if wrapped else (False,):
+                logz, _ = exactsolve._transfer_sweep(
+                    spec, extra_fields=fields, negated_close=negated, couplings=stack
+                )
+                out.append([[v.hex() for v in row] for row in logz])
+        corr = edge_correlations(spec, interior_edges(spec.region), method="transfer")
+        out.append([x.hex() for x in corr.tolist()])
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 16, 40])
+def test_blocked_link_applications_equal_one_block_bit_for_bit(monkeypatch, block):
+    # every environment here fits one default block; a block of 1 or 16
+    # doubles holds one carried row of a width-4 strip, a block of 40
+    # whole stack rows of a width-3 one
+    whole = _blocked_results()
+    monkeypatch.setattr(exactsolve, "_BLOCK_DOUBLES", block)
+    assert _blocked_results() == whole
+
+
+@pytest.mark.parametrize("wrap, bc", [(None, free_bc()), ((True, True), periodic_bc())])
+def test_kept_environments_are_not_changed_by_later_steps(wrap, bc):
+    spec = make_spec((6, 4), wrap, bc, 0.8, seed=22)
+    plan = exactsolve._transfer_plan(spec.region, spec.bc, 12)
+    _, envs = exactsolve._transfer_sweep(spec, keep=True)
+    assert len(envs) == plan.length
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(envs, 2))
+    # each kept environment is still one step of the one before it, as the
+    # sweep takes it
+    values = spec.couplings.values[None]
+    d = exactsolve._column_weights(spec, plan, values=values)
+    jh = values.take(plan.h_pos, axis=-1) * plan.h_sign
+    for c in range(2 if plan.wrap_l else 1, plan.length):
+        link = exactsolve._link(plan.s_matrix, jh[..., c - 1], spec.beta)
+        step = exactsolve._apply(envs[c - 1], link, np.empty_like(envs[c]))
+        step *= d[:, None, :, c]
+        step /= step.max()
+        assert step.tobytes() == envs[c].tobytes(), c
+
+
 # --- Kronecker link factors ----------------------------------------------------
 
 
@@ -1105,7 +1186,7 @@ def test_link_factors_multiply_to_the_dense_link(width):
                 continue
             env = rng.random((n_rows, 2 ** width))
             want = _times_dense_link(env, s, j, beta)
-            got = exactsolve._apply(env, (hi, lo))
+            got = exactsolve._apply(env, (hi, lo), np.empty_like(env))
             assert np.max(np.abs(got - want) / want) <= 1e-13
 
 

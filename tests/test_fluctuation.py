@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import bond_product
 
-from eafluct import exactsolve, interface
+from eafluct import exactsolve, fluctuation, interface
 from eafluct.disorder import Gaussian, SeedSpec, Uniform, overlay, set_block
 from eafluct.errors import BoundViolationError, ConfigError, EafluctError
 from eafluct.exactsolve import antiperiodic_bc, fixed_bc, free_bc, periodic_bc, uniform_fixed_bc
@@ -277,6 +277,29 @@ def test_block_martingale_evaluates_one_zero_pair_per_inner_draw(monkeypatch):
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
     block_martingale_realization(spec, cond, 0)
     assert rows == [(8 + 1, 8 + 1)] * 2 + [(1 + 1, 1 + 1)]
+
+
+@pytest.mark.parametrize("n_outer", [2, 5])
+def test_a_conditional_path_builds_one_state_pair(monkeypatch, n_outer):
+    # only the pair's structure is read, and every inner draw lies on the
+    # master edge set
+    calls = []
+    original = fluctuation.make_state_pair
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(fluctuation, "make_state_pair", counting)
+    spec = spec_4x4_in_6x6(n=1)
+    edges = tuple(spec.window_edge_set)
+    held = spec.master(0)
+    _conditional_path(spec, 0, held, [(), edges[:3], edges], n_outer, "pairs")
+    assert len(calls) == 1 and calls[0] is held
+    calls.clear()
+    cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=n_outer)
+    block_martingale_realization(spec, cond, 0)
+    assert len(calls) == 2  # F itself, and the path
 
 
 # --- block martingale ----------------------------------------------------------
@@ -695,6 +718,22 @@ def test_fixed_bc_pair_supported():
     )
     values = ensemble_values(spec)
     assert np.all(np.isfinite(values))
+
+
+def test_quantiles_equal_numpy_linear_quantiles_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in [*range(1, 61), *range(199, 1002)]:
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        if n % 7 == 0:
+            # ties; equal values with different bits (-0.0 and 0.0) may
+            # sort in another order than numpy's partition leaves them
+            values = np.round(values, 1) + 0.0
+        qs = (0.0, 0.025, 0.5, 0.975, 1.0, float(rng.random()))
+        got = fluctuation._quantiles(values, qs)
+        assert [x.hex() for x in got] == [float(np.quantile(values, q)).hex() for q in qs], n
+    assert all(math.isnan(x) for x in fluctuation._quantiles([1.0, math.nan], (0.0, 0.5)))
+    with pytest.raises(ValueError):
+        fluctuation._quantiles([1.0, 2.0], (1.5,))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 257, 1000])

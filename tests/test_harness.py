@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -729,6 +732,46 @@ def test_unreadable_report_is_an_incomplete_run_error(tmp_path, capsys, text):
 def test_config_digest_stable(tmp_path):
     cfg = parse_config_dict(base_config(tmp_path))
     assert config_digest(cfg) == config_digest(parse_config_dict(config_to_dict(cfg)))
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.0", "", "0", "-3"])
+def test_a_bad_worker_count_in_the_environment_is_a_config_error(tmp_path, monkeypatch,
+                                                                   capsys, raw):
+    data = base_config(tmp_path, sampling={"n": 4, "bootstrap": 50})
+    monkeypatch.setenv("EAFLUCT_WORKERS", raw)
+    with pytest.raises(ConfigError, match="EAFLUCT_WORKERS|worker count"):
+        run(parse_config_dict(data))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    assert main(["ensemble", "-c", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
+def test_a_bad_worker_count_argument_is_a_config_error(tmp_path, workers):
+    cfg = parse_config_dict(base_config(tmp_path, sampling={"n": 4, "bootstrap": 50}))
+    with pytest.raises(ConfigError, match="worker count"):
+        run(cfg, workers=workers)
+
+
+def test_a_one_worker_run_imports_no_pool_and_no_masked_arrays(tmp_path):
+    # the process pool is imported only for two or more workers, and the
+    # bootstrap's percentiles do not go through np.quantile
+    data = base_config(tmp_path, kind="probe", sampling={"n": 4, "bootstrap": 20})
+    script = (
+        "import json, sys\n"
+        "from eafluct import harness\n"
+        "harness.run(harness.parse_config_dict(json.loads(sys.argv[1])), workers=1)\n"
+        "names = ('multiprocessing', 'concurrent.futures.process', 'numpy.ma')\n"
+        "print(json.dumps([name for name in names if name in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(data)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert json.loads((tmp_path / "report.json").read_text())["kind"] == "probe"
 
 
 def test_worker_count_env_var(tmp_path, monkeypatch):
