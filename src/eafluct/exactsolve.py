@@ -917,20 +917,29 @@ def log_partition_pair(
 def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     """<sigma_x sigma_y> of every in-region bond, indexed like the spec's
     couplings (clamped ghost bonds are NaN), from one forward sweep and one
-    backward pass.
+    backward pass: beta <sigma_x sigma_y> is the derivative of log Z in the
+    bond's coupling, read off the gradients of each link's two factors.
 
     Walking from the last column back, ``right`` is the rescaled product of
     everything after link c, laid out like the environments: ``right[x0, y]``
     for the carried column-0 states x0 (see :func:`_transfer_sweep`) and the
     states y of column c+1, starting from the identity on a wrapped length
-    axis and from a row of ones on an open one.  Summed over x0, the joint
-    weight of the states (x, y) of columns c and c+1 is
-    left_c[x0, x] link[x, y] right[x0, y], so the column marginal is
-    ``(left_c * (right @ link)).sum(0)``, and bond r's correlation is the
-    dot product of ``(left_c * s_r) @ link`` with ``right * s_r`` over the
-    marginal's total: W + 1 factored applications of each link (see
-    :func:`_apply`), none dense, each into one of three buffers of the
-    right environment's shape.
+    axis and from a row of ones on an open one.  Write each carried row of
+    ``left_c`` and of ``right`` as a 2^(W-k) x 2^k matrix over the (hi, lo)
+    halves of a column (see :func:`_link`), L and R.  The weight summed over
+    x0 is then sum_x0 <L, hi R lo>, the sum of an elementwise product, and
+    its gradients in the two factors, G_hi = sum_x0 L (R lo)^T and
+    G_lo = sum_x0 L^T (hi R), give the joint weight of each half's states on
+    the two sides of the link as ``G_hi * hi`` and ``G_lo * lo``: bond r of
+    a half is s_r^T (G * f) s_r over the sum of ``G * f``.  ``R lo`` is also
+    the first half of the carry ``hi (R lo)``, so a link costs three half
+    applications (``R lo``, ``hi R`` and the carry) and two contractions
+    with ``left_c``, each one matrix product over the stacked x0 axis, none
+    dense.  The column marginal, whose vertical bonds it gives, is the
+    product of ``left_c`` and the carry written into a free buffer and
+    summed over x0.  Beyond the L kept environments the pass holds three
+    buffers of their shape and the stacked (rows, 2^(W-k), 2^(W-k))
+    products that G_hi sums: one environment's size at even W, two at odd W.
     Where the sweep carries half the rows of a wrapped environment, the
     dropped x0 add the same weights mirrored, ``~x = 2^W-1-x``; every
     observable here is even under that flip, so the carried half gives the
@@ -939,38 +948,35 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     """
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
     _, envs = _transfer_sweep(spec, width_cap=width_cap, keep=True)
-    envs = [env[0] for env in envs]
     d = _column_weights(spec, plan)
     s, sp = plan.s_matrix, plan.sp_matrix
     jh = spec.couplings.values[plan.h_pos] * plan.h_sign
-    vert = np.empty((sp.shape[1], plan.length))
-    horz = np.empty(jh.shape)
-    side = 1 << plan.width
-    rows = envs[0].shape[0]
-    right = np.eye(rows, side) if plan.wrap_l else np.ones((1, side))
-    after, q, buf = (np.empty_like(right) for _ in range(3))
+    out = np.full(spec.couplings.values.shape, np.nan)
+    shape, k = envs[0].shape[1:], plan.width // 2
+    split = (shape[0], 1 << (plan.width - k), 1 << k)
+    right = np.eye(*shape) if plan.wrap_l else np.ones(shape)
+    r_lo, after = np.empty(split), np.empty(split)
     with np.errstate(all="ignore"):  # see _transfer_sweep
         for c in reversed(range(plan.length)):
-            left = envs[c]
+            left = envs[c][0]
             if c < jh.shape[1]:
-                link = _link(s, jh[:, c], spec.beta)
-                _apply(right, link, after)
-                marginal = (left * after).sum(axis=0)
-                total = marginal.sum()
-                for r in range(plan.width):
-                    _apply(np.multiply(left, s[:, r], out=q), link, q)
-                    horz[r, c] = np.vdot(q, np.multiply(right, s[:, r], out=buf)) / total
-                right, after = after, right
-            else:
-                marginal = (left * right).sum(axis=0)
-            vert[:, c] = (marginal @ sp) / marginal.sum()
+                hi, lo = _link(s, jh[:, c], spec.beta)
+                lv, rv = left.reshape(split), right.reshape(split)
+                np.matmul(rv, lo, out=r_lo)
+                w_hi = hi * (lv @ r_lo.transpose(0, 2, 1)).sum(axis=0)
+                np.matmul(hi, rv, out=after)
+                w_lo = lo * (lv.reshape(-1, split[2]).T @ after.reshape(-1, split[2]))
+                for half, w in ((slice(k, None), w_hi), (slice(k), w_lo)):
+                    t = s[: len(w), : len(w).bit_length() - 1]  # the spins of the half's rows
+                    out[plan.h_pos[half, c]] = ((w @ t) * t).sum(axis=0) / w.sum()
+                np.matmul(hi, r_lo, out=after)
+                right, after = after.reshape(shape), rv
+            marginal = np.multiply(left, right, out=r_lo.reshape(shape)).sum(axis=0)
+            out[plan.v_pos[:, c]] = (marginal @ sp) / marginal.sum()
             right *= d[:, c]
             right /= right.max()
-    if not (np.isfinite(vert).all() and np.isfinite(horz).all()):
+    if not (np.isfinite(out[plan.v_pos]).all() and np.isfinite(out[plan.h_pos]).all()):
         raise ArithmeticError(_RANGE_ERROR)
-    out = np.full(spec.couplings.values.shape, np.nan)
-    out[plan.v_pos] = vert
-    out[plan.h_pos] = horz
     return out
 
 

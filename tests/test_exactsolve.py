@@ -51,7 +51,7 @@ from eafluct.exactsolve import (
     uniform_fixed_bc,
 )
 from eafluct.interface import domain_wall_free_energy, region_for_bc
-from eafluct.lattice import Edge, Region, ghost_sites, interior_edges
+from eafluct.lattice import Edge, Region, edge_from_origin, ghost_sites, interior_edges
 
 
 def make_spec(extents, wrap, bc, beta, seed=1, realization=0):
@@ -1050,9 +1050,8 @@ def test_torus_pair_sweep_builds_no_dense_link():
     assert peak <= 16 * 2**20
 
 
-def test_torus_correlations_fit_in_the_dense_backward_pass_peak():
-    # 80 MiB is what the backward pass with dense links peaked at: the ten
-    # kept 4 MiB environments plus dense links and products
+def _torus_correlation_peak():
+    """``tracemalloc`` peak of all 200 bond correlations of a 10x10 torus."""
     region, couplings = _torus((10, 10), 7)
     spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
     edges = interior_edges(region)
@@ -1063,7 +1062,21 @@ def test_torus_correlations_fit_in_the_dense_backward_pass_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 80 * 2**20
+    return peak
+
+
+def test_torus_correlations_fit_in_the_dense_backward_pass_peak():
+    # 80 MiB is what the backward pass with dense links peaked at: the ten
+    # kept 4 MiB environments plus dense links and products
+    assert _torus_correlation_peak() <= 80 * 2**20
+
+
+def test_torus_correlations_make_no_environment_sized_temporary():
+    # the ten kept 4 MiB environments, the backward pass's three buffers of
+    # their shape and the 4 MiB of stacked products that G_hi sums come to
+    # about 56 MiB; one more 4 MiB temporary, such as an elementwise product
+    # for a column marginal, crosses 58 MiB
+    assert _torus_correlation_peak() < 58 * 2**20
 
 
 def test_torus_pair_sweep_holds_one_environment_and_the_closing_rows():
@@ -1244,6 +1257,55 @@ def test_factored_correlations_match_a_dense_link_backward_pass(extents, sign):
     edges = interior_edges(region)
     got = edge_correlations(spec, edges, method="transfer")
     want = want[exactsolve.edge_positions(spec.couplings.edge_set, edges)]
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("extents, wrap", [((20, 16), None), ((5, 3), (True, True)),
+                                           ((7, 5), (True, True))])
+def test_bond_correlations_are_central_differences_of_log_z(extents, wrap):
+    # DERIVED: d log Z / dJ_e = beta <s_x s_y>, from the forward sweep alone.
+    # With step h the central difference errs by h^2 beta^2 |k3| / 6, where
+    # the third cumulant k3 of a +-1 product is at most 2 in size, plus the
+    # rounding of two log Z values (a few units of 5.7e-14 at |log Z| < 512)
+    # over 2 beta h: with h = 1e-4 and beta = 1, about 3.3e-9 + 3e-9, so the
+    # tolerance is 1e-8.
+    # An open W=16 strip, and W=3 and W=5 tori, whose halves are unequal and
+    # whose zero-field sweeps carry half the rows.
+    spec = make_spec(extents, wrap, free_bc() if wrap is None else periodic_bc(), 1.0, seed=23)
+    plan = exactsolve._transfer_plan(spec.region, spec.bc, 16)
+    assert plan.width == min(extents)
+    # a vertical bond, a low-half and a high-half horizontal bond, and on a
+    # torus a bond of the closing link
+    positions = [plan.v_pos[0, 2], plan.h_pos[0, 1], plan.h_pos[-1, 1]]
+    if plan.wrap_l:
+        positions.append(plan.h_pos[plan.width // 2, -1])
+    edges = [spec.couplings.edge_set.edges[p] for p in positions]
+    got = edge_correlations(spec, edges, method="transfer", width_cap=16)
+    h = 1e-4
+    for p, corr in zip(positions, got):
+        log_z = []
+        for step in (h, -h):
+            values = spec.couplings.values.copy()
+            values[p] += step
+            shifted = spec.with_couplings(spec.couplings.with_values(values, "fd"))
+            log_z.append(log_partition(shifted, method="transfer", width_cap=16))
+        assert abs((log_z[0] - log_z[1]) / (2 * spec.beta * h) - corr) <= 1e-8, p
+
+
+@pytest.mark.parametrize("side", [8, 10])
+def test_torus_correlations_match_the_transposed_sweep(side):
+    # a square box runs its sweep along axis 0, so the transposed couplings
+    # are swept along the other axis of the same system: an independent
+    # transfer product, beyond enumeration's reach
+    region, couplings = _torus((side, side), 9)
+    edges = couplings.edge_set.edges
+    flipped = tuple(edge_from_origin(e.origin[::-1], 1 - e.axis, region) for e in edges)
+    values = np.empty_like(couplings.values)
+    values[exactsolve.edge_positions(couplings.edge_set, flipped)] = couplings.values
+    spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
+    transposed = spec.with_couplings(couplings.with_values(values, "transposed"))
+    got = edge_correlations(spec, edges, method="transfer")
+    want = edge_correlations(transposed, flipped, method="transfer")
     assert np.max(np.abs(got - want)) <= 1e-12
 
 

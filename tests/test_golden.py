@@ -17,7 +17,10 @@ regenerated once more, from the same configs, when enumeration began to
 build its energies from two half-state tables and one cross product and its
 correlations from one second-moment matrix: only their four engine-deviation
 diagnostics moved, each a rounding-level maximum below 1.8e-15, and every
-other kind kept its bytes.
+other kind kept its bytes.  Probe and oracle-verify were regenerated once
+more, from the same configs, when the transfer correlations began to come
+from the gradients of each link's two factors: no report float or CSV cell
+moved by more than 1.2e-16, and every other kind kept its bytes.
 """
 
 from pathlib import Path
