@@ -20,7 +20,7 @@ import os
 import time
 import warnings
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
@@ -77,63 +77,48 @@ ORACLE_LOGZ_TOL = 1e-9
 ORACLE_CORR_TOL = 1e-10
 
 
+def _in(section: str, default, key: str | None = None):
+    """A config field read from JSON section ``section`` under ``key`` (by
+    default its own name), ``default`` when absent; its annotation names
+    its parser (see :func:`_parser`)."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
+_TOP = {"section": None}  # a top-level JSON key, checked by validate_config
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
-    seed: int | None
-    # geometry
-    box: tuple[int, ...] = (5, 5)
-    window: tuple[int, ...] = (3, 3)
-    window_sizes: tuple[int, ...] = (2, 3, 4)
-    geometries: tuple[tuple[int, ...], ...] = ((2, 2), (2, 3), (3, 3))
-    # physics
-    beta: float = 1.0
-    betas: tuple[float, ...] = ()
-    distribution: str = "gaussian(0.0,1.0)"
-    bc: str = "free"
-    bc_prime: str = "periodic"
-    seam_axes: tuple[int, ...] = (0,)
-    # sampling
-    n: int = 1
-    n_outer: int = 50
-    bootstrap: int = BOOTSTRAP_DEFAULT
-    block_side: int = 2
-    t_values: tuple[float, ...] = (0.5, 1.0, 2.0)
-    epsilons: tuple[float, ...] = PROBE_EPSILONS
-    n_observables: int = 2
-    noise_tol: float = PROBE_NOISE_TOL
-    # solver
-    solver_method: str = "auto"
-    enum_cap: int = ENUM_CAP
-    transfer_width_cap: int = TRANSFER_WIDTH_CAP
-    # output
-    records: str = "records.jsonl"
-    report: str = "report.json"
-    csv_dir: str = "."
+    """One experiment as its JSON config reads: each field is declared once,
+    with its type, default, section and key (:func:`_in`), and ``kind`` and
+    ``seed`` are top-level keys."""
 
-
-_SECTIONS = {
-    "geometry": ("box", "window", "window_sizes", "geometries"),
-    "physics": ("beta", "betas", "distribution", "bc", "bc_prime", "seam_axes"),
-    "sampling": (
-        "n",
-        "n_outer",
-        "bootstrap",
-        "block_side",
-        "t_values",
-        "epsilons",
-        "n_observables",
-        "noise_tol",
-    ),
-    "solver": ("solver_method", "enum_cap", "transfer_width_cap"),
-    "output": ("records", "report", "csv_dir"),
-}
-_SECTION_JSON_NAMES = {"solver_method": "method"}
-_INT_FIELDS = ("n", "n_outer", "bootstrap", "block_side", "n_observables",
-               "enum_cap", "transfer_width_cap")
-_FLOAT_FIELDS = ("beta", "noise_tol")
-_INT_TUPLE_FIELDS = ("box", "window", "window_sizes", "seam_axes")
-_FLOAT_TUPLE_FIELDS = ("betas", "t_values", "epsilons")
+    kind: str = field(metadata=_TOP)
+    seed: int | None = field(metadata=_TOP)
+    box: tuple[int, ...] = _in("geometry", (5, 5))
+    window: tuple[int, ...] = _in("geometry", (3, 3))
+    window_sizes: tuple[int, ...] = _in("geometry", (2, 3, 4))
+    geometries: tuple[tuple[int, ...], ...] = _in("geometry", ((2, 2), (2, 3), (3, 3)))
+    beta: float = _in("physics", 1.0)
+    betas: tuple[float, ...] = _in("physics", ())
+    distribution: str = _in("physics", "gaussian(0.0,1.0)")
+    bc: str = _in("physics", "free")
+    bc_prime: str = _in("physics", "periodic")
+    seam_axes: tuple[int, ...] = _in("physics", (0,))
+    n: int = _in("sampling", 1)
+    n_outer: int = _in("sampling", 50)
+    bootstrap: int = _in("sampling", BOOTSTRAP_DEFAULT)
+    block_side: int = _in("sampling", 2)
+    t_values: tuple[float, ...] = _in("sampling", (0.5, 1.0, 2.0))
+    epsilons: tuple[float, ...] = _in("sampling", PROBE_EPSILONS)
+    n_observables: int = _in("sampling", 2)
+    noise_tol: float = _in("sampling", PROBE_NOISE_TOL)
+    solver_method: str = _in("solver", "auto", key="method")
+    enum_cap: int = _in("solver", ENUM_CAP)
+    transfer_width_cap: int = _in("solver", TRANSFER_WIDTH_CAP)
+    records: str = _in("output", "records.jsonl")
+    report: str = _in("output", "report.json")
+    csv_dir: str = _in("output", ".")
 
 
 def _int(name: str, raw) -> int:
@@ -148,36 +133,48 @@ def _number(name: str, raw) -> float:
     return float(raw)
 
 
+def _str(name: str, raw) -> str:
+    if not isinstance(raw, str):
+        raise ConfigError(f"{name} must be a string, got {raw!r}")
+    return raw
+
+
 def _list(name: str, raw) -> list:
     if not isinstance(raw, list):
         raise ConfigError(f"{name} must be a list, got {raw!r}")
     return raw
 
 
-def _typed(name: str, raw):
-    """A config field's JSON value checked against the field's type."""
-    if name in _INT_FIELDS:
-        return _int(name, raw)
-    if name in _FLOAT_FIELDS:
-        return _number(name, raw)
-    if name in _INT_TUPLE_FIELDS:
-        return tuple(_int(name, x) for x in _list(name, raw))
-    if name in _FLOAT_TUPLE_FIELDS:
-        return tuple(_number(name, x) for x in _list(name, raw))
-    if name == "geometries":
-        return tuple(tuple(_int(name, x) for x in _list(name, g)) for g in _list(name, raw))
-    if not isinstance(raw, str):
-        raise ConfigError(f"{name} must be a string, got {raw!r}")
-    return raw
+def _parser(annotation: str) -> Callable:
+    """``parse(name, raw)`` checking a JSON value against a field annotated
+    ``annotation``: ``int``, ``float``, ``str``, or ``tuple[X, ...]`` read
+    from a list of X."""
+    if annotation.startswith("tuple[") and annotation.endswith(", ...]"):
+        item = _parser(annotation[len("tuple["):-len(", ...]")])
+        return lambda name, raw: tuple(item(name, x) for x in _list(name, raw))
+    parse = {"int": _int, "float": _number, "str": _str}.get(annotation)
+    if parse is None:
+        raise TypeError(f"no config parser for the annotation {annotation!r}")
+    return parse
 
 
-def _pop_known(section: str, data: dict, fields: dict) -> None:
-    for name in _SECTIONS[section]:
-        json_name = _SECTION_JSON_NAMES.get(name, name)
-        if json_name in data:
-            fields[name] = _typed(name, data.pop(json_name))
-    if data:
-        raise ConfigError(f"unknown keys in config section {section!r}: {sorted(data)}")
+def _layout(config_class) -> dict[str, list[tuple[str, str, Callable]]]:
+    """``{section: [(field name, JSON key, parser), ...]}`` in field order.
+
+    Built at import, so a field without a section, or with an annotation
+    that has no parser, fails there.
+    """
+    sections: dict[str, list] = {}
+    for f in fields(config_class):
+        if "section" not in f.metadata:
+            raise TypeError(f"config field {f.name!r} declares no JSON section")
+        if f.metadata["section"] is not None:
+            entry = (f.name, f.metadata["key"] or f.name, _parser(f.type))
+            sections.setdefault(f.metadata["section"], []).append(entry)
+    return sections
+
+
+_SECTIONS = _layout(ExperimentConfig)
 
 
 def parse_config_dict(data: dict) -> ExperimentConfig:
@@ -189,28 +186,33 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unsupported or missing schema_version (expected {SCHEMA_VERSION})")
     kind = data.pop("kind", None)
     seed = data.pop("seed", None)
-    fields: dict = {}
-    for section in _SECTIONS:
+    values: dict = {}
+    for section, layout in _SECTIONS.items():
         body = data.pop(section, {})
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object, got {body!r}")
-        _pop_known(section, dict(body), fields)
+        body = dict(body)
+        for name, key, parse in layout:
+            if key in body:
+                values[name] = parse(name, body.pop(key))
+        if body:
+            raise ConfigError(f"unknown keys in config section {section!r}: {sorted(body)}")
     if data:
         raise ConfigError(f"unknown top-level config keys: {sorted(data)}")
-    cfg = ExperimentConfig(kind=kind, seed=seed, **fields)
+    cfg = ExperimentConfig(kind=kind, seed=seed, **values)
     validate_config(cfg)
     return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     out = {"schema_version": SCHEMA_VERSION, "kind": cfg.kind, "seed": cfg.seed}
-    for section, names in _SECTIONS.items():
+    for section, layout in _SECTIONS.items():
         body = {}
-        for name in names:
+        for name, key, _ in layout:
             value = getattr(cfg, name)
             if isinstance(value, tuple):
                 value = [list(v) if isinstance(v, tuple) else v for v in value]
-            body[_SECTION_JSON_NAMES.get(name, name)] = value
+            body[key] = value
         out[section] = body
     return out
 
@@ -287,6 +289,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("beta must be finite and >= 0")
     if any(not (b >= 0 and math.isfinite(b)) for b in cfg.betas):
         raise ConfigError("betas must be finite and >= 0")
+    if any(not (e >= 0 and math.isfinite(e)) for e in cfg.epsilons):
+        raise ConfigError("epsilons must be finite and >= 0")
+    if not all(math.isfinite(t) for t in cfg.t_values):
+        raise ConfigError("t_values must be finite")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
     if cfg.n < kind.min_n:
@@ -784,33 +790,26 @@ def reduce_report(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
 # execution with incremental records and resume
 
 
-_WORKER_CFG: dict[str, ExperimentConfig] = {}
-
-
-def _worker(cfg_json: str, task: int) -> tuple[int, dict, float]:
-    cfg = _WORKER_CFG.get(cfg_json)
-    if cfg is None:
-        cfg = parse_config_dict(json.loads(cfg_json))
-        _WORKER_CFG[cfg_json] = cfg
+def _worker(cfg: ExperimentConfig, task: int) -> tuple[int, dict, float]:
     t0 = time.perf_counter()
     payload = run_task(cfg, task)
     return task, payload, time.perf_counter() - t0
 
 
-def _finished(cfg_json: str, todo: list[int], workers: int):
+def _finished(cfg: ExperimentConfig, todo: list[int], workers: int):
     """``(task, result)`` for each task as it finishes, where ``result()``
     returns ``_worker``'s ``(task, payload, elapsed)`` or raises the task's
     error.  One worker runs the tasks here, in order; more run them in a
     process pool, and closing the generator cancels the tasks not started."""
     if workers <= 1:
         for task in todo:
-            yield task, partial(_worker, cfg_json, task)
+            yield task, partial(_worker, cfg, task)
         return
     # imported here: a one-worker run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_worker, cfg_json, t): t for t in todo}
+        futures = {pool.submit(_worker, cfg, t): t for t in todo}
         try:
             for fut in as_completed(futures):
                 yield futures[fut], fut.result
@@ -902,7 +901,6 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         else:
             write({"type": "header", "config_digest": digest, "kind": cfg.kind,
                    "version": __version__})
-        cfg_json = json.dumps(config_to_dict(cfg), sort_keys=True)
 
         def record(task: int, payload: dict, elapsed: float) -> None:
             done[task] = payload
@@ -915,7 +913,7 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
             at = ", ".join(f"{name} {value}" for name, value in coords[task].items())
             return TaskError(f"task {task} failed (master seed {cfg.seed}, {at}): {err}")
 
-        with closing(_finished(cfg_json, todo, workers)) as results:
+        with closing(_finished(cfg, todo, workers)) as results:
             for task, result in results:
                 try:
                     _, payload, elapsed = result()

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -243,9 +245,7 @@ _JSON_VALUES = st.recursive(
     max_leaves=5,
 )
 _FIELDS = [
-    (section, harness._SECTION_JSON_NAMES.get(name, name))
-    for section, names in harness._SECTIONS.items()
-    for name in names
+    (section, key) for section, layout in harness._SECTIONS.items() for _, key, _ in layout
 ]
 
 
@@ -258,6 +258,62 @@ def test_any_field_value_parses_or_is_a_config_error(kind, field, value):
         parse_config_dict(data)
     except ConfigError:
         pass
+
+
+def test_every_config_field_but_kind_and_seed_has_a_section():
+    named = {name for layout in harness._SECTIONS.values() for name, _, _ in layout}
+    fields = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    assert fields - named == {"kind", "seed"}
+    assert ("solver", "method") in _FIELDS
+
+
+def test_a_config_field_without_section_or_parser_fails_at_layout():
+    @dataclasses.dataclass(frozen=True)
+    class NoSection:
+        n: "int" = 1
+
+    @dataclasses.dataclass(frozen=True)
+    class NoParser:
+        n: "int | None" = harness._in("sampling", None)
+
+    with pytest.raises(TypeError, match="declares no JSON section"):
+        harness._layout(NoSection)
+    with pytest.raises(TypeError, match="no config parser"):
+        harness._layout(NoParser)
+
+
+@pytest.mark.parametrize("field, text, match", [
+    ("epsilons", "[-1.0]", "epsilons must be finite and >= 0"),
+    ("epsilons", "[0.5, 1e309]", "epsilons must be finite and >= 0"),
+    ("epsilons", "[NaN]", "epsilons must be finite and >= 0"),
+    ("t_values", "[1e309]", "t_values must be finite"),
+    ("t_values", "[1.0, -1e309]", "t_values must be finite"),
+    ("t_values", "[NaN]", "t_values must be finite"),
+])
+def test_out_of_range_probe_and_mgf_parameters_are_config_errors(tmp_path, capsys, field,
+                                                                  text, match):
+    # JSON reads 1e309 as inf; each of these used to run, to a density of
+    # 0 or 1 or to non-finite MGF rows
+    kind = "probe" if field == "epsilons" else "mgf"
+    data = base_config(tmp_path, kind=kind, sampling={"n": 2})
+    config_text = json.dumps(data).replace(
+        '"sampling": {', f'"sampling": {{"{field}": {text}, ', 1
+    )
+    with pytest.raises(ConfigError, match=match):
+        parse_config_dict(json.loads(config_text))
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(config_text)
+    assert main([kind, "-c", str(config_path)]) == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
+def test_a_task_gets_an_equal_config_and_its_cached_coordinates(tmp_path):
+    # a process pool hands each task a pickled copy of the config
+    cfg = parse_config_dict(base_config(tmp_path, sampling={"n": 2}))
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and copy is not cfg
+    assert harness.task_coordinates(copy) is harness.task_coordinates(cfg)
 
 
 def test_seed_required_to_run(tmp_path):
