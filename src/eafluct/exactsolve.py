@@ -639,11 +639,11 @@ def _link(s: np.ndarray, couplings: np.ndarray, beta: float) -> tuple[np.ndarray
 
 
 def _apply(env: np.ndarray, link: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
-    """``env @ np.kron(hi, lo)`` written into ``out``, a C-contiguous array
-    of ``env``'s shape that may be ``env`` itself (it is written through
-    reshaped views); returns ``out``.  ``env`` is (rows, 2^W) with one
-    factor pair, or a stack (B, rows, 2^W) with one pair per stack row,
-    (B, n, n) each (see :func:`_link`).
+    """``env @ np.kron(hi, lo)`` for each row of the stack ``env``, of shape
+    (B, rows, 2^W), with one factor pair per stack row, (B, n, n) each (see
+    :func:`_link`), written into ``out``, a C-contiguous array of ``env``'s
+    shape that may be ``env`` itself (it is written through reshaped views);
+    returns ``out``.
 
     The product is one small matrix product per factor and carried row
     (``view @ lo``, then ``hi @ x``), taken one block of at most
@@ -652,26 +652,20 @@ def _apply(env: np.ndarray, link: tuple[np.ndarray, np.ndarray], out: np.ndarray
     into its lo-stage product before its part of ``out`` is written, so that
     product is the only temporary, and blocking does not change a bit.
     """
-    hi, lo = link
-    stacked = env.ndim == 3
-    if stacked:
-        hi, lo = hi[:, None], lo[:, None]
+    hi, lo = link[0][:, None], link[1][:, None]
     split = (hi.shape[-1], lo.shape[-1])
     rows = env.shape[-2]
     per = max(1, _BLOCK_DOUBLES // env.shape[-1])  # carried rows in a block
-    if not stacked:
-        blocks = [(slice(r, r + per),) for r in range(0, rows, per)]
-    elif rows <= per:
+    if rows <= per:
         step = per // rows
         blocks = [(slice(b, b + step),) for b in range(0, len(env), step)]
     else:
         blocks = [(slice(b, b + 1), slice(r, r + per))
                   for b in range(len(env)) for r in range(0, rows, per)]
     for block in blocks:
-        f = block[:1] if stacked else ()
         view = env[block]
-        x = view.reshape(*view.shape[:-1], *split) @ lo[f]
-        np.matmul(hi[f], x, out=out[block].reshape(x.shape))
+        x = view.reshape(*view.shape[:-1], *split) @ lo[block[:1]]
+        np.matmul(hi[block[:1]], x, out=out[block].reshape(x.shape))
     return out
 
 

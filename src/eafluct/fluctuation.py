@@ -70,6 +70,7 @@ from .lattice import (
 BOOTSTRAP_DEFAULT = 1000
 PROBE_EPSILONS = (0.005, 0.01, 0.02, 0.05)
 PROBE_NOISE_TOL = 1e-10
+OBSERVABLE_SCALE = 0.5  # field scale of the bound check's window observables
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +743,6 @@ def bound_check(
     pair: StatePair,
     result: FreeEnergyResult | None = None,
     n_observables: int = 2,
-    observable_scale: float = 0.5,
     seed: int = 0,
     slack_tol: float = 1e-9,
     method: str = "auto",
@@ -752,6 +752,16 @@ def bound_check(
     """Assert |F| <= 4 beta sum_{boundary} |J_e| and the two-sided
     exp(+-2 beta sum |J_e|) sandwich for Gibbs averages of positive window
     observables against the free-boundary window measure.
+
+    The observables are exp(sum_x h_x sigma_x) for an all-zero field set
+    and ``n_observables`` Gaussian ones of scale ``OBSERVABLE_SCALE``.  Each
+    of the three measures (Gamma, Gamma' and the free-bc window measure,
+    built once from the pair's shared window couplings) has its log Z taken
+    once per field set, and every Gibbs average is the ratio against the
+    first set: all zeros, whose log Z is bit for bit the measure's own.  So
+    an instance costs F's stacked sweeps (none when ``result`` is given)
+    plus 1 + ``n_observables`` sweeps per transfer-resolved measure.
+    ``ratio_slacks`` lists Gamma's field sets, then Gamma''s.
 
     Violations raise :class:`BoundViolationError` with the full instance dump.
     """
@@ -763,22 +773,18 @@ def bound_check(
     slack = bound - abs(result.value)
 
     window_sites = pair.window.sites
-    ratio_slacks: list[float] = []
     rng = SeedSpec(seed, 0, "bound-observables").rng()
     field_sets = [dict.fromkeys(window_sites, 0.0)]
     for _ in range(n_observables):
-        g = rng.normal(0.0, observable_scale, size=len(window_sites))
+        g = rng.normal(0.0, OBSERVABLE_SCALE, size=len(window_sites))
         field_sets.append({s: float(v) for s, v in zip(window_sites, g)})
-    two_beta_sum = 2.0 * pair.beta * s_abs
-    for spec in (pair.gamma, pair.gamma_prime):
-        window_spec = GibbsSpec(pair.window, spec.couplings, pair.beta, free_bc())
-        log_z_spec = log_partition(spec, **kwargs)
-        log_z_win = log_partition(window_spec, **kwargs)
-        for fields in field_sets:
-            log_gamma_f = log_partition(spec, extra_fields=fields, **kwargs) - log_z_spec
-            log_win_f = log_partition(window_spec, extra_fields=fields, **kwargs) - log_z_win
-            log_ratio = log_gamma_f - log_win_f
-            ratio_slacks.append(two_beta_sum - abs(log_ratio))
+    window_spec = GibbsSpec(pair.window, pair.gamma.couplings, pair.beta, free_bc())
+    log_z = np.array([
+        [log_partition(m, extra_fields=fields, **kwargs) for fields in field_sets]
+        for m in (pair.gamma, pair.gamma_prime, window_spec)
+    ])
+    log_avg = log_z - log_z[:, :1]  # log <observable> under each measure
+    ratio_slacks = (2.0 * pair.beta * s_abs - np.abs(log_avg[:2] - log_avg[2])).ravel().tolist()
 
     report = BoundSlackReport(
         f_value=result.value,

@@ -463,30 +463,19 @@ def _reduce_martingale(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
 
 
 def _reduce_edge_martingale(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
-    rows = []
-    all_ok = True
-    worst_excess = -math.inf
-    for p in payloads:
-        ys = np.asarray(p["ys"])
-        deltas = np.abs(np.diff(ys))
-        bounds = np.asarray(p["bounds"])
-        sems = np.asarray(p["delta_sem"])
-        excess = deltas - (bounds + 3.0 * sems)
-        ok = bool(np.all(excess <= 0.0))
-        all_ok = all_ok and ok
-        worst_excess = max(worst_excess, float(excess.max()))
-        rows.append(
-            {
-                "index": p["index"],
-                "bound_ok": ok,
-                "max_abs_delta": float(deltas.max()),
-                "min_bound": float(bounds.min()),
-            }
-        )
+    # every payload covers the same K window edges: one (n, K) array each
+    deltas = np.abs(np.diff([p["ys"] for p in payloads], axis=1))
+    bounds = np.array([p["bounds"] for p in payloads])
+    excess = deltas - (bounds + 3.0 * np.array([p["delta_sem"] for p in payloads]))
+    ok = (excess <= 0.0).all(axis=1)
+    rows = [
+        {"index": p["index"], "bound_ok": bool(o), "max_abs_delta": float(d), "min_bound": float(b)}
+        for p, o, d, b in zip(payloads, ok, deltas.max(axis=1), bounds.min(axis=1))
+    ]
     return {
         "instances": rows,
-        "all_bounds_ok": all_ok,
-        "worst_excess": worst_excess,
+        "all_bounds_ok": bool(ok.all()),
+        "worst_excess": float(excess.max()),
         "n_outer": cfg.n_outer,
     }
 
@@ -545,8 +534,8 @@ def _reduce_probe(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
 
 
 def _check_probe(cfg: ExperimentConfig) -> None:
-    if not cfg.noise_tol >= 0:
-        raise ConfigError(f"noise_tol must be >= 0, got {cfg.noise_tol}")
+    if not (cfg.noise_tol >= 0 and math.isfinite(cfg.noise_tol)):
+        raise ConfigError(f"noise_tol must be finite and >= 0, got {cfg.noise_tol}")
 
 
 def _probe_density_csv(summary: dict) -> tuple[str, list[str], list]:

@@ -1199,7 +1199,7 @@ def test_link_factors_multiply_to_the_dense_link(width):
                 continue
             env = rng.random((n_rows, 2 ** width))
             want = _times_dense_link(env, s, j, beta)
-            got = exactsolve._apply(env, (hi, lo), np.empty_like(env))
+            got = exactsolve._apply(env[None], (hi[None], lo[None]), np.empty_like(env[None]))[0]
             assert np.max(np.abs(got - want) / want) <= 1e-13
 
 

@@ -262,6 +262,27 @@ def test_block_martingale_costs_2p_plus_2_sweeps_per_inner_draw(monkeypatch):
     assert sorted(stacks) == [2, 2] + [8 + 1] * (2 * 2)
 
 
+def test_bound_check_sweeps_each_measure_once_per_field_set(monkeypatch):
+    # F's two stacked sweeps of two rows each, then the three field sets of
+    # Gamma, Gamma' and the window measure, one one-row sweep each
+    rows = []
+    original = exactsolve._transfer_sweep
+
+    def counting(*args, **kwargs):
+        logz, envs = original(*args, **kwargs)
+        rows.append(len(logz))
+        return logz, envs
+
+    monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
+    master = sample_master(Gaussian(), (4, 4), SeedSpec(11, 0, "couplings"))
+    pair = make_state_pair((4, 4), (2, 2), 1.3, free_bc(), periodic_bc(), master)
+    rep = bound_check(pair, n_observables=2)
+    assert len(rows) == 2 + 3 * 3
+    assert sum(rows) == 2 * 2 + 3 * 3
+    zero_field = 2.0 * pair.beta * pair.boundary_abs_sum()
+    assert rep.ratio_slacks[0] == rep.ratio_slacks[3] == zero_field
+
+
 def test_block_martingale_evaluates_one_zero_pair_per_inner_draw(monkeypatch):
     # per inner draw: 8 prefix rows and one window-zeroed row per state, in
     # one log_partition_pairs call; F itself adds one row of each

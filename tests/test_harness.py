@@ -289,12 +289,13 @@ def test_a_config_field_without_section_or_parser_fails_at_layout():
     ("t_values", "[1e309]", "t_values must be finite"),
     ("t_values", "[1.0, -1e309]", "t_values must be finite"),
     ("t_values", "[NaN]", "t_values must be finite"),
+    ("noise_tol", "1e309", "noise_tol must be finite and >= 0"),
 ])
 def test_out_of_range_probe_and_mgf_parameters_are_config_errors(tmp_path, capsys, field,
                                                                   text, match):
     # JSON reads 1e309 as inf; each of these used to run, to a density of
-    # 0 or 1 or to non-finite MGF rows
-    kind = "probe" if field == "epsilons" else "mgf"
+    # 0 or 1, to all-zero nonzero fractions or to non-finite MGF rows
+    kind = "mgf" if field == "t_values" else "probe"
     data = base_config(tmp_path, kind=kind, sampling={"n": 2})
     config_text = json.dumps(data).replace(
         '"sampling": {', f'"sampling": {{"{field}": {text}, ', 1
