@@ -45,8 +45,8 @@ class Gaussian:
     stddev: float = 1.0
 
     def __post_init__(self):
-        if not self.stddev > 0:
-            raise ValueError(f"stddev must be > 0, got {self.stddev}")
+        if not (math.isfinite(self.mean) and 0 < self.stddev < math.inf):
+            raise ValueError(f"need a finite mean and stddev > 0, got ({self.mean}, {self.stddev})")
 
     @property
     def abs_first_moment(self) -> float:
@@ -79,8 +79,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"need finite lo < hi, got ({self.lo}, {self.hi})")
 
     @property
     def abs_first_moment(self) -> float:
@@ -152,9 +152,6 @@ class SeedSpec:
         )
         seq = np.random.SeedSequence(entropy=self.master, spawn_key=key)
         return np.random.Generator(np.random.Philox(seq))
-
-    def to_record(self) -> dict:
-        return {"master": self.master, "realization": self.realization, "purpose": self.purpose}
 
 
 @dataclass(frozen=True)

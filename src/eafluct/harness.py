@@ -20,7 +20,7 @@ import os
 import time
 import warnings
 from contextlib import closing
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
@@ -423,7 +423,7 @@ def _values_csv(kind: str):
 
 def _fe_task(cfg: ExperimentConfig, spec: EnsembleSpec, i: int) -> dict:
     result = spec.f_result(spec.master(i))
-    return {"value": result.value, "result": result.to_record()}
+    return {"value": result.value, "result": asdict(result)}
 
 
 def _check_domain_wall(cfg: ExperimentConfig) -> None:
@@ -444,7 +444,7 @@ def _reduce_domain_wall(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
 def _reduce_ensemble(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     values = [p["value"] for p in payloads]
     report = variance_report_from_values(values, cfg.seed, cfg.bootstrap)
-    return {"values": values, "variance_report": report.to_record()}
+    return {"values": values, "variance_report": asdict(report)}
 
 
 def _check_martingale(cfg: ExperimentConfig) -> None:
@@ -459,7 +459,7 @@ def _reduce_martingale(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     spec = ensemble_spec_from_config(cfg)
     conditioning = _conditioning(cfg, spec)
     trace, report, details = block_martingale_report(spec, conditioning, payloads, cfg.bootstrap)
-    return {"variance_report": report.to_record(), "details": details, "trace": trace.to_record()}
+    return {"variance_report": asdict(report), "details": details, "trace": trace.to_record()}
 
 
 def _reduce_edge_martingale(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
@@ -497,19 +497,18 @@ def _bounds_task(cfg: ExperimentConfig, at: dict) -> dict:
         pair, n_observables=cfg.n_observables, seed=cfg.seed, method=spec.solver,
         enum_cap=spec.enum_cap, width_cap=spec.width_cap,
     )
-    rec = report.to_record()
+    rec = asdict(report)
     rec["beta"] = spec.beta
     return rec
 
 
 def _reduce_bounds(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     slacks = [p["slack"] for p in payloads]
-    ratio_mins = [min(p["ratio_slacks"]) for p in payloads]
     hist, edges = np.histogram(slacks, bins=20)
     return {
         "count": len(payloads),
         "min_slack": min(slacks),
-        "min_ratio_slack": min(ratio_mins),
+        "min_ratio_slack": min(p["min_ratio_slack"] for p in payloads),
         "violations": 0,  # bound_check raises on violation
         "histogram": {"bin_edges": edges.tolist(), "counts": hist.tolist()},
         "rows": payloads,

@@ -15,7 +15,7 @@ value to the difference of edge correlations between the two states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -105,10 +105,6 @@ class StatePair:
         return self.gamma.beta
 
     @property
-    def box_extents(self) -> tuple[int, ...]:
-        return self.gamma.region.extents
-
-    @property
     def margin(self) -> int:
         box = self.gamma.region
         gaps = []
@@ -174,35 +170,6 @@ class FreeEnergyResult:
             self.log_z_gamma_prime_zero - self.log_z_gamma_prime
         )
 
-    def to_record(self) -> dict:
-        return {
-            "value": self.value,
-            "log_z_gamma": self.log_z_gamma,
-            "log_z_gamma_zero": self.log_z_gamma_zero,
-            "log_z_gamma_prime": self.log_z_gamma_prime,
-            "log_z_gamma_prime_zero": self.log_z_gamma_prime_zero,
-            "solver": self.solver,
-            "beta": self.beta,
-            "bc_pair": list(self.bc_pair),
-            "margin": self.margin,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "FreeEnergyResult":
-        return cls(
-            value=rec["value"],
-            log_z_gamma=rec["log_z_gamma"],
-            log_z_gamma_zero=rec["log_z_gamma_zero"],
-            log_z_gamma_prime=rec["log_z_gamma_prime"],
-            log_z_gamma_prime_zero=rec["log_z_gamma_prime_zero"],
-            solver=rec["solver"],
-            beta=rec["beta"],
-            bc_pair=tuple(rec["bc_pair"]),
-            margin=rec["margin"],
-            seed=rec.get("seed"),
-        )
-
 
 def free_energy_terms(
     pair: StatePair,
@@ -265,7 +232,7 @@ def interface_free_energy(
         beta=pair.beta,
         bc_pair=(g.bc.label, gp.bc.label),
         margin=pair.margin,
-        seed=seed.to_record() if seed is not None else None,
+        seed=asdict(seed) if seed is not None else None,
     )
 
 

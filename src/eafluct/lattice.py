@@ -263,33 +263,10 @@ def translate_edge(edge: Edge, vector: tuple[int, ...], ambient: Region) -> Edge
     return edge_from_origin(new_origin, edge.axis, ambient)
 
 
-def translate_region(region: Region, vector: tuple[int, ...], ambient: Region) -> Region:
-    new_origin = []
-    for a, (o, v) in enumerate(zip(region.origin, vector)):
-        c = o + v
-        if ambient.wrap[a]:
-            c = (c - ambient.origin[a]) % ambient.extents[a] + ambient.origin[a]
-            if c + region.extents[a] > ambient.origin[a] + ambient.extents[a]:
-                raise OutOfBoundsError(
-                    "translated region would cross the torus seam; split regions are not supported"
-                )
-        elif not (
-            ambient.origin[a] <= c
-            and c + region.extents[a] <= ambient.origin[a] + ambient.extents[a]
-        ):
-            raise OutOfBoundsError(
-                f"translation by {vector} moves region off the open ambient {ambient}"
-            )
-        new_origin.append(c)
-    return Region(region.extents, region.wrap, tuple(new_origin))
-
-
-def translate(obj: Union[Site, Edge, Region], vector: tuple[int, ...], ambient: Region):
-    """Translate a site, edge, or region under the ambient region's wrap rules."""
+def translate(obj: Union[Site, Edge], vector: tuple[int, ...], ambient: Region):
+    """Translate a site or edge under the ambient region's wrap rules."""
     if isinstance(obj, Edge):
         return translate_edge(obj, vector, ambient)
-    if isinstance(obj, Region):
-        return translate_region(obj, vector, ambient)
     if isinstance(obj, tuple):
         return translate_site(obj, vector, ambient)
     raise TypeError(f"cannot translate object of type {type(obj)!r}")

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -97,7 +97,7 @@ def test_golden_fixed_seed_ensemble_variance():
 def test_ensemble_report_reproduces_bit_for_bit():
     a = ensemble_variance(spec_3x3_in_5x5(n=24), n_boot=100)
     b = ensemble_variance(spec_3x3_in_5x5(n=24), n_boot=100)
-    assert a.to_record() == b.to_record()
+    assert asdict(a) == asdict(b)
 
 
 def test_variance_report_invariants():
@@ -263,8 +263,9 @@ def test_block_martingale_costs_2p_plus_2_sweeps_per_inner_draw(monkeypatch):
 
 
 def test_bound_check_sweeps_each_measure_once_per_field_set(monkeypatch):
-    # F's two stacked sweeps of two rows each, then the three field sets of
-    # Gamma, Gamma' and the window measure, one one-row sweep each
+    # F's two stacked sweeps of two rows each, whose full-J rows are Gamma's
+    # and Gamma''s zero-field log Z; then the two Gaussian field sets of each
+    # state and the three of the window measure, one one-row sweep each
     rows = []
     original = exactsolve._transfer_sweep
 
@@ -277,8 +278,8 @@ def test_bound_check_sweeps_each_measure_once_per_field_set(monkeypatch):
     master = sample_master(Gaussian(), (4, 4), SeedSpec(11, 0, "couplings"))
     pair = make_state_pair((4, 4), (2, 2), 1.3, free_bc(), periodic_bc(), master)
     rep = bound_check(pair, n_observables=2)
-    assert len(rows) == 2 + 3 * 3
-    assert sum(rows) == 2 * 2 + 3 * 3
+    assert len(rows) == 2 + 2 * 2 + 3
+    assert sum(rows) == 2 * 2 + 2 * 2 + 3
     zero_field = 2.0 * pair.beta * pair.boundary_abs_sum()
     assert rep.ratio_slacks[0] == rep.ratio_slacks[3] == zero_field
 

@@ -211,10 +211,26 @@ def test_oracle_verify_needs_seam_axes_of_every_geometry(tmp_path):
     ("scaling", "geometry", {"box": [7, 5]}, "same even number"),
     ("bounds", "sampling", {"n_observables": -1}, "n_observables"),
     ("probe", "sampling", {"noise_tol": -1e-12}, "noise_tol"),
+    ("bounds", "physics", {"betas": [1.0, float("inf")]}, "betas must be finite"),
+    ("bounds", "physics", {"betas": [float("nan")]}, "betas must be finite"),
+    ("bounds", "physics", {"betas": [-0.5]}, "betas must be finite and >= 0"),
+    ("mgf", "sampling", {"n_outer": 1}, "n_outer must be >= 2"),
+    ("ensemble", "sampling", {"bootstrap": 1}, "bootstrap resample count"),
+    ("fe", "solver", {"enum_cap": 0}, "solver caps must be positive"),
+    ("fe", "solver", {"transfer_width_cap": 0}, "solver caps must be positive"),
+    ("fe", "physics", {"distribution": "cauchy(0,1)"}, "bad distribution"),
+    ("fe", "physics", {"distribution": "gaussian(nan,1)"}, "bad distribution"),
+    ("fe", "physics", {"distribution": "gaussian(0,inf)"}, "bad distribution"),
+    ("fe", "physics", {"distribution": "uniform(-inf,0)"}, "bad distribution"),
+    ("fe", "seed", 2**64, "seed must be a 64-bit"),
+    ("fe", "seed", -1, "seed must be a 64-bit"),
+    ("oracle-verify", "geometry", {"geometries": [[3, 3], []]}, "every oracle geometry"),
+    ("oracle-verify", "geometry", {"geometries": [[3, 0]]}, "every oracle geometry"),
 ])
 def test_kind_checks_reject_silently_wrong_inputs(tmp_path, kind, section, body, match):
-    # each of these used to run: a repeated size fits a line through one
-    # point, and an odd or uneven margin was replaced by axis 0's, floored
+    # the kind checks' cases each used to run: a repeated size fits a line
+    # through one point, and an odd or uneven margin was replaced by axis 0's,
+    # floored; a non-finite distribution parameter parsed, then failed every task
     with pytest.raises(ConfigError, match=match):
         parse_config_dict(base_config(tmp_path, kind=kind, **{section: body}))
 
@@ -469,6 +485,18 @@ def test_oracle_mismatch_passes_through_for_any_worker_count(tmp_path, monkeypat
     monkeypatch.setattr(harness, "run_task", _oracle_mismatch)
     with pytest.raises(OracleMismatchError, match="disagrees"):
         run(_fe_config(tmp_path), workers=workers)
+
+
+@pytest.mark.parametrize("key, dev", [
+    ("logz_dev", 2 * harness.ORACLE_LOGZ_TOL),
+    ("corr_dev", 2 * harness.ORACLE_CORR_TOL),
+])
+def test_oracle_reduce_raises_past_either_tolerance(tmp_path, key, dev):
+    cfg = parse_config_dict(base_config(tmp_path, kind="oracle-verify"))
+    ok = {"status": "ok", "logz_dev": 0.0, "corr_dev": 0.0}
+    assert harness.reduce_report(cfg, [ok])["passed"]
+    with pytest.raises(OracleMismatchError, match="cross-validation failed"):
+        harness.reduce_report(cfg, [ok, {**ok, key: dev}])
 
 
 def test_records_from_other_config_are_rejected(tmp_path):
@@ -776,10 +804,11 @@ def test_config_section_that_is_not_an_object_is_a_config_error(tmp_path, sectio
         parse_config_dict(base_config(tmp_path, **{section: body}))
 
 
-@pytest.mark.parametrize("text", ['{"kind": "fe", ', "[1, 2]"])
+@pytest.mark.parametrize("text", ['{"kind": "fe", ', "[1, 2]", None])
 def test_unreadable_report_is_an_incomplete_run_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    if text is not None:  # None: no file at all
+        path.write_text(text)
     with pytest.raises(IncompleteRunError):
         report_from_file(path)
     assert main(["report", "--report", str(path), "--out-dir", str(tmp_path)]) == 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -112,8 +113,7 @@ def test_value_recomputable_from_terms():
 
 def test_result_record_round_trip():
     result = interface_free_energy(pair_4x4())
-    rec = result.to_record()
-    assert FreeEnergyResult.from_record(rec) == result
+    assert FreeEnergyResult(**asdict(result)) == result
 
 
 def test_bc_pair_names_the_sign_of_a_fixed_rule():
