@@ -27,7 +27,6 @@ from .exactsolve import (  # noqa: E402
     gibbs_expectation_enum,
     log_partition,
     log_partition_enum,
-    log_partition_pair,
     log_partition_pairs,
     log_partition_transfer,
     periodic_bc,
@@ -54,7 +53,6 @@ from .fluctuation import (  # noqa: E402
 from .interface import (  # noqa: E402
     FreeEnergyResult,
     StatePair,
-    correlation_difference,
     domain_wall_free_energy,
     free_energy_gradient,
     interface_free_energy,
@@ -71,5 +69,4 @@ from .lattice import (  # noqa: E402
     boundary_edges,
     centered_window,
     interior_edges,
-    translate,
 )

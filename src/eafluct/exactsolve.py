@@ -386,7 +386,7 @@ def _per_state(f: VectorObservable, spins: np.ndarray, sites: tuple[Site, ...]) 
 def _enum_reduce(
     spec: GibbsSpec,
     observables: list[VectorObservable],
-    cap: int | None = None,
+    cap: int = ENUM_CAP,
     extra_fields: Mapping[Site, float] | None = None,
     values: np.ndarray | None = None,
     moments: bool = False,
@@ -413,7 +413,6 @@ def _enum_reduce(
     Weights are handled with a streaming running-max shift, so the result is
     exact up to binary64 rounding at any beta.
     """
-    cap = ENUM_CAP if cap is None else cap
     terms = _terms(spec.region, spec.bc)
     n = terms.n
     if n > cap:
@@ -474,7 +473,7 @@ def _enum_reduce(
 
 def log_partition_enum(
     spec: GibbsSpec,
-    cap: int | None = None,
+    cap: int = ENUM_CAP,
     extra_fields: Mapping[Site, float] | None = None,
     values: np.ndarray | None = None,
 ) -> float:
@@ -486,7 +485,7 @@ def log_partition_enum(
 
 
 def gibbs_expectation_enum(
-    spec: GibbsSpec, observable: VectorObservable, cap: int | None = None
+    spec: GibbsSpec, observable: VectorObservable, cap: int = ENUM_CAP
 ) -> float:
     """<f> under the spec's Gibbs measure, by enumeration.
 
@@ -693,7 +692,7 @@ def _in_range(values: Sequence[float]) -> Sequence[float]:
 
 def _transfer_sweep(
     spec: GibbsSpec,
-    width_cap: int | None = None,
+    width_cap: int = TRANSFER_WIDTH_CAP,
     extra_fields: Mapping[Site, float] | None = None,
     keep: bool = False,
     negated_close: bool = False,
@@ -734,7 +733,6 @@ def _transfer_sweep(
     Environments, of shape (B, rows, 2^W), are kept only with ``keep``, as
     copies of the buffer; otherwise the list is empty.
     """
-    width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
     beta = spec.beta
     s = plan.s_matrix
@@ -793,7 +791,7 @@ def _transfer_sweep(
 
 def log_partition_transfer(
     spec: GibbsSpec,
-    width_cap: int | None = None,
+    width_cap: int = TRANSFER_WIDTH_CAP,
     extra_fields: Mapping[Site, float] | None = None,
 ) -> float:
     """log Z via Kronecker-factored 2^W transfer links with per-column rescaling."""
@@ -801,14 +799,14 @@ def log_partition_transfer(
     return logz
 
 
-def transfer_supported(spec: GibbsSpec, width_cap: int | None = None) -> bool:
-    width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
+def transfer_supported(spec: GibbsSpec, width_cap: int = TRANSFER_WIDTH_CAP) -> bool:
     if spec.region.dimension != 2:
         return False
     return any(spec.region.extents[a] <= width_cap for a in (0, 1))
 
 
-def resolve_method(spec: GibbsSpec, method: str = "auto", width_cap: int | None = None) -> str:
+def resolve_method(spec: GibbsSpec, method: str = "auto",
+                   width_cap: int = TRANSFER_WIDTH_CAP) -> str:
     """The engine, ``"transfer"`` or ``"enum"``, that ``method`` names for
     this spec: ``auto`` is the transfer matrix wherever it applies."""
     if method == "auto":
@@ -821,8 +819,8 @@ def resolve_method(spec: GibbsSpec, method: str = "auto", width_cap: int | None 
 def log_partition(
     spec: GibbsSpec,
     method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
+    width_cap: int = TRANSFER_WIDTH_CAP,
     extra_fields: Mapping[Site, float] | None = None,
 ) -> float:
     """log Z by the requested engine (see :func:`resolve_method`)."""
@@ -851,8 +849,8 @@ def log_partition_pairs(
     values: np.ndarray,
     other_values: np.ndarray,
     method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
+    width_cap: int = TRANSFER_WIDTH_CAP,
 ) -> np.ndarray:
     """(B, 2) array of (log Z of ``spec``, log Z of ``other``) with their
     couplings replaced by each row of the (B, n_edges) stacks ``values`` and
@@ -870,42 +868,26 @@ def log_partition_pairs(
     """
     if not (np.isfinite(values).all() and np.isfinite(other_values).all()):
         raise ConfigError("a coupling stack carries a non-finite value")
-    cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
     engines = [resolve_method(state, method, width_cap) for state in (spec, other)]
     out = np.empty((len(values), 2))
     sweeps = [(spec, values, 0, False), (other, other_values, 1, False)]
     if "enum" not in engines and spec.beta == other.beta and np.array_equal(values, other_values):
-        if _negated_close(*(_transfer_plan(s.region, s.bc, cap) for s in (spec, other))):
+        if _negated_close(*(_transfer_plan(s.region, s.bc, width_cap) for s in (spec, other))):
             sweeps = [(spec, values, 0, True)]
     for state, stack, slot, negated in sweeps:
         if engines[slot] == "enum":
             for r, row in enumerate(stack):
                 out[r, slot] = log_partition_enum(state, cap=enum_cap, values=row)
             continue
-        plan = _transfer_plan(state.region, state.bc, cap)
+        plan = _transfer_plan(state.region, state.bc, width_cap)
         side = 1 << plan.width
         step = max(1, (1 << _CHUNK_BITS) // ((side if plan.wrap_l else 1) * side))
         for start in range(0, len(stack), step):
             chunk = stack[start : start + step]
-            logz, _ = _transfer_sweep(state, cap, negated_close=negated, couplings=chunk)
+            logz, _ = _transfer_sweep(state, width_cap, negated_close=negated, couplings=chunk)
             # a stack closed both ways fills both columns
             out[start : start + len(chunk), slot : slot + len(logz[0])] = logz
     return out
-
-
-def log_partition_pair(
-    spec: GibbsSpec,
-    other: GibbsSpec,
-    method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
-) -> tuple[float, float]:
-    """(log Z of ``spec``, log Z of ``other``): :func:`log_partition_pairs`
-    of the specs' own couplings, so a periodic/antiperiodic pair with the
-    seam on the wrapped length axis costs one sweep."""
-    stacks = (spec.couplings.values[None], other.couplings.values[None])
-    (values,) = log_partition_pairs(spec, other, *stacks, method, enum_cap, width_cap).tolist()
-    return tuple(values)
 
 
 def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
@@ -978,8 +960,8 @@ def edge_correlations(
     spec: GibbsSpec,
     edges: Iterable[Edge],
     method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
+    width_cap: int = TRANSFER_WIDTH_CAP,
 ) -> np.ndarray:
     """<sigma_x sigma_y> for each edge, in order, under the spec's Gibbs measure.
 
@@ -991,7 +973,6 @@ def edge_correlations(
     # a clamped ghost bond is in the spec's edge set but has no correlation
     edge_positions(interior_edges(spec.region), edges)
     if resolve_method(spec, method, width_cap) == "transfer":
-        width_cap = TRANSFER_WIDTH_CAP if width_cap is None else width_cap
         by_position = _transfer_bond_correlations(spec, width_cap)
         return by_position[edge_positions(spec.couplings.edge_set, edges)]
     _, (second,) = _enum_reduce(spec, [], cap=enum_cap, moments=True)
@@ -1003,8 +984,8 @@ def edge_correlation(
     spec: GibbsSpec,
     edge: Edge,
     method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
+    width_cap: int = TRANSFER_WIDTH_CAP,
 ) -> float:
     """<sigma_x sigma_y> under the spec's Gibbs measure."""
     (value,) = edge_correlations(spec, (edge,), method, enum_cap, width_cap)
@@ -1033,7 +1014,7 @@ def reweight_expectation(
     block: Region,
     values: Mapping[Edge, float],
     observable: VectorObservable,
-    cap: int | None = None,
+    cap: int = ENUM_CAP,
 ) -> float:
     """< f >_{J+J_B} evaluated on the *original* spec via the tilt formula
 

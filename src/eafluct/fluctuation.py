@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
@@ -36,6 +36,8 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .exactsolve import (
+    ENUM_CAP,
+    TRANSFER_WIDTH_CAP,
     BoundaryCondition,
     GibbsSpec,
     edge_correlation,
@@ -55,6 +57,7 @@ from .interface import (
     interface_free_energy,
     make_state_pair,
     master_edge_set,
+    sample_master,
 )
 from .lattice import (
     BlockPartition,
@@ -71,6 +74,7 @@ BOOTSTRAP_DEFAULT = 1000
 PROBE_EPSILONS = (0.005, 0.01, 0.02, 0.05)
 PROBE_NOISE_TOL = 1e-10
 OBSERVABLE_SCALE = 0.5  # field scale of the bound check's window observables
+COVARIANCE_BLOCK = (2, 2)  # extents of the covariance check's modified block
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +124,12 @@ def bootstrap_ci(
     statistic: Callable[[np.ndarray], np.ndarray],
     n_resamples: int,
     rng: np.random.Generator,
-    level: float = 0.95,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval of ``statistic``, batched as in
+    """95% percentile bootstrap interval of ``statistic``, batched as in
     :func:`bootstrap_stderr`."""
     values = np.asarray(values)
     stats = _resampled(len(values), lambda draws: statistic(values[draws]), n_resamples, rng)
-    lo = (1.0 - level) / 2.0
+    lo = (1.0 - 0.95) / 2.0
     return _quantiles(stats, (lo, 1.0 - lo))
 
 
@@ -183,8 +186,8 @@ class EnsembleSpec:
     master_seed: int
     mode: str = "pair"
     solver: str = "auto"
-    enum_cap: int | None = None  # None: the solver module's caps
-    width_cap: int | None = None
+    enum_cap: int = ENUM_CAP
+    width_cap: int = TRANSFER_WIDTH_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "box_extents", tuple(int(e) for e in self.box_extents))
@@ -226,16 +229,11 @@ class EnsembleSpec:
         return len(boundary_edges(self.window_region, box))
 
     def master(self, i: int) -> CouplingConfig:
-        return sample_couplings(
-            self.dist, master_edge_set(self.box_extents), SeedSpec(self.master_seed, i, "couplings")
-        )
+        return sample_master(self.dist, self.box_extents, SeedSpec(self.master_seed, i, "couplings"))
 
     def inner_master(self, i: int, t: int, purpose: str) -> CouplingConfig:
-        return sample_couplings(
-            self.dist,
-            master_edge_set(self.box_extents),
-            SeedSpec(self.master_seed, i, f"{purpose}:{t}"),
-        )
+        seed = SeedSpec(self.master_seed, i, f"{purpose}:{t}")
+        return sample_master(self.dist, self.box_extents, seed)
 
     def pair_from(self, config: CouplingConfig) -> StatePair:
         if self.mode != "pair":
@@ -313,7 +311,6 @@ def variance_report_from_values(
     master_seed: int,
     n_boot: int = BOOTSTRAP_DEFAULT,
     components: tuple[tuple[str, float], ...] = (),
-    flags: tuple[str, ...] = (),
 ) -> VarianceReport:
     arr = np.asarray(values, dtype=np.float64)
     if len(arr) < 2:
@@ -323,8 +320,6 @@ def variance_report_from_values(
     stderr = bootstrap_stderr(arr, _var_rows, n_boot, rng)
     mean = float(arr.mean())
     mean_stderr = bootstrap_stderr(arr, _mean_rows, n_boot, rng)
-    if var == 0.0:
-        flags = flags + ("degenerate",)
     return VarianceReport(
         variance=var,
         stderr=stderr,
@@ -334,7 +329,7 @@ def variance_report_from_values(
         bootstrap_resamples=n_boot,
         bootstrap_seed=master_seed,
         components=components,
-        flags=flags,
+        flags=("degenerate",) if var == 0.0 else (),
     )
 
 
@@ -374,7 +369,7 @@ def conditional_mean_given_block(
     block_values: Mapping[Edge, float],
     n_outer: int,
     route: str = "direct",
-    enum_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
 ) -> ConditionalMeanResult:
     """Estimate of the conditional mean of F given the couplings on E(block).
 
@@ -431,8 +426,8 @@ class MartingaleTrace:
     kind: str
     labels: tuple[str, ...]
     ys: np.ndarray  # (n_paths, K+1)
-    delta_stderr: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    delta_stderr: np.ndarray
+    meta: dict
 
     @property
     def deltas(self) -> np.ndarray:
@@ -450,7 +445,7 @@ class MartingaleTrace:
             "kind": self.kind,
             "labels": list(self.labels),
             "ys": self.ys.tolist(),
-            "delta_stderr": None if self.delta_stderr is None else self.delta_stderr.tolist(),
+            "delta_stderr": self.delta_stderr.tolist(),
             "meta": self.meta,
         }
 
@@ -722,13 +717,12 @@ class BoundSlackReport:
 
 def bound_check(
     pair: StatePair,
-    result: FreeEnergyResult | None = None,
     n_observables: int = 2,
     seed: int = 0,
     slack_tol: float = 1e-9,
     method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
+    width_cap: int = TRANSFER_WIDTH_CAP,
 ) -> BoundSlackReport:
     """Assert |F| <= 4 beta sum_{boundary} |J_e| and the two-sided
     exp(+-2 beta sum |J_e|) sandwich for Gibbs averages of positive window
@@ -740,18 +734,15 @@ def bound_check(
     built once from the pair's shared window couplings) has its log Z taken
     once per field set, and every Gibbs average is the ratio against the
     first set: all zeros, whose log Z is bit for bit the measure's own.
-    Gamma's and Gamma''s own log Z are the terms of the pair's F, which is
-    always computed; a given ``result`` feeds only the |F| bound and the
-    dump.  So an instance costs F's stacked sweeps plus ``n_observables``
-    sweeps per transfer-resolved state and 1 + ``n_observables`` for the
-    window measure.  ``ratio_slacks`` lists Gamma's field sets, then
-    Gamma''s.
+    Gamma's and Gamma''s own log Z are the terms of the pair's F.  So an
+    instance costs F's stacked sweeps plus ``n_observables`` sweeps per
+    transfer-resolved state and 1 + ``n_observables`` for the window
+    measure.  ``ratio_slacks`` lists Gamma's field sets, then Gamma''s.
 
     Violations raise :class:`BoundViolationError` with the full instance dump.
     """
     kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
-    own = interface_free_energy(pair, **kwargs)
-    result = own if result is None else result
+    result = interface_free_energy(pair, **kwargs)
     s_abs = pair.boundary_abs_sum()
     bound = 4.0 * pair.beta * s_abs
     slack = bound - abs(result.value)
@@ -768,8 +759,8 @@ def bound_check(
         return [log_partition(measure, extra_fields=fields, **kwargs) for fields in sets]
 
     log_z = np.array([
-        [own.log_z_gamma, *log_zs(pair.gamma, field_sets[1:])],
-        [own.log_z_gamma_prime, *log_zs(pair.gamma_prime, field_sets[1:])],
+        [result.log_z_gamma, *log_zs(pair.gamma, field_sets[1:])],
+        [result.log_z_gamma_prime, *log_zs(pair.gamma_prime, field_sets[1:])],
         log_zs(window_spec, field_sets),
     ])
     log_avg = log_z - log_z[:, :1]  # log <observable> under each measure
@@ -1181,8 +1172,7 @@ def covariance_sample(
     dist: CouplingDistribution,
     master_seed: int,
     i: int,
-    block_extents: tuple[int, ...] = (2, 2),
-    enum_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
 ) -> dict:
     """One torus covariance check: a random translation/edge pair and a random
     local modification, both sides by enumeration."""
@@ -1201,9 +1191,9 @@ def covariance_sample(
     rhs = edge_correlation(spec, edge, method="enum", enum_cap=enum_cap)
 
     origin = tuple(
-        int(rng.integers(0, e - b + 1)) for e, b in zip(box_extents, block_extents)
+        int(rng.integers(0, e - b + 1)) for e, b in zip(box_extents, COVARIANCE_BLOCK)
     )
-    block = Region(block_extents, None, origin)
+    block = Region(COVARIANCE_BLOCK, None, origin)
     block_edge_set = interior_edges(block)
     j_b = {e: float(v) for e, v in zip(block_edge_set, rng.normal(size=len(block_edge_set)))}
     modified = reweight(spec, block, j_b)
@@ -1237,8 +1227,7 @@ def covariance_property_tests(
     dist: CouplingDistribution,
     master_seed: int,
     n_samples: int = 20,
-    block_extents: tuple[int, ...] = (2, 2),
-    enum_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
 ) -> dict:
     """Exact covariance checks on torus proxies, both sides by enumeration:
 
@@ -1246,6 +1235,6 @@ def covariance_property_tests(
     translated edges match the originals; coupling: expectations under
     J + J_B match the exponential-tilt evaluation on J."""
     return covariance_report_from_rows([
-        covariance_sample(box_extents, beta, dist, master_seed, i, block_extents, enum_cap)
+        covariance_sample(box_extents, beta, dist, master_seed, i, enum_cap)
         for i in range(n_samples)
     ])

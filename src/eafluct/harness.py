@@ -48,6 +48,7 @@ from .exactsolve import (
 )
 from .fluctuation import (
     BOOTSTRAP_DEFAULT,
+    COVARIANCE_BLOCK,
     PROBE_EPSILONS,
     PROBE_NOISE_TOL,
     BlockConditioning,
@@ -462,6 +463,11 @@ def _reduce_martingale(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     return {"variance_report": asdict(report), "details": details, "trace": trace.to_record()}
 
 
+def _check_edge_martingale(cfg: ExperimentConfig) -> None:
+    if max(cfg.window) < 2:
+        raise ConfigError(f"{cfg.kind} needs a window with an edge, got {list(cfg.window)}")
+
+
 def _reduce_edge_martingale(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     # every payload covers the same K window edges: one (n, K) array each
     deltas = np.abs(np.diff([p["ys"] for p in payloads], axis=1))
@@ -520,6 +526,15 @@ def _bounds_hist_csv(summary: dict) -> tuple[str, list[str], list]:
     return "bounds_hist.csv", ["bin_lo", "bin_hi", "count"], list(zip(edges, edges[1:], counts))
 
 
+def _check_mgf(cfg: ExperimentConfig) -> None:
+    nu_abs = distribution_from_label(cfg.distribution).abs_first_moment
+    for t in cfg.t_values:  # the two envelopes, as the reduce computes them
+        try:
+            math.exp(4.0 * cfg.beta * t * nu_abs), math.exp(4.0 * cfg.beta * t)
+        except OverflowError:
+            raise ConfigError(f"the mgf envelopes overflow at t = {t}") from None
+
+
 def _reduce_mgf(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     spec = ensemble_spec_from_config(cfg)
     g_values = [p["g"] for p in payloads]
@@ -535,6 +550,7 @@ def _reduce_probe(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
 def _check_probe(cfg: ExperimentConfig) -> None:
     if not (cfg.noise_tol >= 0 and math.isfinite(cfg.noise_tol)):
         raise ConfigError(f"noise_tol must be finite and >= 0, got {cfg.noise_tol}")
+    _check_edge_martingale(cfg)  # the probe's densities are over the window's edges too
 
 
 def _probe_density_csv(summary: dict) -> tuple[str, list[str], list]:
@@ -586,6 +602,13 @@ def _covariance_task(cfg: ExperimentConfig, at: dict) -> dict:
     dist = distribution_from_label(cfg.distribution)
     i = at["realization"]
     return covariance_sample(cfg.box, cfg.beta, dist, cfg.seed, i, enum_cap=cfg.enum_cap)
+
+
+def _check_covariance(cfg: ExperimentConfig) -> None:
+    if len(cfg.box) != 2 or any(e < b for e, b in zip(cfg.box, COVARIANCE_BLOCK)):
+        raise ConfigError(f"covariance needs a 2-d box >= {COVARIANCE_BLOCK}, got {list(cfg.box)}")
+    if math.prod(cfg.box) > cfg.enum_cap:  # both sides of the check enumerate the box
+        raise ConfigError(f"covariance box {list(cfg.box)} has more sites than enum_cap")
 
 
 def _check_oracle(cfg: ExperimentConfig) -> None:
@@ -692,6 +715,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
             "edge_martingale.csv", "instance bound_ok max_abs_delta min_bound",
             "instances", keys="index bound_ok max_abs_delta min_bound",
         )),
+        check=_check_edge_martingale,
     ),
     "bounds": ExperimentKind(
         tasks=_bounds_tasks,
@@ -709,7 +733,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
         csv_tables=_csvs(
             _csv("mgf.csv", "t empirical stderr bound bound_normalized_nu passed", "rows")
         ),
-        min_n=2,
+        min_n=2, check=_check_mgf,
     ),
     "probe": ExperimentKind(
         run=_on_ensemble(lambda cfg, spec, i: {"deltas": probe_realization(spec, i)}),
@@ -735,7 +759,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
         csv_tables=_csvs(
             _csv("covariance.csv", "n_samples max_translation_deviation max_coupling_deviation")
         ),
-        pair=False,
+        pair=False, check=_check_covariance,
     ),
     "oracle-verify": ExperimentKind(
         tasks=_oracle_tasks,

@@ -23,14 +23,14 @@ import numpy as np
 from .disorder import CouplingConfig, SeedSpec, edge_positions, sample_couplings
 from .errors import PairError, UnsupportedOperationError
 from .exactsolve import (
+    ENUM_CAP,
+    TRANSFER_WIDTH_CAP,
     BoundaryCondition,
     GibbsSpec,
     antiperiodic_bc,
-    edge_correlation,
     edge_correlations,
     exp_bond_observable,
     gibbs_expectation_enum,
-    log_partition_pair,
     log_partition_pairs,
     periodic_bc,
     resolve_method,
@@ -176,8 +176,8 @@ def free_energy_terms(
     values: np.ndarray,
     other_values: np.ndarray,
     method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
+    width_cap: int = TRANSFER_WIDTH_CAP,
 ) -> np.ndarray:
     """(B, 4) array of (log Z_Gamma, log Z_Gamma0, log Z_Gamma', log Z_Gamma'0)
     for the pair with its states' couplings replaced by each row of the
@@ -207,8 +207,8 @@ def free_energy_terms(
 def interface_free_energy(
     pair: StatePair,
     method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
+    width_cap: int = TRANSFER_WIDTH_CAP,
 ) -> FreeEnergyResult:
     """F = log Gamma(exp beta H_window) - log Gamma'(exp beta H_window),
     via the exact partition-function-ratio identity.
@@ -236,7 +236,7 @@ def interface_free_energy(
     )
 
 
-def interface_free_energy_direct(pair: StatePair, enum_cap: int | None = None) -> float:
+def interface_free_energy_direct(pair: StatePair, enum_cap: int = ENUM_CAP) -> float:
     """The same quantity through the direct Gibbs expectation of
     exp(beta H_window), by enumeration: the independent route."""
     window_edges = pair.window_edges
@@ -254,20 +254,21 @@ def domain_wall_free_energy(
     beta: float,
     seam_axis: int = 0,
     method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
+    width_cap: int = TRANSFER_WIDTH_CAP,
 ) -> float:
     """log Z_periodic - log Z_antiperiodic on the region itself (the classic
     gauge-related boundary-condition pair; needs a wrapped seam axis).
 
-    With the seam on the transfer's length axis both terms come from one
-    sweep (see :func:`log_partition_pair`)."""
+    :func:`log_partition_pairs` of the two states' own couplings, so with
+    the seam on the transfer's length axis both terms come from one sweep."""
     if not region.fully_wrapped:
         raise UnsupportedOperationError("domain walls need a fully wrapped region")
     spec_p = GibbsSpec(region, couplings, beta, periodic_bc())
     spec_a = GibbsSpec(region, spec_p.couplings, beta, antiperiodic_bc(seam_axis))
-    log_z_p, log_z_a = log_partition_pair(spec_p, spec_a, method, enum_cap, width_cap)
-    return log_z_p - log_z_a
+    stacks = (spec_p.couplings.values[None], spec_a.couplings.values[None])
+    t = log_partition_pairs(spec_p, spec_a, *stacks, method, enum_cap, width_cap)
+    return float(t[0, 0] - t[0, 1])
 
 
 @dataclass(frozen=True)
@@ -280,8 +281,8 @@ class GradientEntry:
 def free_energy_gradient(
     pair: StatePair,
     method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
+    enum_cap: int = ENUM_CAP,
+    width_cap: int = TRANSFER_WIDTH_CAP,
 ) -> dict[Edge, GradientEntry]:
     """dF/dJ_xy = beta * (<ss>_Gamma' - <ss>_Gamma) for every window edge.
 
@@ -296,18 +297,3 @@ def free_energy_gradient(
         e: GradientEntry(pair.beta * (cgp - cg), cg, cgp)
         for e, cg, cgp in zip(edges, corr_g, corr_gp)
     }
-
-
-def correlation_difference(
-    pair: StatePair,
-    edge: Edge,
-    method: str = "auto",
-    enum_cap: int | None = None,
-    width_cap: int | None = None,
-) -> float:
-    """delta_xy = <ss>_Gamma - <ss>_Gamma' for an edge shared by both states."""
-    cg = edge_correlation(pair.gamma, edge, method=method, enum_cap=enum_cap, width_cap=width_cap)
-    cgp = edge_correlation(
-        pair.gamma_prime, edge, method=method, enum_cap=enum_cap, width_cap=width_cap
-    )
-    return cg - cgp

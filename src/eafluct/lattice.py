@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import ContainmentError, OutOfBoundsError, PartitionError
 
@@ -261,15 +261,6 @@ def translate_site(site: Site, vector: tuple[int, ...], ambient: Region) -> Site
 def translate_edge(edge: Edge, vector: tuple[int, ...], ambient: Region) -> Edge:
     new_origin = translate_site(edge.origin, vector, ambient)
     return edge_from_origin(new_origin, edge.axis, ambient)
-
-
-def translate(obj: Union[Site, Edge], vector: tuple[int, ...], ambient: Region):
-    """Translate a site or edge under the ambient region's wrap rules."""
-    if isinstance(obj, Edge):
-        return translate_edge(obj, vector, ambient)
-    if isinstance(obj, tuple):
-        return translate_site(obj, vector, ambient)
-    raise TypeError(f"cannot translate object of type {type(obj)!r}")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from eafluct.exactsolve import (
     reweight_expectation,
     uniform_fixed_bc,
 )
-from eafluct.interface import StatePair, correlation_difference, make_state_pair, sample_master
+from eafluct.interface import StatePair, make_state_pair, sample_master
 from eafluct.lattice import Edge, Region, interior_edges, translate_edge
 
 TORUS = Region((2, 3), (True, True))
@@ -270,8 +270,9 @@ def test_correlation_difference_refuses_an_edge_one_state_lacks():
     pair = make_state_pair((4, 4), (2, 2), 1.0, uniform_fixed_bc(),
                            periodic_bc(), master)
     seam = next(e for e in pair.gamma_prime.couplings.edge_set if e.wrap)
+    edge_correlations(pair.gamma_prime, (seam,))
     with pytest.raises(ContainmentError):
-        correlation_difference(pair, seam)
+        edge_correlations(pair.gamma, (seam,))
 
 
 def test_pair_error_names_a_differing_shared_edge():

@@ -22,7 +22,7 @@ from eafluct.errors import (
     UndeclaredEdgeError,
     UnsupportedOperationError,
 )
-from eafluct.lattice import Region, centered_window, interior_edges, translate
+from eafluct.lattice import Region, centered_window, interior_edges, translate_edge
 
 
 def quad_abs_moment(dist, n=1_000_001):
@@ -197,14 +197,14 @@ def test_translate_couplings_round_trip():
 
 
 def test_translate_couplings_2x2_torus_permutation():
-    # DERIVED: apply the permutation edge-by-edge via translate()
+    # DERIVED: apply the permutation edge-by-edge via translate_edge()
     region = Region((2, 2), (True, True))
     edges = interior_edges(region)
     cfg = sample_couplings(Gaussian(), edges, SeedSpec(5))
     vector = (1, 0)
     out = translate_couplings(cfg, vector)
     for e in edges:
-        te = translate(e, vector, region)
+        te = translate_edge(e, vector, region)
         assert out.value(te) == cfg.value(e)
 
 

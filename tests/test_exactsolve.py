@@ -41,7 +41,6 @@ from eafluct.exactsolve import (
     gibbs_expectation_enum,
     log_partition,
     log_partition_enum,
-    log_partition_pair,
     log_partition_transfer,
     periodic_bc,
     required_edges,
@@ -822,6 +821,13 @@ def test_torus_values_match_pins_from_before_the_shared_closing(k):
             assert beta > 0.0 or value == 0.0
 
 
+def _own_pair(spec, other, method="auto"):
+    """(log Z of ``spec``, log Z of ``other``): ``log_partition_pairs`` of
+    the two specs' own couplings, as one-row stacks."""
+    stacks = (spec.couplings.values[None], other.couplings.values[None])
+    return tuple(exactsolve.log_partition_pairs(spec, other, *stacks, method)[0].tolist())
+
+
 @pytest.mark.parametrize("extents", [(2, 2), (3, 4), (4, 3), (6, 5)])
 @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
 def test_shared_route_equals_two_log_partition_calls(extents, beta):
@@ -829,7 +835,7 @@ def test_shared_route_equals_two_log_partition_calls(extents, beta):
     specs = [GibbsSpec(region, couplings, beta, _torus_bc(axes)) for axes in PINNED_BCS.values()]
     for spec in specs:
         for other in specs:
-            assert log_partition_pair(spec, other) == (log_partition(spec), log_partition(other))
+            assert _own_pair(spec, other) == (log_partition(spec), log_partition(other))
 
 
 @pytest.mark.parametrize("extents", [(2, 2), (3, 4), (4, 4), (3, 5), (5, 3)])
@@ -839,8 +845,8 @@ def test_shared_route_matches_enumeration(extents, beta):
     for seam in (0, 1):
         p = GibbsSpec(region, couplings, beta, periodic_bc())
         ap = GibbsSpec(region, couplings, beta, antiperiodic_bc(seam))
-        got = log_partition_pair(p, ap, method="transfer")
-        want = log_partition_pair(p, ap, method="enum")
+        got = _own_pair(p, ap, method="transfer")
+        want = _own_pair(p, ap, method="enum")
         assert got == pytest.approx(want, abs=1e-9, rel=0)
         assert want == (log_partition_enum(p), log_partition_enum(ap))
         value = domain_wall_free_energy(couplings, region, beta, seam_axis=seam)
@@ -903,10 +909,10 @@ def test_shared_route_needs_matching_specs(monkeypatch):
     for other, values, sweeps in zip(others, want, [[1]] + [[1, 1]] * 4):
         # one sweep closed both ways only for matching plans, beta and stacks
         stacks.clear()
-        assert log_partition_pair(p, other) == values
+        assert _own_pair(p, other) == values
         assert stacks == sweeps
     with pytest.raises(ValueError, match="unknown solver method"):
-        log_partition_pair(p, ap, method="exact")
+        _own_pair(p, ap, method="exact")
 
 
 # --- flip-halved wrapped sweeps ----------------------------------------------
@@ -965,7 +971,7 @@ def test_halved_sweep_matches_the_full_row_product(extents):
         plan = exactsolve._transfer_plan(region, spec.bc, exactsolve.TRANSFER_WIDTH_CAP)
         other = GibbsSpec(region, couplings, beta, antiperiodic_bc(plan.l_axis))
         want = (_full_row_log_z(spec), _full_row_log_z(spec, negated_close=True))
-        got = log_partition_pair(spec, other)
+        got = _own_pair(spec, other)
         assert got == pytest.approx(want, rel=1e-13, abs=0)
         assert got == (log_partition(spec), log_partition(other))
 
@@ -1024,10 +1030,10 @@ def test_torus_pair_sweep_holds_at_most_three_dense_links():
     region, couplings = _torus((10, 10), 7)
     spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
     other = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
-    log_partition_pair(spec, other)  # warm the plan and edge caches
+    _own_pair(spec, other)  # warm the plan and edge caches
     tracemalloc.start()
     try:
-        log_partition_pair(spec, other)
+        _own_pair(spec, other)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1040,10 +1046,10 @@ def test_torus_pair_sweep_builds_no_dense_link():
     region, couplings = _torus((10, 10), 7)
     spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
     other = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
-    log_partition_pair(spec, other)  # warm the plan and edge caches
+    _own_pair(spec, other)  # warm the plan and edge caches
     tracemalloc.start()
     try:
-        log_partition_pair(spec, other)
+        _own_pair(spec, other)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1086,10 +1092,10 @@ def test_torus_pair_sweep_holds_one_environment_and_the_closing_rows():
     region, couplings = _torus((10, 10), 7)
     spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
     other = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
-    log_partition_pair(spec, other)  # warm the plan and edge caches
+    _own_pair(spec, other)  # warm the plan and edge caches
     tracemalloc.start()
     try:
-        log_partition_pair(spec, other)
+        _own_pair(spec, other)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1398,7 +1404,7 @@ def test_log_partition_pairs_equals_one_call_per_row_for_each_kind_of_pair(monke
     wants = [[(log_partition(g), log_partition(gp)) for g, gp in pairs] for pairs, _ in batches]
     stacks = _stacked_sweeps(monkeypatch)
     for (pairs, sweeps), want in zip(batches, wants):
-        assert [log_partition_pair(*pair) for pair in pairs] == want
+        assert [_own_pair(*pair) for pair in pairs] == want
         stacks.clear()
         got = exactsolve.log_partition_pairs(
             *pairs[0], *(np.stack([pair[k].couplings.values for pair in pairs]) for k in (0, 1))
@@ -1448,7 +1454,7 @@ def test_a_torus_batch_sweeps_one_row_at_a_time_within_the_pair_bound(monkeypatc
         couplings = sample_couplings(Gaussian(), interior_edges(region), SeedSpec(16, k, "t"))
         pairs.append((GibbsSpec(region, couplings, 1.0, periodic_bc()),
                       GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))))
-    want = [list(log_partition_pair(*pair)) for pair in pairs]  # warms the caches
+    want = [list(_own_pair(*pair)) for pair in pairs]  # warms the caches
     stack = np.stack([spec.couplings.values for spec, _ in pairs])
     tracemalloc.start()
     try:

@@ -484,19 +484,20 @@ def test_bound_check_zero_boundary_couplings():
     pair = make_state_pair((5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), master0)
     result = interface_free_energy(pair)
     assert abs(result.value) <= 1e-9
-    rep = bound_check(pair, result)
+    rep = bound_check(pair)
     assert rep.bound == 0.0
 
 
-def test_bound_check_violation_raises_with_dump():
+def test_bound_check_violation_raises_with_dump(monkeypatch):
     master = sample_master(Gaussian(), (5, 5), SeedSpec(5, 0, "couplings"))
     pair = make_state_pair((5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), master)
     good = interface_free_energy(pair)
     import dataclasses
 
     fake = dataclasses.replace(good, value=1e6)
+    monkeypatch.setattr(fluctuation, "interface_free_energy", lambda *args, **kwargs: fake)
     with pytest.raises(BoundViolationError) as err:
-        bound_check(pair, fake)
+        bound_check(pair)
     assert "couplings" in str(err.value)
 
 

@@ -226,13 +226,45 @@ def test_oracle_verify_needs_seam_axes_of_every_geometry(tmp_path):
     ("fe", "seed", -1, "seed must be a 64-bit"),
     ("oracle-verify", "geometry", {"geometries": [[3, 3], []]}, "every oracle geometry"),
     ("oracle-verify", "geometry", {"geometries": [[3, 0]]}, "every oracle geometry"),
+    ("edge-martingale", "geometry", {"box": [3, 3], "window": [1, 1]}, "window with an edge"),
+    ("probe", "geometry", {"box": [3, 3], "window": [1, 1]}, "window with an edge"),
+    ("mgf", "sampling", {"t_values": [1e5]}, "mgf envelopes overflow at t = 100000.0"),
+    ("mgf", "sampling", {"t_values": [0.5, 400.0]}, "mgf envelopes overflow at t = 400.0"),
+    ("covariance", "geometry", {"box": [1, 4]}, "2-d box"),
+    ("covariance", "geometry", {"box": [2, 2, 2]}, "2-d box"),
+    ("covariance", "geometry", {"box": [5, 5]}, "more sites than enum_cap"),
+    ("covariance", "solver", {"enum_cap": 8}, "more sites than enum_cap"),
 ])
 def test_kind_checks_reject_silently_wrong_inputs(tmp_path, kind, section, body, match):
     # the kind checks' cases each used to run: a repeated size fits a line
     # through one point, and an odd or uneven margin was replaced by axis 0's,
-    # floored; a non-finite distribution parameter parsed, then failed every task
+    # floored; a non-finite distribution parameter parsed, then failed every
+    # task; a window of one site, an overflowing mgf envelope and a covariance
+    # box that its 2x2 block or the enumeration cannot serve failed only after
+    # the tasks had started, or wrote NaN into the report
     with pytest.raises(ConfigError, match=match):
         parse_config_dict(base_config(tmp_path, kind=kind, **{section: body}))
+
+
+def test_a_window_without_edges_is_refused_by_the_cli(tmp_path, capsys):
+    data = base_config(tmp_path, kind="edge-martingale", geometry={"box": [3, 3], "window": [1, 1]})
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(data))
+    assert main(["edge-martingale", "-c", str(config_path)]) == 2
+    assert "window with an edge" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("kind, geometry", [
+    ("covariance", {"box": [2, 2]}),
+    ("covariance", {"box": [2, 12]}),
+    ("edge-martingale", {"box": [3, 4], "window": [1, 2]}),
+    ("probe", {"box": [4, 3], "window": [2, 1]}),
+])
+def test_the_smallest_inputs_the_kind_checks_keep_still_run(tmp_path, kind, geometry):
+    data = base_config(tmp_path, kind=kind, geometry=geometry, sampling={"n": 2, "n_outer": 2})
+    run(parse_config_dict(data), workers=1)
+    assert (tmp_path / "report.json").exists()
 
 
 def test_seam_axes_are_not_checked_without_an_antiperiodic_state(tmp_path):

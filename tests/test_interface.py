@@ -11,6 +11,7 @@ from eafluct.errors import ContainmentError, PairError, UnsupportedOperationErro
 from eafluct.exactsolve import (
     GibbsSpec,
     antiperiodic_bc,
+    edge_correlation,
     fixed_bc,
     free_bc,
     log_partition,
@@ -21,7 +22,6 @@ from eafluct.exactsolve import (
 from eafluct.harness import _bc_from_name
 from eafluct.interface import (
     FreeEnergyResult,
-    correlation_difference,
     domain_wall_free_energy,
     free_energy_gradient,
     interface_free_energy,
@@ -268,28 +268,35 @@ def test_gradient_matches_central_finite_differences():
 # --- correlation difference ----------------------------------------------------
 
 
+def delta(pair, edge, **solver):
+    """delta_xy = <ss>_Gamma - <ss>_Gamma' of one edge shared by both states."""
+    return edge_correlation(pair.gamma, edge, **solver) - edge_correlation(
+        pair.gamma_prime, edge, **solver
+    )
+
+
 def test_correlation_difference_zero_for_identical_states():
     p = pair_4x4(bc=periodic_bc(), bc_prime=periodic_bc())
     e = tuple(p.window_edges)[0]
-    assert correlation_difference(p, e) == 0.0
+    assert delta(p, e) == 0.0
 
 
 def test_correlation_difference_zero_at_beta_zero():
     p = pair_4x4(beta=0.0)
     e = tuple(p.window_edges)[0]
-    assert correlation_difference(p, e) == 0.0
+    assert delta(p, e) == 0.0
 
 
 def test_correlation_difference_bounded():
     p = pair_4x4()
     for e in p.window_edges:
-        assert -2.0 <= correlation_difference(p, e) <= 2.0
+        assert -2.0 <= delta(p, e) <= 2.0
 
 
 def test_correlation_difference_rejects_foreign_edge():
     p = pair_4x4()
     with pytest.raises(ContainmentError):
-        correlation_difference(p, Edge((9, 9), (9, 10), axis=1))
+        delta(p, Edge((9, 9), (9, 10), axis=1))
 
 
 def test_clamped_neighbor_toy_closed_form():
@@ -365,7 +372,7 @@ def test_unknown_method_raises_value_error():
     for call in (
         lambda: interface_free_energy(pair, method="exact"),
         lambda: free_energy_gradient(pair, method="exact"),
-        lambda: correlation_difference(pair, edge, method="exact"),
+        lambda: delta(pair, edge, method="exact"),
         lambda: domain_wall_free_energy(couplings, torus, 1.0, method="exact"),
     ):
         with pytest.raises(ValueError, match="unknown solver method"):

@@ -14,7 +14,8 @@ from eafluct.lattice import (
     ghost_sites,
     grow,
     interior_edges,
-    translate,
+    translate_edge,
+    translate_site,
 )
 
 
@@ -115,27 +116,27 @@ def test_edge_partition_counts_each_ambient_edge_once():
 def test_translate_identity():
     region = Region((3, 3), (True, True))
     site = (1, 2)
-    assert translate(site, (0, 0), region) == site
+    assert translate_site(site, (0, 0), region) == site
     e = interior_edges(region).edges[0]
-    assert translate(e, (0, 0), region) == e
+    assert translate_edge(e, (0, 0), region) == e
 
 
 def test_translate_edge_on_torus():
     region = Region((3, 3), (True, True))
     e = Edge((0, 0), (0, 1), axis=1)
-    te = translate(e, (1, 0), region)
+    te = translate_edge(e, (1, 0), region)
     assert te.endpoints() == ((1, 0), (1, 1))
 
 
 def test_translate_site_wraps():
     region = Region((3, 3), (True, True))
-    assert translate((2, 2), (1, 0), region) == (0, 2)
+    assert translate_site((2, 2), (1, 0), region) == (0, 2)
 
 
 def test_translate_off_open_region_raises():
     region = Region((3, 3))
     with pytest.raises(OutOfBoundsError):
-        translate((2, 2), (1, 0), region)
+        translate_site((2, 2), (1, 0), region)
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,7 +147,7 @@ def test_translate_off_open_region_raises():
 def test_translate_is_a_torus_bijection(vec, site):
     region = Region((4, 5), (True, True))
     back = tuple(-v for v in vec)
-    assert translate(translate(site, vec, region), back, region) == site
+    assert translate_site(translate_site(site, vec, region), back, region) == site
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,7 +157,7 @@ def test_translate_edge_bijection(vec, idx):
     edges = interior_edges(region).edges
     e = edges[idx % len(edges)]
     back = tuple(-v for v in vec)
-    assert translate(translate(e, vec, region), back, region) == e
+    assert translate_edge(translate_edge(e, vec, region), back, region) == e
 
 
 def test_lexicographic_order_is_total_and_stable():

@@ -1,9 +1,13 @@
-"""Print the code lines of each module of ``src/eafluct`` and their total.
+"""Print the code lines and the public options of each module of
+``src/eafluct``, and their totals.
 
 A line counts when a token other than a comment, NL, NEWLINE, INDENT or
 DEDENT (or the end marker, after the last line) starts on it; the lines of
-module, class and function docstrings do not count.  Run from anywhere:
-``python tools/code_lines.py``.
+module, class and function docstrings do not count.  An option is a
+parameter with a default of a public module-level function or of a public
+method of a public module-level class, or a field with a default of a public
+dataclass; a bare ``field(...)`` without ``default`` or ``default_factory``
+is no default.  Run from anywhere: ``python tools/code_lines.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eafluct"
 _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
          tokenize.ENDMARKER}
-_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (ast.Module, ast.ClassDef, *_FUNCTIONS)
 
 
 def code_lines(source: str) -> int:
@@ -29,13 +34,48 @@ def code_lines(source: str) -> int:
     return len({t.start[0] for t in tokens if t.type not in _SKIP} - docstrings)
 
 
+def _name(node: ast.expr) -> str | None:
+    """The name a decorator or a called function is spelled with."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _defaults(function: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    args = function.args
+    return len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+
+
+def _field_has_default(value: ast.expr | None) -> bool:
+    if isinstance(value, ast.Call) and _name(value) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
+
+
+def option_count(source: str) -> int:
+    count = 0
+    for node in ast.parse(source).body:
+        if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
+            count += _defaults(node)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for item in node.body:
+            if isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
+                count += _defaults(item)
+        if any(_name(d) == "dataclass" for d in node.decorator_list):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            count += sum(_field_has_default(item.value) for item in fields)
+    return count
+
+
 def main() -> None:
-    total = 0
+    lines = options = 0
+    print(f"{'lines':>6}  {'options':>7}  module")
     for path in sorted(PACKAGE.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        source = path.read_text(encoding="utf-8")
+        n, k = code_lines(source), option_count(source)
+        lines, options = lines + n, options + k
+        print(f"{n:6d}  {k:7d}  {path.name}")
+    print(f"{lines:6d}  {options:7d}  total")
 
 
 if __name__ == "__main__":
