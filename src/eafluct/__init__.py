@@ -37,18 +37,10 @@ from .exactsolve import (  # noqa: E402
 from .fluctuation import (  # noqa: E402
     BlockConditioning,
     EnsembleSpec,
-    MartingaleTrace,
     VarianceReport,
     bound_check,
     conditional_mean_given_block,
-    covariance_property_tests,
-    edge_martingale_trace,
-    ensemble_variance,
-    incongruence_probe,
     lindeberg_diagnostic,
-    martingale_block_decomposition,
-    mgf_check,
-    variance_scaling,
 )
 from .interface import (  # noqa: E402
     FreeEnergyResult,

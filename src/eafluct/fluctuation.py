@@ -309,7 +309,7 @@ class VarianceReport:
 def variance_report_from_values(
     values: Sequence[float],
     master_seed: int,
-    n_boot: int = BOOTSTRAP_DEFAULT,
+    n_boot: int,
     components: tuple[tuple[str, float], ...] = (),
 ) -> VarianceReport:
     arr = np.asarray(values, dtype=np.float64)
@@ -331,17 +331,6 @@ def variance_report_from_values(
         components=components,
         flags=("degenerate",) if var == 0.0 else (),
     )
-
-
-def ensemble_values(spec: EnsembleSpec) -> np.ndarray:
-    return np.array([spec.f_value(i) for i in range(spec.n_realizations)])
-
-
-def ensemble_variance(spec: EnsembleSpec, n_boot: int = BOOTSTRAP_DEFAULT) -> VarianceReport:
-    """Unbiased sample variance of the free-energy difference over the ensemble."""
-    if spec.n_realizations < 2:
-        raise ValueError("variance needs n >= 2 realizations")
-    return variance_report_from_values(ensemble_values(spec), spec.master_seed, n_boot)
 
 
 # ---------------------------------------------------------------------------
@@ -414,47 +403,10 @@ def conditional_mean_given_block(
 # martingale decompositions
 
 
-@dataclass(frozen=True, eq=False)
-class MartingaleTrace:
-    """Conditional-mean paths Y_0..Y_K along a conditioning filtration.
-
-    Differences are derived from the stored Y values, so the telescoping
-    identity sum(deltas) = Y_K - Y_0 holds by construction (up to binary64
-    summation roundoff when re-adding them).
-    """
-
-    kind: str
-    labels: tuple[str, ...]
-    ys: np.ndarray  # (n_paths, K+1)
-    delta_stderr: np.ndarray
-    meta: dict
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.diff(self.ys, axis=1)
-
-    def telescoping_residual(self) -> float:
-        resid = np.abs(self.deltas.sum(axis=1) - (self.ys[:, -1] - self.ys[:, 0]))
-        return float(resid.max()) if resid.size else 0.0
-
-    def to_record(self) -> dict:
-        """The trace as a JSON record.  Every other result is recorded by
-        :func:`dataclasses.asdict`; this one lists its fields because JSON
-        cannot write the ndarrays."""
-        return {
-            "kind": self.kind,
-            "labels": list(self.labels),
-            "ys": self.ys.tolist(),
-            "delta_stderr": self.delta_stderr.tolist(),
-            "meta": self.meta,
-        }
-
-
 @dataclass(frozen=True)
 class BlockConditioning:
     partition: BlockPartition
     n_outer: int
-    realizations: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.n_outer < 2:
@@ -518,16 +470,22 @@ def block_martingale_report(
     spec: EnsembleSpec,
     conditioning: BlockConditioning,
     rows: Sequence[dict],
-    n_boot: int = BOOTSTRAP_DEFAULT,
-) -> tuple[MartingaleTrace, VarianceReport, dict]:
-    """Aggregate per-realization payloads into the decomposition report."""
+    n_boot: int,
+) -> tuple[dict, VarianceReport, dict]:
+    """Aggregate per-realization payloads into the decomposition report.
+
+    The trace record holds the conditional-mean paths Y_0..Y_K of every
+    realization (``ys``, one row each) and the stderr of each step.  The
+    steps are the differences of the stored Y values, so the telescoping
+    identity sum(deltas) = Y_K - Y_0 holds by construction, up to binary64
+    summation roundoff, which ``details["telescoping_residual"]`` reports.
+    """
     rows = sorted(rows, key=lambda r: r["index"])
     n_blocks = len(conditioning.partition)
     f_vals = np.array([r["f"] for r in rows])
     ys = np.array([r["ys"] for r in rows])
     block_means = np.array([r["block_means"] for r in rows])
     deltas = np.diff(ys, axis=1)
-    delta_sem = np.array([r["delta_sem"] for r in rows]).mean(axis=0)
 
     var_f = float(f_vals.var(ddof=1))
     var_deltas = deltas.var(axis=0, ddof=1)
@@ -548,14 +506,14 @@ def block_martingale_report(
         for k in range(n_blocks)
     ]
 
-    labels = tuple(f"block{k}@{conditioning.partition.blocks[k].origin}" for k in range(n_blocks))
-    trace = MartingaleTrace(
-        kind="block",
-        labels=labels,
-        ys=ys,
-        delta_stderr=np.array([r["delta_sem"] for r in rows]),
-        meta={"n_outer": conditioning.n_outer},
-    )
+    labels = [f"block{k}@{conditioning.partition.blocks[k].origin}" for k in range(n_blocks)]
+    trace = {
+        "kind": "block",
+        "labels": labels,
+        "ys": ys.tolist(),
+        "delta_stderr": [r["delta_sem"] for r in rows],
+        "meta": {"n_outer": conditioning.n_outer},
+    }
     report = variance_report_from_values(
         f_vals,
         spec.master_seed,
@@ -564,6 +522,7 @@ def block_martingale_report(
             (labels[k], float(max(block_vars[k], 0.0))) for k in range(n_blocks)
         ),
     )
+    telescoping = np.abs(deltas.sum(axis=1) - (ys[:, -1] - ys[:, 0]))
     details = {
         "var_f": var_f,
         "var_deltas": var_deltas.tolist(),
@@ -573,22 +532,9 @@ def block_martingale_report(
         "inequality_ok": bool(gap >= -3.0 * gap_stderr),
         "block_variances": block_vars.tolist(),
         "block_variance_stderr": block_var_stderr,
-        "telescoping_residual": trace.telescoping_residual(),
+        "telescoping_residual": float(telescoping.max()),
     }
     return trace, report, details
-
-
-def martingale_block_decomposition(
-    spec: EnsembleSpec,
-    conditioning: BlockConditioning,
-    n_boot: int = BOOTSTRAP_DEFAULT,
-) -> tuple[MartingaleTrace, VarianceReport, dict]:
-    """Nested-MC estimate of the block martingale variance decomposition:
-    checks sum_k Var(Delta_k) <= Var(F) within error bars and reports the
-    per-block conditional-mean variances."""
-    realizations = conditioning.realizations or tuple(range(spec.n_realizations))
-    rows = [block_martingale_realization(spec, conditioning, i) for i in realizations]
-    return block_martingale_report(spec, conditioning, rows, n_boot)
 
 
 def edge_martingale_realization(
@@ -610,25 +556,6 @@ def edge_martingale_realization(
         "bounds": bounds.tolist(),
         "couplings": couplings.tolist(),
     }
-
-
-def edge_martingale_trace(spec: EnsembleSpec, i: int, n_outer: int) -> MartingaleTrace:
-    """Y_k = estimated conditional mean of F given the first k window edges
-    (lex order), with the per-edge increment bound 2 beta (|J_e| + nu(|J|))."""
-    row = edge_martingale_realization(spec, i, n_outer)
-    edges = tuple(spec.window_edge_set)
-    return MartingaleTrace(
-        kind="edge",
-        labels=tuple(f"{e.x}-{e.y}" for e in edges),
-        ys=np.array([row["ys"]]),
-        delta_stderr=np.array([row["delta_sem"]]),
-        meta={
-            "n_outer": n_outer,
-            "realization": i,
-            "bounds": row["bounds"],
-            "couplings": row["couplings"],
-        },
-    )
 
 
 def independent_path_ends(spec: EnsembleSpec, i: int, n_outer: int) -> dict:
@@ -806,8 +733,16 @@ def mgf_report_from_values(
     g_values: Sequence[float],
     t_values: Sequence[float],
     n_outer: int,
-    n_boot: int = BOOTSTRAP_DEFAULT,
+    n_boot: int,
 ) -> dict:
+    """Empirical E[exp(t M(F|J_window)/|boundary|)] of the conditional means
+    ``g_values`` against the deterministic exp(4 beta t nu(|J|)) envelope,
+    which bounds it for t >= 0.
+
+    The envelope carries the nu(|J|) factor of the conditional-mean bound;
+    the normalized exp(4 beta t) variant is reported alongside, never
+    silently substituted.
+    """
     g_vals = np.asarray(g_values, dtype=np.float64)
     n_boundary = spec.boundary_edge_count
     nu_abs = spec.dist.abs_first_moment
@@ -839,23 +774,6 @@ def mgf_report_from_values(
     }
 
 
-def mgf_check(
-    spec: EnsembleSpec,
-    t_values: Sequence[float],
-    n_outer: int = 50,
-    n_boot: int = BOOTSTRAP_DEFAULT,
-) -> dict:
-    """Empirical E[exp(t M(F|J_window)/|boundary|)] against the deterministic
-    exp(4 beta t nu(|J|)) envelope.
-
-    The envelope carries the nu(|J|) factor of the conditional-mean bound;
-    the normalized exp(4 beta t) variant is reported alongside, never
-    silently substituted.
-    """
-    g_vals = [mgf_conditional_mean(spec, i, n_outer) for i in range(spec.n_realizations)]
-    return mgf_report_from_values(spec, g_vals, t_values, n_outer, n_boot)
-
-
 # ---------------------------------------------------------------------------
 # incongruence probe
 
@@ -873,10 +791,13 @@ def probe_realization(spec: EnsembleSpec, i: int) -> list[float]:
 def probe_report_from_rows(
     spec: EnsembleSpec,
     rows: Sequence[Sequence[float]],
-    epsilons: Sequence[float] = PROBE_EPSILONS,
-    noise_tol: float = PROBE_NOISE_TOL,
-    n_boot: int = BOOTSTRAP_DEFAULT,
+    epsilons: Sequence[float],
+    noise_tol: float,
+    n_boot: int,
 ) -> dict:
+    """Empirical density of window edges whose correlation differs between
+    the two states by more than each epsilon, per-edge mean differences, and
+    the fraction of realizations with a difference beyond ``noise_tol``."""
     edges = tuple(spec.window_edge_set)
     dmat = np.asarray(rows, dtype=np.float64)
     n = dmat.shape[0]
@@ -903,19 +824,6 @@ def probe_report_from_rows(
         "noise_tol": noise_tol,
         "note": "deterministic finite-volume proxy states; densities are finite-size stand-ins",
     }
-
-
-def incongruence_probe(
-    spec: EnsembleSpec,
-    epsilons: Sequence[float] = PROBE_EPSILONS,
-    noise_tol: float = PROBE_NOISE_TOL,
-    n_boot: int = BOOTSTRAP_DEFAULT,
-) -> dict:
-    """Empirical density of window edges whose correlation differs between
-    the two states by more than epsilon, per-edge mean differences, and the
-    fraction of realizations with a difference beyond solver noise."""
-    rows = [probe_realization(spec, i) for i in range(spec.n_realizations)]
-    return probe_report_from_rows(spec, rows, epsilons, noise_tol, n_boot)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,8 +989,15 @@ def scaling_report_from_values(
     spec_template: EnsembleSpec,
     window_sizes: Sequence[int],
     value_sets: Sequence[np.ndarray],
-    n_boot: int = BOOTSTRAP_DEFAULT,
+    n_boot: int,
 ) -> dict:
+    """Least-squares exponent fits of log Var(F) against log window sites
+    and log boundary-edge count, with bootstrap confidence intervals.
+
+    Report-only by design: there is no pass/fail target for the exponent,
+    because the incongruence hypothesis behind the variance growth bound is
+    not certifiable at desk scale; the emitted report says so.
+    """
     per_size = []
     value_sets = [np.asarray(v, dtype=np.float64) for v in value_sets]
     for size, values in zip(window_sizes, value_sets):
@@ -1143,25 +1058,6 @@ def scaling_report_from_values(
     return out
 
 
-def variance_scaling(
-    spec_template: EnsembleSpec,
-    window_sizes: Sequence[int],
-    n_boot: int = BOOTSTRAP_DEFAULT,
-) -> dict:
-    """Least-squares exponent fits of log Var(F) against log window sites
-    and log boundary-edge count, with bootstrap confidence intervals.
-
-    Report-only by design: there is no pass/fail target for the exponent,
-    because the incongruence hypothesis behind the variance growth bound is
-    not certifiable at desk scale; the emitted report says so.
-    """
-    check_scaling(spec_template.box_extents, spec_template.window_extents, window_sizes)
-    value_sets = [
-        ensemble_values(scaling_sub_spec(spec_template, size)) for size in window_sizes
-    ]
-    return scaling_report_from_values(spec_template, window_sizes, value_sets, n_boot)
-
-
 # ---------------------------------------------------------------------------
 # covariance property tests (torus proxies)
 
@@ -1219,22 +1115,3 @@ def covariance_report_from_rows(rows: Sequence[dict]) -> dict:
         "max_translation_deviation": max(r["translation_deviation"] for r in rows),
         "max_coupling_deviation": max(r["coupling_deviation"] for r in rows),
     }
-
-
-def covariance_property_tests(
-    box_extents: tuple[int, ...],
-    beta: float,
-    dist: CouplingDistribution,
-    master_seed: int,
-    n_samples: int = 20,
-    enum_cap: int = ENUM_CAP,
-) -> dict:
-    """Exact covariance checks on torus proxies, both sides by enumeration:
-
-    translation: correlations computed from translated couplings at
-    translated edges match the originals; coupling: expectations under
-    J + J_B match the exponential-tilt evaluation on J."""
-    return covariance_report_from_rows([
-        covariance_sample(box_extents, beta, dist, master_seed, i, enum_cap)
-        for i in range(n_samples)
-    ])

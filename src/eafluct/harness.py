@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .disorder import SeedSpec, distribution_from_label, sample_couplings
-from .errors import ConfigError, IncompleteRunError, OracleMismatchError, TaskError
+from .errors import ConfigError, EafluctError, IncompleteRunError, OracleMismatchError, TaskError
 from .exactsolve import (
     ENUM_CAP,
     SOLVER_METHODS,
@@ -292,8 +292,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("betas must be finite and >= 0")
     if any(not (e >= 0 and math.isfinite(e)) for e in cfg.epsilons):
         raise ConfigError("epsilons must be finite and >= 0")
-    if not all(math.isfinite(t) for t in cfg.t_values):
-        raise ConfigError("t_values must be finite")
+    if any(not (t >= 0 and math.isfinite(t)) for t in cfg.t_values):
+        raise ConfigError("t_values must be finite and >= 0")
+    if not (cfg.noise_tol >= 0 and math.isfinite(cfg.noise_tol)):
+        raise ConfigError(f"noise_tol must be finite and >= 0, got {cfg.noise_tol}")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
     if cfg.n < kind.min_n:
@@ -460,10 +462,10 @@ def _reduce_martingale(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     spec = ensemble_spec_from_config(cfg)
     conditioning = _conditioning(cfg, spec)
     trace, report, details = block_martingale_report(spec, conditioning, payloads, cfg.bootstrap)
-    return {"variance_report": asdict(report), "details": details, "trace": trace.to_record()}
+    return {"variance_report": asdict(report), "details": details, "trace": trace}
 
 
-def _check_edge_martingale(cfg: ExperimentConfig) -> None:
+def _check_window_edge(cfg: ExperimentConfig) -> None:
     if max(cfg.window) < 2:
         raise ConfigError(f"{cfg.kind} needs a window with an edge, got {list(cfg.window)}")
 
@@ -545,12 +547,6 @@ def _reduce_probe(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
     spec = ensemble_spec_from_config(cfg)
     rows = [p["deltas"] for p in payloads]
     return probe_report_from_rows(spec, rows, cfg.epsilons, cfg.noise_tol, cfg.bootstrap)
-
-
-def _check_probe(cfg: ExperimentConfig) -> None:
-    if not (cfg.noise_tol >= 0 and math.isfinite(cfg.noise_tol)):
-        raise ConfigError(f"noise_tol must be finite and >= 0, got {cfg.noise_tol}")
-    _check_edge_martingale(cfg)  # the probe's densities are over the window's edges too
 
 
 def _probe_density_csv(summary: dict) -> tuple[str, list[str], list]:
@@ -715,7 +711,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
             "edge_martingale.csv", "instance bound_ok max_abs_delta min_bound",
             "instances", keys="index bound_ok max_abs_delta min_bound",
         )),
-        check=_check_edge_martingale,
+        check=_check_window_edge,
     ),
     "bounds": ExperimentKind(
         tasks=_bounds_tasks,
@@ -742,7 +738,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
             "probe_edges.csv", "edge mean_delta stderr nonzero_fraction",
             columns="edges per_edge_mean per_edge_stderr per_edge_nonzero_fraction",
         )),
-        min_n=2, check=_check_probe,
+        min_n=2, check=_check_window_edge,
     ),
     "scaling": ExperimentKind(
         tasks=lambda cfg: [
@@ -906,7 +902,7 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     with open(records_path, "a" if done else "w", encoding="utf-8") as fh:
 
         def write(line: dict) -> None:
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+            fh.write(json.dumps(line, sort_keys=True, allow_nan=False) + "\n")
 
         if done:
             fh.truncate(intact)  # appended records must not extend a torn line
@@ -917,8 +913,11 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         def record(task: int, payload: dict, elapsed: float) -> None:
             done[task] = payload
             seed = {"master": cfg.seed, **coords[task]}
-            write({"type": "record", "task": task, "status": "ok", "seed": seed,
-                   "payload": payload, "timing": elapsed})
+            try:
+                write({"type": "record", "task": task, "status": "ok", "seed": seed,
+                       "payload": payload, "timing": elapsed})
+            except ValueError as err:  # a NaN or an infinity, which JSON cannot carry
+                raise failed(task, err) from err
             fh.flush()
 
         def failed(task: int, err: Exception) -> TaskError:
@@ -948,10 +947,13 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         "summary": reduce_report(cfg, payloads),
     }
     report_path = Path(cfg.report)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:  # a NaN or an infinity, which JSON cannot carry
+        raise EafluctError(f"the {cfg.kind} report {report_path} is not finite: {err}") from err
     report_path.parent.mkdir(parents=True, exist_ok=True)
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return report
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from eafluct.exactsolve import required_edges
+from eafluct.harness import parse_config_dict, reduce_report, run_task, task_count
 
 
 def spin_assignments(sites):
@@ -93,6 +94,15 @@ def bond_product(edge):
 def constant_one(spins, sites):
     """The observable 1, as an enumeration observable."""
     return np.ones(len(spins))
+
+
+def run_in_process(data: dict) -> tuple[list[dict], dict]:
+    """``(payloads, summary)`` of the config dict ``data``: ``run_task`` for
+    each task index in task order, then ``reduce_report``, the work
+    ``harness.run`` does without its records and report files."""
+    cfg = parse_config_dict(data)
+    payloads = [run_task(cfg, task) for task in range(task_count(cfg))]
+    return payloads, reduce_report(cfg, payloads)
 
 
 @pytest.fixture

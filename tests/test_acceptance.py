@@ -8,7 +8,7 @@ import json
 import math
 
 import numpy as np
-from conftest import bond_product
+from conftest import bond_product, run_in_process
 
 from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_block
 from eafluct.exactsolve import (
@@ -25,17 +25,11 @@ from eafluct.exactsolve import (
     uniform_fixed_bc,
 )
 from eafluct.fluctuation import (
-    BlockConditioning,
     EnsembleSpec,
     bound_check,
     conditioned_variance_identity,
     covariance_sample,
-    edge_martingale_trace,
     gaussian_sum_variance_identity,
-    incongruence_probe,
-    martingale_block_decomposition,
-    mgf_check,
-    variance_scaling,
 )
 from eafluct.harness import parse_config_dict, run
 from eafluct.interface import (
@@ -44,7 +38,7 @@ from eafluct.interface import (
     make_state_pair,
     sample_master,
 )
-from eafluct.lattice import Region, block_partition, interior_edges
+from eafluct.lattice import Region, interior_edges
 
 
 @contextlib.contextmanager
@@ -55,6 +49,19 @@ def criterion(number: int, name: str):
         print(f"ACCEPTANCE {number:02d} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {number:02d} {name}: PASS")
+
+
+def _config(kind, seed, box, window, **sampling):
+    """A ``kind`` config at beta 1 with Gaussian couplings, free against
+    periodic."""
+    return {
+        "schema_version": 1,
+        "kind": kind,
+        "seed": seed,
+        "geometry": {"box": list(box), "window": list(window)},
+        "physics": {"beta": 1.0, "bc": "free", "bc_prime": "periodic"},
+        "sampling": sampling,
+    }
 
 
 def _bc_for(name, extents):
@@ -226,46 +233,40 @@ def test_criterion_07_variance_identities():
 
 def test_criterion_08_martingale_decomposition():
     with criterion(8, "block martingale variance decomposition"):
-        spec = EnsembleSpec(
-            Gaussian(), (6, 6), (4, 4), 1.0, free_bc(), periodic_bc(), 200, 7000
-        )
-        partition = block_partition(spec.window_region, 2)
-        conditioning = BlockConditioning(partition, n_outer=50)
-        trace, report, details = martingale_block_decomposition(spec, conditioning)
+        data = _config("martingale", 7000, (6, 6), (4, 4), n=200, n_outer=50, block_side=2,
+                       bootstrap=1000)
+        summary = run_in_process(data)[1]
+        details = summary["details"]
         assert details["sum_var_deltas"] <= details["var_f"] + 3.0 * details["gap_stderr"], details
         assert details["inequality_ok"]
-        assert trace.telescoping_residual() <= 1e-12
-        assert np.array_equal(trace.deltas, np.diff(trace.ys, axis=1))
+        assert details["telescoping_residual"] <= 1e-12
+        ys = np.array(summary["trace"]["ys"])
+        assert details["var_deltas"] == np.diff(ys, axis=1).var(axis=0, ddof=1).tolist()
 
 
 def test_criterion_09_edge_martingale_and_mgf():
     with criterion(9, "edge-martingale increment bound and MGF envelope"):
-        spec = EnsembleSpec(
-            Gaussian(), (5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), 200, 8000
-        )
-        for i in range(100):
-            trace = edge_martingale_trace(spec, i, n_outer=12)
-            deltas = np.abs(trace.deltas[0])
-            bounds = np.asarray(trace.meta["bounds"])
-            sems = trace.delta_stderr[0]
-            assert np.all(deltas <= bounds + 3.0 * sems), f"instance {i}"
-        mgf = mgf_check(spec, [0.5, 1.0, 2.0], n_outer=50)
+        payloads = run_in_process(_config("edge-martingale", 8000, (5, 5), (3, 3), n=100,
+                                          n_outer=12))[0]
+        for row in payloads:
+            deltas = np.abs(np.diff(row["ys"]))
+            bounds = np.asarray(row["bounds"])
+            sems = np.asarray(row["delta_sem"])
+            assert np.all(deltas <= bounds + 3.0 * sems), f"instance {row['index']}"
+        mgf = run_in_process(_config("mgf", 8000, (5, 5), (3, 3), n=200, n_outer=50,
+                                     t_values=[0.5, 1.0, 2.0], bootstrap=1000))[1]
         assert all(row["passed"] for row in mgf["rows"]), mgf["rows"]
 
 
-def test_criterion_10_incongruence_probe():
+def test_criterion_10_probe_density():
     with criterion(10, "incongruence probe density"):
-        spec = EnsembleSpec(
-            Gaussian(), (5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), 200, 9000
-        )
-        rep = incongruence_probe(spec, epsilons=(0.01,))
+        data = _config("probe", 9000, (5, 5), (3, 3), n=200, epsilons=[0.01], bootstrap=1000)
+        rep = run_in_process(data)[1]
         row = rep["densities"][0]
         assert row["density"] > 0.0
         assert row["ci95"][0] > 0.0, row
-        same = EnsembleSpec(
-            Gaussian(), (5, 5), (3, 3), 1.0, periodic_bc(), periodic_bc(), 200, 9000
-        )
-        rep0 = incongruence_probe(same, epsilons=(0.01,))
+        data["physics"]["bc"] = "periodic"  # the same state on both sides
+        rep0 = run_in_process(data)[1]
         assert rep0["densities"][0]["density"] == 0.0
 
 
@@ -298,10 +299,9 @@ def test_criterion_11_determinism_across_workers(tmp_path):
 
 def test_criterion_12_scaling_study(tmp_path):
     with criterion(12, "variance scaling study emits fits with CIs"):
-        spec = EnsembleSpec(
-            Gaussian(), (5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), 100, 10000
-        )
-        rep = variance_scaling(spec, [2, 3, 4])
+        data = _config("scaling", 10000, (5, 5), (3, 3), n=100, bootstrap=1000)
+        data["geometry"]["window_sizes"] = [2, 3, 4]
+        rep = run_in_process(data)[1]
         assert rep["mode"] == "report-only"
         assert "not certifiable" in rep["note"]
         assert not rep["degenerate"]

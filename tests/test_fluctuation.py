@@ -1,13 +1,13 @@
 import math
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import bond_product
+from conftest import bond_product, run_in_process
 
 from eafluct import exactsolve, fluctuation, interface
-from eafluct.disorder import Gaussian, SeedSpec, Uniform, overlay, set_block
+from eafluct.disorder import Gaussian, SeedSpec, overlay, set_block
 from eafluct.errors import BoundViolationError, ConfigError, EafluctError
 from eafluct.exactsolve import antiperiodic_bc, fixed_bc, free_bc, periodic_bc, uniform_fixed_bc
 from eafluct.fluctuation import (
@@ -16,24 +16,19 @@ from eafluct.fluctuation import (
     VarianceReport,
     _conditional_path,
     block_martingale_realization,
+    block_martingale_report,
     bootstrap_ci,
     bootstrap_stderr,
     bound_check,
+    check_scaling,
     conditional_mean_given_block,
     conditioned_variance_identity,
-    covariance_property_tests,
     covariance_sample,
-    edge_martingale_trace,
-    ensemble_values,
-    ensemble_variance,
     gaussian_sum_variance_identity,
-    incongruence_probe,
     independent_path_ends,
     lindeberg_diagnostic,
-    martingale_block_decomposition,
-    mgf_check,
     scaling_sub_spec,
-    variance_scaling,
+    variance_report_from_values,
 )
 from eafluct.interface import interface_free_energy, make_state_pair, sample_master
 from eafluct.lattice import Region, block_partition, interior_edges
@@ -56,6 +51,12 @@ def spec_3x3_in_5x5(n=200, beta=1.0, seed=GOLDEN_SEED, bc=None, bc_prime=None):
     )
 
 
+def config(kind, seed=GOLDEN_SEED, **sections):
+    """A ``kind`` config of ``sections``; the config's defaults are a 3x3
+    window in a 5x5 box at beta 1, free against periodic."""
+    return {"schema_version": 1, "kind": kind, "seed": seed, **sections}
+
+
 def spec_4x4_in_6x6(n, beta=1.0, seed=7):
     return EnsembleSpec(
         dist=Gaussian(),
@@ -72,32 +73,34 @@ def spec_4x4_in_6x6(n, beta=1.0, seed=7):
 # --- ensemble variance -------------------------------------------------------
 
 
+def ensemble_report(**sections):
+    return run_in_process(config("ensemble", **sections))[1]["variance_report"]
+
+
 def test_beta_zero_variance_is_exactly_zero():
-    rep = ensemble_variance(spec_3x3_in_5x5(n=8, beta=0.0), n_boot=50)
-    assert rep.variance == 0.0
-    assert "degenerate" in rep.flags
+    rep = ensemble_report(physics={"beta": 0.0}, sampling={"n": 8, "bootstrap": 50})
+    assert rep["variance"] == 0.0
+    assert "degenerate" in rep["flags"]
 
 
 def test_identical_rule_variance_is_exactly_zero():
-    rep = ensemble_variance(
-        spec_3x3_in_5x5(n=8, bc=periodic_bc(), bc_prime=periodic_bc()), n_boot=50
-    )
-    assert rep.variance == 0.0
+    rep = ensemble_report(physics={"bc": "periodic"}, sampling={"n": 8, "bootstrap": 50})
+    assert rep["variance"] == 0.0
 
 
-def test_golden_fixed_seed_ensemble_variance():
+def test_golden_fixed_seed_variance_of_the_ensemble_kind():
     # DERIVED: fixed-seed reference run recorded at build time
-    rep = ensemble_variance(spec_3x3_in_5x5())
-    assert rep.variance > 0.0
-    assert rep.variance == pytest.approx(GOLDEN_VARIANCE, rel=1e-12)
-    assert rep.stderr > 0.0
-    assert rep.n == 200
+    rep = ensemble_report(sampling={"n": 200})
+    assert rep["variance"] > 0.0
+    assert rep["variance"] == pytest.approx(GOLDEN_VARIANCE, rel=1e-12)
+    assert rep["stderr"] > 0.0
+    assert rep["n"] == 200
 
 
 def test_ensemble_report_reproduces_bit_for_bit():
-    a = ensemble_variance(spec_3x3_in_5x5(n=24), n_boot=100)
-    b = ensemble_variance(spec_3x3_in_5x5(n=24), n_boot=100)
-    assert asdict(a) == asdict(b)
+    a = ensemble_report(sampling={"n": 24, "bootstrap": 100})
+    b = ensemble_report(sampling={"n": 24, "bootstrap": 100})
+    assert a == b
 
 
 def test_variance_report_invariants():
@@ -115,7 +118,9 @@ def test_variance_report_invariants():
 
 def test_variance_needs_two_realizations():
     with pytest.raises(ValueError):
-        ensemble_variance(spec_3x3_in_5x5(n=1))
+        variance_report_from_values([0.5], GOLDEN_SEED, 50)
+    with pytest.raises(ConfigError, match="ensemble needs n >= 2"):
+        ensemble_report(sampling={"n": 1})
 
 
 # --- conditional means ---------------------------------------------------------
@@ -327,13 +332,17 @@ def test_a_conditional_path_builds_one_state_pair(monkeypatch, n_outer):
 # --- block martingale ----------------------------------------------------------
 
 
+def martingale_summary(seed, box=(6, 6), window=(4, 4), beta=1.0, **sampling):
+    geometry = {"box": list(box), "window": list(window)}
+    data = config("martingale", seed, geometry=geometry, physics={"beta": beta},
+                  sampling=sampling)
+    return run_in_process(data)[1]
+
+
 def test_block_martingale_beta_zero_all_terms_zero():
-    spec = spec_4x4_in_6x6(n=6, beta=0.0)
-    part = block_partition(spec.window_region, 2)
-    trace, rep, details = martingale_block_decomposition(
-        spec, BlockConditioning(part, n_outer=3, realizations=tuple(range(4))), n_boot=50
-    )
-    assert np.all(trace.ys == 0.0)
+    rep = martingale_summary(7, beta=0.0, n=4, n_outer=3, bootstrap=50)
+    details = rep["details"]
+    assert np.all(np.array(rep["trace"]["ys"]) == 0.0)
     assert details["var_f"] == 0.0
     assert details["sum_var_deltas"] == 0.0
     assert all(v == 0.0 for v in details["block_variances"])
@@ -341,35 +350,33 @@ def test_block_martingale_beta_zero_all_terms_zero():
 
 def test_block_martingale_single_block_is_total_variance_split():
     # DERIVED: law-of-total-variance on the same nested samples
-    spec = spec_3x3_in_5x5(n=24)
-    part = block_partition(spec.window_region, 3)  # one block == the window
-    assert len(part) == 1
-    trace, rep, details = martingale_block_decomposition(
-        spec, BlockConditioning(part, n_outer=12), n_boot=200
-    )
+    # one block == the window
+    rep = martingale_summary(GOLDEN_SEED, (5, 5), (3, 3), n=24, n_outer=12, block_side=3,
+                             bootstrap=200)
+    details = rep["details"]
+    assert len(rep["trace"]["labels"]) == 1
     assert details["inequality_ok"]
     assert details["sum_var_deltas"] <= details["var_f"] + 3.0 * details["gap_stderr"]
-    assert trace.telescoping_residual() <= 1e-12
+    assert details["telescoping_residual"] <= 1e-12
 
 
 def test_block_martingale_4x4_window_2x2_blocks():
     # DERIVED: nested MC with fixed seeds; the centered window in a square
     # box with a symmetric bc pair makes the four corner blocks exchangeable,
     # so their conditional-mean variances must agree within error bars
-    spec = spec_4x4_in_6x6(n=40)
-    part = block_partition(spec.window_region, 2)
-    assert len(part) == 4
-    cond = BlockConditioning(part, n_outer=12, realizations=tuple(range(30)))
-    trace, rep, details = martingale_block_decomposition(spec, cond, n_boot=200)
+    rep = martingale_summary(7, n=30, n_outer=12, block_side=2, bootstrap=200)
+    details = rep["details"]
+    assert len(rep["trace"]["labels"]) == 4
     assert details["inequality_ok"]
-    assert trace.telescoping_residual() <= 1e-12
+    assert details["telescoping_residual"] <= 1e-12
     vs = details["block_variances"]
     ses = details["block_variance_stderr"]
     for a in range(4):
         for b in range(a + 1, 4):
             assert abs(vs[a] - vs[b]) <= 3.0 * math.hypot(ses[a], ses[b])
     # deltas are derived from stored Y values (telescoping by construction)
-    assert np.array_equal(trace.deltas, np.diff(trace.ys, axis=1))
+    ys = np.array(rep["trace"]["ys"])
+    assert details["var_deltas"] == np.diff(ys, axis=1).var(axis=0, ddof=1).tolist()
 
 
 def test_block_martingale_torus_translation_symmetry():
@@ -379,9 +386,10 @@ def test_block_martingale_torus_translation_symmetry():
         Gaussian(), (4, 4), (4, 4), 1.0, periodic_bc(), antiperiodic_bc(0),
         40, 31, mode="domain-wall",
     )
-    part = block_partition(spec.window_region, 2)
-    cond = BlockConditioning(part, n_outer=10, realizations=tuple(range(30)))
-    trace, rep, details = martingale_block_decomposition(spec, cond, n_boot=200)
+    # a config's martingale is a windowed pair: domain-wall mode is library-only
+    cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=10)
+    rows = [block_martingale_realization(spec, cond, i) for i in range(30)]
+    trace, rep, details = block_martingale_report(spec, cond, rows, 200)
     assert details["inequality_ok"]
     vs = details["block_variances"]
     ses = details["block_variance_stderr"]
@@ -393,42 +401,48 @@ def test_block_martingale_torus_translation_symmetry():
 # --- edge martingale -----------------------------------------------------------
 
 
+def edge_martingale_payloads(seed=GOLDEN_SEED, beta=1.0, **sampling):
+    data = config("edge-martingale", seed, physics={"beta": beta}, sampling=sampling)
+    return run_in_process(data)[0]
+
+
 def test_edge_martingale_beta_zero():
-    spec = spec_3x3_in_5x5(n=2, beta=0.0)
-    trace = edge_martingale_trace(spec, 0, n_outer=4)
-    assert np.all(trace.ys == 0.0)
+    (row,) = edge_martingale_payloads(beta=0.0, n=1, n_outer=4)
+    assert np.all(np.array(row["ys"]) == 0.0)
 
 
 def test_edge_martingale_increment_bound():
     # DERIVED: per-edge assertion with MC slack on fixed-seed instances
-    spec = spec_3x3_in_5x5(n=10, seed=404)
-    for i in range(6):
-        trace = edge_martingale_trace(spec, i, n_outer=16)
-        deltas = np.abs(trace.deltas[0])
-        bounds = np.asarray(trace.meta["bounds"])
-        sems = trace.delta_stderr[0]
+    for row in edge_martingale_payloads(404, n=6, n_outer=16):
+        deltas = np.abs(np.diff(row["ys"]))
+        bounds = np.asarray(row["bounds"])
+        sems = np.asarray(row["delta_sem"])
         assert np.all(deltas <= bounds + 3.0 * sems)
 
 
 def test_edge_martingale_telescopes_to_independent_ends():
     # DERIVED: independent direct estimates of both path ends
     spec = spec_3x3_in_5x5(n=4, seed=405)
-    trace = edge_martingale_trace(spec, 1, n_outer=24)
+    row = edge_martingale_payloads(405, n=2, n_outer=24)[1]
     ends = independent_path_ends(spec, 1, n_outer=24)
-    span_trace = trace.ys[0, -1] - trace.ys[0, 0]
+    ys = np.array(row["ys"])
+    span_trace = ys[-1] - ys[0]
     span_indep = ends["y_end"] - ends["y0"]
     combined = math.hypot(
         ends["y0_stderr"], ends["y_end_stderr"]
-    ) + math.hypot(float(trace.delta_stderr[0].sum()), 0.0)
+    ) + math.hypot(float(np.sum(row["delta_sem"])), 0.0)
     assert abs(span_trace - span_indep) <= 3.0 * combined
-    assert trace.telescoping_residual() <= 1e-12
+    assert abs(np.diff(ys).sum() - span_trace) <= 1e-12
 
 
 def test_edge_martingale_order_is_lexicographic():
     spec = spec_3x3_in_5x5(n=2)
-    trace = edge_martingale_trace(spec, 0, n_outer=2)
+    (row,) = edge_martingale_payloads(n=1, n_outer=2)
     edges = tuple(spec.window_edge_set)
-    assert list(trace.labels) == [f"{e.x}-{e.y}" for e in edges]
+    master = spec.master(0)
+    # the path conditions on one window edge per step, in the edge set's order
+    assert row["couplings"] == [master.value(e) for e in edges]
+    assert len(row["ys"]) == len(edges) + 1
     keys = [e.sort_key for e in edges]
     assert keys == sorted(keys)
 
@@ -513,9 +527,12 @@ def test_bound_check_many_instances():
 # --- MGF --------------------------------------------------------------------------
 
 
+def mgf_summary(seed=GOLDEN_SEED, beta=1.0, **sampling):
+    return run_in_process(config("mgf", seed, physics={"beta": beta}, sampling=sampling))[1]
+
+
 def test_mgf_t_zero_is_exactly_one():
-    spec = spec_3x3_in_5x5(n=12)
-    rep = mgf_check(spec, [0.0], n_outer=4, n_boot=50)
+    rep = mgf_summary(n=12, t_values=[0.0], n_outer=4, bootstrap=50)
     row = rep["rows"][0]
     assert row["empirical"] == 1.0
     assert row["bound"] == 1.0
@@ -523,8 +540,7 @@ def test_mgf_t_zero_is_exactly_one():
 
 
 def test_mgf_beta_zero():
-    spec = spec_3x3_in_5x5(n=8, beta=0.0)
-    rep = mgf_check(spec, [1.0], n_outer=4, n_boot=50)
+    rep = mgf_summary(beta=0.0, n=8, t_values=[1.0], n_outer=4, bootstrap=50)
     row = rep["rows"][0]
     assert row["empirical"] == 1.0
     assert row["bound"] == 1.0
@@ -533,8 +549,7 @@ def test_mgf_beta_zero():
 
 def test_mgf_gaussian_passes_at_spec_t_values():
     # DERIVED: MC with fixed seeds against the deterministic envelope
-    spec = spec_3x3_in_5x5(n=60, seed=909)
-    rep = mgf_check(spec, [0.5, 1.0, 2.0], n_outer=12, n_boot=200)
+    rep = mgf_summary(909, n=60, t_values=[0.5, 1.0, 2.0], n_outer=12, bootstrap=200)
     assert all(row["passed"] for row in rep["rows"])
     assert rep["nu_abs_j"] == pytest.approx(math.sqrt(2 / math.pi))
     for row in rep["rows"]:
@@ -544,24 +559,26 @@ def test_mgf_gaussian_passes_at_spec_t_values():
 # --- incongruence probe -------------------------------------------------------------
 
 
+def probe_summary(physics=None, **sampling):
+    data = config("probe", physics=physics or {}, sampling={"epsilons": [0.01], **sampling})
+    return run_in_process(data)[1]
+
+
 def test_probe_identical_rule_density_exactly_zero():
-    spec = spec_3x3_in_5x5(n=6, bc=periodic_bc(), bc_prime=periodic_bc())
-    rep = incongruence_probe(spec, epsilons=(0.01,), n_boot=50)
+    rep = probe_summary({"bc": "periodic"}, n=6, bootstrap=50)
     assert rep["densities"][0]["density"] == 0.0
     assert rep["any_nonzero_fraction"] == 0.0
     assert all(v == 0.0 for v in rep["per_edge_mean"])
 
 
 def test_probe_beta_zero_density_exactly_zero():
-    spec = spec_3x3_in_5x5(n=6, beta=0.0)
-    rep = incongruence_probe(spec, epsilons=(0.01,), n_boot=50)
+    rep = probe_summary({"beta": 0.0}, n=6, bootstrap=50)
     assert rep["densities"][0]["density"] == 0.0
 
 
 def test_probe_golden_fixed_seed_density():
     # DERIVED: fixed-seed run; value recorded as golden
-    spec = spec_3x3_in_5x5(n=200)
-    rep = incongruence_probe(spec, epsilons=(0.01,))
+    rep = probe_summary(n=200)
     row = rep["densities"][0]
     assert row["density"] == pytest.approx(GOLDEN_PROBE_DENSITY, rel=1e-12)
     assert row["ci95"][0] > 0.0
@@ -601,24 +618,27 @@ def test_nested_mc_variance_identity_on_f():
 # --- scaling -----------------------------------------------------------------------
 
 
+def scaling_summary(physics=None, **sampling):
+    data = config("scaling", geometry={"window_sizes": [2, 3, 4]}, physics=physics or {},
+                  sampling=sampling)
+    return run_in_process(data)[1]
+
+
 def test_scaling_degenerate_at_beta_zero():
-    spec = spec_3x3_in_5x5(n=6, beta=0.0)
-    rep = variance_scaling(spec, [2, 3, 4], n_boot=50)
+    rep = scaling_summary({"beta": 0.0}, n=6, bootstrap=50)
     assert rep["degenerate"]
     assert rep["fits"] == {}
     assert "degenerate" in rep.get("flags", [])
 
 
 def test_scaling_degenerate_for_identical_rules():
-    spec = spec_3x3_in_5x5(n=6, bc=free_bc(), bc_prime=free_bc())
-    rep = variance_scaling(spec, [2, 3, 4], n_boot=50)
+    rep = scaling_summary({"bc_prime": "free"}, n=6, bootstrap=50)
     assert rep["degenerate"]
 
 
 def test_scaling_golden_run_emits_fits_with_ci():
     # DERIVED: golden fixed-seed reference stored at build time
-    spec = spec_3x3_in_5x5(n=200)
-    rep = variance_scaling(spec, [2, 3, 4])
+    rep = scaling_summary(n=200)
     assert rep["mode"] == "report-only"
     assert not rep["degenerate"]
     fit = rep["fits"]["log_window_sites"]
@@ -654,8 +674,8 @@ def test_scaling_sub_specs_keep_the_templates_own_bcs():
 
 
 def test_scaling_needs_three_sizes():
-    with pytest.raises(ValueError):
-        variance_scaling(spec_3x3_in_5x5(n=4), [2, 3])
+    with pytest.raises(ValueError, match="three distinct"):
+        run_in_process(config("scaling", geometry={"window_sizes": [2, 3]}, sampling={"n": 4}))
 
 
 @pytest.mark.parametrize("sizes, match", [
@@ -669,7 +689,7 @@ def test_library_scaling_rejects_what_the_config_rejects(sizes, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EafluctError, match=match):
-            variance_scaling(spec_3x3_in_5x5(n=4), sizes)
+            check_scaling((5, 5), (3, 3), sizes)
 
 
 @pytest.mark.parametrize("box, window", [((5, 6), (3, 3)), ((6, 6), (3, 3)), ((7, 5), (3, 3))])
@@ -679,7 +699,7 @@ def test_scaling_sub_spec_keeps_an_even_margin_on_every_axis(box, window):
     with pytest.raises(EafluctError, match="same even number"):
         scaling_sub_spec(template, 3)
     with pytest.raises(EafluctError, match="same even number"):
-        variance_scaling(template, [2, 3, 4])
+        check_scaling(box, window, [2, 3, 4])
     with pytest.raises(EafluctError, match="must be >= 1"):
         scaling_sub_spec(spec_3x3_in_5x5(n=4), 0)
     sub = scaling_sub_spec(spec_3x3_in_5x5(n=4), 4)
@@ -713,7 +733,9 @@ def test_covariance_identity_cases_exact():
 
 def test_covariance_random_samples_within_tolerance():
     # DERIVED: enumeration on both sides
-    rep = covariance_property_tests((4, 4), 1.0, Gaussian(), 2718, n_samples=8)
+    data = config("covariance", 2718, geometry={"box": [4, 4]}, sampling={"n": 8})
+    rep = run_in_process(data)[1]
+    assert rep["n_samples"] == 8
     assert rep["max_translation_deviation"] <= 1e-10
     assert rep["max_coupling_deviation"] <= 1e-10
 
@@ -725,22 +747,20 @@ def test_covariance_sample_is_deterministic():
 
 
 def test_uniform_distribution_supported_end_to_end():
-    spec = EnsembleSpec(
-        Uniform(-1.0, 1.0), (4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), 6, 77
-    )
-    rep = ensemble_variance(spec, n_boot=50)
-    assert rep.variance >= 0.0
-    assert math.isfinite(rep.mean)
+    rep = run_in_process(config(
+        "ensemble", 77, geometry={"box": [4, 4], "window": [2, 2]},
+        physics={"distribution": "uniform(-1.0,1.0)"}, sampling={"n": 6, "bootstrap": 50},
+    ))[1]["variance_report"]
+    assert rep["variance"] >= 0.0
+    assert math.isfinite(rep["mean"])
 
 
 def test_fixed_bc_pair_supported():
-    spec = EnsembleSpec(
-        Gaussian(), (4, 4), (2, 2), 1.0,
-        uniform_fixed_bc(1), uniform_fixed_bc(-1),
-        6, 78,
-    )
-    values = ensemble_values(spec)
-    assert np.all(np.isfinite(values))
+    rep = run_in_process(config(
+        "fe", 78, geometry={"box": [4, 4], "window": [2, 2]},
+        physics={"bc": "fixed:+1", "bc_prime": "fixed:-1"}, sampling={"n": 6},
+    ))[1]
+    assert np.all(np.isfinite(rep["values"]))
 
 
 def test_quantiles_equal_numpy_linear_quantiles_bit_for_bit():

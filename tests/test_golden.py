@@ -23,9 +23,11 @@ from the gradients of each link's two factors: no report float or CSV cell
 moved by more than 1.2e-16, and every other kind kept its bytes.
 """
 
+import json
 from pathlib import Path
 
 import pytest
+from conftest import run_in_process
 
 from eafluct.harness import KINDS, load_config, run, write_csv_reports
 
@@ -48,3 +50,13 @@ def test_report_and_csv_bytes_match_golden(kind, workers, tmp_path, monkeypatch)
     assert written == sorted(p.name for p in (golden / "csv").iterdir())
     for name in written:
         assert (tmp_path / "csv" / name).read_bytes() == (golden / "csv" / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_in_process_route_gives_the_golden_summary(kind):
+    # the tests that run a kind through conftest.run_in_process see the
+    # summary a user's report.json carries
+    golden = GOLDEN / kind
+    summary = run_in_process(json.loads((golden / "config.json").read_text()))[1]
+    report = json.loads((golden / "report.json").read_text())
+    assert json.loads(json.dumps(summary)) == report["summary"]

@@ -16,6 +16,7 @@ from eafluct import harness
 from eafluct.cli import build_parser, main
 from eafluct.errors import (
     ConfigError,
+    EafluctError,
     IncompleteRunError,
     OracleMismatchError,
     SizeCapError,
@@ -234,6 +235,8 @@ def test_oracle_verify_needs_seam_axes_of_every_geometry(tmp_path):
     ("covariance", "geometry", {"box": [2, 2, 2]}, "2-d box"),
     ("covariance", "geometry", {"box": [5, 5]}, "more sites than enum_cap"),
     ("covariance", "solver", {"enum_cap": 8}, "more sites than enum_cap"),
+    ("ensemble", "sampling", {"noise_tol": float("inf")}, "noise_tol must be finite and >= 0"),
+    ("mgf", "sampling", {"t_values": [0.5, -1.0]}, "t_values must be finite and >= 0"),
 ])
 def test_kind_checks_reject_silently_wrong_inputs(tmp_path, kind, section, body, match):
     # the kind checks' cases each used to run: a repeated size fits a line
@@ -241,7 +244,10 @@ def test_kind_checks_reject_silently_wrong_inputs(tmp_path, kind, section, body,
     # floored; a non-finite distribution parameter parsed, then failed every
     # task; a window of one site, an overflowing mgf envelope and a covariance
     # box that its 2x2 block or the enumeration cannot serve failed only after
-    # the tasks had started, or wrote NaN into the report
+    # the tasks had started, or wrote NaN into the report; an infinite
+    # noise_tol reached the report's config echo of every kind but the probe,
+    # and a negative t, at which exp(4 beta t nu) bounds nothing, failed the
+    # mgf check or wrote non-finite rows
     with pytest.raises(ConfigError, match=match):
         parse_config_dict(base_config(tmp_path, kind=kind, **{section: body}))
 
@@ -479,6 +485,28 @@ def test_task_failure_is_chained_task_error(tmp_path, monkeypatch):
     with pytest.raises(TaskError, match="task 0 failed") as info:
         run(_fe_config(tmp_path))
     assert isinstance(info.value.__cause__, _TwoArgError)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_payload_fails_its_task_and_writes_no_report(tmp_path, capsys):
+    # the reweighting tilt overflows at beta 1e5, so every coupling deviation
+    # is NaN; the run used to exit 0 with NaN in its records and report.json
+    data = base_config(tmp_path, kind="covariance", geometry={"box": [3, 3]},
+                       physics={"beta": 1e5}, sampling={"n": 2})
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(data))
+    assert main(["covariance", "-c", str(config_path)]) == 2
+    assert "task 0 failed (master seed 42, realization 0)" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["type"] for line in lines] == ["header"]
+
+
+def test_a_non_finite_summary_is_refused_before_the_report_is_written(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "reduce_report", lambda cfg, payloads: {"value": float("nan")})
+    with pytest.raises(EafluctError, match="fe report .*report.json is not finite"):
+        run(_fe_config(tmp_path))
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

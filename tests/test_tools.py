@@ -61,6 +61,22 @@ class _Private:
 '''
 
 
+INIT = '''"""A package."""
+
+__version__ = "1.0"
+
+from .alpha import (  # noqa: E402
+    ONE,
+    two,
+)
+from .beta import three as four
+from .alpha import five
+from math import pi
+from . import gamma
+import os
+'''
+
+
 def _tool():
     spec = importlib.util.spec_from_file_location("code_lines", TOOL)
     tool = importlib.util.module_from_spec(spec)
@@ -77,3 +93,9 @@ def test_option_count_counts_the_defaults_of_public_entries():
     # solve's method, cap and fields; Engine.run's steps; Config's box, tags
     # and beta (a bare field() is no default) and scaled's factor
     assert _tool().option_count(OPTIONS) == 8
+
+
+def test_export_counts_count_the_names_imported_from_each_module():
+    # alpha's ONE, two and five and beta's three; neither a foreign import
+    # nor a bare ``from . import`` of a module counts
+    assert _tool().export_counts(INIT) == {"alpha": 3, "beta": 1}

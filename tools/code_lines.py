@@ -1,5 +1,5 @@
-"""Print the code lines and the public options of each module of
-``src/eafluct``, and their totals.
+"""Print the code lines, the public options and the exported names of each
+module of ``src/eafluct``, and their totals.
 
 A line counts when a token other than a comment, NL, NEWLINE, INDENT or
 DEDENT (or the end marker, after the last line) starts on it; the lines of
@@ -7,7 +7,9 @@ module, class and function docstrings do not count.  An option is a
 parameter with a default of a public module-level function or of a public
 method of a public module-level class, or a field with a default of a public
 dataclass; a bare ``field(...)`` without ``default`` or ``default_factory``
-is no default.  Run from anywhere: ``python tools/code_lines.py``.
+is no default.  A module's exports are the names that the package's
+``__init__.py`` imports from it.  Run from anywhere:
+``python tools/code_lines.py``.
 """
 
 from __future__ import annotations
@@ -67,15 +69,26 @@ def option_count(source: str) -> int:
     return count
 
 
+def export_counts(init_source: str) -> dict[str, int]:
+    """``{module: number of names}`` that an ``__init__.py`` of source
+    ``init_source`` imports from each of its package's modules."""
+    counts: dict[str, int] = {}
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            counts[node.module] = counts.get(node.module, 0) + len(node.names)
+    return counts
+
+
 def main() -> None:
-    lines = options = 0
-    print(f"{'lines':>6}  {'options':>7}  module")
+    exports = export_counts((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    totals = [0, 0, 0]
+    print(f"{'lines':>6}  {'options':>7}  {'exports':>7}  module")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        n, k = code_lines(source), option_count(source)
-        lines, options = lines + n, options + k
-        print(f"{n:6d}  {k:7d}  {path.name}")
-    print(f"{lines:6d}  {options:7d}  total")
+        row = [code_lines(source), option_count(source), exports.get(path.stem, 0)]
+        totals = [t + r for t, r in zip(totals, row)]
+        print(f"{row[0]:6d}  {row[1]:7d}  {row[2]:7d}  {path.name}")
+    print(f"{totals[0]:6d}  {totals[1]:7d}  {totals[2]:7d}  total")
 
 
 if __name__ == "__main__":
