@@ -21,7 +21,6 @@ from .exactsolve import (  # noqa: E402
     antiperiodic_bc,
     edge_correlation,
     edge_correlations,
-    energy,
     fixed_bc,
     free_bc,
     gibbs_expectation_enum,
@@ -40,12 +39,10 @@ from .fluctuation import (  # noqa: E402
     VarianceReport,
     bound_check,
     conditional_mean_given_block,
-    lindeberg_diagnostic,
 )
 from .interface import (  # noqa: E402
     FreeEnergyResult,
     StatePair,
-    domain_wall_free_energy,
     free_energy_gradient,
     interface_free_energy,
     interface_free_energy_direct,

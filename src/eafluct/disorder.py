@@ -8,10 +8,8 @@ number of workers, and still reproduce bit-identically.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Union
 
@@ -55,20 +53,8 @@ class Gaussian:
             m / (s * math.sqrt(2.0))
         )
 
-    @property
-    def second_moment(self) -> float:
-        return self.mean**2 + self.stddev**2
-
-    @property
-    def fourth_moment(self) -> float:
-        m, s = self.mean, self.stddev
-        return m**4 + 6 * m**2 * s**2 + 3 * s**4
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mean, self.stddev, size=n)
-
-    def label(self) -> str:
-        return f"gaussian({self.mean},{self.stddev})"
 
 
 @dataclass(frozen=True)
@@ -91,21 +77,8 @@ class Uniform:
             return -(lo + hi) / 2.0
         return (hi * hi + lo * lo) / (2.0 * (hi - lo))
 
-    @property
-    def second_moment(self) -> float:
-        lo, hi = self.lo, self.hi
-        return (hi**2 + hi * lo + lo**2) / 3.0
-
-    @property
-    def fourth_moment(self) -> float:
-        lo, hi = self.lo, self.hi
-        return (hi**5 - lo**5) / (5.0 * (hi - lo))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=n)
-
-    def label(self) -> str:
-        return f"uniform({self.lo},{self.hi})"
 
 
 CouplingDistribution = Union[Gaussian, Uniform]
@@ -154,25 +127,19 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class Provenance:
-    distribution: str = ""
-    seed: SeedSpec | None = None
-    note: str = ""
-
-
 @dataclass(frozen=True, eq=False)
 class CouplingConfig:
     """One realization J: a finite real coupling per edge of a declared edge
     set (a NaN or infinite value is a ConfigError).
 
     ``values`` is aligned to the edge set's canonical order and is
-    immutable; modifications return new configs.
+    immutable; modifications return new configs, which keep ``seed``: the
+    stream the values were drawn from, None for values built by hand.
     """
 
     edge_set: EdgeSet
     values: np.ndarray
-    provenance: Provenance = Provenance()
+    seed: SeedSpec | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -198,9 +165,8 @@ class CouplingConfig:
             self.values, other.values
         )
 
-    def with_values(self, values: np.ndarray, note: str) -> "CouplingConfig":
-        prov = replace(self.provenance, note=note)
-        return CouplingConfig(self.edge_set, values, prov)
+    def with_values(self, values: np.ndarray) -> "CouplingConfig":
+        return CouplingConfig(self.edge_set, values, self.seed)
 
 
 def sample_couplings(
@@ -208,7 +174,7 @@ def sample_couplings(
 ) -> CouplingConfig:
     """One i.i.d. draw per edge, in canonical edge order, deterministic in the seed."""
     values = dist.sample(seed.rng(), len(edges))
-    return CouplingConfig(edges, values, Provenance(dist.label(), seed))
+    return CouplingConfig(edges, values, seed)
 
 
 @lru_cache(maxsize=None)
@@ -257,8 +223,7 @@ def set_block(
     idx, assigned = block_assignment(config, block, values)
     out = config.values.copy()
     out[idx] = assigned
-    note = "set_block:zero" if isinstance(values, _Zero) else "set_block:values"
-    return config.with_values(out, note)
+    return config.with_values(out)
 
 
 def overlay(
@@ -270,7 +235,7 @@ def overlay(
     out[edge_positions(config.edge_set, edges)] = source.values[
         edge_positions(source.edge_set, edges)
     ]
-    return config.with_values(out, "overlay")
+    return config.with_values(out)
 
 
 def translate_couplings(
@@ -288,76 +253,11 @@ def translate_couplings(
     moved = tuple(translate_edge(e, vector, region) for e in config.edge_set)
     out = np.empty_like(config.values)
     out[edge_positions(config.edge_set, moved)] = config.values
-    return config.with_values(out, f"translated:{vector}")
+    return config.with_values(out)
 
 
 def restrict(config: CouplingConfig, edges: EdgeSet) -> CouplingConfig:
     """Restriction of a config to a sub edge set (every target edge must be declared)."""
     idx = edge_positions(config.edge_set, edges, UndeclaredEdgeError)
-    return CouplingConfig(
-        edges, config.values[idx], replace(config.provenance, note="restricted")
-    )
+    return CouplingConfig(edges, config.values[idx], config.seed)
 
-
-def dump_couplings(config: CouplingConfig, path) -> None:
-    """Write one JSON record per edge; binary64 values round-trip exactly."""
-    region = config.edge_set.region
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "region": {
-                "extents": list(region.extents),
-                "wrap": list(region.wrap),
-                "origin": list(region.origin),
-            },
-            "distribution": config.provenance.distribution,
-            "note": config.provenance.note,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for e, v in zip(config.edge_set, config.values):
-            rec = {
-                "x": list(e.x),
-                "y": list(e.y),
-                "orientation": e.axis,
-                "wrap": e.wrap,
-                "value": float(v),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_couplings(path) -> CouplingConfig:
-    """Read a :func:`dump_couplings` file.  Each edge needs an endpoint in the
-    header's region (a ghost-ring bond has one), a finite number as its value
-    and no second record; otherwise ContainmentError or ConfigError, which
-    also reports any line that does not parse."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    try:
-        header = json.loads(lines[0])
-        region = Region(
-            tuple(header["region"]["extents"]),
-            tuple(header["region"]["wrap"]),
-            tuple(header["region"]["origin"]),
-        )
-        records = [json.loads(line) for line in lines[1:]]
-        edges = [
-            Edge(tuple(r["x"]), tuple(r["y"]), r["orientation"], r["wrap"]) for r in records
-        ]
-    except (IndexError, KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"malformed coupling dump {path}: {err!r}") from None
-    loaded: dict[Edge, float] = {}
-    for e, rec in zip(edges, records):
-        value = rec.get("value")
-        if not (region.contains_site(e.x) or region.contains_site(e.y)):
-            raise ContainmentError(f"edge {e} has no endpoint in the region {region}")
-        if e in loaded:
-            raise ConfigError(f"edge {e} appears twice")
-        # abs(value) <= max is exact for an int of any size, and False for NaN
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"edge {e} carries {value!r}, not a finite number")
-        loaded[e] = float(value)
-    edge_set = EdgeSet(region, tuple(loaded))
-    aligned = np.empty(len(loaded))
-    aligned[edge_positions(edge_set, tuple(loaded))] = list(loaded.values())
-    return CouplingConfig(
-        edge_set, aligned, Provenance(header.get("distribution", ""), None, "loaded")
-    )

@@ -24,9 +24,7 @@ bc is a rule, one sign for the ghost ring of whatever region it is resolved
 against (:func:`uniform_fixed_bc`), or an explicit ring that fits one region
 (:func:`fixed_bc`).  What a bc means on a region is decided once, in a cached
 term table per (region, bc): each edge's seam sign, the in-region bonds, and
-the ghost bonds as site fields.  Both engines read that table.  Fixed
-boundary terms enter the Gibbs weights but are not part of the window
-Hamiltonian reported by :func:`energy`.
+the ghost bonds as site fields.  Both engines read that table.
 """
 
 from __future__ import annotations
@@ -212,23 +210,6 @@ class GibbsSpec:
 
     def with_couplings(self, couplings: CouplingConfig) -> "GibbsSpec":
         return GibbsSpec(self.region, couplings, self.beta, self.bc)
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian
-
-
-def energy(sigma: Mapping[Site, int], couplings: CouplingConfig, edges: EdgeSet) -> float:
-    """H = -sum_e J_e sigma_x sigma_y, accumulated in canonical edge order."""
-    h = 0.0
-    for e in edges:
-        try:
-            sx = sigma[e.x]
-            sy = sigma[e.y]
-        except KeyError as err:
-            raise CoverageError(f"spin configuration missing site {err.args[0]}") from None
-        h -= couplings.value(e) * sx * sy
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -800,17 +781,17 @@ def log_partition_transfer(
 
 
 def transfer_supported(spec: GibbsSpec, width_cap: int = TRANSFER_WIDTH_CAP) -> bool:
-    if spec.region.dimension != 2:
-        return False
-    return any(spec.region.extents[a] <= width_cap for a in (0, 1))
+    return resolve_method(spec.region, "auto", width_cap) == "transfer"
 
 
-def resolve_method(spec: GibbsSpec, method: str = "auto",
+def resolve_method(region: Region, method: str = "auto",
                    width_cap: int = TRANSFER_WIDTH_CAP) -> str:
     """The engine, ``"transfer"`` or ``"enum"``, that ``method`` names for
-    this spec: ``auto`` is the transfer matrix wherever it applies."""
+    a state on ``region``: ``auto`` is the transfer matrix wherever it
+    applies, a 2d region with an axis of at most ``width_cap`` sites."""
     if method == "auto":
-        return "transfer" if transfer_supported(spec, width_cap) else "enum"
+        fits = region.dimension == 2 and min(region.extents) <= width_cap
+        return "transfer" if fits else "enum"
     if method not in SOLVER_METHODS:
         raise ValueError(f"unknown solver method {method!r}")
     return method
@@ -824,7 +805,7 @@ def log_partition(
     extra_fields: Mapping[Site, float] | None = None,
 ) -> float:
     """log Z by the requested engine (see :func:`resolve_method`)."""
-    if resolve_method(spec, method, width_cap) == "transfer":
+    if resolve_method(spec.region, method, width_cap) == "transfer":
         return log_partition_transfer(spec, width_cap=width_cap, extra_fields=extra_fields)
     return log_partition_enum(spec, cap=enum_cap, extra_fields=extra_fields)
 
@@ -868,7 +849,7 @@ def log_partition_pairs(
     """
     if not (np.isfinite(values).all() and np.isfinite(other_values).all()):
         raise ConfigError("a coupling stack carries a non-finite value")
-    engines = [resolve_method(state, method, width_cap) for state in (spec, other)]
+    engines = [resolve_method(state.region, method, width_cap) for state in (spec, other)]
     out = np.empty((len(values), 2))
     sweeps = [(spec, values, 0, False), (other, other_values, 1, False)]
     if "enum" not in engines and spec.beta == other.beta and np.array_equal(values, other_values):
@@ -972,7 +953,7 @@ def edge_correlations(
     edges = tuple(edges)
     # a clamped ghost bond is in the spec's edge set but has no correlation
     edge_positions(interior_edges(spec.region), edges)
-    if resolve_method(spec, method, width_cap) == "transfer":
+    if resolve_method(spec.region, method, width_cap) == "transfer":
         by_position = _transfer_bond_correlations(spec, width_cap)
         return by_position[edge_positions(spec.couplings.edge_set, edges)]
     _, (second,) = _enum_reduce(spec, [], cap=enum_cap, moments=True)
@@ -1006,7 +987,7 @@ def reweight(spec: GibbsSpec, block: Region, values: Mapping[Edge, float]) -> Gi
     idx, added = block_assignment(spec.couplings, block, values)
     out = spec.couplings.values.copy()
     out[idx] += added
-    return spec.with_couplings(spec.couplings.with_values(out, "reweighted"))
+    return spec.with_couplings(spec.couplings.with_values(out))
 
 
 def reweight_expectation(

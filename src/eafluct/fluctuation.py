@@ -573,61 +573,6 @@ def independent_path_ends(spec: EnsembleSpec, i: int, n_outer: int) -> dict:
     }
 
 
-def lindeberg_diagnostic(
-    spec: EnsembleSpec,
-    window_sizes: Sequence[int],
-    deltas: Sequence[float] = (0.5, 1.0),
-    n: int | None = None,
-    n_outer: int = 16,
-) -> dict:
-    """Report-only tail and quadratic-variation diagnostics of the edge
-    martingale across window sizes.
-
-    For each size: the tail term sum_k E[dY_k^2 1{|dY_k| > delta sqrt(K)}]
-    and the per-realization normalized quadratic variation (1/K) sum_k dY_k^2
-    (a single-draw estimate of the conditional second moments), with its
-    dispersion across realizations.  No pass/fail: trends only.
-    """
-    if len(window_sizes) < 2:
-        raise ValueError("need at least two window sizes")
-    n = n or min(spec.n_realizations, 16)
-    rows = []
-    for size in window_sizes:
-        sub = scaling_sub_spec(spec, size)
-        k_edges = len(sub.window_edge_set)
-        dmat = np.empty((n, k_edges))
-        for i in range(n):
-            row = edge_martingale_realization(sub, i, n_outer)
-            dmat[i] = np.diff(np.asarray(row["ys"]))
-        qvar = (dmat**2).sum(axis=1) / k_edges
-        tails = {}
-        for d in deltas:
-            thresh = d * math.sqrt(k_edges)
-            tails[str(d)] = float(((dmat**2) * (np.abs(dmat) > thresh)).mean(axis=0).sum())
-        rows.append(
-            {
-                "window_size": size,
-                "n_edges": k_edges,
-                "tail_terms": tails,
-                "quadratic_variation_mean": float(qvar.mean()),
-                "quadratic_variation_std": float(qvar.std(ddof=1)) if n > 1 else 0.0,
-            }
-        )
-    decreasing = {
-        str(d): all(
-            rows[s + 1]["tail_terms"][str(d)] <= rows[s]["tail_terms"][str(d)] + 1e-15
-            for s in range(len(rows) - 1)
-        )
-        for d in deltas
-    }
-    return {
-        "mode": "report-only",
-        "rows": rows,
-        "tail_decreasing": decreasing,
-        "note": "trend diagnostics; no pass/fail contract at finite size",
-    }
-
-
 # ---------------------------------------------------------------------------
 # deterministic bounds
 
@@ -994,6 +939,10 @@ def scaling_report_from_values(
     """Least-squares exponent fits of log Var(F) against log window sites
     and log boundary-edge count, with bootstrap confidence intervals.
 
+    A resample in which some size's variance is not positive has no log
+    and is dropped; ``bootstrap_fits`` counts the fits that remain, and
+    ``ci95`` is None when fewer than two remain.
+
     Report-only by design: there is no pass/fail target for the exponent,
     because the incongruence hypothesis behind the variance growth bound is
     not certifiable at desk scale; the emitted report says so.
@@ -1048,11 +997,11 @@ def scaling_report_from_values(
                 resampled.append(v)
             if ok:
                 slopes.append(np.polyfit(xs, np.log(resampled), 1)[0])
-        lo, hi = _quantiles(slopes, (0.025, 0.975)) if slopes else (math.nan, math.nan)
+        ci = list(_quantiles(slopes, (0.025, 0.975))) if len(slopes) >= 2 else None
         out["fits"][name] = {
             "exponent": float(slope),
             "intercept": float(intercept),
-            "ci95": [lo, hi],
+            "ci95": ci,
             "bootstrap_fits": len(slopes),
         }
     return out

@@ -43,6 +43,7 @@ from .exactsolve import (
     log_partition_transfer,
     periodic_bc,
     required_edges,
+    resolve_method,
     transfer_supported,
     uniform_fixed_bc,
 )
@@ -64,6 +65,7 @@ from .fluctuation import (
     mgf_conditional_mean,
     probe_realization,
     probe_report_from_rows,
+    scaling_margin,
     scaling_report_from_values,
     scaling_sub_spec,
     variance_report_from_values,
@@ -255,21 +257,22 @@ def _bc_from_name(name: str, seam_axes: tuple[int, ...]) -> BoundaryCondition:
     raise ConfigError(f"unknown boundary condition name {name!r}")
 
 
+def _state_bcs(cfg: ExperimentConfig) -> tuple[BoundaryCondition, BoundaryCondition]:
+    """The bcs of the two states an ensemble kind compares."""
+    if KIND_TABLE[cfg.kind].mode == "domain-wall":
+        return periodic_bc(), antiperiodic_bc(*cfg.seam_axes)
+    return _bc_from_name(cfg.bc, cfg.seam_axes), _bc_from_name(cfg.bc_prime, cfg.seam_axes)
+
+
 def ensemble_spec_from_config(cfg: ExperimentConfig, beta: float | None = None) -> EnsembleSpec:
     if cfg.seed is None:
         raise ConfigError("a seed is required (no wall-clock seeding)")
     mode = KIND_TABLE[cfg.kind].mode
-    if mode == "domain-wall":
-        bc, bc_prime = periodic_bc(), antiperiodic_bc(*cfg.seam_axes)
-        window = cfg.box
-    else:
-        bc = _bc_from_name(cfg.bc, cfg.seam_axes)
-        bc_prime = _bc_from_name(cfg.bc_prime, cfg.seam_axes)
-        window = cfg.window
+    bc, bc_prime = _state_bcs(cfg)
     return EnsembleSpec(
         dist=distribution_from_label(cfg.distribution),
         box_extents=cfg.box,
-        window_extents=window,
+        window_extents=cfg.box if mode == "domain-wall" else cfg.window,
         beta=cfg.beta if beta is None else beta,
         bc=bc,
         bc_prime=bc_prime,
@@ -316,6 +319,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"bad distribution: {err}") from None
     if cfg.seed is not None and not 0 <= _int("seed", cfg.seed) < 2**64:
         raise ConfigError("seed must be a 64-bit non-negative integer")
+    for name in ("records", "report"):  # a run opens each for writing
+        path = getattr(cfg, name)
+        if not path or "\0" in path or Path(path).is_dir():
+            raise ConfigError(f"output {name} must name a file, got {path!r}")
     if not cfg.box or min(cfg.box) < 1:
         raise ConfigError("box needs at least one axis and every extent >= 1")
     if kind.pair:
@@ -328,6 +335,40 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if "antiperiodic" in (cfg.bc, cfg.bc_prime):
             _check_seam_axes(cfg.seam_axes, len(cfg.box))
     kind.check(cfg)
+    _check_solvable(cfg)
+
+
+def _check_solvable(cfg: ExperimentConfig) -> None:
+    """Every state a run builds must fit the cap of the engine that
+    :func:`resolve_method` picks for its region: each box of a pair kind
+    (every size of a ``scaling`` study) under both bcs, the ``domain-wall``
+    torus, and the ``covariance`` torus, which is enumerated.
+    ``oracle-verify`` reports a geometry beyond a cap as unsupported."""
+    if cfg.kind == "oracle-verify":
+        return
+    boxes, method = [cfg.box], cfg.solver_method
+    if cfg.kind == "covariance":
+        bcs = (periodic_bc(),)
+        method = "enum"  # both sides of the check enumerate the torus
+    else:
+        bcs = _state_bcs(cfg)
+    if cfg.kind == "scaling":
+        margin = scaling_margin(cfg.box, cfg.window, cfg.window_sizes)
+        boxes = [(size + margin,) * len(cfg.box) for size in cfg.window_sizes]
+    cap = cfg.transfer_width_cap
+    for box, bc in itertools.product(boxes, bcs):
+        region = region_for_bc(box, bc)
+        engine = resolve_method(region, method, cap)
+        if engine == "enum" and region.n_sites > cfg.enum_cap:
+            raise ConfigError(
+                f"box {list(box)} has more sites than enum_cap: its {region.n_sites} "
+                f"spins exceed the enum engine's cap {cfg.enum_cap}"
+            )
+        if engine == "transfer" and resolve_method(region, "auto", cap) == "enum":
+            raise ConfigError(
+                f"box {list(box)} does not fit the transfer engine's cap: it needs a "
+                f"2-d box with an axis of at most transfer_width_cap {cap}"
+            )
 
 
 def _check_seam_axes(axes: tuple[int, ...], dimension: int) -> None:
@@ -587,7 +628,7 @@ def _scaling_points_csv(summary: dict) -> tuple[str, list[str], list]:
 
 def _scaling_fit_csv(summary: dict) -> tuple[str, list[str], list]:
     rows = [
-        [name, f["exponent"], *f["ci95"][:2], f["intercept"], f["bootstrap_fits"]]
+        [name, f["exponent"], *(f["ci95"] or ("", "")), f["intercept"], f["bootstrap_fits"]]
         for name, f in summary.get("fits", {}).items()
     ]
     header = ["predictor", "exponent", "ci95_lo", "ci95_hi", "intercept", "bootstrap_fits"]
@@ -603,8 +644,6 @@ def _covariance_task(cfg: ExperimentConfig, at: dict) -> dict:
 def _check_covariance(cfg: ExperimentConfig) -> None:
     if len(cfg.box) != 2 or any(e < b for e, b in zip(cfg.box, COVARIANCE_BLOCK)):
         raise ConfigError(f"covariance needs a 2-d box >= {COVARIANCE_BLOCK}, got {list(cfg.box)}")
-    if math.prod(cfg.box) > cfg.enum_cap:  # both sides of the check enumerate the box
-        raise ConfigError(f"covariance box {list(cfg.box)} has more sites than enum_cap")
 
 
 def _check_oracle(cfg: ExperimentConfig) -> None:

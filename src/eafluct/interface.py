@@ -21,18 +21,16 @@ from functools import lru_cache
 import numpy as np
 
 from .disorder import CouplingConfig, SeedSpec, edge_positions, sample_couplings
-from .errors import PairError, UnsupportedOperationError
+from .errors import PairError
 from .exactsolve import (
     ENUM_CAP,
     TRANSFER_WIDTH_CAP,
     BoundaryCondition,
     GibbsSpec,
-    antiperiodic_bc,
     edge_correlations,
     exp_bond_observable,
     gibbs_expectation_enum,
     log_partition_pairs,
-    periodic_bc,
     resolve_method,
 )
 from .lattice import (
@@ -221,14 +219,14 @@ def interface_free_energy(
     ((t_g, t_g0, t_gp, t_gp0),) = free_energy_terms(
         pair, *stacks, method, enum_cap, width_cap
     ).tolist()
-    seed = g.couplings.provenance.seed
+    seed = g.couplings.seed
     return FreeEnergyResult(
         value=(t_g0 - t_g) - (t_gp0 - t_gp),
         log_z_gamma=t_g,
         log_z_gamma_zero=t_g0,
         log_z_gamma_prime=t_gp,
         log_z_gamma_prime_zero=t_gp0,
-        solver=resolve_method(g, method, width_cap),
+        solver=resolve_method(g.region, method, width_cap),
         beta=pair.beta,
         bc_pair=(g.bc.label, gp.bc.label),
         margin=pair.margin,
@@ -246,29 +244,6 @@ def interface_free_energy_direct(pair: StatePair, enum_cap: int = ENUM_CAP) -> f
     num = gibbs_expectation_enum(pair.gamma, obs, cap=enum_cap)
     den = gibbs_expectation_enum(pair.gamma_prime, obs, cap=enum_cap)
     return math.log(num) - math.log(den)
-
-
-def domain_wall_free_energy(
-    couplings: CouplingConfig,
-    region: Region,
-    beta: float,
-    seam_axis: int = 0,
-    method: str = "auto",
-    enum_cap: int = ENUM_CAP,
-    width_cap: int = TRANSFER_WIDTH_CAP,
-) -> float:
-    """log Z_periodic - log Z_antiperiodic on the region itself (the classic
-    gauge-related boundary-condition pair; needs a wrapped seam axis).
-
-    :func:`log_partition_pairs` of the two states' own couplings, so with
-    the seam on the transfer's length axis both terms come from one sweep."""
-    if not region.fully_wrapped:
-        raise UnsupportedOperationError("domain walls need a fully wrapped region")
-    spec_p = GibbsSpec(region, couplings, beta, periodic_bc())
-    spec_a = GibbsSpec(region, spec_p.couplings, beta, antiperiodic_bc(seam_axis))
-    stacks = (spec_p.couplings.values[None], spec_a.couplings.values[None])
-    t = log_partition_pairs(spec_p, spec_a, *stacks, method, enum_cap, width_cap)
-    return float(t[0, 0] - t[0, 1])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from eafluct.exactsolve import required_edges
+from eafluct.exactsolve import (
+    GibbsSpec,
+    antiperiodic_bc,
+    log_partition_pairs,
+    periodic_bc,
+    required_edges,
+)
 from eafluct.harness import parse_config_dict, reduce_report, run_task, task_count
 
 
@@ -94,6 +100,17 @@ def bond_product(edge):
 def constant_one(spins, sites):
     """The observable 1, as an enumeration observable."""
     return np.ones(len(spins))
+
+
+def domain_wall(couplings, region, beta, seam_axis=0, method="auto"):
+    """log Z_periodic - log Z_antiperiodic of ``couplings`` on the torus
+    ``region``, as ``EnsembleSpec.f_stack`` takes it in domain-wall mode:
+    ``log_partition_pairs`` of the two states' own couplings, as one-row
+    stacks."""
+    p = GibbsSpec(region, couplings, beta, periodic_bc())
+    ap = GibbsSpec(region, couplings, beta, antiperiodic_bc(seam_axis))
+    t = log_partition_pairs(p, ap, p.couplings.values[None], ap.couplings.values[None], method)
+    return float(t[0, 0] - t[0, 1])
 
 
 def run_in_process(data: dict) -> tuple[list[dict], dict]:

@@ -112,9 +112,7 @@ def test_criterion_02_analytic_identities():
         region = Region((2, 1))
         edges = interior_edges(region)
         for j, beta in ((0.3, 0.5), (-1.2, 1.0), (2.5, 2.0)):
-            couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
-                np.array([j]), "set"
-            )
+            couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(np.array([j]))
             spec = GibbsSpec(region, couplings, beta, free_bc())
             (edge,) = tuple(edges)
             assert abs(
@@ -159,7 +157,7 @@ def test_criterion_03_gradient_identity():
                     v[k] += s * h
                     p = make_state_pair(
                         (5, 5), (3, 3), 1.0, free_bc(), periodic_bc(),
-                        master.with_values(v, "fd"),
+                        master.with_values(v),
                     )
                     fs[s] = interface_free_energy(p).value
                 fd = (fs[1] - fs[-1]) / (2 * h)

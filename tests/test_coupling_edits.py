@@ -7,7 +7,6 @@ in ``wrap``, and an open box with its clamped ghost ring, whose bonds have
 one endpoint outside the region.
 """
 
-import json
 import re
 
 import numpy as np
@@ -19,9 +18,7 @@ from eafluct.disorder import (
     CouplingConfig,
     Gaussian,
     SeedSpec,
-    dump_couplings,
     edge_positions,
-    load_couplings,
     overlay,
     restrict,
     sample_couplings,
@@ -45,7 +42,7 @@ from eafluct.exactsolve import (
     uniform_fixed_bc,
 )
 from eafluct.interface import StatePair, make_state_pair, sample_master
-from eafluct.lattice import Edge, Region, interior_edges, translate_edge
+from eafluct.lattice import Region, interior_edges, translate_edge
 
 TORUS = Region((2, 3), (True, True))
 BOX = Region((3, 3))
@@ -118,7 +115,7 @@ def test_set_block_matches_per_edge_reference(case):
 def test_overlay_matches_per_edge_reference(case):
     make, _ = CASES[case]
     cfg = make()
-    source = cfg.with_values(-2.0 * cfg.values[::-1], "source")
+    source = cfg.with_values(-2.0 * cfg.values[::-1])
     every_third = tuple(cfg.edge_set.edges[::3])
     for edges in (every_third, every_third[::-1], (), list(every_third)):
         ref = as_dict(cfg)
@@ -168,35 +165,6 @@ def test_translate_couplings_matches_per_edge_reference(vector):
     ref = {translate_edge(e, vector, TORUS): v for e, v in src.items()}
     assert len(ref) == len(src)
     assert_same_bits(translate_couplings(cfg, vector).values, aligned(cfg.edge_set, ref))
-
-
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("shuffled", [False, True])
-def test_dump_load_matches_per_edge_reference(case, shuffled, tmp_path):
-    cfg = CASES[case][0]()
-    path = tmp_path / "couplings.jsonl"
-    dump_couplings(cfg, path)
-    if shuffled:
-        header, *records = path.read_text().splitlines(keepends=True)
-        path.write_text(header + "".join(records[::-1]))
-    loaded = load_couplings(path)
-    assert loaded.edge_set == cfg.edge_set
-    written = {}
-    for line in path.read_text().splitlines()[1:]:
-        rec = json.loads(line)
-        edge = Edge(tuple(rec["x"]), tuple(rec["y"]), rec["orientation"], rec["wrap"])
-        written[edge] = rec["value"]
-    assert_same_bits(loaded.values, aligned(cfg.edge_set, written))
-    assert_same_bits(loaded.values, cfg.values)
-
-
-def test_sample_master_round_trips_through_a_dump(tmp_path):
-    master = sample_master(Gaussian(), (4, 5), SeedSpec(23, 4, "couplings"))
-    path = tmp_path / "master.jsonl"
-    dump_couplings(master, path)
-    loaded = load_couplings(path)
-    assert loaded.edge_set == master.edge_set
-    assert_same_bits(loaded.values, master.values)
 
 
 # --- edge_positions ---------------------------------------------------------
@@ -283,7 +251,7 @@ def test_pair_error_names_a_differing_shared_edge():
     edge = interior_edges(Region((4, 4))).edges[7]
     tweaked = gp.couplings.values.copy()
     tweaked[gp.couplings.edge_set.index(edge)] += 0.5
-    bad = gp.with_couplings(gp.couplings.with_values(tweaked, "bad"))
+    bad = gp.with_couplings(gp.couplings.with_values(tweaked))
     with pytest.raises(PairError, match=re.escape(str(edge))):
         StatePair(pair.window, pair.gamma, bad)
 
@@ -302,57 +270,3 @@ def test_non_finite_couplings_are_a_config_error(bad):
                   block_values)
     with pytest.raises(ConfigError):
         reweight(GibbsSpec(BOX, config, 1.0, FIXED), BOX_BLOCK, block_values)
-
-
-# --- load_couplings rejects bad files ----------------------------------------
-
-
-def dumped_lines(tmp_path):
-    path = tmp_path / "couplings.jsonl"
-    dump_couplings(ring_config(), path)
-    return path, path.read_text().splitlines(keepends=True)
-
-
-def test_load_rejects_an_edge_with_no_endpoint_in_the_region(tmp_path):
-    path, lines = dumped_lines(tmp_path)
-    far = {"x": [7, 7], "y": [7, 8], "orientation": 1, "wrap": False, "value": 0.5}
-    path.write_text("".join(lines) + json.dumps(far) + "\n")
-    with pytest.raises(ContainmentError):
-        load_couplings(path)
-
-
-@pytest.mark.parametrize(
-    "raw", ['"NaN"', "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "true",
-            '"0.5"', "null", "[0.5]"],
-)
-def test_load_rejects_a_value_that_is_not_a_finite_number(raw, tmp_path):
-    path, lines = dumped_lines(tmp_path)
-    text = json.dumps({**json.loads(lines[1]), "value": "@"}).replace('"@"', raw)
-    path.write_text(lines[0] + text + "\n" + "".join(lines[2:]))
-    with pytest.raises(ConfigError):
-        load_couplings(path)
-
-
-def test_load_rejects_a_duplicate_edge(tmp_path):
-    path, lines = dumped_lines(tmp_path)
-    path.write_text("".join(lines) + lines[3])
-    with pytest.raises(ConfigError):
-        load_couplings(path)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda lines: [],
-        lambda lines: ["{}\n", *lines[1:]],
-        lambda lines: [lines[0], "{not json\n", *lines[2:]],
-        lambda lines: [lines[0], lines[1].replace('"wrap"', '"warp"'), *lines[2:]],
-        lambda lines: [lines[0], json.dumps({**json.loads(lines[1]), "x": [9, 9]}) + "\n"],
-        lambda lines: [lines[0], json.dumps({**json.loads(lines[1]), "value": None}) + "\n"],
-    ],
-)
-def test_load_rejects_a_malformed_line(edit, tmp_path):
-    path, lines = dumped_lines(tmp_path)
-    path.write_text("".join(edit(lines)))
-    with pytest.raises(ConfigError):
-        load_couplings(path)

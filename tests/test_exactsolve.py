@@ -17,6 +17,7 @@ from conftest import (
     brute_log_z,
     brute_weight_exponent,
     constant_one,
+    domain_wall,
     effective_bonds,
     spin_assignments,
 )
@@ -35,7 +36,6 @@ from eafluct.exactsolve import (
     antiperiodic_bc,
     edge_correlation,
     edge_correlations,
-    energy,
     fixed_bc,
     free_bc,
     gibbs_expectation_enum,
@@ -49,7 +49,7 @@ from eafluct.exactsolve import (
     reweight_expectation,
     uniform_fixed_bc,
 )
-from eafluct.interface import domain_wall_free_energy, region_for_bc
+from eafluct.interface import region_for_bc
 from eafluct.lattice import Edge, Region, edge_from_origin, ghost_sites, interior_edges
 
 
@@ -72,47 +72,6 @@ ALL_BC_SPECS = [
 ]
 
 
-# --- energy ---------------------------------------------------------------
-
-
-def test_energy_zero_couplings():
-    region = Region((2, 2))
-    edges = interior_edges(region)
-    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
-        np.zeros(len(edges)), "zeroed"
-    )
-    sigma = {s: 1 for s in region.sites}
-    assert energy(sigma, couplings, edges) == 0.0
-
-
-def test_energy_single_edge():
-    region = Region((2, 1))
-    edges = interior_edges(region)
-    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
-        np.ones(1), "unit"
-    )
-    sigma = {(0, 0): 1, (1, 0): 1}
-    assert energy(sigma, couplings, edges) == -1.0
-
-
-def test_energy_ferromagnet_2x2():
-    region = Region((2, 2))
-    edges = interior_edges(region)
-    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
-        np.ones(4), "unit"
-    )
-    sigma = {s: 1 for s in region.sites}
-    assert energy(sigma, couplings, edges) == -4.0
-
-
-def test_energy_missing_spin_errors():
-    region = Region((2, 2))
-    edges = interior_edges(region)
-    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1))
-    with pytest.raises(CoverageError):
-        energy({(0, 0): 1}, couplings, edges)
-
-
 # --- enumeration ----------------------------------------------------------
 
 
@@ -125,9 +84,7 @@ def test_two_spin_closed_form():
     region = Region((2, 1))
     edges = interior_edges(region)
     j = 0.8321
-    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
-        np.array([j]), "set"
-    )
+    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(np.array([j]))
     beta = 1.3
     spec = GibbsSpec(region, couplings, beta, free_bc())
     expected = math.log(2 * math.exp(beta * j) + 2 * math.exp(-beta * j))
@@ -348,9 +305,7 @@ def test_isolated_edge_correlation_is_tanh():
     region = Region((2, 1))
     edges = interior_edges(region)
     j, beta = -0.77, 1.9
-    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
-        np.array([j]), "set"
-    )
+    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(np.array([j]))
     spec = GibbsSpec(region, couplings, beta, free_bc())
     (edge,) = tuple(edges)
     assert edge_correlation(spec, edge, method="enum") == pytest.approx(
@@ -573,7 +528,7 @@ def test_gauge_flip_leaves_log_z_invariant():
     for k, e in enumerate(spec.couplings.edge_set):
         if site in e.endpoints():
             flipped[k] = -flipped[k]
-    spec2 = spec.with_couplings(spec.couplings.with_values(flipped, "gauge"))
+    spec2 = spec.with_couplings(spec.couplings.with_values(flipped))
     assert log_partition_enum(spec2) == pytest.approx(log_partition_enum(spec), abs=1e-10)
     assert log_partition_transfer(spec2) == pytest.approx(
         log_partition_transfer(spec), abs=1e-10
@@ -591,7 +546,7 @@ def test_dlogz_dj_is_beta_times_correlation():
             v = spec.couplings.values.copy()
             v[k] += s * h
             vals[s] = log_partition_enum(
-                spec.with_couplings(spec.couplings.with_values(v, "fd"))
+                spec.with_couplings(spec.couplings.with_values(v))
             )
         fd = (vals[1] - vals[-1]) / (2 * h)
         assert fd == pytest.approx(spec.beta * corr, abs=1e-5)
@@ -616,9 +571,7 @@ def test_reweight_two_spin_closed_form():
     region = Region((2, 1))
     edges = interior_edges(region)
     j, delta, beta = 0.4, 0.35, 1.2
-    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(
-        np.array([j]), "set"
-    )
+    couplings = sample_couplings(Gaussian(), edges, SeedSpec(1)).with_values(np.array([j]))
     spec = GibbsSpec(region, couplings, beta, free_bc())
     (edge,) = tuple(edges)
     out = reweight(spec, region, {edge: delta})
@@ -747,13 +700,13 @@ def test_auto_resolves_to_transfer_where_it_applies():
     strip = Region((3, 7))
     plane = GibbsSpec(strip, sample_couplings(Gaussian(), interior_edges(strip), SeedSpec(2)),
                       1.0, free_bc())
-    assert resolve_method(plane) == "transfer"
-    assert resolve_method(plane, width_cap=2) == "enum"
-    assert resolve_method(plane, "enum") == "enum"
+    assert resolve_method(strip) == "transfer"
+    assert resolve_method(strip, width_cap=2) == "enum"
+    assert resolve_method(strip, "enum") == "enum"
     cube = Region((2, 2, 2))
     solid = GibbsSpec(cube, sample_couplings(Gaussian(), interior_edges(cube), SeedSpec(2)),
                       1.0, free_bc())
-    assert resolve_method(solid) == "enum"
+    assert resolve_method(cube) == "enum"
     assert log_partition(solid) == log_partition_enum(solid)
     assert log_partition(plane) == log_partition_transfer(plane)
 
@@ -764,7 +717,7 @@ def test_unknown_method_raises_value_error_at_every_entry_point():
                      1.0, free_bc())
     edge = interior_edges(region).edges[0]
     for call in (
-        lambda: resolve_method(spec, "exact"),
+        lambda: resolve_method(region, "exact"),
         lambda: log_partition(spec, method="exact"),
         lambda: edge_correlations(spec, [edge], method="exact"),
         lambda: edge_correlation(spec, edge, method="exact"),
@@ -816,7 +769,7 @@ def test_torus_values_match_pins_from_before_the_shared_closing(k):
             spec = GibbsSpec(region, couplings, beta, _torus_bc(axes))
             assert log_partition(spec).hex() == pins["log_z"][f"{name} {label} beta={beta:g}"]
         for seam in (0, 1):
-            value = domain_wall_free_energy(couplings, region, beta, seam_axis=seam)
+            value = domain_wall(couplings, region, beta, seam_axis=seam)
             assert value.hex() == pins["domain_wall"][f"{name} seam={seam} beta={beta:g}"]
             assert beta > 0.0 or value == 0.0
 
@@ -849,8 +802,8 @@ def test_shared_route_matches_enumeration(extents, beta):
         want = _own_pair(p, ap, method="enum")
         assert got == pytest.approx(want, abs=1e-9, rel=0)
         assert want == (log_partition_enum(p), log_partition_enum(ap))
-        value = domain_wall_free_energy(couplings, region, beta, seam_axis=seam)
-        enum = domain_wall_free_energy(couplings, region, beta, seam_axis=seam, method="enum")
+        value = domain_wall(couplings, region, beta, seam_axis=seam)
+        enum = domain_wall(couplings, region, beta, seam_axis=seam, method="enum")
         assert abs(value - enum) <= 1e-9
 
 
@@ -867,10 +820,10 @@ def test_one_sweep_per_domain_wall_with_the_seam_on_the_length_axis(
 
     monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
     region, couplings = _torus(extents, 4)
-    domain_wall_free_energy(couplings, region, 1.0, seam_axis=length_axis)
+    domain_wall(couplings, region, 1.0, seam_axis=length_axis)
     assert sweeps == ["periodic"]
     sweeps.clear()
-    domain_wall_free_energy(couplings, region, 1.0, seam_axis=1 - length_axis)
+    domain_wall(couplings, region, 1.0, seam_axis=1 - length_axis)
     assert sweeps == ["periodic", f"antiperiodic[seam={1 - length_axis}]"]
 
 
@@ -892,7 +845,7 @@ def test_shared_route_needs_matching_specs(monkeypatch):
     p = GibbsSpec(region, couplings, 1.0, periodic_bc())
     ap = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
     other_beta = GibbsSpec(region, couplings, 2.0, antiperiodic_bc(0))
-    other_couplings = ap.with_couplings(couplings.with_values(-couplings.values, "negated"))
+    other_couplings = ap.with_couplings(couplings.with_values(-couplings.values))
 
     def plan(spec):
         return exactsolve._transfer_plan(spec.region, spec.bc, exactsolve.TRANSFER_WIDTH_CAP)
@@ -933,8 +886,8 @@ def test_halved_torus_sweeps_match_enumeration(extents, beta):
         enum = edge_correlations(spec, edges, method="enum")
         assert np.max(np.abs(transfer - enum)) <= 1e-10
     for seam in (0, 1):
-        value = domain_wall_free_energy(couplings, region, beta, seam_axis=seam)
-        enum = domain_wall_free_energy(couplings, region, beta, seam_axis=seam, method="enum")
+        value = domain_wall(couplings, region, beta, seam_axis=seam)
+        enum = domain_wall(couplings, region, beta, seam_axis=seam, method="enum")
         assert abs(value - enum) <= 1e-9
         assert beta > 0.0 or value == 0.0
 
@@ -1293,7 +1246,7 @@ def test_bond_correlations_are_central_differences_of_log_z(extents, wrap):
         for step in (h, -h):
             values = spec.couplings.values.copy()
             values[p] += step
-            shifted = spec.with_couplings(spec.couplings.with_values(values, "fd"))
+            shifted = spec.with_couplings(spec.couplings.with_values(values))
             log_z.append(log_partition(shifted, method="transfer", width_cap=16))
         assert abs((log_z[0] - log_z[1]) / (2 * spec.beta * h) - corr) <= 1e-8, p
 
@@ -1309,7 +1262,7 @@ def test_torus_correlations_match_the_transposed_sweep(side):
     values = np.empty_like(couplings.values)
     values[exactsolve.edge_positions(couplings.edge_set, flipped)] = couplings.values
     spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
-    transposed = spec.with_couplings(couplings.with_values(values, "transposed"))
+    transposed = spec.with_couplings(couplings.with_values(values))
     got = edge_correlations(spec, edges, method="transfer")
     want = edge_correlations(transposed, flipped, method="transfer")
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -1400,7 +1353,7 @@ def test_log_partition_pairs_equals_one_call_per_row_for_each_kind_of_pair(monke
         ([(cube[0], cube[1]), (cube[2], cube[3])], []),
         (strips, [2, 2]),
     ]
-    assert resolve_method(cube[0]) == "enum"
+    assert resolve_method(cube[0].region) == "enum"
     wants = [[(log_partition(g), log_partition(gp)) for g, gp in pairs] for pairs, _ in batches]
     stacks = _stacked_sweeps(monkeypatch)
     for (pairs, sweeps), want in zip(batches, wants):

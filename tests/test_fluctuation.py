@@ -26,7 +26,6 @@ from eafluct.fluctuation import (
     covariance_sample,
     gaussian_sum_variance_identity,
     independent_path_ends,
-    lindeberg_diagnostic,
     scaling_sub_spec,
     variance_report_from_values,
 )
@@ -447,33 +446,6 @@ def test_edge_martingale_order_is_lexicographic():
     assert keys == sorted(keys)
 
 
-# --- Lindeberg-type diagnostics --------------------------------------------------
-
-
-def test_lindeberg_beta_zero_all_terms_zero():
-    spec = spec_3x3_in_5x5(n=3, beta=0.0)
-    rep = lindeberg_diagnostic(spec, [2, 3], n=3, n_outer=3)
-    for row in rep["rows"]:
-        assert all(v == 0.0 for v in row["tail_terms"].values())
-        assert row["quadratic_variation_mean"] == 0.0
-
-
-def test_lindeberg_identical_pair_zero():
-    spec = spec_3x3_in_5x5(n=3, bc=free_bc(), bc_prime=free_bc())
-    rep = lindeberg_diagnostic(spec, [2, 3], n=3, n_outer=3)
-    for row in rep["rows"]:
-        assert row["quadratic_variation_mean"] == 0.0
-
-
-def test_lindeberg_tail_trend_reported():
-    # DERIVED: report-only trend on fixed seeds
-    spec = spec_3x3_in_5x5(n=10, seed=606)
-    rep = lindeberg_diagnostic(spec, [3, 4], deltas=(1.0,), n=8, n_outer=8)
-    assert rep["mode"] == "report-only"
-    assert len(rep["rows"]) == 2
-    assert "1.0" in rep["tail_decreasing"]
-
-
 # --- deterministic bounds --------------------------------------------------------
 
 
@@ -494,7 +466,7 @@ def test_bound_check_zero_boundary_couplings():
     values = master.values.copy()
     for e in boundary:
         values[master.edge_set.index(e)] = 0.0
-    master0 = master.with_values(values, "zero-boundary")
+    master0 = master.with_values(values)
     pair = make_state_pair((5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), master0)
     result = interface_free_energy(pair)
     assert abs(result.value) <= 1e-9
@@ -657,8 +629,6 @@ def test_fixed_bc_templates_rescale_by_their_one_sign():
         sub = scaling_sub_spec(template, size)
         assert sub.bc_prime == uniform_fixed_bc(-1)
         assert sub.bc == template.bc
-    rep = lindeberg_diagnostic(template, [2, 3, 4], n=2, n_outer=2)
-    assert [row["window_size"] for row in rep["rows"]] == [2, 3, 4]
     ring = uniform_fixed_bc(+1).fixed_map(Region((5, 5)))
     ring[min(ring)] = -1
     mixed = replace(template, bc_prime=fixed_bc(ring))

@@ -9,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from conftest import domain_wall
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +37,13 @@ from eafluct.harness import (
 )
 from eafluct.exactsolve import uniform_fixed_bc
 from eafluct.fluctuation import scaling_sub_spec
-from eafluct.interface import domain_wall_free_energy
 from eafluct.lattice import Region
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _refuse(constant):
+    raise AssertionError(f"report.json carries {constant}, which is not standard JSON")
 
 
 def base_config(tmp_path, kind="ensemble", **overrides):
@@ -202,6 +208,10 @@ def test_oracle_verify_needs_seam_axes_of_every_geometry(tmp_path):
         parse_config_dict(data)
 
 
+# the golden martingale geometry: base_config's 3x3 window has no 2x2 blocks
+_KIND_GEOMETRY = {"martingale": {"box": [6, 6], "window": [4, 4]}}
+
+
 @pytest.mark.parametrize("kind, section, body, match", [
     ("scaling", "geometry", {"window_sizes": [0, 2, 3]}, "window sizes must be >= 1"),
     ("scaling", "geometry", {"window_sizes": [-2, 2, 3]}, "window sizes must be >= 1"),
@@ -237,6 +247,17 @@ def test_oracle_verify_needs_seam_axes_of_every_geometry(tmp_path):
     ("covariance", "solver", {"enum_cap": 8}, "more sites than enum_cap"),
     ("ensemble", "sampling", {"noise_tol": float("inf")}, "noise_tol must be finite and >= 0"),
     ("mgf", "sampling", {"t_values": [0.5, -1.0]}, "t_values must be finite and >= 0"),
+    ("martingale", "solver", {"transfer_width_cap": 1}, "box \\[6, 6\\] has more sites than"),
+    ("scaling", "solver", {"method": "enum"}, "box \\[5, 5\\] has more sites than enum_cap"),
+    ("domain-wall", "geometry", {"box": [5, 5, 5]}, "box \\[5, 5, 5\\] has more sites than"),
+    ("fe", "solver", {"transfer_width_cap": 2}, "its 25 spins exceed the enum engine's cap 24"),
+    ("covariance", "geometry", {"box": [5, 5]}, "its 25 spins exceed the enum engine's cap 24"),
+    ("fe", "geometry", {"box": [3, 3, 3], "window": [1, 1, 1]}, "enum engine's cap 24"),
+    ("ensemble", "solver", {"method": "transfer", "transfer_width_cap": 2},
+     "box \\[5, 5\\] does not fit the transfer engine's cap"),
+    ("fe", "output", {"report": ""}, "output report must name a file"),
+    ("fe", "output", {"records": "."}, "output records must name a file"),
+    ("fe", "output", {"report": "a\0b"}, "output report must name a file"),
 ])
 def test_kind_checks_reject_silently_wrong_inputs(tmp_path, kind, section, body, match):
     # the kind checks' cases each used to run: a repeated size fits a line
@@ -247,9 +268,26 @@ def test_kind_checks_reject_silently_wrong_inputs(tmp_path, kind, section, body,
     # the tasks had started, or wrote NaN into the report; an infinite
     # noise_tol reached the report's config echo of every kind but the probe,
     # and a negative t, at which exp(4 beta t nu) bounds nothing, failed the
-    # mgf check or wrote non-finite rows
+    # mgf check or wrote non-finite rows; a box beyond the cap of the engine
+    # that solves it failed once the tasks had started (the martingale at
+    # its first task, the scaling study at its 5x5 size); and an output path
+    # that names no file raised a raw IsADirectoryError or ValueError, the
+    # report's only after every task had run
+    overrides = {"geometry": _KIND_GEOMETRY.get(kind, {})}
+    overrides[section] = (
+        {**overrides.get(section, {}), **body} if isinstance(body, dict) else body
+    )
     with pytest.raises(ConfigError, match=match):
-        parse_config_dict(base_config(tmp_path, kind=kind, **{section: body}))
+        parse_config_dict(base_config(tmp_path, kind=kind, **overrides))
+
+
+def test_a_box_beyond_its_engines_cap_is_refused_by_the_cli(tmp_path, capsys):
+    data = base_config(tmp_path, kind="scaling", solver={"method": "enum"})
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(data))
+    assert main(["scaling", "-c", str(config_path)]) == 2
+    assert "box [5, 5] has more sites than enum_cap" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
 
 
 def test_a_window_without_edges_is_refused_by_the_cli(tmp_path, capsys):
@@ -312,6 +350,37 @@ def test_any_field_value_parses_or_is_a_config_error(kind, field, value):
         parse_config_dict(data)
     except ConfigError:
         pass
+
+
+# an edited output path could name any place on the file system, so the
+# run-level fuzz edits only the fields that shape the experiment (parsing
+# refuses an output path that names no file)
+_RUN_FIELDS = [field for field in _FIELDS if field[0] != "output"]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(KINDS), st.sampled_from(_RUN_FIELDS), _JSON_VALUES)
+def test_a_one_field_edit_of_a_golden_config_fails_at_parse_or_writes_standard_json(
+    kind, field, value
+):
+    data = json.loads((GOLDEN / kind / "config.json").read_text())
+    data.setdefault(field[0], {})[field[1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        data["output"] = {key: str(Path(tmp, path)) for key, path in data["output"].items()}
+        try:
+            cfg = parse_config_dict(data)
+        except ConfigError:
+            return
+        try:
+            run(cfg, workers=1)
+        except TaskError as err:
+            # the one late failure left: the transfer engine's range in beta
+            # (ROADMAP item 4), an ArithmeticError inside a task
+            if isinstance(err.__cause__, ArithmeticError):
+                return
+            raise
+        json.loads(Path(cfg.report).read_text(), parse_constant=_refuse)
 
 
 def test_every_config_field_but_kind_and_seed_has_a_section():
@@ -511,11 +580,11 @@ def test_a_non_finite_summary_is_refused_before_the_report_is_written(tmp_path, 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_tasks_raise_task_error_for_any_worker_count(tmp_path, workers):
-    # 25 spins exceed the enumeration cap inside every task
-    data = base_config(tmp_path, kind="fe", sampling={"n": 3})
-    data["solver"] = {"method": "enum"}
+    # 25 spins exceed the enumeration cap inside every task; parsing refuses
+    # that config, so it is built past the parse check
+    cfg = parse_config_dict(base_config(tmp_path, kind="fe", sampling={"n": 3}))
     with pytest.raises(TaskError) as info:
-        run(parse_config_dict(data), workers=workers)
+        run(dataclasses.replace(cfg, solver_method="enum"), workers=workers)
     assert isinstance(info.value.__cause__, SizeCapError)
 
 
@@ -524,15 +593,20 @@ def test_failing_tasks_raise_task_error_for_any_worker_count(tmp_path, workers):
     "probe", "scaling",
 ])
 def test_config_solver_caps_bind_every_ensemble_kind(tmp_path, kind):
-    # no axis of any box fits width 2, and every box has more than 4 spins
+    # no axis of any box fits width 2, and every box has more than 4 spins:
+    # parsing refuses these caps, and a config built past the parse check
+    # still hands them to the engines of every task
     data = base_config(
         tmp_path, kind=kind,
         geometry={"box": [4, 4], "window": [2, 2], "window_sizes": [1, 2, 3]},
         sampling={"n": 2, "n_outer": 2, "bootstrap": 10},
-        solver={"transfer_width_cap": 2, "enum_cap": 4},
     )
+    cfg = parse_config_dict(data)
+    data["solver"] = {"transfer_width_cap": 2, "enum_cap": 4}
+    with pytest.raises(ConfigError, match="more sites than enum_cap"):
+        parse_config_dict(data)
     with pytest.raises(TaskError) as info:
-        run(parse_config_dict(data))
+        run(dataclasses.replace(cfg, transfer_width_cap=2, enum_cap=4))
     assert isinstance(info.value.__cause__, SizeCapError)
 
 
@@ -680,10 +754,10 @@ def test_domain_wall_run_uses_the_configured_seam_axis(tmp_path, seam):
     region = Region((3, 4), (True, True))
     for i, value in enumerate(values):
         couplings = spec.master(i)
-        assert value == domain_wall_free_energy(couplings, region, 1.0, seam_axis=seam)
-        enum = domain_wall_free_energy(couplings, region, 1.0, seam_axis=seam, method="enum")
+        assert value == domain_wall(couplings, region, 1.0, seam_axis=seam)
+        enum = domain_wall(couplings, region, 1.0, seam_axis=seam, method="enum")
         assert abs(value - enum) <= 1e-9
-        other = domain_wall_free_energy(couplings, region, 1.0, seam_axis=1 - seam)
+        other = domain_wall(couplings, region, 1.0, seam_axis=1 - seam)
         assert abs(value - other) > 1e-6
 
 
@@ -713,6 +787,27 @@ def test_csv_report_for_scaling(tmp_path):
     fit = (tmp_path / "csv" / "scaling_fit.csv").read_text().splitlines()
     assert fit[0].startswith("predictor,exponent,ci95_lo,ci95_hi")
     assert len(fit) == 3
+
+
+@pytest.mark.parametrize("seed, kept", [(1, [0, 1]), (2, [0, 0]), (3, [0, 1]), (4, [0, 0])])
+def test_a_scaling_fit_with_fewer_than_two_resampled_fits_has_no_ci(
+    tmp_path, monkeypatch, seed, kept
+):
+    # at n 2 a resample repeats one draw half the time, and its variance 0
+    # has no log; the CI of no fit was [NaN, NaN], which failed the run after
+    # every task, and the CI of one fit was a zero-width [s, s]
+    data = json.loads((GOLDEN / "scaling" / "config.json").read_text())
+    data["seed"] = seed
+    data["sampling"].update(n=2, bootstrap=2)
+    monkeypatch.chdir(tmp_path)
+    report = run(parse_config_dict(data), workers=1)
+    json.loads((tmp_path / "report.json").read_text(), parse_constant=_refuse)
+    fits = report["summary"]["fits"]
+    assert [fits[name]["bootstrap_fits"] for name in sorted(fits, reverse=True)] == kept
+    assert all(fit["ci95"] is None for fit in fits.values())
+    write_csv_reports(report, "csv")
+    rows = (tmp_path / "csv" / "scaling_fit.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:4] for row in rows] == [["", ""], ["", ""]]
 
 
 def test_csv_report_for_bounds(tmp_path):

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import brute_correlation
+from conftest import brute_correlation, domain_wall
 
 from eafluct import exactsolve, interface
 from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_block
@@ -22,7 +22,6 @@ from eafluct.exactsolve import (
 from eafluct.harness import _bc_from_name
 from eafluct.interface import (
     FreeEnergyResult,
-    domain_wall_free_energy,
     free_energy_gradient,
     interface_free_energy,
     interface_free_energy_direct,
@@ -66,7 +65,7 @@ def test_pair_couplings_must_agree_on_shared_edges():
     p = pair_4x4()
     tweaked = p.gamma_prime.couplings.values.copy()
     tweaked[0] += 1.0
-    bad = p.gamma_prime.with_couplings(p.gamma_prime.couplings.with_values(tweaked, "bad"))
+    bad = p.gamma_prime.with_couplings(p.gamma_prime.couplings.with_values(tweaked))
     with pytest.raises(PairError):
         type(p)(p.window, p.gamma, bad)
 
@@ -169,7 +168,7 @@ def test_locality_outside_couplings_do_not_matter():
     for k, e in enumerate(master.edge_set):
         if e not in used:
             values[k] += 7.5
-    altered = master.with_values(values, "altered-outside")
+    altered = master.with_values(values)
     f1 = interface_free_energy(make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), master))
     f2 = interface_free_energy(make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), altered))
     assert f1.value == f2.value
@@ -190,26 +189,22 @@ def test_boundary_bound_holds_strictly():
 def test_domain_wall_zero_at_beta_zero():
     region = Region((4, 4), (True, True))
     couplings = sample_couplings(Gaussian(), interior_edges(region), SeedSpec(2))
-    assert domain_wall_free_energy(couplings, region, 0.0) == 0.0
+    assert domain_wall(couplings, region, 0.0) == 0.0
 
 
 def test_domain_wall_zero_couplings():
     region = Region((4, 4), (True, True))
     edges = interior_edges(region)
-    couplings = sample_couplings(Gaussian(), edges, SeedSpec(2)).with_values(
-        np.zeros(len(edges)), "zero"
-    )
-    assert domain_wall_free_energy(couplings, region, 1.0) == 0.0
+    couplings = sample_couplings(Gaussian(), edges, SeedSpec(2)).with_values(np.zeros(len(edges)))
+    assert domain_wall(couplings, region, 1.0) == 0.0
 
 
 def test_domain_wall_ferromagnet_positive_and_matches_enumeration():
     # DERIVED: enumeration oracle fixes the value
     region = Region((4, 4), (True, True))
     edges = interior_edges(region)
-    couplings = sample_couplings(Gaussian(), edges, SeedSpec(2)).with_values(
-        np.ones(len(edges)), "ferro"
-    )
-    value = domain_wall_free_energy(couplings, region, 1.0)
+    couplings = sample_couplings(Gaussian(), edges, SeedSpec(2)).with_values(np.ones(len(edges)))
+    value = domain_wall(couplings, region, 1.0)
     spec_p = GibbsSpec(region, couplings, 1.0, periodic_bc())
     spec_a = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
     expected = log_partition_enum(spec_p) - log_partition_enum(spec_a)
@@ -221,7 +216,7 @@ def test_domain_wall_requires_torus():
     region = Region((4, 4))
     couplings = sample_couplings(Gaussian(), interior_edges(region), SeedSpec(2))
     with pytest.raises(UnsupportedOperationError):
-        domain_wall_free_energy(couplings, region, 1.0)
+        domain_wall(couplings, region, 1.0)
 
 
 # --- gradient -----------------------------------------------------------------
@@ -245,7 +240,7 @@ def _fd_gradient(master, box, window, beta, bc, bc_prime, edge, h=1e-4):
     for s in (1, -1):
         v = master.values.copy()
         v[k] += s * h
-        p = make_state_pair(box, window, beta, bc, bc_prime, master.with_values(v, "fd"))
+        p = make_state_pair(box, window, beta, bc, bc_prime, master.with_values(v))
         vals[s] = interface_free_energy(p).value
     return (vals[1] - vals[-1]) / (2 * h)
 
@@ -373,7 +368,7 @@ def test_unknown_method_raises_value_error():
         lambda: interface_free_energy(pair, method="exact"),
         lambda: free_energy_gradient(pair, method="exact"),
         lambda: delta(pair, edge, method="exact"),
-        lambda: domain_wall_free_energy(couplings, torus, 1.0, method="exact"),
+        lambda: domain_wall(couplings, torus, 1.0, method="exact"),
     ):
         with pytest.raises(ValueError, match="unknown solver method"):
             call()
