@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -62,6 +62,7 @@ TRANSFER_WIDTH_CAP = 12
 SOLVER_METHODS = ("auto", "transfer", "enum")
 _CHUNK_BITS = 20
 _BLOCK_DOUBLES = 1 << 15  # the largest block one link application takes at a time
+_STACK_DOUBLES = 11 << 14  # what one stacked evaluation of a state pair may hold
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +590,9 @@ def _column_weights(
     if plan.t_axis == 1:
         h = h.swapaxes(-1, -2)
     if h.any():
-        col_expo = col_expo + plan.s_matrix @ h
-    return np.exp(spec.beta * col_expo)
+        col_expo += plan.s_matrix @ h
+    col_expo *= spec.beta
+    return np.exp(col_expo, out=col_expo)
 
 
 def _link(s: np.ndarray, couplings: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -618,7 +620,9 @@ def _link(s: np.ndarray, couplings: np.ndarray, beta: float) -> tuple[np.ndarray
     return factor(couplings[..., k:]), factor(couplings[..., :k])
 
 
-def _apply(env: np.ndarray, link: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
+def _apply(
+    env: np.ndarray, link: tuple[np.ndarray, np.ndarray], out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """``env @ np.kron(hi, lo)`` for each row of the stack ``env``, of shape
     (B, rows, 2^W), with one factor pair per stack row, (B, n, n) each (see
     :func:`_link`), written into ``out``, a C-contiguous array of ``env``'s
@@ -629,8 +633,11 @@ def _apply(env: np.ndarray, link: tuple[np.ndarray, np.ndarray], out: np.ndarray
     (``view @ lo``, then ``hi @ x``), taken one block of at most
     ``_BLOCK_DOUBLES`` doubles at a time: whole stack rows when one stack row
     fits, otherwise carried rows of one stack row.  A block is read in full
-    into its lo-stage product before its part of ``out`` is written, so that
-    product is the only temporary, and blocking does not change a bit.
+    into its lo-stage product before its part of ``out`` is written, and
+    blocking does not change a bit.  That product is written into
+    ``scratch``, a contiguous array of at least ``min(env.size,
+    max(_BLOCK_DOUBLES, 2^W))`` doubles, what the largest block holds, so
+    the step allocates no array of its own.
     """
     hi, lo = link[0][:, None], link[1][:, None]
     split = (hi.shape[-1], lo.shape[-1])
@@ -644,8 +651,9 @@ def _apply(env: np.ndarray, link: tuple[np.ndarray, np.ndarray], out: np.ndarray
                   for b in range(len(env)) for r in range(0, rows, per)]
     for block in blocks:
         view = env[block]
-        x = view.reshape(*view.shape[:-1], *split) @ lo[block[:1]]
-        np.matmul(hi[block[:1]], x, out=out[block].reshape(x.shape))
+        shape = (*view.shape[:-1], *split)
+        x = np.matmul(view.reshape(shape), lo[block[:1]], out=scratch[: view.size].reshape(shape))
+        np.matmul(hi[block[:1]], x, out=out[block].reshape(shape))
     return out
 
 
@@ -663,12 +671,11 @@ def _link_rows(link: tuple[np.ndarray, np.ndarray], rows: int, out: np.ndarray) 
 _RANGE_ERROR = "transfer weights left the floating-point range at this beta"
 
 
-def _in_range(values: Sequence[float]) -> Sequence[float]:
-    """``values``, if every one is positive and finite; otherwise the sweep
-    left the range."""
-    if not all(0.0 < x < math.inf for x in values):
+def _in_range(values: np.ndarray) -> None:
+    """Pass if every one of ``values`` is positive and finite (a NaN is
+    neither); otherwise the sweep left the range."""
+    if values.size and not (0.0 < values.min() and values.max() < math.inf):
         raise ArithmeticError(_RANGE_ERROR)
-    return values
 
 
 def _transfer_sweep(
@@ -691,7 +698,8 @@ def _transfer_sweep(
     ``math.log`` accumulator.  Returns (one tuple per row, environments);
     the tuple is (log Z,), or with ``negated_close`` (log Z, log Z of the
     second closing) as below.  Any row leaving the floating-point range
-    raises ``ArithmeticError`` for the whole stack.
+    raises ``ArithmeticError`` for the whole stack, from one check of every
+    row's maxima and closes.
 
     Environment c is the rescaled product of columns 0..c and the links
     between them, per row a 2-D array whose columns are the states of
@@ -702,13 +710,16 @@ def _transfer_sweep(
     (``M[~x, ~y] = M[x, y]``) and every field-free column weight unchanged,
     so the rows of the column-0 states with the top bit set are the others
     mirrored, ``env[~x, ~y] = env[x, y]``, and are not carried.  The sweep
-    holds one environment buffer and every step overwrites it in place: it
-    applies a link through its Kronecker factors (:func:`_apply`), except
+    allocates one work buffer: the environment, which every step overwrites
+    in place, and a scratch region for the block of a link step and for the
+    closing link rows.  A step applies a link through its Kronecker factors
+    (:func:`_apply`), except
     the first wrapped one, which writes the carried rows of the link
     (:func:`_link_rows`) and row-scales them by the column-0 weights.  The close
     is the sum of the last environment on an open axis, and on a wrapped one
     its trace against the closing link: 2^W / rows times the dot product of
-    the carried rows with the same rows of that symmetric link.  With
+    the carried rows with the same rows of that symmetric link, which each
+    stack row builds in turn in the scratch region.  With
     ``negated_close`` (a wrapped length axis only) the close is taken a
     second time, against the closing link with its couplings negated.
     Environments, of shape (B, rows, 2^W), are kept only with ``keep``, as
@@ -733,10 +744,14 @@ def _transfer_sweep(
         if plan.wrap_l:
             rows = side // 2 if np.array_equal(d, d[:, ::-1]) else side
         weights = d.transpose(2, 0, 1)[:, :, None]  # [c] is (B, 1, 2^W)
-        # the sweep's one environment buffer, overwritten step by step; a
-        # wrapped axis starts from diag(d_0), applied to the first link as
-        # row scaling, and an open one from the row d_0
-        buf = np.empty((len(values), rows, side))
+        # the sweep's one work buffer: the environment, overwritten step by
+        # step, and the scratch region, which holds the largest block of a
+        # link step and one stack row's closing link rows.  A wrapped axis
+        # starts from diag(d_0), applied to the first link as row scaling,
+        # and an open one from the row d_0
+        size = len(values) * rows * side
+        work = np.empty(size + max(min(size, max(_BLOCK_DOUBLES, side)), rows * side))
+        buf, scratch = work[:size].reshape(len(values), rows, side), work[size:]
         env = buf if plan.wrap_l else d[:, None, :, 0]
         if keep:
             envs.append(np.eye(rows, side) * d[:, None, :, 0] if plan.wrap_l else env)
@@ -746,27 +761,31 @@ def _transfer_sweep(
                 env = _link_rows((hi, lo), rows, buf)
                 env *= d[:, :rows, None, 0]
             else:  # one link per stack row, shared by its carried rows
-                env = _apply(env, (hi, lo), buf)
+                env = _apply(env, (hi, lo), buf, scratch)
             env *= weights[c]
             env /= env.max(axis=(1, 2), keepdims=True, out=maxima[c - 1])
             if keep:
                 envs.append(env.copy())
         if plan.wrap_l:
             closings = (jh[..., -1], -jh[..., -1]) if negated_close else (jh[..., -1],)
-            totals = [
-                [(side // rows) * float(np.vdot(e, r))
-                 for e, r in zip(env, _link_rows(_link(s, j, beta), rows, np.empty_like(env)))]
+            row = scratch[: rows * side].reshape(rows, side)
+            totals = np.array([
+                [(side // rows) * float(np.vdot(e, _link_rows(link, rows, row)))
+                 for e, link in zip(env, zip(*_link(s, j, beta)))]
                 for j in closings
-            ]
+            ]).T
         else:
-            totals = [env.reshape(len(env), -1).sum(axis=1).tolist()]
+            totals = env.reshape(len(env), -1).sum(axis=1)[:, None]
+    _in_range(maxima)
+    _in_range(totals)
     logz = []
     # each row sums its own logs in column order, as a one-row sweep does
-    for scales, ends in zip(maxima.reshape(plan.length - 1, len(values)).T.tolist(), zip(*totals)):
+    scales_by_row = maxima.reshape(plan.length - 1, len(values)).T.tolist()
+    for scales, ends in zip(scales_by_row, totals.tolist()):
         acc = 0.0
-        for m in _in_range(scales):
+        for m in scales:
             acc += math.log(m)
-        logz.append(tuple(acc + math.log(t) for t in _in_range(ends)))
+        logz.append(tuple(acc + math.log(t) for t in ends))
     return logz, envs
 
 
@@ -824,6 +843,36 @@ def _negated_close(p: _TransferPlan, q: _TransferPlan) -> bool:
     )
 
 
+def stack_rows(spec: GibbsSpec, other: GibbsSpec, method: str, width_cap: int) -> int:
+    """How many rows of a coupling stack one evaluation of the pair
+    (``spec``, ``other``) takes at a time, so that it holds at most
+    ``_STACK_DOUBLES`` doubles; at least one row.
+
+    Each stack row holds four copies of its two coupling rows: the rows a
+    caller stacks, the gathers of :meth:`~eafluct.fluctuation.EnsembleSpec.f_stack`,
+    and the zeroed and the joined stacks of
+    :func:`~eafluct.interface.free_energy_terms`.  A transfer-resolved
+    state's sweep (see :func:`_transfer_sweep`) adds for each stack row its
+    environment, its column weights with the temporary a field term adds,
+    and one link's two factors with the temporaries that build them; and
+    once per sweep, the scratch region, the larger of one :func:`_apply`
+    block and one stack row's closing link rows.  The two states are swept
+    one after the other, so the larger sweep counts.
+    """
+    per_row, sweep, fixed = 4 * (len(spec.couplings.values) + len(other.couplings.values)), 0, 0
+    for state in (spec, other):
+        if resolve_method(state.region, method, width_cap) == "transfer":
+            plan = _transfer_plan(state.region, state.bc, width_cap)
+            w, k, side = plan.width, plan.width // 2, 1 << plan.width
+            # a stacked sweep carries no extra field and a wrapped region no
+            # clamped ghost, so a wrapped sweep carries half the rows
+            rows = side // 2 if plan.wrap_l else 1
+            link = 2 * ((1 << 2 * (w - k)) + (1 << 2 * k))
+            sweep = max(sweep, rows * side + 2 * side * plan.length + link)
+            fixed = max(fixed, _BLOCK_DOUBLES, rows * side)
+    return max(1, (_STACK_DOUBLES - fixed) // (per_row + sweep))
+
+
 def log_partition_pairs(
     spec: GibbsSpec,
     other: GibbsSpec,
@@ -842,10 +891,9 @@ def log_partition_pairs(
     :func:`_transfer_sweep`).  When the two sweeps differ only in the sign
     of the closing link's couplings (periodic vs antiperiodic with the seam
     on the wrapped length axis) and the stacks are equal, one sweep closes
-    the trace both ways.  To bound memory a stack is swept in chunks whose
-    environments hold at most ``2^_CHUNK_BITS`` doubles, and of at least one
-    row each.  Enumeration runs row by row.  A non-finite value in either
-    stack is a ``ConfigError``.
+    the trace both ways.  To bound memory a stack is swept in chunks of
+    :func:`stack_rows` rows.  Enumeration runs row by row.  A non-finite
+    value in either stack is a ``ConfigError``.
     """
     if not (np.isfinite(values).all() and np.isfinite(other_values).all()):
         raise ConfigError("a coupling stack carries a non-finite value")
@@ -855,14 +903,12 @@ def log_partition_pairs(
     if "enum" not in engines and spec.beta == other.beta and np.array_equal(values, other_values):
         if _negated_close(*(_transfer_plan(s.region, s.bc, width_cap) for s in (spec, other))):
             sweeps = [(spec, values, 0, True)]
+    step = stack_rows(spec, other, method, width_cap)
     for state, stack, slot, negated in sweeps:
         if engines[slot] == "enum":
             for r, row in enumerate(stack):
                 out[r, slot] = log_partition_enum(state, cap=enum_cap, values=row)
             continue
-        plan = _transfer_plan(state.region, state.bc, width_cap)
-        side = 1 << plan.width
-        step = max(1, (1 << _CHUNK_BITS) // ((side if plan.wrap_l else 1) * side))
         for start in range(0, len(stack), step):
             chunk = stack[start : start + step]
             logz, _ = _transfer_sweep(state, width_cap, negated_close=negated, couplings=chunk)

@@ -49,6 +49,7 @@ from .exactsolve import (
     periodic_bc,
     reweight,
     reweight_expectation,
+    stack_rows,
 )
 from .interface import (
     FreeEnergyResult,
@@ -266,12 +267,8 @@ class EnsembleSpec:
         In pair mode only the structure of the state pair is read, so a
         caller with many templates on one edge set passes one ``pair`` built
         from any of them; by default it is built from ``template``."""
-        if self.mode == "domain-wall":
-            bcs = (self.bc, self.bc_prime)
-            states = [GibbsSpec(self.window_region, template, self.beta, bc) for bc in bcs]
-        else:
-            pair = self.pair_from(template) if pair is None else pair
-            states = [pair.gamma, pair.gamma_prime]
+        pair = self.pair_from(template) if pair is None and self.mode == "pair" else pair
+        states = self._states(template, pair)
         stacks = [values[:, edge_positions(template.edge_set, s.couplings.edge_set)] for s in states]
         solver = (self.solver, self.enum_cap, self.width_cap)
         if self.mode == "domain-wall":
@@ -279,6 +276,16 @@ class EnsembleSpec:
             return t[:, 0] - t[:, 1]
         t = free_energy_terms(pair, *stacks, *solver)
         return (t[:, 1] - t[:, 0]) - (t[:, 3] - t[:, 2])
+
+    def _states(
+        self, template: CouplingConfig, pair: StatePair | None
+    ) -> tuple[GibbsSpec, GibbsSpec]:
+        """The two states whose log Z :meth:`f_stack` takes: the pair's, or
+        in domain-wall mode the box under each bc."""
+        if self.mode == "domain-wall":
+            return tuple(GibbsSpec(self.window_region, template, self.beta, bc)
+                         for bc in (self.bc, self.bc_prime))
+        return pair.gamma, pair.gamma_prime
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +432,30 @@ def _conditional_path(
 
     The same inner resample stream is reused for every prefix (common
     random numbers), which is what makes successive differences quiet.
-    Each inner draw is one (P, n_edges) coupling stack, a row per prefix
-    holding ``held_master``'s values on the prefix's edges, and goes through
-    one :meth:`EnsembleSpec.f_stack` call, so its prefixes share the draw's
-    window-zeroed terms.  Every draw lies on the master edge set, so in pair
-    mode one state pair serves the whole path.
+    Inner draw t gives P = len(prefixes) coupling rows, one per prefix,
+    holding ``held_master``'s values on the prefix's edges.  The draws go
+    in groups of G, as one draw-major (G * P, n_edges) stack through one
+    :meth:`EnsembleSpec.f_stack` call, so each draw's prefixes share its
+    window-zeroed terms; G is the most draws whose rows and zeroed rows fit
+    one :func:`~eafluct.exactsolve.stack_rows` chunk, and at least one.
+    Every row is bit-identical to its one-draw stack.  Every draw lies on
+    the master edge set, so in pair mode one state pair serves the whole
+    path.
     """
+    n_pre = len(prefixes)
     positions = [edge_positions(master_edge_set(spec.box_extents), e) for e in prefixes]
     held = [held_master.values[edge_positions(held_master.edge_set, e)] for e in prefixes]
     pair = spec.pair_from(held_master) if spec.mode == "pair" else None
-    out = np.empty((n_outer, len(prefixes)))
-    for t in range(n_outer):
-        inner = spec.inner_master(i, t, purpose)
-        rows = np.tile(inner.values, (len(prefixes), 1))
-        for row, pos, value in zip(rows, positions, held):
-            row[pos] = value
-        out[t] = spec.f_stack(inner, rows, pair)
+    states = spec._states(held_master, pair)
+    group = max(1, stack_rows(*states, spec.solver, spec.width_cap) // (n_pre + 1))
+    out = np.empty((n_outer, n_pre))
+    for start in range(0, n_outer, group):
+        stop = min(start + group, n_outer)
+        draws = [spec.inner_master(i, t, purpose) for t in range(start, stop)]
+        rows = np.repeat([d.values for d in draws], n_pre, axis=0)
+        for k, (pos, value) in enumerate(zip(positions, held)):
+            rows[k::n_pre, pos] = value
+        out[start : start + len(draws)] = spec.f_stack(draws[0], rows, pair).reshape(-1, n_pre)
     return out
 
 

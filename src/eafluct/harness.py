@@ -323,6 +323,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         path = getattr(cfg, name)
         if not path or "\0" in path or Path(path).is_dir():
             raise ConfigError(f"output {name} must name a file, got {path!r}")
+    if Path(cfg.records).resolve() == Path(cfg.report).resolve():
+        raise ConfigError(f"output records and report name the same file {cfg.report!r}")
     if not cfg.box or min(cfg.box) < 1:
         raise ConfigError("box needs at least one axis and every extent >= 1")
     if kind.pair:

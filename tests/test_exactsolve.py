@@ -1113,7 +1113,8 @@ def test_kept_environments_are_not_changed_by_later_steps(wrap, bc):
     jh = values.take(plan.h_pos, axis=-1) * plan.h_sign
     for c in range(2 if plan.wrap_l else 1, plan.length):
         link = exactsolve._link(plan.s_matrix, jh[..., c - 1], spec.beta)
-        step = exactsolve._apply(envs[c - 1], link, np.empty_like(envs[c]))
+        out, scratch = np.empty_like(envs[c]), np.empty(envs[c].size)
+        step = exactsolve._apply(envs[c - 1], link, out, scratch)
         step *= d[:, None, :, c]
         step /= step.max()
         assert step.tobytes() == envs[c].tobytes(), c
@@ -1158,7 +1159,8 @@ def test_link_factors_multiply_to_the_dense_link(width):
                 continue
             env = rng.random((n_rows, 2 ** width))
             want = _times_dense_link(env, s, j, beta)
-            got = exactsolve._apply(env[None], (hi[None], lo[None]), np.empty_like(env[None]))[0]
+            got = exactsolve._apply(env[None], (hi[None], lo[None]), np.empty_like(env[None]),
+                                    np.empty(env.size))[0]
             assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
@@ -1379,6 +1381,28 @@ def test_a_non_finite_coupling_row_is_a_config_error(method):
     for stacks in ((bad, good), (good, bad)):
         with pytest.raises(ConfigError):
             exactsolve.log_partition_pairs(spec, spec, *stacks, method=method)
+
+
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("wrap, bc, negated", [
+    (None, free_bc(), False),
+    ((True, True), periodic_bc(), True),
+])
+def test_one_row_past_the_beta_ceiling_fails_its_whole_stack(wrap, bc, negated, at):
+    # the range of every row is checked at once, before any log is taken:
+    # one row of couplings scaled past the ceiling fails the stack wherever
+    # it stands, and the other rows alone keep their one-row values
+    spec = make_spec((5, 4), wrap, bc, 1.0)
+    rows = [spec.couplings.values, -spec.couplings.values]
+    alone = [exactsolve._transfer_sweep(spec, negated_close=negated, couplings=r[None])[0][0]
+             for r in rows]
+    both, _ = exactsolve._transfer_sweep(spec, negated_close=negated, couplings=np.stack(rows))
+    assert both == alone
+    rows.insert(at, 1000.0 * spec.couplings.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="left the floating-point range"):
+            exactsolve._transfer_sweep(spec, negated_close=negated, couplings=np.stack(rows))
 
 
 def test_a_stack_with_one_overflowing_row_is_loud_and_silent():

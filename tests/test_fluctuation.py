@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -189,6 +191,80 @@ def test_conditional_path_equals_per_prefix_reference_across_the_window_edge():
     assert np.array_equal(path, per_prefix_reference(spec, 1, held, prefixes, 3, "test"))
 
 
+def chunk_rows(spec):
+    """The rows one sweep of ``spec``'s state pair may carry."""
+    pair = spec.pair_from(spec.master(0))
+    return exactsolve.stack_rows(pair.gamma, pair.gamma_prime, spec.solver, spec.width_cap)
+
+
+def set_budget(monkeypatch, spec, rows):
+    """Set the smallest stack budget whose chunks hold ``rows`` rows of
+    ``spec``'s state pair."""
+    lo, hi = 0, 1 << 24
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", mid)
+        lo, hi = (lo, mid) if chunk_rows(spec) >= rows else (mid + 1, hi)
+    monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", lo)
+
+
+# (bc_prime, rows per chunk, n_outer): each draw here is 5 prefix rows and
+# one zeroed row per state.  Chunks of 1 row sweep every row alone, and
+# chunks of 4 rows split each draw (a group of one) across two sweeps; on
+# the torus the wrapped state carries half its rows, and the clamped state
+# adds its ghost fields to the column weights.  Chunks of 13 rows take
+# groups of two draws, and 5 draws end on a group of one.
+CHUNK_CASES = [
+    (periodic_bc(), 1, 3),
+    (periodic_bc(), 4, 3),
+    (uniform_fixed_bc(+1), 1, 3),
+    (uniform_fixed_bc(+1), 4, 3),
+    (periodic_bc(), 13, 5),
+]
+
+
+@pytest.mark.parametrize("bc_prime, rows, n_outer", CHUNK_CASES)
+def test_conditional_path_is_bit_identical_across_chunk_boundaries(
+    monkeypatch, bc_prime, rows, n_outer
+):
+    spec = spec_3x3_in_5x5(n=2, bc_prime=bc_prime)
+    inside = tuple(interior_edges(Region((2, 2), None, (1, 1))))
+    crossing = tuple(interior_edges(CROSSING))
+    prefixes = [(), inside, crossing, inside + crossing, inside]
+    held = spec.master(1)
+    ref = per_prefix_reference(spec, 1, held, prefixes, n_outer, "chunks")
+    set_budget(monkeypatch, spec, rows)
+    assert chunk_rows(spec) == rows
+    assert np.array_equal(_conditional_path(spec, 1, held, prefixes, n_outer, "chunks"), ref)
+
+
+@pytest.mark.parametrize("rows", [4, 13])
+def test_edge_martingale_path_is_bit_identical_across_chunk_boundaries(monkeypatch, rows):
+    # a 2x2 window: 4 edges, so 5 prefixes and a zeroed row per draw; 7 draws
+    # are 7 groups of one split across two chunks, or 3 groups of two and one
+    spec = EnsembleSpec(Gaussian(), (4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), 1, 7)
+    prefixes = list(accumulate(((e,) for e in spec.window_edge_set), initial=()))
+    held = spec.master(0)
+    ref = per_prefix_reference(spec, 0, held, prefixes, 7, "edgemart")
+    set_budget(monkeypatch, spec, rows)
+    assert chunk_rows(spec) == rows
+    assert np.array_equal(_conditional_path(spec, 0, held, prefixes, 7, "edgemart"), ref)
+
+
+def test_a_martingale_realization_holds_about_its_stack_budget():
+    # the martingale-6x6 benchmark's shape: 8 prefixes, 50 inner draws
+    spec = spec_4x4_in_6x6(n=1)
+    cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=50)
+    block_martingale_realization(spec, replace(cond, n_outer=2), 0)  # fill the plan caches
+    tracemalloc.start()
+    try:
+        block_martingale_realization(spec, cond, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * exactsolve._STACK_DOUBLES
+
+
 # (mode, bc, bc_prime, solver) of a 4x4 box: pair mode with a 2x2 window
 # under stacks swept apart, clamped, closed both ways or enumerated, and
 # domain-wall mode with its seam on the transfer's length axis or enumerated
@@ -248,9 +324,10 @@ def test_lotv_equals_per_prefix_reference_across_the_window_edge():
 
 
 def test_block_martingale_costs_2p_plus_2_sweeps_per_inner_draw(monkeypatch):
-    # 4 blocks: 5 path prefixes and 3 singles, 8 pairs plus one shared zero
-    # pair per inner draw, after the 4 swept rows of F itself; each batch is
-    # one stacked sweep per state
+    # 4 blocks: 5 path prefixes and 3 singles, 8 rows plus one shared zeroed
+    # row per inner draw and state, after the 4 swept rows of F itself; the
+    # path's draws share stacks, and no sweep carries more rows than the
+    # chunk rule allows
     stacks = []
     original = exactsolve._transfer_sweep
 
@@ -263,7 +340,9 @@ def test_block_martingale_costs_2p_plus_2_sweeps_per_inner_draw(monkeypatch):
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
     block_martingale_realization(spec, cond, 0)
     assert sum(stacks) == 4 + 2 * (2 * 8 + 2)
-    assert sorted(stacks) == [2, 2] + [8 + 1] * (2 * 2)
+    assert max(stacks) <= chunk_rows(spec)
+    # the budget holds both draws of a path: one sweep per state
+    assert sorted(stacks) == [2, 2] + [2 * (8 + 1)] * 2
 
 
 def test_bound_check_sweeps_each_measure_once_per_field_set(monkeypatch):
@@ -289,8 +368,9 @@ def test_bound_check_sweeps_each_measure_once_per_field_set(monkeypatch):
 
 
 def test_block_martingale_evaluates_one_zero_pair_per_inner_draw(monkeypatch):
-    # per inner draw: 8 prefix rows and one window-zeroed row per state, in
-    # one log_partition_pairs call; F itself adds one row of each
+    # per inner draw: 8 prefix rows and one window-zeroed row per state, the
+    # draws of a group in one log_partition_pairs call that fits one chunk;
+    # F itself adds one row of each
     rows = []
     original = interface.log_partition_pairs
 
@@ -302,7 +382,11 @@ def test_block_martingale_evaluates_one_zero_pair_per_inner_draw(monkeypatch):
     spec = spec_4x4_in_6x6(n=1)
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
     block_martingale_realization(spec, cond, 0)
-    assert rows == [(8 + 1, 8 + 1)] * 2 + [(1 + 1, 1 + 1)]
+    *path, f = rows
+    assert f == (1 + 1, 1 + 1)
+    assert sum(r for r, _ in path) == 2 * (8 + 1)
+    assert all(r == o and r % (8 + 1) == 0 and r <= chunk_rows(spec) for r, o in path)
+    assert path == [(2 * (8 + 1), 2 * (8 + 1))]  # the budget holds both draws
 
 
 @pytest.mark.parametrize("n_outer", [2, 5])

@@ -35,7 +35,7 @@ from eafluct.harness import (
     task_count,
     write_csv_reports,
 )
-from eafluct.exactsolve import uniform_fixed_bc
+from eafluct.exactsolve import SOLVER_METHODS, uniform_fixed_bc
 from eafluct.fluctuation import scaling_sub_spec
 from eafluct.lattice import Region
 
@@ -352,18 +352,45 @@ def test_any_field_value_parses_or_is_a_config_error(kind, field, value):
         pass
 
 
+# the run-level fuzz draws each field's edit from values of the field's own
+# type, so that most edits parse and run: small counts, caps, extents and
+# axes; finite floats; and the names that the name fields take
+_SMALL = st.integers(1, 6)
+_FLOAT = st.floats(0.0, 8.0)
+_EDITS = {
+    "int": _SMALL,
+    "float": _FLOAT,
+    "tuple[int, ...]": st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    "tuple[float, ...]": st.lists(_FLOAT, min_size=1, max_size=3),
+    "tuple[tuple[int, ...], ...]": st.lists(st.lists(_SMALL, min_size=2, max_size=2),
+                                            min_size=1, max_size=2),
+}
+_NAMES = {
+    "bc": st.sampled_from(["free", "periodic", "antiperiodic", "fixed", "fixed:+1", "fixed:-1"]),
+    "method": st.sampled_from(SOLVER_METHODS),
+    "distribution": st.sampled_from(
+        ["gaussian(0.0,1.0)", "gaussian(0.5,2.0)", "uniform(-1.0,1.0)"]
+    ),
+}
+_NAMES["bc_prime"] = _NAMES["bc"]
+_TYPES = {
+    (f.metadata["section"], f.metadata["key"] or f.name): f.type
+    for f in dataclasses.fields(harness.ExperimentConfig) if f.metadata["section"]
+}
 # an edited output path could name any place on the file system, so the
 # run-level fuzz edits only the fields that shape the experiment (parsing
 # refuses an output path that names no file)
-_RUN_FIELDS = [field for field in _FIELDS if field[0] != "output"]
+_RUN_EDITS = st.one_of(*(
+    st.tuples(st.just(field), _NAMES[field[1]] if _TYPES[field] == "str" else _EDITS[_TYPES[field]])
+    for field in _FIELDS if field[0] != "output"
+))
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True,
+@settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(KINDS), st.sampled_from(_RUN_FIELDS), _JSON_VALUES)
-def test_a_one_field_edit_of_a_golden_config_fails_at_parse_or_writes_standard_json(
-    kind, field, value
-):
+@given(st.sampled_from(KINDS), _RUN_EDITS)
+def test_a_one_field_edit_of_a_golden_config_fails_at_parse_or_writes_standard_json(kind, edit):
+    field, value = edit
     data = json.loads((GOLDEN / kind / "config.json").read_text())
     data.setdefault(field[0], {})[field[1]] = value
     with tempfile.TemporaryDirectory() as tmp:
@@ -381,6 +408,22 @@ def test_a_one_field_edit_of_a_golden_config_fails_at_parse_or_writes_standard_j
                 return
             raise
         json.loads(Path(cfg.report).read_text(), parse_constant=_refuse)
+
+
+@pytest.mark.parametrize("report", ["records.jsonl", "./records.jsonl", "sub/../records.jsonl"])
+def test_records_and_report_naming_one_file_are_refused(tmp_path, monkeypatch, capsys, report):
+    # the report used to overwrite the records, and the rerun then refused
+    # the records file as corrupt
+    data = json.loads((GOLDEN / "fe" / "config.json").read_text())
+    data["output"] = {"records": str(tmp_path / "records.jsonl"), "report": report,
+                      "csv_dir": "csv"}
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(data))
+    for _ in range(2):
+        assert main(["fe", "-c", str(config_path)]) == 2
+        assert "records and report name the same file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_every_config_field_but_kind_and_seed_has_a_section():

@@ -58,16 +58,20 @@ def test_tracer_counts_the_martingale_layers(tmp_path):
     metrics = json.loads(done.stdout.splitlines()[-1])
     for layer in ("disorder.edit", "interface.pair", "fluctuation.f"):
         assert metrics[f"{layer}.calls"] > 0, layer
-    # one traced sweep per stacked call: 2 realizations x (2 for F + 2 inner
-    # draws x 2), each a stack per state (32 rows, see test_fluctuation.py)
-    assert metrics["exactsolve.transfer.sweeps"] == 12
+    # one traced sweep per stacked call: 2 realizations x (2 for F + 2 for
+    # the path, whose 2 inner draws share one stack per state), 32 rows in
+    # all (see below)
+    assert metrics["exactsolve.transfer.sweeps"] == 8
 
 
 def test_the_traced_martingale_run_sweeps_32_rows(tmp_path, monkeypatch):
-    # the same run in process: its 12 stacked sweeps carry the 32 rows that
+    # the same run in process: its 8 stacked sweeps carry the 32 rows that
     # were 32 separate sweeps, 2 realizations x (4 of F + 2 inner draws x
-    # (2 prefixes x 2 + 2))
+    # (2 prefixes x 2 + 2)), none more than the chunk rule allows
     from eafluct import exactsolve, harness
+    from eafluct.disorder import Gaussian, SeedSpec
+    from eafluct.exactsolve import free_bc, periodic_bc
+    from eafluct.interface import make_state_pair, sample_master
 
     stacks = []
     original = exactsolve._transfer_sweep
@@ -79,5 +83,8 @@ def test_the_traced_martingale_run_sweeps_32_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
     monkeypatch.chdir(tmp_path)
     harness.run(harness.parse_config_dict(CONFIG), workers=1)
-    assert len(stacks) == 12
+    assert len(stacks) == 8
     assert sum(stacks) == 32
+    master = sample_master(Gaussian(), (4, 4), SeedSpec(3, 0, "couplings"))
+    pair = make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), master)
+    assert max(stacks) <= exactsolve.stack_rows(pair.gamma, pair.gamma_prime, "auto", 12)
