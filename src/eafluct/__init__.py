@@ -18,6 +18,7 @@ from .errors import TaskError  # noqa: E402
 from .exactsolve import (  # noqa: E402
     BoundaryCondition,
     GibbsSpec,
+    Solver,
     antiperiodic_bc,
     edge_correlation,
     edge_correlations,

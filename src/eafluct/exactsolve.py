@@ -16,7 +16,7 @@ Two independent partition-function engines over the same spec:
 Enumeration shifts its weights by a running max, so it is exact at any beta.
 The transfer matrix rescales column by column, but its column weights and
 links are unscaled ``exp(beta * energy)``: it raises ``ArithmeticError`` from
-a beta of about 120-230 (3x3 Gaussian box), where ``method="enum"`` serves.
+a beta of about 120-230 (3x3 Gaussian box), where ``Solver("enum")`` serves.
 Boundary conditions: free, periodic, antiperiodic
 (seam bonds sign-flipped, per wrapped axis), and fixed (clamped ghost sites
 just outside the region, attached by their own sampled couplings).  A fixed
@@ -25,6 +25,8 @@ against (:func:`uniform_fixed_bc`), or an explicit ring that fits one region
 (:func:`fixed_bc`).  What a bc means on a region is decided once, in a cached
 term table per (region, bc): each edge's seam sign, the in-region bonds, and
 the ghost bonds as site fields.  Both engines read that table.
+Which engine solves a state, and whether it fits that engine's cap, is one
+rule: :meth:`Solver.engine`.
 """
 
 from __future__ import annotations
@@ -214,6 +216,55 @@ class GibbsSpec:
 
 
 # ---------------------------------------------------------------------------
+# engine choice
+
+
+@dataclass(frozen=True)
+class Solver:
+    """Which exact engine solves a state, and the cap each engine keeps.
+
+    ``method`` is ``"transfer"``, ``"enum"`` or ``"auto"``; ``enum_cap`` is
+    the most spins enumeration takes, and ``width_cap`` the widest strip the
+    transfer matrix takes.  An unknown method, or a cap that is not a
+    positive integer, is a :class:`ConfigError` here, at construction.
+    """
+
+    method: str = "auto"
+    enum_cap: int = ENUM_CAP
+    width_cap: int = TRANSFER_WIDTH_CAP
+
+    def __post_init__(self):
+        if self.method not in SOLVER_METHODS:
+            raise ConfigError(
+                f"unknown solver method {self.method!r}; expected one of {SOLVER_METHODS}"
+            )
+        for name in ("enum_cap", "width_cap"):
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+                raise ConfigError(f"solver caps must be positive integers, got {name}={cap!r}")
+
+    def engine(self, region: Region) -> str:
+        """The engine, ``"transfer"`` or ``"enum"``, that solves a state on
+        ``region``: the named one, or for ``auto`` the transfer matrix
+        wherever it fits, a 2d region with an axis of at most ``width_cap``
+        sites.  A region beyond the engine's cap is a :class:`SizeCapError`
+        naming the region, the engine and the cap."""
+        fits = region.dimension == 2 and min(region.extents) <= self.width_cap
+        engine = ("transfer" if fits else "enum") if self.method == "auto" else self.method
+        if engine == "transfer" and not fits:
+            raise SizeCapError(
+                f"box {list(region.extents)} does not fit the transfer engine's cap: it needs "
+                f"a 2-d box with an axis of at most width_cap {self.width_cap}"
+            )
+        if engine == "enum" and region.n_sites > self.enum_cap:
+            raise SizeCapError(
+                f"box {list(region.extents)} has more sites than enum_cap: its "
+                f"{region.n_sites} spins exceed the enum engine's cap {self.enum_cap}"
+            )
+        return engine
+
+
+# ---------------------------------------------------------------------------
 # shared solver plumbing
 
 
@@ -395,10 +446,9 @@ def _enum_reduce(
     Weights are handled with a streaming running-max shift, so the result is
     exact up to binary64 rounding at any beta.
     """
+    Solver("enum", enum_cap=cap).engine(spec.region)
     terms = _terms(spec.region, spec.bc)
     n = terms.n
-    if n > cap:
-        raise SizeCapError(f"{n} free spins exceed the enumeration cap {cap}")
     sites, _ = _site_order(spec.region)
     halves = _halves(spec.region, spec.bc)
     n_lo, s_lo = halves.n_lo, halves.s_lo
@@ -517,12 +567,9 @@ class _TransferPlan:
 def _transfer_axes(region: Region, width_cap: int) -> tuple[int, int]:
     if region.dimension != 2:
         raise UnsupportedOperationError("transfer matrices are implemented for d = 2 only")
-    candidates = [a for a in (1, 0) if region.extents[a] <= width_cap]
-    if not candidates:
-        raise SizeCapError(
-            f"no axis of {region.extents} fits the transfer width cap {width_cap}"
-        )
-    t_axis = min(candidates, key=lambda a: (region.extents[a], -a))
+    Solver("transfer", width_cap=width_cap).engine(region)
+    # the columns run across the shorter axis, axis 1 of a square
+    t_axis = min((1, 0), key=lambda a: (region.extents[a], -a))
     return t_axis, 1 - t_axis
 
 
@@ -800,33 +847,23 @@ def log_partition_transfer(
 
 
 def transfer_supported(spec: GibbsSpec, width_cap: int = TRANSFER_WIDTH_CAP) -> bool:
-    return resolve_method(spec.region, "auto", width_cap) == "transfer"
-
-
-def resolve_method(region: Region, method: str = "auto",
-                   width_cap: int = TRANSFER_WIDTH_CAP) -> str:
-    """The engine, ``"transfer"`` or ``"enum"``, that ``method`` names for
-    a state on ``region``: ``auto`` is the transfer matrix wherever it
-    applies, a 2d region with an axis of at most ``width_cap`` sites."""
-    if method == "auto":
-        fits = region.dimension == 2 and min(region.extents) <= width_cap
-        return "transfer" if fits else "enum"
-    if method not in SOLVER_METHODS:
-        raise ValueError(f"unknown solver method {method!r}")
-    return method
+    """Whether the transfer engine fits ``spec`` under ``width_cap``."""
+    try:
+        Solver("transfer", width_cap=width_cap).engine(spec.region)
+    except SizeCapError:
+        return False
+    return True
 
 
 def log_partition(
     spec: GibbsSpec,
-    method: str = "auto",
-    enum_cap: int = ENUM_CAP,
-    width_cap: int = TRANSFER_WIDTH_CAP,
+    solver: Solver = Solver(),
     extra_fields: Mapping[Site, float] | None = None,
 ) -> float:
-    """log Z by the requested engine (see :func:`resolve_method`)."""
-    if resolve_method(spec.region, method, width_cap) == "transfer":
-        return log_partition_transfer(spec, width_cap=width_cap, extra_fields=extra_fields)
-    return log_partition_enum(spec, cap=enum_cap, extra_fields=extra_fields)
+    """log Z by the engine that ``solver`` picks (see :meth:`Solver.engine`)."""
+    if solver.engine(spec.region) == "transfer":
+        return log_partition_transfer(spec, width_cap=solver.width_cap, extra_fields=extra_fields)
+    return log_partition_enum(spec, cap=solver.enum_cap, extra_fields=extra_fields)
 
 
 def _negated_close(p: _TransferPlan, q: _TransferPlan) -> bool:
@@ -843,34 +880,41 @@ def _negated_close(p: _TransferPlan, q: _TransferPlan) -> bool:
     )
 
 
-def stack_rows(spec: GibbsSpec, other: GibbsSpec, method: str, width_cap: int) -> int:
+def stack_rows(spec: GibbsSpec, other: GibbsSpec, solver: Solver) -> int:
     """How many rows of a coupling stack one evaluation of the pair
     (``spec``, ``other``) takes at a time, so that it holds at most
     ``_STACK_DOUBLES`` doubles; at least one row.
 
-    Each stack row holds four copies of its two coupling rows: the rows a
-    caller stacks, the gathers of :meth:`~eafluct.fluctuation.EnsembleSpec.f_stack`,
-    and the zeroed and the joined stacks of
-    :func:`~eafluct.interface.free_energy_terms`.  A transfer-resolved
-    state's sweep (see :func:`_transfer_sweep`) adds for each stack row its
-    environment, its column weights with the temporary a field term adds,
-    and one link's two factors with the temporaries that build them; and
-    once per sweep, the scratch region, the larger of one :func:`_apply`
-    block and one stack row's closing link rows.  The two states are swept
-    one after the other, so the larger sweep counts.
+    Each stack row holds three copies of its two coupling rows throughout:
+    the rows a caller stacks, the gathers of
+    :meth:`~eafluct.fluctuation.EnsembleSpec.f_stack` and the joined stacks
+    of :func:`~eafluct.interface.free_energy_terms`, and its two log Z.
+    Before the sweeps the zeroed rows and their byte keys add a fourth copy;
+    during them a transfer-resolved state's sweep (see
+    :func:`_transfer_sweep`) adds its environment, its column weights with
+    the temporary a field term adds, its link couplings, two links (the last
+    and the next) with the products that build one, and its rescale maxima,
+    each also a Python float.  The two states are swept one after the
+    other, so the larger sweep counts.  Once per sweep come the scratch
+    region, the larger of one :func:`_apply` block and one stack row's
+    closing link rows, and the buffers numpy's broadcast products iterate
+    through, one of ``np.getbufsize()`` doubles per input.
     """
-    per_row, sweep, fixed = 4 * (len(spec.couplings.values) + len(other.couplings.values)), 0, 0
+    copies = len(spec.couplings.values) + len(other.couplings.values)
+    sweep, scratch = copies, 0  # the fourth copy, before the sweeps
     for state in (spec, other):
-        if resolve_method(state.region, method, width_cap) == "transfer":
-            plan = _transfer_plan(state.region, state.bc, width_cap)
-            w, k, side = plan.width, plan.width // 2, 1 << plan.width
+        if solver.engine(state.region) == "transfer":
+            plan = _transfer_plan(state.region, state.bc, solver.width_cap)
+            w, k, side, length = plan.width, plan.width // 2, 1 << plan.width, plan.length
             # a stacked sweep carries no extra field and a wrapped region no
             # clamped ghost, so a wrapped sweep carries half the rows
             rows = side // 2 if plan.wrap_l else 1
-            link = 2 * ((1 << 2 * (w - k)) + (1 << 2 * k))
-            sweep = max(sweep, rows * side + 2 * side * plan.length + link)
-            fixed = max(fixed, _BLOCK_DOUBLES, rows * side)
-    return max(1, (_STACK_DOUBLES - fixed) // (per_row + sweep))
+            links = 2 * ((1 << 2 * (w - k)) + (1 << 2 * k)) + ((w - k) << (w - k)) + (k << k) + w
+            held = rows * side + 2 * side * length + plan.h_pos.size + links + 5 * length
+            sweep = max(sweep, held)
+            scratch = max(scratch, _BLOCK_DOUBLES, rows * side)
+    fixed = scratch + 2 * np.getbufsize()
+    return max(1, (_STACK_DOUBLES - fixed) // (3 * copies + 2 + sweep))
 
 
 def log_partition_pairs(
@@ -878,9 +922,7 @@ def log_partition_pairs(
     other: GibbsSpec,
     values: np.ndarray,
     other_values: np.ndarray,
-    method: str = "auto",
-    enum_cap: int = ENUM_CAP,
-    width_cap: int = TRANSFER_WIDTH_CAP,
+    solver: Solver = Solver(),
 ) -> np.ndarray:
     """(B, 2) array of (log Z of ``spec``, log Z of ``other``) with their
     couplings replaced by each row of the (B, n_edges) stacks ``values`` and
@@ -897,21 +939,24 @@ def log_partition_pairs(
     """
     if not (np.isfinite(values).all() and np.isfinite(other_values).all()):
         raise ConfigError("a coupling stack carries a non-finite value")
-    engines = [resolve_method(state.region, method, width_cap) for state in (spec, other)]
+    engines = [solver.engine(state.region) for state in (spec, other)]
     out = np.empty((len(values), 2))
     sweeps = [(spec, values, 0, False), (other, other_values, 1, False)]
     if "enum" not in engines and spec.beta == other.beta and np.array_equal(values, other_values):
-        if _negated_close(*(_transfer_plan(s.region, s.bc, width_cap) for s in (spec, other))):
+        plans = (_transfer_plan(s.region, s.bc, solver.width_cap) for s in (spec, other))
+        if _negated_close(*plans):
             sweeps = [(spec, values, 0, True)]
-    step = stack_rows(spec, other, method, width_cap)
+    step = stack_rows(spec, other, solver)
     for state, stack, slot, negated in sweeps:
         if engines[slot] == "enum":
             for r, row in enumerate(stack):
-                out[r, slot] = log_partition_enum(state, cap=enum_cap, values=row)
+                out[r, slot] = log_partition_enum(state, cap=solver.enum_cap, values=row)
             continue
         for start in range(0, len(stack), step):
             chunk = stack[start : start + step]
-            logz, _ = _transfer_sweep(state, width_cap, negated_close=negated, couplings=chunk)
+            logz, _ = _transfer_sweep(
+                state, solver.width_cap, negated_close=negated, couplings=chunk
+            )
             # a stack closed both ways fills both columns
             out[start : start + len(chunk), slot : slot + len(logz[0])] = logz
     return out
@@ -984,11 +1029,7 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
 
 
 def edge_correlations(
-    spec: GibbsSpec,
-    edges: Iterable[Edge],
-    method: str = "auto",
-    enum_cap: int = ENUM_CAP,
-    width_cap: int = TRANSFER_WIDTH_CAP,
+    spec: GibbsSpec, edges: Iterable[Edge], solver: Solver = Solver()
 ) -> np.ndarray:
     """<sigma_x sigma_y> for each edge, in order, under the spec's Gibbs measure.
 
@@ -996,13 +1037,14 @@ def edge_correlations(
     transfer pass, or one enumeration pass that accumulates the second-moment
     matrix of the region's spins.
     """
+    engine = solver.engine(spec.region)
     edges = tuple(edges)
     # a clamped ghost bond is in the spec's edge set but has no correlation
     edge_positions(interior_edges(spec.region), edges)
-    if resolve_method(spec.region, method, width_cap) == "transfer":
-        by_position = _transfer_bond_correlations(spec, width_cap)
+    if engine == "transfer":
+        by_position = _transfer_bond_correlations(spec, solver.width_cap)
         return by_position[edge_positions(spec.couplings.edge_set, edges)]
-    _, (second,) = _enum_reduce(spec, [], cap=enum_cap, moments=True)
+    _, (second,) = _enum_reduce(spec, [], cap=solver.enum_cap, moments=True)
     _, index = _site_order(spec.region)
     return np.array([second[index[e.x], index[e.y]] for e in edges], dtype=np.float64)
 
@@ -1014,8 +1056,9 @@ def edge_correlation(
     enum_cap: int = ENUM_CAP,
     width_cap: int = TRANSFER_WIDTH_CAP,
 ) -> float:
-    """<sigma_x sigma_y> under the spec's Gibbs measure."""
-    (value,) = edge_correlations(spec, (edge,), method, enum_cap, width_cap)
+    """<sigma_x sigma_y> under the spec's Gibbs measure, by the engine that
+    ``Solver(method, enum_cap, width_cap)`` picks."""
+    (value,) = edge_correlations(spec, (edge,), Solver(method, enum_cap, width_cap))
     return float(value)
 
 

@@ -37,9 +37,9 @@ from .errors import (
 )
 from .exactsolve import (
     ENUM_CAP,
-    TRANSFER_WIDTH_CAP,
     BoundaryCondition,
     GibbsSpec,
+    Solver,
     edge_correlation,
     edge_correlations,
     exp_bond_observable,
@@ -174,7 +174,8 @@ class EnsembleSpec:
     windowed free-energy difference between the two boundary conditions.
     ``mode="domain-wall"`` evaluates the periodic/antiperiodic pair on the
     box itself (window = box); it exists because that is the one geometry
-    with exact finite-volume translation symmetry.
+    with exact finite-volume translation symmetry.  ``solver`` picks the
+    engine of every evaluation (see :class:`~eafluct.exactsolve.Solver`).
     """
 
     dist: CouplingDistribution
@@ -186,9 +187,7 @@ class EnsembleSpec:
     n_realizations: int
     master_seed: int
     mode: str = "pair"
-    solver: str = "auto"
-    enum_cap: int = ENUM_CAP
-    width_cap: int = TRANSFER_WIDTH_CAP
+    solver: Solver = Solver()
 
     def __post_init__(self):
         object.__setattr__(self, "box_extents", tuple(int(e) for e in self.box_extents))
@@ -244,9 +243,7 @@ class EnsembleSpec:
         )
 
     def f_result(self, config: CouplingConfig) -> FreeEnergyResult:
-        return interface_free_energy(
-            self.pair_from(config), self.solver, self.enum_cap, self.width_cap
-        )
+        return interface_free_energy(self.pair_from(config), self.solver)
 
     def f_from(self, config: CouplingConfig) -> float:
         """F of ``config``: the one-row :meth:`f_stack`."""
@@ -270,11 +267,10 @@ class EnsembleSpec:
         pair = self.pair_from(template) if pair is None and self.mode == "pair" else pair
         states = self._states(template, pair)
         stacks = [values[:, edge_positions(template.edge_set, s.couplings.edge_set)] for s in states]
-        solver = (self.solver, self.enum_cap, self.width_cap)
         if self.mode == "domain-wall":
-            t = log_partition_pairs(*states, *stacks, *solver)
+            t = log_partition_pairs(*states, *stacks, self.solver)
             return t[:, 0] - t[:, 1]
-        t = free_energy_terms(pair, *stacks, *solver)
+        t = free_energy_terms(pair, *stacks, self.solver)
         return (t[:, 1] - t[:, 0]) - (t[:, 3] - t[:, 2])
 
     def _states(
@@ -443,19 +439,25 @@ def _conditional_path(
     path.
     """
     n_pre = len(prefixes)
-    positions = [edge_positions(master_edge_set(spec.box_extents), e) for e in prefixes]
+    edges = master_edge_set(spec.box_extents)
+    positions = [edge_positions(edges, e) for e in prefixes]
     held = [held_master.values[edge_positions(held_master.edge_set, e)] for e in prefixes]
     pair = spec.pair_from(held_master) if spec.mode == "pair" else None
     states = spec._states(held_master, pair)
-    group = max(1, stack_rows(*states, spec.solver, spec.width_cap) // (n_pre + 1))
+    group = max(1, stack_rows(*states, spec.solver) // (n_pre + 1))
     out = np.empty((n_outer, n_pre))
     for start in range(0, n_outer, group):
         stop = min(start + group, n_outer)
-        draws = [spec.inner_master(i, t, purpose) for t in range(start, stop)]
-        rows = np.repeat([d.values for d in draws], n_pre, axis=0)
+        # each draw goes straight into its P rows; f_stack reads only its
+        # template's edge set, so the last draw serves as the template
+        rows = np.empty((stop - start, n_pre, len(edges)))
+        for k in range(stop - start):
+            draw = spec.inner_master(i, start + k, purpose)
+            rows[k] = draw.values
+        rows = rows.reshape(-1, len(edges))
         for k, (pos, value) in enumerate(zip(positions, held)):
             rows[k::n_pre, pos] = value
-        out[start : start + len(draws)] = spec.f_stack(draws[0], rows, pair).reshape(-1, n_pre)
+        out[start:stop] = spec.f_stack(draw, rows, pair).reshape(-1, n_pre)
     return out
 
 
@@ -607,9 +609,7 @@ def bound_check(
     n_observables: int = 2,
     seed: int = 0,
     slack_tol: float = 1e-9,
-    method: str = "auto",
-    enum_cap: int = ENUM_CAP,
-    width_cap: int = TRANSFER_WIDTH_CAP,
+    solver: Solver = Solver(),
 ) -> BoundSlackReport:
     """Assert |F| <= 4 beta sum_{boundary} |J_e| and the two-sided
     exp(+-2 beta sum |J_e|) sandwich for Gibbs averages of positive window
@@ -628,8 +628,7 @@ def bound_check(
 
     Violations raise :class:`BoundViolationError` with the full instance dump.
     """
-    kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
-    result = interface_free_energy(pair, **kwargs)
+    result = interface_free_energy(pair, solver)
     s_abs = pair.boundary_abs_sum()
     bound = 4.0 * pair.beta * s_abs
     slack = bound - abs(result.value)
@@ -643,7 +642,7 @@ def bound_check(
     window_spec = GibbsSpec(pair.window, pair.gamma.couplings, pair.beta, free_bc())
 
     def log_zs(measure, sets):
-        return [log_partition(measure, extra_fields=fields, **kwargs) for fields in sets]
+        return [log_partition(measure, solver, extra_fields=fields) for fields in sets]
 
     log_z = np.array([
         [result.log_z_gamma, *log_zs(pair.gamma, field_sets[1:])],
@@ -742,9 +741,8 @@ def probe_realization(spec: EnsembleSpec, i: int) -> list[float]:
     """Correlation differences over the window edges for realization i."""
     pair = spec.pair_from(spec.master(i))
     edges = spec.window_edge_set
-    kwargs = dict(method=spec.solver, enum_cap=spec.enum_cap, width_cap=spec.width_cap)
-    cg = edge_correlations(pair.gamma, edges, **kwargs)
-    cgp = edge_correlations(pair.gamma_prime, edges, **kwargs)
+    cg = edge_correlations(pair.gamma, edges, spec.solver)
+    cgp = edge_correlations(pair.gamma_prime, edges, spec.solver)
     return (cg - cgp).tolist()
 
 

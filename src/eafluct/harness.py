@@ -20,7 +20,7 @@ import os
 import time
 import warnings
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
@@ -29,22 +29,26 @@ import numpy as np
 
 from . import __version__
 from .disorder import SeedSpec, distribution_from_label, sample_couplings
-from .errors import ConfigError, EafluctError, IncompleteRunError, OracleMismatchError, TaskError
+from .errors import (
+    ConfigError,
+    EafluctError,
+    IncompleteRunError,
+    OracleMismatchError,
+    SizeCapError,
+    TaskError,
+)
 from .exactsolve import (
     ENUM_CAP,
-    SOLVER_METHODS,
     TRANSFER_WIDTH_CAP,
     BoundaryCondition,
     GibbsSpec,
+    Solver,
     antiperiodic_bc,
     edge_correlations,
     free_bc,
-    log_partition_enum,
-    log_partition_transfer,
+    log_partition,
     periodic_bc,
     required_edges,
-    resolve_method,
-    transfer_supported,
     uniform_fixed_bc,
 )
 from .fluctuation import (
@@ -122,6 +126,11 @@ class ExperimentConfig:
     records: str = _in("output", "records.jsonl")
     report: str = _in("output", "report.json")
     csv_dir: str = _in("output", ".")
+
+    @property
+    def solver(self) -> Solver:
+        """The engine choice and caps that the ``solver`` section sets."""
+        return Solver(self.solver_method, self.enum_cap, self.transfer_width_cap)
 
 
 def _int(name: str, raw) -> int:
@@ -279,9 +288,7 @@ def ensemble_spec_from_config(cfg: ExperimentConfig, beta: float | None = None) 
         n_realizations=cfg.n,
         master_seed=cfg.seed,
         mode=mode,
-        solver=cfg.solver_method,
-        enum_cap=cfg.enum_cap,
-        width_cap=cfg.transfer_width_cap,
+        solver=cfg.solver,
     )
 
 
@@ -307,10 +314,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("n_outer must be >= 2")
     if cfg.bootstrap < 2:
         raise ConfigError("bootstrap resample count must be >= 2")
-    if cfg.enum_cap < 1 or cfg.transfer_width_cap < 1:
-        raise ConfigError("solver caps must be positive")
-    if cfg.solver_method not in SOLVER_METHODS:
-        raise ConfigError(f"unknown solver method {cfg.solver_method!r}")
+    solver = cfg.solver  # an unknown method or a cap below 1 fails here
     if cfg.block_side < 1:
         raise ConfigError("block_side must be >= 1")
     try:
@@ -337,40 +341,31 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if "antiperiodic" in (cfg.bc, cfg.bc_prime):
             _check_seam_axes(cfg.seam_axes, len(cfg.box))
     kind.check(cfg)
-    _check_solvable(cfg)
+    _check_solvable(cfg, solver)
 
 
-def _check_solvable(cfg: ExperimentConfig) -> None:
+def _check_solvable(cfg: ExperimentConfig, solver: Solver) -> None:
     """Every state a run builds must fit the cap of the engine that
-    :func:`resolve_method` picks for its region: each box of a pair kind
+    :meth:`Solver.engine` picks for its region: each box of a pair kind
     (every size of a ``scaling`` study) under both bcs, the ``domain-wall``
     torus, and the ``covariance`` torus, which is enumerated.
     ``oracle-verify`` reports a geometry beyond a cap as unsupported."""
     if cfg.kind == "oracle-verify":
         return
-    boxes, method = [cfg.box], cfg.solver_method
+    boxes = [cfg.box]
     if cfg.kind == "covariance":
         bcs = (periodic_bc(),)
-        method = "enum"  # both sides of the check enumerate the torus
+        solver = replace(solver, method="enum")  # both sides of the check enumerate the torus
     else:
         bcs = _state_bcs(cfg)
     if cfg.kind == "scaling":
         margin = scaling_margin(cfg.box, cfg.window, cfg.window_sizes)
         boxes = [(size + margin,) * len(cfg.box) for size in cfg.window_sizes]
-    cap = cfg.transfer_width_cap
     for box, bc in itertools.product(boxes, bcs):
-        region = region_for_bc(box, bc)
-        engine = resolve_method(region, method, cap)
-        if engine == "enum" and region.n_sites > cfg.enum_cap:
-            raise ConfigError(
-                f"box {list(box)} has more sites than enum_cap: its {region.n_sites} "
-                f"spins exceed the enum engine's cap {cfg.enum_cap}"
-            )
-        if engine == "transfer" and resolve_method(region, "auto", cap) == "enum":
-            raise ConfigError(
-                f"box {list(box)} does not fit the transfer engine's cap: it needs a "
-                f"2-d box with an axis of at most transfer_width_cap {cap}"
-            )
+        try:
+            solver.engine(region_for_bc(box, bc))
+        except SizeCapError as err:
+            raise ConfigError(str(err)) from None
 
 
 def _check_seam_axes(axes: tuple[int, ...], dimension: int) -> None:
@@ -545,8 +540,7 @@ def _bounds_task(cfg: ExperimentConfig, at: dict) -> dict:
     spec = ensemble_spec_from_config(cfg, beta=at["beta"])
     pair = spec.pair_from(spec.master(at["realization"]))
     report = bound_check(
-        pair, n_observables=cfg.n_observables, seed=cfg.seed, method=spec.solver,
-        enum_cap=spec.enum_cap, width_cap=spec.width_cap,
+        pair, n_observables=cfg.n_observables, seed=cfg.seed, solver=spec.solver
     )
     rec = asdict(report)
     rec["beta"] = spec.beta
@@ -673,15 +667,15 @@ def _oracle_task(cfg: ExperimentConfig, at: dict) -> dict:
     )
     spec = GibbsSpec(region, couplings, beta, bc)
     meta = {"extents": list(extents), "bc": at["bc"], "beta": beta}
-    if region.n_sites > cfg.enum_cap or not transfer_supported(spec, cfg.transfer_width_cap):
+    enum, transfer = (replace(cfg.solver, method=m) for m in ("enum", "transfer"))
+    try:
+        for solver in (enum, transfer):
+            solver.engine(region)
+    except SizeCapError:
         return {"status": "unsupported", **meta}
-    logz_enum = log_partition_enum(spec, cap=cfg.enum_cap)
-    logz_transfer = log_partition_transfer(spec, width_cap=cfg.transfer_width_cap)
+    logz_enum, logz_transfer = log_partition(spec, enum), log_partition(spec, transfer)
     edges = interior_edges(region)
-    corr_enum = edge_correlations(spec, edges, method="enum", enum_cap=cfg.enum_cap)
-    corr_transfer = edge_correlations(
-        spec, edges, method="transfer", width_cap=cfg.transfer_width_cap
-    )
+    corr_enum, corr_transfer = (edge_correlations(spec, edges, s) for s in (enum, transfer))
     return {
         "status": "ok",
         "logz_dev": abs(logz_enum - logz_transfer),

@@ -24,14 +24,13 @@ from .disorder import CouplingConfig, SeedSpec, edge_positions, sample_couplings
 from .errors import PairError
 from .exactsolve import (
     ENUM_CAP,
-    TRANSFER_WIDTH_CAP,
     BoundaryCondition,
     GibbsSpec,
+    Solver,
     edge_correlations,
     exp_bond_observable,
     gibbs_expectation_enum,
     log_partition_pairs,
-    resolve_method,
 )
 from .lattice import (
     Edge,
@@ -170,12 +169,7 @@ class FreeEnergyResult:
 
 
 def free_energy_terms(
-    pair: StatePair,
-    values: np.ndarray,
-    other_values: np.ndarray,
-    method: str = "auto",
-    enum_cap: int = ENUM_CAP,
-    width_cap: int = TRANSFER_WIDTH_CAP,
+    pair: StatePair, values: np.ndarray, other_values: np.ndarray, solver: Solver = Solver()
 ) -> np.ndarray:
     """(B, 4) array of (log Z_Gamma, log Z_Gamma0, log Z_Gamma', log Z_Gamma'0)
     for the pair with its states' couplings replaced by each row of the
@@ -188,26 +182,31 @@ def free_energy_terms(
     by its bytes.  The rows and the distinct zeroed rows go through one
     :func:`log_partition_pairs` call, so each transfer-resolved state sweeps
     one stack of B + (distinct zeroed) rows."""
-    states, stacks = (pair.gamma, pair.gamma_prime), (values, other_values)
+    states = (pair.gamma, pair.gamma_prime)
+    stacks, zero_of = _with_zeroed_rows(pair, (values, other_values))
+    terms = log_partition_pairs(*states, *stacks, solver)
+    n = len(values)
+    zero = terms[n:][zero_of]
+    return np.column_stack([terms[:n, 0], zero[:, 0], terms[:n, 1], zero[:, 1]])
+
+
+def _with_zeroed_rows(
+    pair: StatePair, stacks: tuple[np.ndarray, np.ndarray]
+) -> tuple[list[np.ndarray], list[int]]:
+    """Each of the states' two stacks followed by its distinct zeroed rows,
+    and for each row the index of its zeroed row among them.  The zeroed
+    copies and their byte keys are freed on return, before any sweep."""
+    states = (pair.gamma, pair.gamma_prime)
     zeroed = [stack.copy() for stack in stacks]
     for state, z in zip(states, zeroed):
         z[:, edge_positions(state.couplings.edge_set, pair.window_edges)] = 0.0
     index: dict[bytes, int] = {}
     zero_of = [index.setdefault(a.tobytes() + b.tobytes(), len(index)) for a, b in zip(*zeroed)]
     firsts = np.unique(zero_of, return_index=True)[1]
-    stacks = [np.concatenate([stack, z[firsts]]) for stack, z in zip(stacks, zeroed)]
-    terms = log_partition_pairs(*states, *stacks, method, enum_cap, width_cap)
-    n = len(values)
-    zero = terms[n:][zero_of]
-    return np.column_stack([terms[:n, 0], zero[:, 0], terms[:n, 1], zero[:, 1]])
+    return [np.concatenate([stack, z[firsts]]) for stack, z in zip(stacks, zeroed)], zero_of
 
 
-def interface_free_energy(
-    pair: StatePair,
-    method: str = "auto",
-    enum_cap: int = ENUM_CAP,
-    width_cap: int = TRANSFER_WIDTH_CAP,
-) -> FreeEnergyResult:
+def interface_free_energy(pair: StatePair, solver: Solver = Solver()) -> FreeEnergyResult:
     """F = log Gamma(exp beta H_window) - log Gamma'(exp beta H_window),
     via the exact partition-function-ratio identity.
 
@@ -216,9 +215,7 @@ def interface_free_energy(
     the transfer's length axis one sweep of two rows, each closed both ways."""
     g, gp = pair.gamma, pair.gamma_prime
     stacks = (g.couplings.values[None], gp.couplings.values[None])
-    ((t_g, t_g0, t_gp, t_gp0),) = free_energy_terms(
-        pair, *stacks, method, enum_cap, width_cap
-    ).tolist()
+    ((t_g, t_g0, t_gp, t_gp0),) = free_energy_terms(pair, *stacks, solver).tolist()
     seed = g.couplings.seed
     return FreeEnergyResult(
         value=(t_g0 - t_g) - (t_gp0 - t_gp),
@@ -226,7 +223,7 @@ def interface_free_energy(
         log_z_gamma_zero=t_g0,
         log_z_gamma_prime=t_gp,
         log_z_gamma_prime_zero=t_gp0,
-        solver=resolve_method(g.region, method, width_cap),
+        solver=solver.engine(g.region),
         beta=pair.beta,
         bc_pair=(g.bc.label, gp.bc.label),
         margin=pair.margin,
@@ -254,10 +251,7 @@ class GradientEntry:
 
 
 def free_energy_gradient(
-    pair: StatePair,
-    method: str = "auto",
-    enum_cap: int = ENUM_CAP,
-    width_cap: int = TRANSFER_WIDTH_CAP,
+    pair: StatePair, solver: Solver = Solver()
 ) -> dict[Edge, GradientEntry]:
     """dF/dJ_xy = beta * (<ss>_Gamma' - <ss>_Gamma) for every window edge.
 
@@ -265,9 +259,8 @@ def free_energy_gradient(
     the ratio-form value.
     """
     edges = tuple(pair.window_edges)
-    kwargs = dict(method=method, enum_cap=enum_cap, width_cap=width_cap)
-    corr_g = edge_correlations(pair.gamma, edges, **kwargs).tolist()
-    corr_gp = edge_correlations(pair.gamma_prime, edges, **kwargs).tolist()
+    corr_g = edge_correlations(pair.gamma, edges, solver).tolist()
+    corr_gp = edge_correlations(pair.gamma_prime, edges, solver).tolist()
     return {
         e: GradientEntry(pair.beta * (cgp - cg), cg, cgp)
         for e, cg, cgp in zip(edges, corr_g, corr_gp)

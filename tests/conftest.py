@@ -13,6 +13,7 @@ import pytest
 
 from eafluct.exactsolve import (
     GibbsSpec,
+    Solver,
     antiperiodic_bc,
     log_partition_pairs,
     periodic_bc,
@@ -109,7 +110,8 @@ def domain_wall(couplings, region, beta, seam_axis=0, method="auto"):
     stacks."""
     p = GibbsSpec(region, couplings, beta, periodic_bc())
     ap = GibbsSpec(region, couplings, beta, antiperiodic_bc(seam_axis))
-    t = log_partition_pairs(p, ap, p.couplings.values[None], ap.couplings.values[None], method)
+    stacks = (p.couplings.values[None], ap.couplings.values[None])
+    t = log_partition_pairs(p, ap, *stacks, Solver(method))
     return float(t[0, 0] - t[0, 1])
 
 

@@ -34,6 +34,7 @@ from eafluct.errors import (
 )
 from eafluct.exactsolve import (
     GibbsSpec,
+    Solver,
     edge_correlations,
     periodic_bc,
     required_edges,
@@ -230,7 +231,7 @@ def test_correlations_of_a_ghost_bond_are_refused(method):
     ghost = next(e for e in spec.couplings.edge_set if not BOX.contains_site(e.x))
     assert ghost in spec.couplings.edge_set
     with pytest.raises(ContainmentError):
-        edge_correlations(spec, (interior_edges(BOX).edges[0], ghost), method=method)
+        edge_correlations(spec, (interior_edges(BOX).edges[0], ghost), Solver(method))
 
 
 def test_correlation_difference_refuses_an_edge_one_state_lacks():

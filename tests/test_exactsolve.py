@@ -33,6 +33,7 @@ from eafluct.errors import (
 from eafluct import exactsolve
 from eafluct.exactsolve import (
     GibbsSpec,
+    Solver,
     antiperiodic_bc,
     edge_correlation,
     edge_correlations,
@@ -44,7 +45,6 @@ from eafluct.exactsolve import (
     log_partition_transfer,
     periodic_bc,
     required_edges,
-    resolve_method,
     reweight,
     reweight_expectation,
     uniform_fixed_bc,
@@ -127,13 +127,13 @@ def test_chunked_enumeration_agrees_with_single_chunk():
     edges = interior_edges(spec.region)
     probe = bond_product(edges.edges[5])
     full = log_partition_enum(spec)
-    full_corr = edge_correlations(spec, edges, method="enum")
+    full_corr = edge_correlations(spec, edges, Solver("enum"))
     full_probe = gibbs_expectation_enum(spec, probe)
     old = ex._CHUNK_BITS
     try:
         ex._CHUNK_BITS = 5
         chunked = log_partition_enum(spec)
-        chunked_corr = edge_correlations(spec, edges, method="enum")
+        chunked_corr = edge_correlations(spec, edges, Solver("enum"))
         chunked_probe = gibbs_expectation_enum(spec, probe)
     finally:
         ex._CHUNK_BITS = old
@@ -167,7 +167,7 @@ def test_split_enumeration_matches_brute_force(extents, wrap, bc, beta):
             spec.region.n_sites * math.log(2.0), rel=1e-12
         )
     edges = interior_edges(spec.region)
-    got = edge_correlations(spec, edges, method="enum")
+    got = edge_correlations(spec, edges, Solver("enum"))
     for e, value in zip(edges, got):
         assert abs(value - brute_correlation(spec, e)) <= 1e-12, e
 
@@ -194,7 +194,7 @@ def test_split_enumeration_extra_fields_on_both_halves(beta):
 def test_moment_correlations_equal_per_edge_expectations(extents, wrap, bc):
     spec = make_spec(extents, wrap, bc, 1.3, seed=6)
     edges = interior_edges(spec.region)
-    got = edge_correlations(spec, edges, method="enum")
+    got = edge_correlations(spec, edges, Solver("enum"))
     want = [gibbs_expectation_enum(spec, bond_product(e)) for e in edges]
     assert np.abs(got - want).max() <= 1e-13
 
@@ -227,7 +227,7 @@ def test_enumeration_peaks_within_one_and_a_half_chunks():
     tracemalloc.start()
     try:
         log_partition_enum(spec)
-        edge_correlations(spec, edges, method="enum")
+        edge_correlations(spec, edges, Solver("enum"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -369,8 +369,8 @@ def test_batched_correlations_match_per_edge_enumeration(extents, bc_name, beta)
     spec = batch_spec(extents, bc_name, beta)
     edges = interior_edges(spec.region)
     per_edge = np.array([edge_correlation(spec, e, method="enum") for e in edges])
-    batch_enum = edge_correlations(spec, edges, method="enum")
-    batch_transfer = edge_correlations(spec, edges, method="transfer")
+    batch_enum = edge_correlations(spec, edges, Solver("enum"))
+    batch_transfer = edge_correlations(spec, edges, Solver("transfer"))
     assert batch_enum.shape == batch_transfer.shape == (len(edges),)
     assert np.array_equal(batch_enum, per_edge)
     assert np.max(np.abs(batch_transfer - per_edge)) <= 1e-10
@@ -384,10 +384,10 @@ def test_batched_correlations_match_per_edge_enumeration(extents, bc_name, beta)
 def test_batched_correlations_follow_the_requested_order():
     spec = make_spec((3, 4), (False, False), free_bc(), 1.3, seed=8)
     edges = tuple(interior_edges(spec.region))
-    forward = edge_correlations(spec, edges, method="transfer")
-    backward = edge_correlations(spec, edges[::-1], method="transfer")
+    forward = edge_correlations(spec, edges, Solver("transfer"))
+    backward = edge_correlations(spec, edges[::-1], Solver("transfer"))
     assert np.array_equal(backward, forward[::-1])
-    assert edge_correlations(spec, (), method="enum").shape == (0,)
+    assert edge_correlations(spec, (), Solver("enum")).shape == (0,)
 
 
 PLAN_BCS = {
@@ -445,7 +445,7 @@ def test_open_strip_builds_each_link_at_most_twice(monkeypatch):
         return original(s, couplings, beta)
 
     monkeypatch.setattr(exactsolve, "_link", counting)
-    edge_correlations(spec, interior_edges(spec.region), method="transfer")
+    edge_correlations(spec, interior_edges(spec.region), Solver("transfer"))
     assert len(builds) == 6  # the links between the 7 columns of width 3
     assert max(builds.values()) <= 2
 
@@ -458,7 +458,7 @@ def test_transfer_out_of_float_range_is_loud():
         with pytest.raises(ArithmeticError):
             log_partition_transfer(spec)
         with pytest.raises(ArithmeticError):
-            edge_correlations(spec, interior_edges(spec.region), method="transfer")
+            edge_correlations(spec, interior_edges(spec.region), Solver("transfer"))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -469,7 +469,7 @@ def test_transfer_overflow_signals_only_an_arithmetic_error(seed):
         with pytest.raises(ArithmeticError):
             log_partition_transfer(spec)
         with pytest.raises(ArithmeticError):
-            edge_correlations(spec, interior_edges(spec.region), method="transfer")
+            edge_correlations(spec, interior_edges(spec.region), Solver("transfer"))
 
 
 def test_correlation_requires_contained_edge():
@@ -700,13 +700,13 @@ def test_auto_resolves_to_transfer_where_it_applies():
     strip = Region((3, 7))
     plane = GibbsSpec(strip, sample_couplings(Gaussian(), interior_edges(strip), SeedSpec(2)),
                       1.0, free_bc())
-    assert resolve_method(strip) == "transfer"
-    assert resolve_method(strip, width_cap=2) == "enum"
-    assert resolve_method(strip, "enum") == "enum"
+    assert Solver().engine(strip) == "transfer"
+    assert Solver(width_cap=2).engine(strip) == "enum"
+    assert Solver("enum").engine(strip) == "enum"
     cube = Region((2, 2, 2))
     solid = GibbsSpec(cube, sample_couplings(Gaussian(), interior_edges(cube), SeedSpec(2)),
                       1.0, free_bc())
-    assert resolve_method(cube) == "enum"
+    assert Solver().engine(cube) == "enum"
     assert log_partition(solid) == log_partition_enum(solid)
     assert log_partition(plane) == log_partition_transfer(plane)
 
@@ -717,9 +717,9 @@ def test_unknown_method_raises_value_error_at_every_entry_point():
                      1.0, free_bc())
     edge = interior_edges(region).edges[0]
     for call in (
-        lambda: resolve_method(region, "exact"),
-        lambda: log_partition(spec, method="exact"),
-        lambda: edge_correlations(spec, [edge], method="exact"),
+        lambda: Solver("exact"),
+        lambda: log_partition(spec, Solver("exact")),
+        lambda: edge_correlations(spec, [edge], Solver("exact")),
         lambda: edge_correlation(spec, edge, method="exact"),
     ):
         with pytest.raises(ValueError, match="unknown solver method"):
@@ -778,7 +778,7 @@ def _own_pair(spec, other, method="auto"):
     """(log Z of ``spec``, log Z of ``other``): ``log_partition_pairs`` of
     the two specs' own couplings, as one-row stacks."""
     stacks = (spec.couplings.values[None], other.couplings.values[None])
-    return tuple(exactsolve.log_partition_pairs(spec, other, *stacks, method)[0].tolist())
+    return tuple(exactsolve.log_partition_pairs(spec, other, *stacks, Solver(method))[0].tolist())
 
 
 @pytest.mark.parametrize("extents", [(2, 2), (3, 4), (4, 3), (6, 5)])
@@ -882,8 +882,8 @@ def test_halved_torus_sweeps_match_enumeration(extents, beta):
     for axes in PINNED_BCS.values():
         spec = GibbsSpec(region, couplings, beta, _torus_bc(axes))
         assert abs(log_partition_transfer(spec) - log_partition_enum(spec)) <= 1e-9
-        transfer = edge_correlations(spec, edges, method="transfer")
-        enum = edge_correlations(spec, edges, method="enum")
+        transfer = edge_correlations(spec, edges, Solver("transfer"))
+        enum = edge_correlations(spec, edges, Solver("enum"))
         assert np.max(np.abs(transfer - enum)) <= 1e-10
     for seam in (0, 1):
         value = domain_wall(couplings, region, beta, seam_axis=seam)
@@ -956,9 +956,9 @@ def test_the_fixed_rule_equals_its_explicit_ring(extents, sign):
         assert engine(rule).hex() == engine(ring).hex()
     edges = interior_edges(region)
     for method in ("enum", "transfer"):
-        got = edge_correlations(rule, edges, method=method)
+        got = edge_correlations(rule, edges, Solver(method))
         assert [x.hex() for x in got.tolist()] == [
-            x.hex() for x in edge_correlations(ring, edges, method=method).tolist()
+            x.hex() for x in edge_correlations(ring, edges, Solver(method)).tolist()
         ]
 
 
@@ -1084,7 +1084,7 @@ def _blocked_results():
                     spec, extra_fields=fields, negated_close=negated, couplings=stack
                 )
                 out.append([[v.hex() for v in row] for row in logz])
-        corr = edge_correlations(spec, interior_edges(spec.region), method="transfer")
+        corr = edge_correlations(spec, interior_edges(spec.region), Solver("transfer"))
         out.append([x.hex() for x in corr.tolist()])
     return out
 
@@ -1216,7 +1216,7 @@ def test_factored_correlations_match_a_dense_link_backward_pass(extents, sign):
     log_z, want = _dense_open_strip(spec)
     assert log_partition_transfer(spec) == pytest.approx(log_z, rel=1e-12, abs=0)
     edges = interior_edges(region)
-    got = edge_correlations(spec, edges, method="transfer")
+    got = edge_correlations(spec, edges, Solver("transfer"))
     want = want[exactsolve.edge_positions(spec.couplings.edge_set, edges)]
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -1241,7 +1241,7 @@ def test_bond_correlations_are_central_differences_of_log_z(extents, wrap):
     if plan.wrap_l:
         positions.append(plan.h_pos[plan.width // 2, -1])
     edges = [spec.couplings.edge_set.edges[p] for p in positions]
-    got = edge_correlations(spec, edges, method="transfer", width_cap=16)
+    got = edge_correlations(spec, edges, Solver("transfer", width_cap=16))
     h = 1e-4
     for p, corr in zip(positions, got):
         log_z = []
@@ -1249,7 +1249,7 @@ def test_bond_correlations_are_central_differences_of_log_z(extents, wrap):
             values = spec.couplings.values.copy()
             values[p] += step
             shifted = spec.with_couplings(spec.couplings.with_values(values))
-            log_z.append(log_partition(shifted, method="transfer", width_cap=16))
+            log_z.append(log_partition(shifted, Solver("transfer", width_cap=16)))
         assert abs((log_z[0] - log_z[1]) / (2 * spec.beta * h) - corr) <= 1e-8, p
 
 
@@ -1265,8 +1265,8 @@ def test_torus_correlations_match_the_transposed_sweep(side):
     values[exactsolve.edge_positions(couplings.edge_set, flipped)] = couplings.values
     spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
     transposed = spec.with_couplings(couplings.with_values(values))
-    got = edge_correlations(spec, edges, method="transfer")
-    want = edge_correlations(transposed, flipped, method="transfer")
+    got = edge_correlations(spec, edges, Solver("transfer"))
+    want = edge_correlations(transposed, flipped, Solver("transfer"))
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -1295,8 +1295,8 @@ def test_factored_links_match_enumeration_on_every_bc(extents, beta):
         spec = make_spec(extents, wrap, bc, beta, seed=13)
         assert abs(log_partition_transfer(spec) - log_partition_enum(spec)) <= 1e-9
         edges = interior_edges(spec.region)
-        transfer = edge_correlations(spec, edges, method="transfer")
-        enum = edge_correlations(spec, edges, method="enum")
+        transfer = edge_correlations(spec, edges, Solver("transfer"))
+        enum = edge_correlations(spec, edges, Solver("enum"))
         assert np.all(np.abs(transfer - enum) <= 1e-10), (extents, bc.label)
         if beta == 0.0:
             assert np.all(transfer == 0.0)
@@ -1355,7 +1355,7 @@ def test_log_partition_pairs_equals_one_call_per_row_for_each_kind_of_pair(monke
         ([(cube[0], cube[1]), (cube[2], cube[3])], []),
         (strips, [2, 2]),
     ]
-    assert resolve_method(cube[0].region) == "enum"
+    assert Solver().engine(cube[0].region) == "enum"
     wants = [[(log_partition(g), log_partition(gp)) for g, gp in pairs] for pairs, _ in batches]
     stacks = _stacked_sweeps(monkeypatch)
     for (pairs, sweeps), want in zip(batches, wants):
@@ -1380,7 +1380,7 @@ def test_a_non_finite_coupling_row_is_a_config_error(method):
     bad[1, 2] = np.nan
     for stacks in ((bad, good), (good, bad)):
         with pytest.raises(ConfigError):
-            exactsolve.log_partition_pairs(spec, spec, *stacks, method=method)
+            exactsolve.log_partition_pairs(spec, spec, *stacks, Solver(method))
 
 
 @pytest.mark.parametrize("at", [0, 2])

@@ -11,7 +11,14 @@ from conftest import bond_product, run_in_process
 from eafluct import exactsolve, fluctuation, interface
 from eafluct.disorder import Gaussian, SeedSpec, overlay, set_block
 from eafluct.errors import BoundViolationError, ConfigError, EafluctError
-from eafluct.exactsolve import antiperiodic_bc, fixed_bc, free_bc, periodic_bc, uniform_fixed_bc
+from eafluct.exactsolve import (
+    Solver,
+    antiperiodic_bc,
+    fixed_bc,
+    free_bc,
+    periodic_bc,
+    uniform_fixed_bc,
+)
 from eafluct.fluctuation import (
     BlockConditioning,
     EnsembleSpec,
@@ -194,7 +201,7 @@ def test_conditional_path_equals_per_prefix_reference_across_the_window_edge():
 def chunk_rows(spec):
     """The rows one sweep of ``spec``'s state pair may carry."""
     pair = spec.pair_from(spec.master(0))
-    return exactsolve.stack_rows(pair.gamma, pair.gamma_prime, spec.solver, spec.width_cap)
+    return exactsolve.stack_rows(pair.gamma, pair.gamma_prime, spec.solver)
 
 
 def set_budget(monkeypatch, spec, rows):
@@ -251,18 +258,33 @@ def test_edge_martingale_path_is_bit_identical_across_chunk_boundaries(monkeypat
     assert np.array_equal(_conditional_path(spec, 0, held, prefixes, 7, "edgemart"), ref)
 
 
-def test_a_martingale_realization_holds_about_its_stack_budget():
-    # the martingale-6x6 benchmark's shape: 8 prefixes, 50 inner draws
+def martingale_peak_bytes():
+    """The ``tracemalloc`` peak of one realization of the martingale-6x6
+    benchmark's shape: 8 prefixes, 50 inner draws."""
     spec = spec_4x4_in_6x6(n=1)
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=50)
     block_martingale_realization(spec, replace(cond, n_outer=2), 0)  # fill the plan caches
     tracemalloc.start()
     try:
         block_martingale_realization(spec, cond, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 8 * exactsolve._STACK_DOUBLES
+
+
+def test_a_martingale_realization_holds_about_its_stack_budget():
+    assert martingale_peak_bytes() <= 8 * exactsolve._STACK_DOUBLES
+
+
+@pytest.mark.parametrize("budget", [1 << 17, 1 << 18], ids=["2^17", "2^18"])
+def test_a_martingale_realization_holds_a_smaller_or_larger_stack_budget(monkeypatch, budget):
+    monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", budget)
+    assert martingale_peak_bytes() <= 8 * budget
+
+
+def test_the_module_budget_sweeps_four_martingale_draws_at_once():
+    # 4 draws of 8 prefix rows and one zeroed row each
+    assert chunk_rows(spec_4x4_in_6x6(n=1)) >= 36
 
 
 # (mode, bc, bc_prime, solver) of a 4x4 box: pair mode with a 2x2 window
@@ -283,7 +305,7 @@ STACK_CASES = [
 def test_conditional_path_equals_overlay_and_f_from_row_by_row(mode, bc, bc_prime, solver):
     window = (4, 4) if mode == "domain-wall" else (2, 2)
     spec = EnsembleSpec(Gaussian(), (4, 4), window, 1.0, bc, bc_prime, 2, 31,
-                        mode=mode, solver=solver)
+                        mode=mode, solver=Solver(solver))
     edges = tuple(spec.window_edge_set)
     crossing = tuple(interior_edges(Region((2, 3), None, (1, 0))))
     prefixes = [(), edges[:2], crossing, edges, edges[:2] + crossing, edges[1:3]]

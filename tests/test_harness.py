@@ -290,6 +290,55 @@ def test_a_box_beyond_its_engines_cap_is_refused_by_the_cli(tmp_path, capsys):
     assert not (tmp_path / "records.jsonl").exists()
 
 
+# a box one spin past enum_cap under enumeration, and a 3x13 box under a
+# transfer of width 2: (solver section, geometry, the refusal), with the
+# geometry each kind builds nearest to it where it cannot build that box
+_ENUM_PAST = ({"method": "enum", "enum_cap": 11}, {"box": [3, 4], "window": [1, 2]},
+              "box [3, 4] has more sites than enum_cap: its 12 spins exceed the enum engine's "
+              "cap 11")
+_TRANSFER_PAST = ({"method": "transfer", "transfer_width_cap": 2},
+                  {"box": [3, 13], "window": [1, 11]},
+                  "box [3, 13] does not fit the transfer engine's cap: it needs a 2-d box "
+                  "with an axis of at most width_cap 2")
+_PAST_A_CAP = [
+    *((kind, *_ENUM_PAST) for kind in
+      ("fe", "ensemble", "edge-martingale", "bounds", "mgf", "probe", "domain-wall", "covariance")),
+    *((kind, *_TRANSFER_PAST) for kind in
+      ("fe", "ensemble", "edge-martingale", "bounds", "mgf", "probe", "domain-wall")),
+    ("martingale", {"method": "enum", "enum_cap": 15}, {"box": [4, 4], "window": [2, 2]},
+     "box [4, 4] has more sites than enum_cap: its 16 spins exceed the enum engine's cap 15"),
+    ("martingale", {"method": "transfer", "transfer_width_cap": 2},
+     {"box": [4, 14], "window": [2, 12]}, "box [4, 14] does not fit the transfer engine's cap"),
+    ("scaling", {"method": "enum", "enum_cap": 24},
+     {"box": [5, 5], "window": [3, 3], "window_sizes": [1, 2, 3]},
+     "box [5, 5] has more sites than enum_cap: its 25 spins exceed the enum engine's cap 24"),
+    ("scaling", {"method": "transfer", "transfer_width_cap": 2},
+     {"box": [5, 5], "window": [3, 3], "window_sizes": [1, 2, 3]},
+     "box [3, 3] does not fit the transfer engine's cap"),
+]
+
+
+@pytest.mark.parametrize("kind, solver, geometry, text", _PAST_A_CAP)
+def test_a_box_past_its_engines_cap_is_refused_at_parse_in_the_engines_words(
+    tmp_path, kind, solver, geometry, text
+):
+    # the parse check and every library entry apply one rule, Solver.engine
+    data = base_config(tmp_path, kind=kind, geometry=geometry, solver=solver)
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict(data)
+    assert str(info.value).startswith(text)
+
+
+@pytest.mark.parametrize("solver, geometry", [(s, g) for s, g, _ in (_ENUM_PAST, _TRANSFER_PAST)])
+def test_oracle_verify_reports_a_box_past_a_cap_as_unsupported(tmp_path, solver, geometry):
+    data = base_config(tmp_path, kind="oracle-verify", solver=solver)
+    data["geometry"] = {"geometries": [geometry["box"], [2, 2]]}
+    data["sampling"] = {"n": 1}
+    summary = run(parse_config_dict(data))["summary"]
+    assert (summary["instances"], summary["checked"], summary["unsupported"]) == (8, 4, 4)
+    assert summary["passed"]
+
+
 def test_a_window_without_edges_is_refused_by_the_cli(tmp_path, capsys):
     data = base_config(tmp_path, kind="edge-martingale", geometry={"box": [3, 3], "window": [1, 1]})
     config_path = tmp_path / "cfg.json"

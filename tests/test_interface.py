@@ -10,6 +10,7 @@ from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_blo
 from eafluct.errors import ContainmentError, PairError, UnsupportedOperationError
 from eafluct.exactsolve import (
     GibbsSpec,
+    Solver,
     antiperiodic_bc,
     edge_correlation,
     fixed_bc,
@@ -137,8 +138,8 @@ def test_route_equivalence_enumerable(beta, bc_prime_name):
         "fixed-": uniform_fixed_bc(-1),
     }[bc_prime_name]
     p = pair_4x4(beta=beta, bc_prime=bc_prime, seed=37)
-    ratio = interface_free_energy(p, method="enum").value
-    transfer = interface_free_energy(p, method="transfer").value
+    ratio = interface_free_energy(p, Solver("enum")).value
+    transfer = interface_free_energy(p, Solver("transfer")).value
     direct = interface_free_energy_direct(p)
     assert ratio == pytest.approx(direct, abs=1e-9)
     assert transfer == pytest.approx(direct, abs=1e-9)
@@ -352,7 +353,7 @@ def test_master_edge_set_covers_all_boundary_conditions():
 def test_auto_engine_is_resolved_once_on_gamma():
     pair = pair_4x4()
     by_transfer = interface_free_energy(pair)
-    by_enum = interface_free_energy(pair, width_cap=2)
+    by_enum = interface_free_energy(pair, Solver(width_cap=2))
     assert by_transfer.solver == "transfer"
     assert by_enum.solver == "enum"
     assert by_transfer.value == pytest.approx(by_enum.value, abs=1e-9)
@@ -365,8 +366,8 @@ def test_unknown_method_raises_value_error():
     couplings = sample_couplings(Gaussian(), interior_edges(torus), SeedSpec(3))
     edge = next(iter(pair.window_edges))
     for call in (
-        lambda: interface_free_energy(pair, method="exact"),
-        lambda: free_energy_gradient(pair, method="exact"),
+        lambda: interface_free_energy(pair, Solver("exact")),
+        lambda: free_energy_gradient(pair, Solver("exact")),
         lambda: delta(pair, edge, method="exact"),
         lambda: domain_wall(couplings, torus, 1.0, method="exact"),
     ):
@@ -424,9 +425,9 @@ def test_batch_equals_one_call_per_pair_on_mixed_pairs(monkeypatch):
         pairs = [make_state_pair((4, 4), (2, 2), 1.0, bc, bc_prime, c)
                  for c in (master, inside, other)]
         for method in ("transfer", "enum"):
-            want = [interface_free_energy(p, method=method) for p in pairs]
+            want = [interface_free_energy(p, Solver(method)) for p in pairs]
             rows.clear()
-            terms = interface.free_energy_terms(pairs[0], *_stacks(pairs), method=method)
+            terms = interface.free_energy_terms(pairs[0], *_stacks(pairs), Solver(method))
             assert rows == [(3 + 2, 3 + 2)]
             assert terms.tolist() == [
                 [r.log_z_gamma, r.log_z_gamma_zero, r.log_z_gamma_prime, r.log_z_gamma_prime_zero]

@@ -87,4 +87,4 @@ def test_the_traced_martingale_run_sweeps_32_rows(tmp_path, monkeypatch):
     assert sum(stacks) == 32
     master = sample_master(Gaussian(), (4, 4), SeedSpec(3, 0, "couplings"))
     pair = make_state_pair((4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), master)
-    assert max(stacks) <= exactsolve.stack_rows(pair.gamma, pair.gamma_prime, "auto", 12)
+    assert max(stacks) <= exactsolve.stack_rows(pair.gamma, pair.gamma_prime, exactsolve.Solver())
