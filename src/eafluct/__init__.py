@@ -22,7 +22,6 @@ from .exactsolve import (  # noqa: E402
     antiperiodic_bc,
     edge_correlation,
     edge_correlations,
-    fixed_bc,
     free_bc,
     gibbs_expectation_enum,
     log_partition,

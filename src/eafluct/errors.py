@@ -33,10 +33,6 @@ class SizeCapError(EafluctError):
     """A solver size cap was exceeded."""
 
 
-class CoverageError(EafluctError):
-    """A spin configuration does not cover the required sites."""
-
-
 class PairError(EafluctError):
     """A state pair violates its construction invariants."""
 

@@ -20,11 +20,14 @@ a beta of about 120-230 (3x3 Gaussian box), where ``Solver("enum")`` serves.
 Boundary conditions: free, periodic, antiperiodic
 (seam bonds sign-flipped, per wrapped axis), and fixed (clamped ghost sites
 just outside the region, attached by their own sampled couplings).  A fixed
-bc is a rule, one sign for the ghost ring of whatever region it is resolved
-against (:func:`uniform_fixed_bc`), or an explicit ring that fits one region
-(:func:`fixed_bc`).  What a bc means on a region is decided once, in a cached
-term table per (region, bc): each edge's seam sign, the in-region bonds, and
-the ghost bonds as site fields.  Both engines read that table.
+bc is one sign, which clamps the ghost ring of whatever region it is resolved
+against (:func:`uniform_fixed_bc`).  A ring of mixed signs tau needs no form
+of its own: its ghost term ``J_g tau_g sigma_x`` is the +1 rule's term with
+coupling ``tau_g J_g``, so it is the +1 rule on couplings whose ghost bonds
+are multiplied by their outer site's sign, and that product is exact.  What
+a bc means on a region is decided once, in a cached term table per (region,
+bc): each edge's seam sign, the in-region bonds, and the ghost bonds as site
+fields.  Both engines read that table.
 Which engine solves a state, and whether it fits that engine's cap, is one
 rule: :meth:`Solver.engine`.
 """
@@ -42,7 +45,6 @@ from .disorder import CouplingConfig, block_assignment, edge_positions, restrict
 from .errors import (
     ConfigError,
     ContainmentError,
-    CoverageError,
     SizeCapError,
     UnsupportedOperationError,
 )
@@ -53,7 +55,6 @@ from .lattice import (
     Site,
     boundary_edges,
     edge_from_origin,
-    ghost_sites,
     grow,
     interior_edges,
     union,
@@ -78,14 +79,12 @@ class BoundaryCondition:
     kinds: ``free`` (open box), ``periodic`` (torus), ``antiperiodic``
     (torus with the wrap bonds of each seam axis sign-flipped; several seam
     axes give the doubled antiperiodic variants), ``fixed`` (open box with
-    every adjacent ghost site clamped to +-1).  A fixed bc is either a rule,
-    one ``sign`` for the ghost ring of whatever region it is resolved
-    against, or an explicit ring of ``fixed_spins`` that fits one region.
+    every adjacent ghost site clamped to ``sign``, +-1, on whatever region it
+    is resolved against).  Every other kind has ``sign`` 0.
     """
 
     kind: str
     seam_axes: tuple[int, ...] = ()
-    fixed_spins: tuple[tuple[Site, int], ...] = ()
     sign: int = 0
 
     def __post_init__(self):
@@ -95,17 +94,16 @@ class BoundaryCondition:
             raise ValueError("antiperiodic boundary condition needs at least one seam axis")
         if self.kind != "antiperiodic" and self.seam_axes:
             raise ValueError("seam axes only apply to antiperiodic boundary conditions")
-        if self.kind != "fixed" and (self.fixed_spins or self.sign):
-            raise ValueError("fixed spin assignments only apply to fixed boundary conditions")
-        if self.sign and self.fixed_spins:
-            raise ValueError("a fixed boundary condition is a sign or an explicit ring, not both")
-        if self.sign not in (-1, 0, 1) or any(v not in (-1, 1) for _, v in self.fixed_spins):
-            raise ValueError("fixed boundary spins must be +-1")
-        object.__setattr__(self, "fixed_spins", tuple(sorted(self.fixed_spins)))
+        if self.kind == "fixed" and not (isinstance(self.sign, int) and self.sign in (-1, 1)):
+            raise ValueError(f"a fixed boundary condition needs sign +-1, got {self.sign!r}")
+        if self.kind != "fixed" and self.sign != 0:
+            raise ValueError(f"only a fixed boundary condition has a sign, got {self.sign!r}")
 
     def validate_for(self, region: Region) -> None:
-        if self.kind == "free" and not region.fully_open:
-            raise UnsupportedOperationError("free boundary condition needs a fully open region")
+        if self.kind in ("free", "fixed") and not region.fully_open:
+            raise UnsupportedOperationError(
+                f"{self.kind} boundary condition needs a fully open region"
+            )
         if self.kind in ("periodic", "antiperiodic") and not region.fully_wrapped:
             raise UnsupportedOperationError(
                 f"{self.kind} boundary condition needs a fully wrapped region"
@@ -114,40 +112,16 @@ class BoundaryCondition:
             for a in self.seam_axes:
                 if not 0 <= a < region.dimension or not region.wrap[a]:
                     raise UnsupportedOperationError(f"seam axis {a} is not a wrapped axis")
-        if self.kind == "fixed":
-            if not region.fully_open:
-                raise UnsupportedOperationError(
-                    "fixed boundary condition needs a fully open region"
-                )
-            if not _covers_ghost_ring(self, region):
-                raise CoverageError(
-                    "fixed assignments must cover exactly the clamped sites adjacent to the region"
-                )
 
     @property
     def label(self) -> str:
-        """The bc's name: a fixed rule names its sign as ``fixed:+1`` or
-        ``fixed:-1``, an explicit ring is ``fixed``."""
+        """The bc's name: a fixed bc names its sign as ``fixed:+1`` or ``fixed:-1``."""
         if self.kind == "antiperiodic":
             axes = ",".join(str(a) for a in self.seam_axes)
             return f"antiperiodic[seam={axes}]"
         if self.sign:
             return f"fixed:{self.sign:+d}"
         return self.kind
-
-    def fixed_map(self, region: Region) -> dict[Site, int]:
-        """The clamped spin of each ghost site of ``region``: the rule's sign
-        on its ghost ring, or the explicit ring (empty unless fixed)."""
-        if self.sign:
-            return dict.fromkeys(ghost_sites(region), self.sign)
-        return dict(self.fixed_spins)
-
-
-@lru_cache(maxsize=None)
-def _covers_ghost_ring(bc: BoundaryCondition, region: Region) -> bool:
-    """Whether ``bc`` clamps exactly the ghost sites adjacent to ``region``:
-    a rule does on every region."""
-    return bool(bc.sign) or {s for s, _ in bc.fixed_spins} == set(ghost_sites(region))
 
 
 def free_bc() -> BoundaryCondition:
@@ -162,14 +136,8 @@ def antiperiodic_bc(*seam_axes: int) -> BoundaryCondition:
     return BoundaryCondition("antiperiodic", seam_axes=tuple(seam_axes) or (0,))
 
 
-def fixed_bc(spins: Mapping[Site, int]) -> BoundaryCondition:
-    return BoundaryCondition("fixed", fixed_spins=tuple(spins.items()))
-
-
 def uniform_fixed_bc(sign: int = 1) -> BoundaryCondition:
     """The rule that clamps every ghost site of a region to ``sign``."""
-    if sign not in (-1, 1):
-        raise ValueError("fixed boundary spins must be +-1")
     return BoundaryCondition("fixed", sign=sign)
 
 
@@ -179,7 +147,7 @@ def required_edges(region: Region, bc: BoundaryCondition) -> EdgeSet:
     for fixed boundary conditions, the bonds to the clamped ghost ring."""
     inner = interior_edges(region)
     if bc.kind == "fixed":
-        return union(inner, boundary_edges(region, grow(region, 1)))
+        return union(inner, boundary_edges(region, grow(region)))
     return inner
 
 
@@ -290,7 +258,7 @@ class _Terms:
     ``required_edges(region, bc)`` and by site in ``region.sites`` order:
     each edge's seam ``sign``, the in-region bonds ``bond_pos`` between
     sites ``bond_ix`` and ``bond_iy``, and the clamped ghost bonds
-    ``ghost_pos``, each a field of ``ghost_tau`` times its coupling on its
+    ``ghost_pos``, each a field of the bc's sign times its coupling on its
     inner site ``ghost_site``."""
 
     n: int
@@ -300,16 +268,14 @@ class _Terms:
     bond_pos: np.ndarray
     ghost_site: np.ndarray
     ghost_pos: np.ndarray
-    ghost_tau: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _terms(region: Region, bc: BoundaryCondition) -> _Terms:
     edges = required_edges(region, bc)
     _, index = _site_order(region)
-    fixed = bc.fixed_map(region)
     bond_ix, bond_iy, bond_pos = [], [], []
-    ghost_site, ghost_pos, ghost_tau = [], [], []
+    ghost_site, ghost_pos = [], []
     for k, e in enumerate(edges):
         in_x, in_y = e.x in index, e.y in index
         if in_x and in_y:
@@ -317,10 +283,8 @@ def _terms(region: Region, bc: BoundaryCondition) -> _Terms:
             bond_iy.append(index[e.y])
             bond_pos.append(k)
         else:
-            inner, outer = (e.x, e.y) if in_x else (e.y, e.x)
-            ghost_site.append(index[inner])
+            ghost_site.append(index[e.x if in_x else e.y])
             ghost_pos.append(k)
-            ghost_tau.append(float(fixed[outer]))
     # only an antiperiodic bc has seam axes, whose wrap bonds are sign-flipped
     sign = [-1.0 if e.wrap and e.axis in bc.seam_axes else 1.0 for e in edges]
     return _Terms(
@@ -331,7 +295,6 @@ def _terms(region: Region, bc: BoundaryCondition) -> _Terms:
         bond_pos=np.asarray(bond_pos, dtype=np.intp),
         ghost_site=np.asarray(ghost_site, dtype=np.intp),
         ghost_pos=np.asarray(ghost_pos, dtype=np.intp),
-        ghost_tau=np.asarray(ghost_tau, dtype=np.float64),
     )
 
 
@@ -344,7 +307,7 @@ def _site_fields(
     terms = _terms(spec.region, spec.bc)
     h = np.zeros(values.shape[:-1] + (terms.n,))
     if terms.ghost_pos.size:
-        ghost = values.take(terms.ghost_pos, axis=-1) * terms.ghost_tau
+        ghost = values.take(terms.ghost_pos, axis=-1) * float(spec.bc.sign)
         np.add.at(h, (..., terms.ghost_site), ghost)
     if extra_fields:
         _, index = _site_order(spec.region)

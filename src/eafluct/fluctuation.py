@@ -75,6 +75,7 @@ BOOTSTRAP_DEFAULT = 1000
 PROBE_EPSILONS = (0.005, 0.01, 0.02, 0.05)
 PROBE_NOISE_TOL = 1e-10
 OBSERVABLE_SCALE = 0.5  # field scale of the bound check's window observables
+SLACK_TOL = 1e-9  # how far below 0 rounding may put a bound check's slack
 COVARIANCE_BLOCK = (2, 2)  # extents of the covariance check's modified block
 
 
@@ -361,7 +362,6 @@ def conditional_mean_given_block(
     block_values: Mapping[Edge, float],
     n_outer: int,
     route: str = "direct",
-    enum_cap: int = ENUM_CAP,
 ) -> ConditionalMeanResult:
     """Estimate of the conditional mean of F given the couplings on E(block).
 
@@ -390,8 +390,8 @@ def conditional_mean_given_block(
             window_edges = pair0.window_edges
             obs_values = {e: -full.value(e) for e in window_edges}
             obs = exp_bond_observable(window_edges, obs_values, spec.beta)
-            num = reweight_expectation(pair0.gamma, block, block_values, obs, cap=enum_cap)
-            den = reweight_expectation(pair0.gamma_prime, block, block_values, obs, cap=enum_cap)
+            num = reweight_expectation(pair0.gamma, block, block_values, obs, cap=ENUM_CAP)
+            den = reweight_expectation(pair0.gamma_prime, block, block_values, obs, cap=ENUM_CAP)
             vals[t] = math.log(num) - math.log(den)
     return ConditionalMeanResult(
         mean=float(vals.mean()),
@@ -608,7 +608,6 @@ def bound_check(
     pair: StatePair,
     n_observables: int = 2,
     seed: int = 0,
-    slack_tol: float = 1e-9,
     solver: Solver = Solver(),
 ) -> BoundSlackReport:
     """Assert |F| <= 4 beta sum_{boundary} |J_e| and the two-sided
@@ -661,7 +660,7 @@ def bound_check(
         min_ratio_slack=min(ratio_slacks),
     )
     worst = min(slack, report.min_ratio_slack)
-    if worst < -slack_tol:
+    if worst < -SLACK_TOL:
         dump = {
             "report": asdict(report),
             "result": asdict(result),
@@ -929,13 +928,9 @@ def check_scaling(
 
 def scaling_sub_spec(spec_template: EnsembleSpec, window_size: int) -> EnsembleSpec:
     """The template rescaled to one window size, keeping the margin and the
-    bcs: a fixed bc of one sign is a rule that clamps each box's own ghost
-    ring, and an explicit ring, which fits one box, raises
-    :class:`ConfigError`."""
+    bcs: a fixed bc is one sign, which clamps each box's own ghost ring."""
     box, window = spec_template.box_extents, spec_template.window_extents
     margin = scaling_margin(box, window, (window_size,))
-    if spec_template.bc.fixed_spins or spec_template.bc_prime.fixed_spins:
-        raise ConfigError("only a fixed boundary condition of one sign can be rescaled")
     return replace(
         spec_template,
         window_extents=(window_size,) * len(box),

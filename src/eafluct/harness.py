@@ -268,7 +268,7 @@ def _bc_from_name(name: str, seam_axes: tuple[int, ...]) -> BoundaryCondition:
 
 def _state_bcs(cfg: ExperimentConfig) -> tuple[BoundaryCondition, BoundaryCondition]:
     """The bcs of the two states an ensemble kind compares."""
-    if KIND_TABLE[cfg.kind].mode == "domain-wall":
+    if KIND_TABLE[cfg.kind].ensemble == "domain-wall":
         return periodic_bc(), antiperiodic_bc(*cfg.seam_axes)
     return _bc_from_name(cfg.bc, cfg.seam_axes), _bc_from_name(cfg.bc_prime, cfg.seam_axes)
 
@@ -276,7 +276,8 @@ def _state_bcs(cfg: ExperimentConfig) -> tuple[BoundaryCondition, BoundaryCondit
 def ensemble_spec_from_config(cfg: ExperimentConfig, beta: float | None = None) -> EnsembleSpec:
     if cfg.seed is None:
         raise ConfigError("a seed is required (no wall-clock seeding)")
-    mode = KIND_TABLE[cfg.kind].mode
+    # a kind with no ensemble of its own still reads its config as a pair
+    mode = KIND_TABLE[cfg.kind].ensemble or "pair"
     bc, bc_prime = _state_bcs(cfg)
     return EnsembleSpec(
         dist=distribution_from_label(cfg.distribution),
@@ -329,9 +330,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"output {name} must name a file, got {path!r}")
     if Path(cfg.records).resolve() == Path(cfg.report).resolve():
         raise ConfigError(f"output records and report name the same file {cfg.report!r}")
+    if "\0" in cfg.csv_dir or os.path.isfile(cfg.csv_dir):
+        raise ConfigError(f"output csv_dir must name a directory, got {cfg.csv_dir!r}")
+    for name in ("records", "report", "csv_dir"):  # each is created under its nearest ancestor
+        path = getattr(cfg, name)
+        ancestor = next(a for a in Path(path).absolute().parents if os.path.exists(a))
+        if not ancestor.is_dir():
+            raise ConfigError(f"output {name} {path!r} lies under {str(ancestor)!r}, a file")
     if not cfg.box or min(cfg.box) < 1:
         raise ConfigError("box needs at least one axis and every extent >= 1")
-    if kind.pair:
+    if kind.ensemble == "pair":
         if len(cfg.window) != len(cfg.box) or min(cfg.window) < 1:
             raise ConfigError("window needs the box's dimension and every extent >= 1")
         if any(w + 2 > b for w, b in zip(cfg.window, cfg.box)):
@@ -397,10 +405,11 @@ class ExperimentKind:
     coordinates as the task's seed.  ``reduce(cfg, payloads)`` builds the
     summary from the payloads in task order; ``csv_tables(summary)`` lists
     its CSV files as ``(file name, header, rows)``.  ``min_n`` is the least
-    realization count; ``pair`` says the kind compares ``bc`` with
-    ``bc_prime`` on a window that needs a margin in the box; ``mode`` is the
-    ensemble mode; ``check(cfg)`` raises ``ConfigError`` for what only this
-    kind rejects.
+    realization count; ``ensemble`` is the ensemble mode of its states:
+    ``"pair"`` compares ``bc`` with ``bc_prime`` on a window that needs a
+    margin in the box, ``"domain-wall"`` the periodic with the antiperiodic
+    box, and ``None`` builds no ensemble; ``check(cfg)`` raises
+    ``ConfigError`` for what only this kind rejects.
     """
 
     run: Callable[[ExperimentConfig, dict], dict]
@@ -408,8 +417,7 @@ class ExperimentKind:
     csv_tables: Callable[[dict], list[tuple[str, list[str], list]]]
     tasks: Callable[[ExperimentConfig], list[dict]] = _realizations
     min_n: int = 1
-    pair: bool = True
-    mode: str = "pair"
+    ensemble: str | None = "pair"
     check: Callable[[ExperimentConfig], None] = lambda cfg: None
 
 
@@ -715,7 +723,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
         run=_on_ensemble(lambda cfg, spec, i: {"value": spec.f_value(i)}),
         reduce=_reduce_domain_wall,
         csv_tables=_csvs(_values_csv("domain-wall")),
-        pair=False, mode="domain-wall", check=_check_domain_wall,
+        ensemble="domain-wall", check=_check_domain_wall,
     ),
     "ensemble": ExperimentKind(
         run=_on_ensemble(_fe_task),
@@ -790,7 +798,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
         csv_tables=_csvs(
             _csv("covariance.csv", "n_samples max_translation_deviation max_coupling_deviation")
         ),
-        pair=False, check=_check_covariance,
+        ensemble=None, check=_check_covariance,
     ),
     "oracle-verify": ExperimentKind(
         tasks=_oracle_tasks,
@@ -800,7 +808,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
             "oracle_verify.csv",
             "instances checked unsupported max_logz_deviation max_corr_deviation passed",
         )),
-        pair=False, check=_check_oracle,
+        ensemble=None, check=_check_oracle,
     ),
 }
 KINDS = tuple(KIND_TABLE)
@@ -1009,15 +1017,18 @@ def write_csv_reports(report: dict, out_dir) -> list[str]:
     except KeyError as err:
         raise IncompleteRunError(f"the {kind} summary has no field {err}") from None
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    for name, header, rows in tables:
-        path = out / name
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        written.append(str(path))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, header, rows in tables:
+            path = out / name
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            written.append(str(path))
+    except OSError as err:  # the directory is a file or lies under one, or a CSV path is taken
+        raise ConfigError(f"cannot write the CSV files to {str(out)!r}: {err}") from err
     return written
 
 

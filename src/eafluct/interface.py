@@ -50,7 +50,7 @@ def master_edge_set(extents: tuple[int, ...]) -> EdgeSet:
     interior (torus bonds included) plus the clamped ghost ring."""
     open_region = Region(extents)
     wrapped = Region(extents, (True,) * len(extents))
-    return union(interior_edges(wrapped), boundary_edges(open_region, grow(open_region, 1)))
+    return union(interior_edges(wrapped), boundary_edges(open_region, grow(open_region)))
 
 
 def region_for_bc(extents: tuple[int, ...], bc: BoundaryCondition) -> Region:

@@ -81,12 +81,10 @@ class Region:
         ) and self.dimension == other.dimension
 
 
-def grow(region: Region, margin: int = 1) -> Region:
-    """Region enlarged by ``margin`` on every open axis (wrapped axes have no boundary)."""
-    extents = tuple(
-        e + (0 if w else 2 * margin) for e, w in zip(region.extents, region.wrap)
-    )
-    origin = tuple(o - (0 if w else margin) for o, w in zip(region.origin, region.wrap))
+def grow(region: Region) -> Region:
+    """Region enlarged by one site on every open axis (wrapped axes have no boundary)."""
+    extents = tuple(e + (0 if w else 2) for e, w in zip(region.extents, region.wrap))
+    origin = tuple(o - (0 if w else 1) for o, w in zip(region.origin, region.wrap))
     return Region(extents, region.wrap, origin)
 
 
@@ -234,13 +232,6 @@ def boundary_edges(inner: Region, ambient: Region) -> EdgeSet:
         if inner.contains_site(e.x) != inner.contains_site(e.y)
     )
     return EdgeSet(ambient, edges)
-
-
-def ghost_sites(region: Region) -> tuple[Site, ...]:
-    """Clamped sites just outside the region on its open axes, in lex order."""
-    ring = boundary_edges(region, grow(region, 1))
-    outside = {s for e in ring for s in e.endpoints() if not region.contains_site(s)}
-    return tuple(sorted(outside))
 
 
 def translate_site(site: Site, vector: tuple[int, ...], ambient: Region) -> Site:

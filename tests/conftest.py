@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from eafluct.disorder import CouplingConfig
 from eafluct.exactsolve import (
     GibbsSpec,
     Solver,
@@ -18,6 +19,7 @@ from eafluct.exactsolve import (
     log_partition_pairs,
     periodic_bc,
     required_edges,
+    uniform_fixed_bc,
 )
 from eafluct.harness import parse_config_dict, reduce_report, run_task, task_count
 
@@ -29,7 +31,6 @@ def spin_assignments(sites):
 
 def effective_bonds(spec):
     """(x, y, J) triples with seam flips applied, plus ghost fields."""
-    fixed = spec.bc.fixed_map(spec.region)
     bonds = []
     fields = {}
     for e in required_edges(spec.region, spec.bc):
@@ -41,9 +42,24 @@ def effective_bonds(spec):
         if in_x and in_y:
             bonds.append((e.x, e.y, j))
         else:
-            inner, outer = (e.x, e.y) if in_x else (e.y, e.x)
-            fields[inner] = fields.get(inner, 0.0) + j * fixed[outer]
+            inner = e.x if in_x else e.y
+            fields[inner] = fields.get(inner, 0.0) + j * spec.bc.sign
     return bonds, fields
+
+
+def ring_through_couplings(spec, spin=lambda k: (-1) ** k):
+    """``spec``, a ``uniform_fixed_bc(+1)`` spec, with its ghost ring clamped
+    to ``spin(k)`` at the k-th outer site in sorted order: by default a mixed
+    ring.  A ghost bond enters only as ``J_g tau_g sigma_x``, so the ring is
+    written through the couplings, each ghost coupling times its outer
+    site's spin, a product by +-1 that is exact."""
+    assert spec.bc == uniform_fixed_bc(+1)
+    region, edges = spec.region, spec.couplings.edge_set
+    # each bond's ghost endpoint, None for a bond inside the region
+    outer = [next((s for s in e.endpoints() if not region.contains_site(s)), None) for e in edges]
+    tau = {s: spin(k) for k, s in enumerate(sorted(set(outer) - {None}))}
+    values = [v if s is None else v * tau[s] for v, s in zip(spec.couplings.values, outer)]
+    return spec.with_couplings(CouplingConfig(edges, values))
 
 
 def brute_weight_exponent(spec, sigma, bonds, fields):

@@ -209,7 +209,7 @@ def test_criterion_06_boundary_bound():
                 pair = make_state_pair(
                     (5, 5), (3, 3), beta, free_bc(), periodic_bc(), master
                 )
-                rep = bound_check(pair, slack_tol=1e-9)  # raises on violation
+                rep = bound_check(pair)  # raises on violation
                 min_slack = min(min_slack, rep.slack)
                 min_ratio = min(min_ratio, min(rep.ratio_slacks))
         assert min_slack >= -1e-9

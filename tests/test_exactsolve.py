@@ -19,6 +19,7 @@ from conftest import (
     constant_one,
     domain_wall,
     effective_bonds,
+    ring_through_couplings,
     spin_assignments,
 )
 
@@ -26,7 +27,6 @@ from eafluct.disorder import Gaussian, SeedSpec, sample_couplings
 from eafluct.errors import (
     ConfigError,
     ContainmentError,
-    CoverageError,
     SizeCapError,
     UnsupportedOperationError,
 )
@@ -37,7 +37,6 @@ from eafluct.exactsolve import (
     antiperiodic_bc,
     edge_correlation,
     edge_correlations,
-    fixed_bc,
     free_bc,
     gibbs_expectation_enum,
     log_partition,
@@ -50,7 +49,7 @@ from eafluct.exactsolve import (
     uniform_fixed_bc,
 )
 from eafluct.interface import region_for_bc
-from eafluct.lattice import Edge, Region, edge_from_origin, ghost_sites, interior_edges
+from eafluct.lattice import Edge, Region, edge_from_origin, interior_edges
 
 
 def make_spec(extents, wrap, bc, beta, seed=1, realization=0):
@@ -346,18 +345,17 @@ BATCH_BCS = ["free", "fixed", "periodic", "seam0", "seam1", "seam01"]
 
 def batch_spec(extents, bc_name, beta):
     wrapped = bc_name not in ("free", "fixed")
-    if bc_name == "fixed":  # a mixed clamped ring, not one uniform field
-        ring = ghost_sites(Region(extents))
-        bc = fixed_bc({s: (-1) ** k for k, s in enumerate(ring)})
-    else:
-        bc = {
-            "free": free_bc(),
-            "periodic": periodic_bc(),
-            "seam0": antiperiodic_bc(0),
-            "seam1": antiperiodic_bc(1),
-            "seam01": antiperiodic_bc(0, 1),
-        }[bc_name]
-    return make_spec(extents, (wrapped, wrapped), bc, beta, seed=5)
+    bc = {
+        "free": free_bc(),
+        "fixed": uniform_fixed_bc(+1),
+        "periodic": periodic_bc(),
+        "seam0": antiperiodic_bc(0),
+        "seam1": antiperiodic_bc(1),
+        "seam01": antiperiodic_bc(0, 1),
+    }[bc_name]
+    spec = make_spec(extents, (wrapped, wrapped), bc, beta, seed=5)
+    # a mixed clamped ring, not one uniform field
+    return ring_through_couplings(spec) if bc_name == "fixed" else spec
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
@@ -627,34 +625,15 @@ def test_bc_validation():
         antiperiodic_bc().__class__("antiperiodic")  # no seam axis
 
 
-def test_fixed_bc_must_cover_ghost_ring():
-    region = Region((2, 2))
-    with pytest.raises(CoverageError):
-        GibbsSpec(
-            region,
-            sample_couplings(
-                Gaussian(), required_edges(region, uniform_fixed_bc(1)), SeedSpec(1)
-            ),
-            1.0,
-            fixed_bc({(-1, 0): 1}),
-        )
-    with pytest.raises(ValueError):
-        fixed_bc({s: 2 for s in ghost_sites(region)})
-
-
-def test_fixed_bc_coverage_is_checked_per_region(monkeypatch):
-    small, large = Region((2, 2)), Region((3, 3))
-    bc = fixed_bc(dict.fromkeys(ghost_sites(small), 1))
-    couplings = sample_couplings(Gaussian(), required_edges(large, uniform_fixed_bc()),
-                                 SeedSpec(1))
-    calls = []
-    monkeypatch.setattr(exactsolve, "ghost_sites", lambda r: calls.append(r) or ghost_sites(r))
-    for _ in range(3):
-        GibbsSpec(small, couplings, 1.0, bc)
-    assert len(calls) <= 1  # the ring is built once per (bc, region), not per spec
-    # the ring of the small box is not the ring of the large one
-    with pytest.raises(CoverageError):
-        GibbsSpec(large, couplings, 1.0, bc)
+@pytest.mark.parametrize("kind, sign", [
+    ("fixed", 0), ("fixed", 2), ("fixed", -2), ("fixed", 1.0), ("free", 1), ("periodic", -1),
+])
+def test_a_boundary_condition_has_a_sign_exactly_when_it_is_fixed(kind, sign):
+    # a fixed bc is one sign, the int +-1 its label prints, and no other kind carries one
+    with pytest.raises(ValueError, match="sign"):
+        exactsolve.BoundaryCondition(kind, sign=sign)
+    assert [uniform_fixed_bc(s).sign for s in (1, -1)] == [1, -1]
+    assert free_bc().sign == periodic_bc().sign == antiperiodic_bc(0).sign == 0
 
 
 def test_equal_boundary_conditions_hash_equal_and_share_the_caches():
@@ -664,12 +643,10 @@ def test_equal_boundary_conditions_hash_equal_and_share_the_caches():
     assert bc != uniform_fixed_bc(-1)
     couplings = sample_couplings(Gaussian(), required_edges(region, bc), SeedSpec(3))
     GibbsSpec(region, couplings, 1.0, bc)
-    caches = (exactsolve._covers_ghost_ring, required_edges)
-    before = [f.cache_info() for f in caches]
+    before = required_edges.cache_info()
     GibbsSpec(region, couplings, 1.0, same)
-    after = [f.cache_info() for f in caches]
-    assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1]
-    assert [a.misses for a in after] == [b.misses for b in before]
+    after = required_edges.cache_info()
+    assert (after.hits - before.hits, after.misses) == (1, before.misses)
 
 
 def test_a_pickled_boundary_condition_hashes_like_a_fresh_one_in_another_process():
@@ -933,12 +910,12 @@ def test_halved_sweep_matches_the_full_row_product(extents):
 def test_extra_fields_land_on_their_sites_in_both_strip_orientations(extents, t_axis):
     region = Region(extents)
     assert exactsolve._transfer_plan(region, free_bc(), 12).t_axis == t_axis
-    ring = ghost_sites(region)
     sites = region.sites
     fields = {sites[0]: 0.9, sites[1]: -0.4, sites[len(sites) // 2]: 1.3, sites[-1]: -0.6}
-    mixed = fixed_bc({s: (-1) ** k for k, s in enumerate(ring)})
-    for bc in (free_bc(), uniform_fixed_bc(-1), mixed):
-        spec = make_spec(extents, (False, False), bc, 0.8, seed=17)
+    mixed = ring_through_couplings(make_spec(extents, (False, False), uniform_fixed_bc(), 0.8,
+                                             seed=17))
+    for spec in [make_spec(extents, (False, False), bc, 0.8, seed=17)
+                 for bc in (free_bc(), uniform_fixed_bc(-1))] + [mixed]:
         want = log_partition_enum(spec, extra_fields=fields)
         assert abs(log_partition_transfer(spec, extra_fields=fields) - want) <= 1e-9
         # the fields move log Z, so a misplaced one would show
@@ -948,13 +925,13 @@ def test_extra_fields_land_on_their_sites_in_both_strip_orientations(extents, t_
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("extents", [(1, 1), (2, 5), (5, 2), (4, 4), (6, 3)])
 def test_the_fixed_rule_equals_its_explicit_ring(extents, sign):
-    region = Region(extents)
+    # the ring of all ``sign`` written through the +1 rule's ghost couplings
     rule = make_spec(extents, (False, False), uniform_fixed_bc(sign), 1.1, seed=19)
-    explicit = fixed_bc(dict.fromkeys(ghost_sites(region), sign))
-    ring = GibbsSpec(region, rule.couplings, 1.1, explicit)
+    plus = GibbsSpec(rule.region, rule.couplings, 1.1, uniform_fixed_bc(+1))
+    ring = ring_through_couplings(plus, spin=lambda k: sign)
     for engine in (log_partition_enum, log_partition_transfer):
         assert engine(rule).hex() == engine(ring).hex()
-    edges = interior_edges(region)
+    edges = interior_edges(rule.region)
     for method in ("enum", "transfer"):
         got = edge_correlations(rule, edges, Solver(method))
         assert [x.hex() for x in got.tolist()] == [
@@ -1274,30 +1251,28 @@ def test_torus_correlations_match_the_transposed_sweep(side):
 THIN_BOXES = [(1, 1), (1, 6), (6, 1), (2, 5), (5, 2), (3, 4)]
 
 
-def _every_bc(extents):
-    region = Region(extents)
-    mixed = {site: (-1) ** k for k, site in enumerate(ghost_sites(region))}
-    return [
+def _every_bc(extents, beta, seed=13, realization=0):
+    """A spec under every bc, with a mixed clamped ring among them."""
+    specs = [make_spec(extents, wrap, bc, beta, seed, realization) for wrap, bc in [
         ((False, False), free_bc()),
         ((False, False), uniform_fixed_bc(1)),
-        ((False, False), fixed_bc(mixed)),
         ((True, True), periodic_bc()),
         ((True, True), antiperiodic_bc(0)),
         ((True, True), antiperiodic_bc(1)),
         ((True, True), antiperiodic_bc(0, 1)),
-    ]
+    ]]
+    return [*specs[:2], ring_through_couplings(specs[1]), *specs[2:]]
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
 @pytest.mark.parametrize("extents", THIN_BOXES)
 def test_factored_links_match_enumeration_on_every_bc(extents, beta):
-    for wrap, bc in _every_bc(extents):
-        spec = make_spec(extents, wrap, bc, beta, seed=13)
+    for spec in _every_bc(extents, beta):
         assert abs(log_partition_transfer(spec) - log_partition_enum(spec)) <= 1e-9
         edges = interior_edges(spec.region)
         transfer = edge_correlations(spec, edges, Solver("transfer"))
         enum = edge_correlations(spec, edges, Solver("enum"))
-        assert np.all(np.abs(transfer - enum) <= 1e-10), (extents, bc.label)
+        assert np.all(np.abs(transfer - enum) <= 1e-10), (extents, spec.bc.label)
         if beta == 0.0:
             assert np.all(transfer == 0.0)
 
@@ -1321,9 +1296,10 @@ def _row_sweeps(specs, negated_close=False):
 
 @pytest.mark.parametrize("extents", STACK_BOXES)
 def test_stacked_sweep_rows_match_one_row_sweeps(extents):
-    for wrap, bc in _every_bc(extents):
-        for beta in (0.0, 0.7, 3.0):
-            specs = [make_spec(extents, wrap, bc, beta, seed=14, realization=k) for k in range(3)]
+    for beta in (0.0, 0.7, 3.0):
+        realizations = [_every_bc(extents, beta, seed=14, realization=k) for k in range(3)]
+        for specs in zip(*realizations):
+            bc = specs[0].bc
             stacked, single = _row_sweeps(specs)
             assert stacked == single, (bc.label, beta)
             if exactsolve._transfer_plan(specs[0].region, bc, 12).wrap_l:

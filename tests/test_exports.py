@@ -14,7 +14,7 @@ EXPORTS = {
     "errors": {"TaskError"},
     "exactsolve": {
         "BoundaryCondition", "GibbsSpec", "Solver", "antiperiodic_bc", "edge_correlation",
-        "edge_correlations", "fixed_bc", "free_bc", "gibbs_expectation_enum", "log_partition",
+        "edge_correlations", "free_bc", "gibbs_expectation_enum", "log_partition",
         "log_partition_enum", "log_partition_pairs", "log_partition_transfer", "periodic_bc",
         "reweight", "reweight_expectation", "uniform_fixed_bc",
     },
@@ -40,6 +40,6 @@ def test_init_imports_exactly_the_pinned_names():
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             imported.setdefault(node.module, set()).update(a.name for a in node.names)
     assert imported == EXPORTS
-    assert sum(map(len, EXPORTS.values())) == 46
+    assert sum(map(len, EXPORTS.values())) == 45
     for names in EXPORTS.values():
         assert all(hasattr(eafluct, name) for name in names)

@@ -14,7 +14,6 @@ from eafluct.errors import BoundViolationError, ConfigError, EafluctError
 from eafluct.exactsolve import (
     Solver,
     antiperiodic_bc,
-    fixed_bc,
     free_bc,
     periodic_bc,
     uniform_fixed_bc,
@@ -728,18 +727,12 @@ def test_scaling_golden_run_emits_fits_with_ci():
 
 
 def test_fixed_bc_templates_rescale_by_their_one_sign():
-    # every window size clamps its own box's ghost ring; a fixed bc of both
-    # signs has no rule to carry to another box
+    # a fixed bc is one sign, so every window size clamps its own box's ghost ring
     template = spec_3x3_in_5x5(n=3, bc_prime=uniform_fixed_bc(-1))
     for size in (2, 3, 4):
         sub = scaling_sub_spec(template, size)
         assert sub.bc_prime == uniform_fixed_bc(-1)
         assert sub.bc == template.bc
-    ring = uniform_fixed_bc(+1).fixed_map(Region((5, 5)))
-    ring[min(ring)] = -1
-    mixed = replace(template, bc_prime=fixed_bc(ring))
-    with pytest.raises(ConfigError, match="one sign"):
-        scaling_sub_spec(mixed, 2)
 
 
 def test_scaling_sub_specs_keep_the_templates_own_bcs():

@@ -373,7 +373,7 @@ def test_kind_rules_come_from_the_table(tmp_path):
     tight = {"box": [4, 4], "window": [4, 4], "window_sizes": [2, 3, 4]}
     for kind, entry in harness.KIND_TABLE.items():
         data = base_config(tmp_path, kind=kind, geometry=tight, sampling={"block_side": 1})
-        if entry.pair:
+        if entry.ensemble == "pair":
             with pytest.raises(ConfigError, match="margin"):
                 parse_config_dict(data)
         else:
@@ -1060,6 +1060,51 @@ def test_unreadable_report_is_an_incomplete_run_error(tmp_path, capsys, text):
         report_from_file(path)
     assert main(["report", "--report", str(path), "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _fe_golden_under(tmp_path, **output):
+    """The ``fe`` golden config with its outputs in ``tmp_path``, then
+    ``output`` on top, written to ``tmp_path/cfg.json``; ``afile`` there is a
+    regular file."""
+    (tmp_path / "afile").write_text("not a directory\n")
+    data = json.loads((GOLDEN / "fe" / "config.json").read_text())
+    data["output"] = {name: str(tmp_path / path) for name, path in {
+        "records": "records.jsonl", "report": "report.json", "csv_dir": "csv", **output,
+    }.items()}
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(data))
+    return config_path
+
+
+@pytest.mark.parametrize("name, path", [
+    ("report", "afile/report.json"),
+    ("records", "afile/records.jsonl"),
+    ("csv_dir", "afile/csv"),
+    ("csv_dir", "afile"),
+])
+def test_an_output_path_under_a_file_is_refused_at_parse(tmp_path, capsys, name, path):
+    # the report's case ran every task and wrote the records, then raised a
+    # raw FileExistsError; the records' case raised it before the first task
+    config_path = _fe_golden_under(tmp_path, **{name: path})
+    with pytest.raises(ConfigError, match=f"output {name}"):
+        load_config(config_path)
+    assert main(["fe", "-c", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: output {name}")
+    assert not (tmp_path / "records.jsonl").exists()
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub", "taken"])
+def test_a_csv_directory_under_a_file_is_refused_by_the_cli(tmp_path, capsys, out_dir):
+    # these raised a raw FileExistsError, NotADirectoryError and IsADirectoryError
+    config_path = _fe_golden_under(tmp_path)
+    (tmp_path / "taken" / "fe_values.csv").mkdir(parents=True)
+    assert main(["fe", "-c", str(config_path)]) == 0
+    report = str(tmp_path / "report.json")
+    assert main(["report", "--report", report, "--out-dir", str(tmp_path / out_dir)]) == 2
+    assert "cannot write the CSV files to" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
+    assert not (tmp_path / "csv").exists()
 
 
 def test_config_digest_stable(tmp_path):

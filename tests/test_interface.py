@@ -13,7 +13,6 @@ from eafluct.exactsolve import (
     Solver,
     antiperiodic_bc,
     edge_correlation,
-    fixed_bc,
     free_bc,
     log_partition,
     log_partition_enum,
@@ -30,7 +29,7 @@ from eafluct.interface import (
     master_edge_set,
     sample_master,
 )
-from eafluct.lattice import Edge, Region, ghost_sites, interior_edges
+from eafluct.lattice import Edge, Region, interior_edges
 
 
 def pair_4x4(beta=1.0, bc=None, bc_prime=None, seed=11, realization=0):
@@ -122,7 +121,6 @@ def test_bc_pair_names_the_sign_of_a_fixed_rule():
     assert pairs == [("free", "fixed:+1"), ("free", "fixed:-1")]
     for s in (1, -1):  # the label is the config name of the same rule
         assert _bc_from_name(uniform_fixed_bc(s).label, ()) == uniform_fixed_bc(s)
-    assert fixed_bc(dict.fromkeys(ghost_sites(Region((4, 4))), 1)).label == "fixed"
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])

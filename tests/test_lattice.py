@@ -11,7 +11,6 @@ from eafluct.lattice import (
     block_partition,
     boundary_edges,
     centered_window,
-    ghost_sites,
     grow,
     interior_edges,
     translate_edge,
@@ -202,12 +201,12 @@ def test_block_partition_is_disjoint_and_exhaustive():
     assert len(part) * part.blocks[0].n_sites == region.n_sites
 
 
-def test_ghost_sites_surround_open_region():
+def test_the_boundary_in_the_grown_region_reaches_the_ghost_ring():
     region = Region((2, 2))
-    ghosts = ghost_sites(region)
-    assert len(ghosts) == 8
-    assert all(not region.contains_site(g) for g in ghosts)
-    assert all(grow(region, 1).contains_site(g) for g in ghosts)
+    ring = boundary_edges(region, grow(region))
+    ghosts = {s for e in ring for s in e.endpoints() if not region.contains_site(s)}
+    assert len(ring) == len(ghosts) == 8
+    assert all(grow(region).contains_site(g) for g in ghosts)
 
 
 def test_region_validation():

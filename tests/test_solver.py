@@ -113,7 +113,6 @@ KEPT = {
     (exactsolve, "log_partition_transfer"): {"width_cap"},
     # enumeration-only routes, the independent cross-checks: no engine choice
     (interface, "interface_free_energy_direct"): {"enum_cap"},
-    (fluctuation, "conditional_mean_given_block"): {"enum_cap"},
     (fluctuation, "covariance_sample"): {"enum_cap"},
 }
 
