@@ -678,6 +678,33 @@ def _link_rows(link: tuple[np.ndarray, np.ndarray], rows: int, out: np.ndarray) 
     return out
 
 
+def _trace_close(
+    env: np.ndarray, link: tuple[np.ndarray, np.ndarray], scratch: np.ndarray
+) -> np.ndarray:
+    """(B,) trace of each stack row's environment against its symmetric
+    closing link ``np.kron(hi, lo)`` (see :func:`_link`), for ``env`` of
+    shape (B, rows, 2^W) that carries the first ``rows`` column-0 states, all
+    2^W or the 2^(W-1) whose mirrored rows add the same sum again.
+
+    The carried rows of the link are never built: with a row x = (p, l) and a
+    column y = (a, j) split into their (hi, lo) halves, the environment is
+    contracted with ``lo[l, j]`` over j, into ``scratch``, a contiguous
+    array of at least ``env.size / 2^k`` doubles, then with ``hi[p, a]``
+    over a, and summed over (p, l).  Both contractions are matrix products,
+    as the steps' are: an ``einsum`` would load code that adds 0.1 MB to a
+    process's resident size.
+    """
+    hi, lo = link
+    b, rows, side = env.shape
+    n = lo.shape[-1]
+    shape = (b, rows // n, n, side // n)
+    view = env.reshape(*shape, n)
+    by_lo = scratch[: env.size // n].reshape(*shape, 1)
+    np.matmul(view, lo[:, None, :, :, None], out=by_lo)
+    by_both = np.matmul(hi[:, : rows // n, None, None, :], by_lo)
+    return (side // rows) * by_both.reshape(b, -1).sum(axis=1)
+
+
 _RANGE_ERROR = "transfer weights left the floating-point range at this beta"
 
 
@@ -711,27 +738,30 @@ def _transfer_sweep(
     raises ``ArithmeticError`` for the whole stack, from one check of every
     row's maxima and closes.
 
-    Environment c is the rescaled product of columns 0..c and the links
-    between them, per row a 2-D array whose columns are the states of
-    column c and whose rows are the states of column 0 that the close still
-    needs: one row on an open length axis, and on a wrapped one 2^W rows,
-    or 2^(W-1) when no field term breaks the global spin flip in any row of
-    the stack.  The flip maps state x to ~x = 2^W-1-x and leaves every link
-    (``M[~x, ~y] = M[x, y]``) and every field-free column weight unchanged,
-    so the rows of the column-0 states with the top bit set are the others
-    mirrored, ``env[~x, ~y] = env[x, y]``, and are not carried.  The sweep
-    allocates one work buffer: the environment, which every step overwrites
-    in place, and a scratch region for the block of a link step and for the
-    closing link rows.  A step applies a link through its Kronecker factors
-    (:func:`_apply`), except
-    the first wrapped one, which writes the carried rows of the link
-    (:func:`_link_rows`) and row-scales them by the column-0 weights.  The close
-    is the sum of the last environment on an open axis, and on a wrapped one
-    its trace against the closing link: 2^W / rows times the dot product of
-    the carried rows with the same rows of that symmetric link, which each
-    stack row builds in turn in the scratch region.  With
-    ``negated_close`` (a wrapped length axis only) the close is taken a
-    second time, against the closing link with its couplings negated.
+    Environment c is the product of columns 0..c and the links between
+    them, divided by the maxima of environments 1..c-1, per row a 2-D array
+    whose columns are the states of column c and whose rows are the states
+    of column 0 that the close still needs: one row on an open length axis,
+    and on a wrapped one 2^W rows, or 2^(W-1) when no field term breaks the
+    global spin flip in any row of the stack.  The flip maps state x to
+    ~x = 2^W-1-x and leaves every link (``M[~x, ~y] = M[x, y]``) and every
+    field-free column weight unchanged, so the rows of the column-0 states
+    with the top bit set are the others mirrored,
+    ``env[~x, ~y] = env[x, y]``, and are not carried.  The sweep allocates
+    one work buffer: the environment, which every step overwrites in place,
+    and a scratch region for the block of a link step and for the close's
+    first contraction.  A step applies a link through its Kronecker factors
+    (:func:`_apply`), except the first wrapped one, which writes the carried
+    rows of the link (:func:`_link_rows`) and row-scales them by the
+    column-0 weights.  The environment itself is never divided: step c >= 2
+    divides its link's small ``lo`` factor by the maximum of environment
+    c-1, the rescale of that column, so every product has the magnitude it
+    would have after dividing the environment.  The close takes the last
+    maximum the same way: it is the sum of the last environment over that
+    maximum on an open axis, and on a wrapped one its trace against the
+    closing link with that maximum in its ``lo`` (:func:`_trace_close`).
+    With ``negated_close`` (a wrapped length axis only) the close is taken
+    a second time, against the closing link with its couplings negated.
     Environments, of shape (B, rows, 2^W), are kept only with ``keep``, as
     copies of the buffer; otherwise the list is empty.
     """
@@ -756,36 +786,43 @@ def _transfer_sweep(
         weights = d.transpose(2, 0, 1)[:, :, None]  # [c] is (B, 1, 2^W)
         # the sweep's one work buffer: the environment, overwritten step by
         # step, and the scratch region, which holds the largest block of a
-        # link step and one stack row's closing link rows.  A wrapped axis
+        # link step and a wrapped close's first contraction.  A wrapped axis
         # starts from diag(d_0), applied to the first link as row scaling,
         # and an open one from the row d_0
         size = len(values) * rows * side
-        work = np.empty(size + max(min(size, max(_BLOCK_DOUBLES, side)), rows * side))
+        close = size >> (plan.width // 2) if plan.wrap_l else 0
+        work = np.empty(size + max(min(size, max(_BLOCK_DOUBLES, side)), close))
         buf, scratch = work[:size].reshape(len(values), rows, side), work[size:]
         env = buf if plan.wrap_l else d[:, None, :, 0]
         if keep:
             envs.append(np.eye(rows, side) * d[:, None, :, 0] if plan.wrap_l else env)
         for c in range(1, plan.length):
             hi, lo = _link(s, jh[..., c - 1], beta)
+            if c > 1:  # the rescale of environment c-1
+                lo /= maxima[c - 2]
             if plan.wrap_l and c == 1:
                 env = _link_rows((hi, lo), rows, buf)
                 env *= d[:, :rows, None, 0]
             else:  # one link per stack row, shared by its carried rows
                 env = _apply(env, (hi, lo), buf, scratch)
-            env *= weights[c]
-            env /= env.max(axis=(1, 2), keepdims=True, out=maxima[c - 1])
+            # a contiguous copy of the weights: a strided row of d halves the
+            # speed of this pass at W = 10
+            env *= np.ascontiguousarray(weights[c])
+            env.max(axis=(1, 2), keepdims=True, out=maxima[c - 1])
             if keep:
                 envs.append(env.copy())
         if plan.wrap_l:
             closings = (jh[..., -1], -jh[..., -1]) if negated_close else (jh[..., -1],)
-            row = scratch[: rows * side].reshape(rows, side)
-            totals = np.array([
-                [(side // rows) * float(np.vdot(e, _link_rows(link, rows, row)))
-                 for e, link in zip(env, zip(*_link(s, j, beta)))]
-                for j in closings
-            ]).T
+            totals = []
+            for j in closings:
+                hi, lo = _link(s, j, beta)
+                lo /= maxima[-1]
+                totals.append(_trace_close(env, (hi, lo), scratch))
+            totals = np.stack(totals, axis=1)
         else:
             totals = env.reshape(len(env), -1).sum(axis=1)[:, None]
+            if len(maxima):
+                totals /= maxima[-1, :, 0]
     _in_range(maxima)
     _in_range(totals)
     logz = []
@@ -855,13 +892,18 @@ def stack_rows(spec: GibbsSpec, other: GibbsSpec, solver: Solver) -> int:
     Before the sweeps the zeroed rows and their byte keys add a fourth copy;
     during them a transfer-resolved state's sweep (see
     :func:`_transfer_sweep`) adds its environment, its column weights with
-    the temporary a field term adds, its link couplings, two links (the last
+    the temporary a field term adds (or, during the steps, the contiguous
+    copy of one column's weights), its link couplings, two links (the last
     and the next) with the products that build one, and its rescale maxima,
-    each also a Python float.  The two states are swept one after the
-    other, so the larger sweep counts.  Once per sweep come the scratch
-    region, the larger of one :func:`_apply` block and one stack row's
-    closing link rows, and the buffers numpy's broadcast products iterate
-    through, one of ``np.getbufsize()`` doubles per input.
+    each also a Python float; a wrapped sweep's close adds one double per
+    carried row (see :func:`_trace_close`).  The two states are swept one
+    after the other, so the larger sweep counts.  Once per sweep come the
+    scratch region, one :func:`_apply` block, and the buffers numpy's
+    broadcast products iterate through, one of ``np.getbufsize()`` doubles
+    per input.  The scratch region also takes the close's first
+    contraction, 2^-k of the environment, which is smaller than a block in
+    any chunk whose environments fit the budget
+    (``test_a_chunk_closes_within_one_block``).
     """
     copies = len(spec.couplings.values) + len(other.couplings.values)
     sweep, scratch = copies, 0  # the fourth copy, before the sweeps
@@ -873,9 +915,10 @@ def stack_rows(spec: GibbsSpec, other: GibbsSpec, solver: Solver) -> int:
             # clamped ghost, so a wrapped sweep carries half the rows
             rows = side // 2 if plan.wrap_l else 1
             links = 2 * ((1 << 2 * (w - k)) + (1 << 2 * k)) + ((w - k) << (w - k)) + (k << k) + w
-            held = rows * side + 2 * side * length + plan.h_pos.size + links + 5 * length
+            close = rows if plan.wrap_l else 0
+            held = rows * side + 2 * side * length + plan.h_pos.size + links + 5 * length + close
             sweep = max(sweep, held)
-            scratch = max(scratch, _BLOCK_DOUBLES, rows * side)
+            scratch = max(scratch, _BLOCK_DOUBLES, side)
     fixed = scratch + 2 * np.getbufsize()
     return max(1, (_STACK_DOUBLES - fixed) // (3 * copies + 2 + sweep))
 
@@ -925,6 +968,24 @@ def log_partition_pairs(
     return out
 
 
+def _hi_gradient(left: np.ndarray, r_lo: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``(left @ r_lo.transpose(0, 2, 1)).sum(axis=0)``, bit for bit, for
+    ``left`` and ``r_lo`` of shape (rows, 2^(W-k), 2^k), with the stacked
+    products taken ``len(block)`` rows at a time into ``block``, of shape
+    (n, 2^(W-k), 2^(W-k)).  numpy sums a leading axis in order, so adding
+    the running total into each block's first product keeps every sum's
+    order."""
+    total = None
+    for start in range(0, len(left), len(block)):
+        rows = slice(start, start + len(block))
+        x = np.matmul(left[rows], r_lo[rows].transpose(0, 2, 1),
+                      out=block[: len(left[rows])])
+        if total is not None:
+            x[0] += total
+        total = x.sum(axis=0)
+    return total
+
+
 def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     """<sigma_x sigma_y> of every in-region bond, indexed like the spec's
     couplings (clamped ghost bonds are NaN), from one forward sweep and one
@@ -949,13 +1010,17 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     dense.  The column marginal, whose vertical bonds it gives, is the
     product of ``left_c`` and the carry written into a free buffer and
     summed over x0.  Beyond the L kept environments the pass holds three
-    buffers of their shape and the stacked (rows, 2^(W-k), 2^(W-k))
-    products that G_hi sums: one environment's size at even W, two at odd W.
+    buffers of their shape and one block of the stacked (rows, 2^(W-k),
+    2^(W-k)) products that G_hi sums (:func:`_hi_gradient`), of at most
+    ``max(_BLOCK_DOUBLES, 4^(W-k))`` doubles.
     Where the sweep carries half the rows of a wrapped environment, the
     dropped x0 add the same weights mirrored, ``~x = 2^W-1-x``; every
     observable here is even under that flip, so the carried half gives the
     same ratios.  Every ratio is taken within one column or link, so the
     rescaling factors cancel; each link is rebuilt once here and dropped.
+    The sweep keeps each environment before its rescale, so the pass divides
+    it by its maximum in place, which keeps every product here in the range
+    the sweep's own products have.
     """
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
     _, envs = _transfer_sweep(spec, width_cap=width_cap, keep=True)
@@ -967,14 +1032,16 @@ def _transfer_bond_correlations(spec: GibbsSpec, width_cap: int) -> np.ndarray:
     split = (shape[0], 1 << (plan.width - k), 1 << k)
     right = np.eye(*shape) if plan.wrap_l else np.ones(shape)
     r_lo, after = np.empty(split), np.empty(split)
+    block = np.empty((max(1, min(shape[0], _BLOCK_DOUBLES // split[1] ** 2)), split[1], split[1]))
     with np.errstate(all="ignore"):  # see _transfer_sweep
         for c in reversed(range(plan.length)):
             left = envs[c][0]
+            left /= left.max()
             if c < jh.shape[1]:
                 hi, lo = _link(s, jh[:, c], spec.beta)
                 lv, rv = left.reshape(split), right.reshape(split)
                 np.matmul(rv, lo, out=r_lo)
-                w_hi = hi * (lv @ r_lo.transpose(0, 2, 1)).sum(axis=0)
+                w_hi = hi * _hi_gradient(lv, r_lo, block)
                 np.matmul(hi, rv, out=after)
                 w_lo = lo * (lv.reshape(-1, split[2]).T @ after.reshape(-1, split[2]))
                 for half, w in ((slice(k, None), w_hi), (slice(k), w_lo)):

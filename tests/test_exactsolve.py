@@ -736,7 +736,12 @@ def test_torus_values_match_pins_from_before_the_shared_closing(k):
     more when every link began to be applied as its two Kronecker factors,
     which sum each exponent in two halves and multiply in a new order: 12
     of the 60 log Z moved, by at most 2.6e-16 relative, and 8 of the 30
-    domain walls, by at most 5.7e-14 absolute."""
+    domain walls, by at most 5.7e-14 absolute.  They were re-pinned once
+    more when the sweep stopped dividing its environment and took each
+    rescale on the next link's small factor, and closed the trace by
+    contraction with the factors: 4 of the 60 log Z moved, by at most
+    1.7e-16 relative, and 2 of the 30 domain walls, by at most 5.7e-14
+    absolute."""
     pins = json.loads((Path(__file__).parent / "data" / "torus_transfer_hex.json").read_text())
     extents = PINNED_TORI[k]
     region, couplings = _torus(extents, k)
@@ -986,9 +991,9 @@ def test_torus_pair_sweep_builds_no_dense_link():
     assert peak <= 16 * 2**20
 
 
-def _torus_correlation_peak():
-    """``tracemalloc`` peak of all 200 bond correlations of a 10x10 torus."""
-    region, couplings = _torus((10, 10), 7)
+def _torus_correlation_peak(extents=(10, 10)):
+    """``tracemalloc`` peak of every bond correlation of a torus."""
+    region, couplings = _torus(extents, 7)
     spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
     edges = interior_edges(region)
     edge_correlations(spec, edges)  # warm the plan and edge caches
@@ -1009,16 +1014,36 @@ def test_torus_correlations_fit_in_the_dense_backward_pass_peak():
 
 def test_torus_correlations_make_no_environment_sized_temporary():
     # the ten kept 4 MiB environments, the backward pass's three buffers of
-    # their shape and the 4 MiB of stacked products that G_hi sums come to
-    # about 56 MiB; one more 4 MiB temporary, such as an elementwise product
-    # for a column marginal, crosses 58 MiB
-    assert _torus_correlation_peak() < 58 * 2**20
+    # their shape and one 256 KiB block of the stacked products that G_hi
+    # sums come to about 52.4 MiB; one more 4 MiB temporary, such as an
+    # elementwise product for a column marginal or all of G_hi's products
+    # at once, crosses 54 MiB
+    assert _torus_correlation_peak() < 54 * 2**20
 
 
-def test_torus_pair_sweep_holds_one_environment_and_the_closing_rows():
-    # the sweep's one 4 MiB environment buffer, overwritten in place, plus
-    # the closing link's 4 MiB of carried rows and a 256 KiB block; an
-    # environment-sized temporary in any step would cross 12 MiB
+def test_odd_width_torus_correlations_sum_the_hi_gradient_in_blocks():
+    # a 9x9 torus keeps nine 1 MiB environments and three buffers of their
+    # shape, about 12.4 MiB with one 256 KiB block of G_hi's products; all
+    # of them at once, two environments at odd W, peaked at 14.07 MiB, and
+    # one more environment-sized temporary crosses 13 MiB
+    assert _torus_correlation_peak((9, 9)) < 13 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2), (7, 4, 2), (16, 8, 8), (256, 32, 16)])
+def test_the_blocked_hi_gradient_equals_one_stacked_sum_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape) * shape[0])
+    left, r_lo = rng.random(shape), rng.random(shape)
+    want = (left @ r_lo.transpose(0, 2, 1)).sum(axis=0)
+    for n in {1, 3, shape[0], shape[0] + 5}:
+        got = exactsolve._hi_gradient(left, r_lo, np.empty((n, shape[1], shape[1])))
+        assert got.tobytes() == want.tobytes(), n
+
+
+def test_torus_pair_sweep_holds_one_environment_and_one_block():
+    # the sweep's one 4 MiB environment buffer, overwritten in place, plus a
+    # 256 KiB block; the close builds none of the closing link's 4 MiB of
+    # carried rows, and those or an environment-sized temporary in any step
+    # would cross 8 MiB
     region, couplings = _torus((10, 10), 7)
     spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
     other = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
@@ -1029,7 +1054,7 @@ def test_torus_pair_sweep_holds_one_environment_and_the_closing_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * 2**20
+    assert peak <= 5 * 2**20
 
 
 # --- in-place, blocked link applications ---------------------------------------
@@ -1083,18 +1108,103 @@ def test_kept_environments_are_not_changed_by_later_steps(wrap, bc):
     _, envs = exactsolve._transfer_sweep(spec, keep=True)
     assert len(envs) == plan.length
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(envs, 2))
-    # each kept environment is still one step of the one before it, as the
-    # sweep takes it
+    # each kept environment is still the sweep's own step from the one
+    # before it: the link, with the maximum of that environment dividing its
+    # small factor from the second step on, then the column weights
     values = spec.couplings.values[None]
     d = exactsolve._column_weights(spec, plan, values=values)
     jh = values.take(plan.h_pos, axis=-1) * plan.h_sign
-    for c in range(2 if plan.wrap_l else 1, plan.length):
-        link = exactsolve._link(plan.s_matrix, jh[..., c - 1], spec.beta)
-        out, scratch = np.empty_like(envs[c]), np.empty(envs[c].size)
-        step = exactsolve._apply(envs[c - 1], link, out, scratch)
+    for c in range(1, plan.length):
+        hi, lo = exactsolve._link(plan.s_matrix, jh[..., c - 1], spec.beta)
+        if c > 1:
+            lo /= envs[c - 1].max(axis=(1, 2), keepdims=True)
+        out = np.empty_like(envs[c])
+        if plan.wrap_l and c == 1:
+            step = exactsolve._link_rows((hi, lo), envs[c].shape[1], out)
+            step *= d[:, : envs[c].shape[1], None, 0]
+        else:
+            step = exactsolve._apply(envs[c - 1], (hi, lo), out, np.empty(envs[c].size))
         step *= d[:, None, :, c]
-        step /= step.max()
         assert step.tobytes() == envs[c].tobytes(), c
+
+
+@pytest.mark.parametrize("extents", [(4, 6), (6, 5), (7, 7)])
+@pytest.mark.parametrize("field", [None, 0.4])
+def test_the_factored_close_equals_the_dot_product_with_the_closing_rows(extents, field):
+    # even and odd widths, half the rows carried and, with a field, all of
+    # them; both closings of a negated close
+    spec = make_spec(extents, (True, True), periodic_bc(), 0.9, seed=23)
+    plan = exactsolve._transfer_plan(spec.region, spec.bc, 12)
+    fields = None if field is None else {spec.region.sites[3]: field}
+    ((*ends,),), envs = exactsolve._transfer_sweep(
+        spec, extra_fields=fields, keep=True, negated_close=True
+    )
+    env, side = envs[-1], 1 << plan.width
+    rows = env.shape[1]
+    assert rows == (side if field else side // 2)
+    acc = 0.0
+    for kept in envs[1:]:
+        acc += math.log(kept.max())
+    jh = spec.couplings.values[plan.h_pos] * plan.h_sign
+    for j, logz in zip((jh[:, -1], -jh[:, -1]), ends):
+        hi, lo = exactsolve._link(plan.s_matrix, j[None], spec.beta)
+        lo /= env.max()
+        got = exactsolve._trace_close(env, (hi, lo), np.empty(env.size))
+        # the sweep's own close
+        assert logz == acc + math.log(got[0])
+        rows_of_link = exactsolve._link_rows((hi[0], lo[0]), rows, np.empty((rows, side)))
+        want = (side // rows) * np.vdot(env[0], rows_of_link)
+        assert got[0] == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_a_chunk_closes_within_one_block():
+    # a wrapped close's first contraction, 2^-k of the environments, shares
+    # the sweep's scratch region, which stack_rows counts as one block.  Only
+    # a chunk of one row past the budget can outgrow it: from W = 11 one
+    # row's contraction is larger than a block
+    checked = 0
+    for w in range(1, 13):
+        for length in sorted({w + 1, 2 * w, 24}):
+            region = Region((length, w), (True, True))
+            couplings = sample_couplings(Gaussian(), interior_edges(region),
+                                         SeedSpec(30, 0, "t"))
+            torus = GibbsSpec(region, couplings, 1.0, periodic_bc())
+            box = GibbsSpec(Region((length, w)), couplings, 1.0, free_bc())
+            for other in (torus, box):
+                rows, side = exactsolve.stack_rows(torus, other, Solver()), 1 << w
+                env = rows * (side // 2) * side
+                if env <= exactsolve._STACK_DOUBLES:
+                    checked += 1
+                    assert env >> (w // 2) <= max(exactsolve._BLOCK_DOUBLES, side), (w, length)
+    assert checked == 52  # every pair up to W = 9
+
+
+# boxes whose masters the beta ceiling was measured on (ROADMAP item 4), by
+# route; the first beta of ``CEILING_BETAS`` at which each route fails
+CEILING_BOXES = [((6, 6), (False, False), free_bc()), ((3, 3), (True, True), periodic_bc()),
+                 ((8, 8), (True, True), periodic_bc())]
+CEILING_BETAS = range(10, 301, 10)
+FIRST_FAILING_BETA = {"log_z": [70, 100, 40], "correlations": [70, 100, 40]}
+
+
+@pytest.mark.parametrize("route", sorted(FIRST_FAILING_BETA))
+def test_the_transfer_beta_ceiling_is_pinned(route):
+    firsts = []
+    for extents, wrap, bc in CEILING_BOXES:
+        region = Region(extents, wrap)
+        couplings = sample_couplings(Gaussian(), interior_edges(region),
+                                     SeedSpec(0, 0, "couplings"))
+        for beta in CEILING_BETAS:
+            spec = GibbsSpec(region, couplings, float(beta), bc)
+            try:
+                if route == "log_z":
+                    log_partition_transfer(spec)
+                else:
+                    edge_correlations(spec, interior_edges(region), Solver("transfer"))
+            except ArithmeticError:
+                firsts.append(beta)
+                break
+    assert firsts == FIRST_FAILING_BETA[route]
 
 
 # --- Kronecker link factors ----------------------------------------------------

@@ -1,9 +1,13 @@
-"""The metrics of ``tools/code_lines.py`` count what its docstring says."""
+"""The metrics of ``tools/code_lines.py`` count what its docstring says,
+and ``tools/sweep_profile.py`` replays the sweep it profiles."""
 
 import importlib.util
+import re
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 SOURCE = '''"""A module docstring
 over two lines."""
@@ -77,8 +81,8 @@ import os
 '''
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+def _tool(name="code_lines"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -99,3 +103,18 @@ def test_export_counts_count_the_names_imported_from_each_module():
     # alpha's ONE, two and five and beta's three; neither a foreign import
     # nor a bare ``from . import`` of a module counts
     assert _tool().export_counts(INIT) == {"alpha": 3, "beta": 1}
+
+
+@pytest.mark.parametrize("args", [
+    ["--box", "4", "5", "--stack", "2"],
+    ["--box", "5", "3", "--bc", "antiperiodic"],
+    ["--box", "3", "4", "--bc", "free", "--stack", "3"],
+])
+def test_sweep_profile_replays_the_sweep_and_times_every_stage(args, capsys):
+    # main exits with an error if the replay's log Z is not the sweep's
+    tool = _tool("sweep_profile")
+    tool.main([*args, "--repeats", "2"])
+    out = capsys.readouterr().out
+    for stage in (*tool.STAGES, "replay", "sweep"):
+        assert re.search(rf"^{stage} +\d+\.\d{{3}}$", out, re.M), stage
+    assert re.search(r"^tracemalloc peak of one sweep: \d+\.\d\d MiB$", out, re.M)
