@@ -23,7 +23,6 @@ from .exactsolve import (  # noqa: E402
     edge_correlation,
     edge_correlations,
     free_bc,
-    gibbs_expectation_enum,
     log_partition,
     log_partition_enum,
     log_partition_pairs,
@@ -38,14 +37,11 @@ from .fluctuation import (  # noqa: E402
     EnsembleSpec,
     VarianceReport,
     bound_check,
-    conditional_mean_given_block,
 )
 from .interface import (  # noqa: E402
     FreeEnergyResult,
     StatePair,
-    free_energy_gradient,
     interface_free_energy,
-    interface_free_energy_direct,
     make_state_pair,
     sample_master,
 )

@@ -479,19 +479,6 @@ def log_partition_enum(
     return logz
 
 
-def gibbs_expectation_enum(
-    spec: GibbsSpec, observable: VectorObservable, cap: int = ENUM_CAP
-) -> float:
-    """<f> under the spec's Gibbs measure, by enumeration.
-
-    ``observable(spins, sites)`` takes a (states, n_sites) chunk of +-1
-    spins, one column per site of ``sites`` (the region's sites in order),
-    and returns one value per state.
-    """
-    _, (value,) = _enum_reduce(spec, [observable], cap=cap)
-    return value
-
-
 def exp_bond_observable(
     edges: EdgeSet | tuple[Edge, ...], values: Mapping[Edge, float], beta: float
 ) -> VectorObservable:
@@ -1120,7 +1107,7 @@ def reweight_expectation(
 
         Gamma(f exp(beta sum_B J_B sigma sigma)) / Gamma(exp(beta sum_B ...)),
 
-    by enumeration, for an observable as in :func:`gibbs_expectation_enum`.
+    by enumeration, for an enumeration observable ``f(spins, sites)``.
     This is the independent numerical route against which :func:`reweight`
     is checked.
     """

@@ -15,18 +15,16 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .disorder import (
-    ZERO,
     CouplingConfig,
     CouplingDistribution,
     SeedSpec,
     edge_positions,
     sample_couplings,
-    set_block,
     translate_couplings,
 )
 from .errors import (
@@ -42,7 +40,6 @@ from .exactsolve import (
     Solver,
     edge_correlation,
     edge_correlations,
-    exp_bond_observable,
     free_bc,
     log_partition,
     log_partition_pairs,
@@ -338,72 +335,13 @@ def variance_report_from_values(
 
 
 # ---------------------------------------------------------------------------
-# conditional means (nested Monte Carlo)
-
-
-@dataclass(frozen=True)
-class ConditionalMeanResult:
-    mean: float
-    stderr: float
-    n_outer: int
-    route: str
-    values: tuple[float, ...]
+# martingale decompositions
 
 
 def _sem(values: np.ndarray) -> float:
     if len(values) < 2:
         return 0.0
     return float(values.std(ddof=1) / math.sqrt(len(values)))
-
-
-def conditional_mean_given_block(
-    spec: EnsembleSpec,
-    block: Region,
-    block_values: Mapping[Edge, float],
-    n_outer: int,
-    route: str = "direct",
-) -> ConditionalMeanResult:
-    """Estimate of the conditional mean of F given the couplings on E(block).
-
-    ``direct`` holds the block couplings fixed and resamples everything
-    else.  ``reweight`` goes through the conditional-expectation identity:
-    states are built with the block couplings zeroed and the exponential
-    tilt that adds them back is evaluated explicitly (enumeration only).
-    Both routes share the same resample streams, so they may be compared at
-    combined-stderr resolution.
-    """
-    if n_outer < 2:
-        raise ValueError("need n_outer >= 2")
-    if route not in ("direct", "reweight"):
-        raise ValueError(f"unknown route {route!r}")
-    if route == "direct":
-        held = set_block(spec.master(0), block, block_values)  # only E(block) is read
-        edges = tuple(interior_edges(block))
-        vals = _conditional_path(spec, 0, held, [edges], n_outer, "cond")[:, 0]
-    else:
-        vals = np.empty(n_outer)
-        for t in range(n_outer):
-            inner = spec.inner_master(0, t, "cond")
-            cfg0 = set_block(inner, block, ZERO)
-            pair0 = spec.pair_from(cfg0)
-            full = set_block(inner, block, block_values)
-            window_edges = pair0.window_edges
-            obs_values = {e: -full.value(e) for e in window_edges}
-            obs = exp_bond_observable(window_edges, obs_values, spec.beta)
-            num = reweight_expectation(pair0.gamma, block, block_values, obs, cap=ENUM_CAP)
-            den = reweight_expectation(pair0.gamma_prime, block, block_values, obs, cap=ENUM_CAP)
-            vals[t] = math.log(num) - math.log(den)
-    return ConditionalMeanResult(
-        mean=float(vals.mean()),
-        stderr=_sem(vals),
-        n_outer=n_outer,
-        route=route,
-        values=tuple(float(v) for v in vals),
-    )
-
-
-# ---------------------------------------------------------------------------
-# martingale decompositions
 
 
 @dataclass(frozen=True)
@@ -572,21 +510,6 @@ def edge_martingale_realization(
         "delta_sem": delta_sem,
         "bounds": bounds.tolist(),
         "couplings": couplings.tolist(),
-    }
-
-
-def independent_path_ends(spec: EnsembleSpec, i: int, n_outer: int) -> dict:
-    """Fresh-stream estimates of the two ends of the edge-martingale path:
-    the unconditioned mean and the mean given all window couplings."""
-    master_i = spec.master(i)
-    all_edges = tuple(spec.window_edge_set)
-    base = _conditional_path(spec, i, master_i, [()], n_outer, "tele-base")[:, 0]
-    end = _conditional_path(spec, i, master_i, [all_edges], n_outer, "tele-end")[:, 0]
-    return {
-        "y0": float(base.mean()),
-        "y0_stderr": _sem(base),
-        "y_end": float(end.mean()),
-        "y_end_stderr": _sem(end),
     }
 
 
@@ -780,117 +703,6 @@ def probe_report_from_rows(
         "any_nonzero_fraction": float((np.abs(dmat) > noise_tol).any(axis=1).mean()),
         "noise_tol": noise_tol,
         "note": "deterministic finite-volume proxy states; densities are finite-size stand-ins",
-    }
-
-
-# ---------------------------------------------------------------------------
-# variance identities
-
-
-def gaussian_sum_variance_identity(
-    n: int = 1000, n_inner: int = 32, seed: int = 0, n_boot: int = BOOTSTRAP_DEFAULT
-) -> dict:
-    """Closed-form sanity case for the conditioning identity: X = J1 + J2
-    with independent standard gaussians, conditioning on J1: Var X = 2,
-    E[Var(X|J1)] = 1, Var(E[X|J1]) = 1; plus the symmetrized identity
-    Var X = E[(X - X')^2] / 2."""
-    rng = SeedSpec(seed, 0, "var-identity").rng()
-    direct = rng.normal(size=n) + rng.normal(size=n)
-    j1 = rng.normal(size=n)
-    inner = j1[:, None] + rng.normal(size=(n, n_inner))
-    inner_mean = inner.mean(axis=1)
-    inner_var = inner.var(axis=1, ddof=1)
-    e_var = float(inner_var.mean())
-    var_e = float(inner_mean.var(ddof=1) - e_var / n_inner)
-    x = rng.normal(size=n) + rng.normal(size=n)
-    x_prime = rng.normal(size=n) + rng.normal(size=n)
-    sym = float(((x - x_prime) ** 2).mean() / 2.0)
-    boot_rng = SeedSpec(seed, 0, "var-identity-boot").rng()
-    report = {
-        "var_direct": float(direct.var(ddof=1)),
-        "var_direct_stderr": bootstrap_stderr(direct, _var_rows, n_boot, boot_rng),
-        "e_var_given": e_var,
-        "e_var_given_stderr": bootstrap_stderr(
-            inner_var, _mean_rows, n_boot, boot_rng
-        ),
-        "var_e_given": var_e,
-        "var_e_given_stderr": bootstrap_stderr(
-            np.stack([inner_mean, inner_var], axis=1),
-            lambda m: _var_rows(m[:, :, 0]) - _mean_rows(m[:, :, 1]) / n_inner,
-            n_boot,
-            boot_rng,
-        ),
-        "sym_var": sym,
-        "sym_var_stderr": bootstrap_stderr(
-            (x - x_prime) ** 2 / 2.0, _mean_rows, n_boot, boot_rng
-        ),
-        "expected": {"var": 2.0, "e_var_given": 1.0, "var_e_given": 1.0},
-    }
-    report["pass"] = bool(
-        abs(report["var_direct"] - 2.0) <= 3.0 * report["var_direct_stderr"]
-        and abs(report["e_var_given"] - 1.0) <= 3.0 * report["e_var_given_stderr"]
-        and abs(report["var_e_given"] - 1.0) <= 3.0 * report["var_e_given_stderr"]
-        and abs(report["sym_var"] - 2.0) <= 3.0 * report["sym_var_stderr"]
-    )
-    return report
-
-
-def conditioned_variance_identity(
-    spec: EnsembleSpec,
-    block: Region,
-    n: int | None = None,
-    n_outer: int = 24,
-    n_boot: int = BOOTSTRAP_DEFAULT,
-) -> dict:
-    """Law-of-total-variance check on the artifact's own nested MC:
-    Var F = E[Var(F|J_B)] + Var(E[F|J_B]) within combined error bars."""
-    n = n or spec.n_realizations
-    block_edges = tuple(interior_edges(block))
-    f_direct = np.empty(n)
-    inner_mean = np.empty(n)
-    inner_var = np.empty(n)
-    for i in range(n):
-        master_i = spec.master(i)
-        f_direct[i] = spec.f_from(master_i)
-        path = _conditional_path(spec, i, master_i, [block_edges], n_outer, "lotv")[:, 0]
-        inner_mean[i] = path.mean()
-        inner_var[i] = path.var(ddof=1)
-    lhs = float(f_direct.var(ddof=1))
-    e_var = float(inner_var.mean())
-    var_e = float(inner_mean.var(ddof=1) - e_var / n_outer)
-    rhs = e_var + var_e
-    rng = SeedSpec(spec.master_seed, 0, "lotv-bootstrap").rng()
-    lhs_se = bootstrap_stderr(f_direct, _var_rows, n_boot, rng)
-    stacked = np.stack([f_direct, inner_mean, inner_var], axis=1)
-
-    def rhs_stat(m: np.ndarray) -> np.ndarray:
-        return _mean_rows(m[:, :, 2]) + _var_rows(m[:, :, 1]) - _mean_rows(m[:, :, 2]) / n_outer
-
-    rhs_se = bootstrap_stderr(stacked, rhs_stat, n_boot, rng)
-    # lhs and rhs share the underlying realizations; bootstrap the gap jointly
-    combined = bootstrap_stderr(
-        stacked, lambda m: _var_rows(m[:, :, 0]) - rhs_stat(m), n_boot, rng
-    )
-    half = n // 2
-    sym = float(((f_direct[:half] - f_direct[half : 2 * half]) ** 2).mean() / 2.0)
-    sym_se = bootstrap_stderr(
-        (f_direct[:half] - f_direct[half : 2 * half]) ** 2 / 2.0, _mean_rows, n_boot, rng
-    )
-    return {
-        "var_direct": lhs,
-        "var_direct_stderr": lhs_se,
-        "e_var_given_block": e_var,
-        "var_e_given_block": var_e,
-        "rhs": rhs,
-        "rhs_stderr": rhs_se,
-        "gap": lhs - rhs,
-        "combined_stderr": combined,
-        "pass": bool(abs(lhs - rhs) <= 3.0 * combined),
-        "sym_var": sym,
-        "sym_var_stderr": sym_se,
-        "sym_pass": bool(abs(sym - lhs) <= 3.0 * math.hypot(sym_se, lhs_se)),
-        "n": n,
-        "n_outer": n_outer,
     }
 
 

@@ -240,12 +240,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_dict(data)
 
 
-def dump_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(
         json.dumps(config_to_dict(cfg), sort_keys=True).encode("utf-8")
@@ -821,10 +815,6 @@ def task_coordinates(cfg: ExperimentConfig) -> tuple[dict, ...]:
     Cached, so every caller shares the same dicts: read them, never mutate.
     """
     return tuple(KIND_TABLE[cfg.kind].tasks(cfg))
-
-
-def task_count(cfg: ExperimentConfig) -> int:
-    return len(task_coordinates(cfg))
 
 
 def run_task(cfg: ExperimentConfig, task: int) -> dict:

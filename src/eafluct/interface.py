@@ -6,15 +6,11 @@ identity
 
     Gamma(exp(beta H_window)) = Z(J with the window couplings zeroed) / Z(J),
 
-so one value requires four log-partition evaluations.  A direct-expectation
-route (enumeration of the same Gibbs average) is kept as an independent
-cross-check, and the per-edge derivative identity ties the gradient of the
-value to the difference of edge correlations between the two states.
+so one value requires four log-partition evaluations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -23,17 +19,12 @@ import numpy as np
 from .disorder import CouplingConfig, SeedSpec, edge_positions, sample_couplings
 from .errors import PairError
 from .exactsolve import (
-    ENUM_CAP,
     BoundaryCondition,
     GibbsSpec,
     Solver,
-    edge_correlations,
-    exp_bond_observable,
-    gibbs_expectation_enum,
     log_partition_pairs,
 )
 from .lattice import (
-    Edge,
     EdgeSet,
     Region,
     boundary_edges,
@@ -229,39 +220,3 @@ def interface_free_energy(pair: StatePair, solver: Solver = Solver()) -> FreeEne
         margin=pair.margin,
         seed=asdict(seed) if seed is not None else None,
     )
-
-
-def interface_free_energy_direct(pair: StatePair, enum_cap: int = ENUM_CAP) -> float:
-    """The same quantity through the direct Gibbs expectation of
-    exp(beta H_window), by enumeration: the independent route."""
-    window_edges = pair.window_edges
-    # the observable is exp(beta H_window) with H = -sum J ss
-    values = {e: -pair.gamma.couplings.value(e) for e in window_edges}
-    obs = exp_bond_observable(window_edges, values, pair.beta)
-    num = gibbs_expectation_enum(pair.gamma, obs, cap=enum_cap)
-    den = gibbs_expectation_enum(pair.gamma_prime, obs, cap=enum_cap)
-    return math.log(num) - math.log(den)
-
-
-@dataclass(frozen=True)
-class GradientEntry:
-    gradient: float
-    corr_gamma: float
-    corr_gamma_prime: float
-
-
-def free_energy_gradient(
-    pair: StatePair, solver: Solver = Solver()
-) -> dict[Edge, GradientEntry]:
-    """dF/dJ_xy = beta * (<ss>_Gamma' - <ss>_Gamma) for every window edge.
-
-    The sign convention is pinned by the central-finite-difference test of
-    the ratio-form value.
-    """
-    edges = tuple(pair.window_edges)
-    corr_g = edge_correlations(pair.gamma, edges, solver).tolist()
-    corr_gp = edge_correlations(pair.gamma_prime, edges, solver).tolist()
-    return {
-        e: GradientEntry(pair.beta * (cgp - cg), cg, cgp)
-        for e, cg, cgp in zip(edges, corr_g, corr_gp)
-    }

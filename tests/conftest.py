@@ -1,8 +1,11 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, independent brute-force oracles and cross-check routes.
 
 The oracles here re-derive Gibbs sums in plain Python over explicit spin
 dictionaries, so they share no code path with the package's vectorized
-enumeration or transfer engines.
+enumeration or transfer engines.  The cross-check routes (a direct free
+energy, the gradient identity, conditional means and the variance
+identities) are built from package parts, each by a route that no
+experiment kind takes.
 """
 
 import itertools
@@ -11,17 +14,30 @@ import math
 import numpy as np
 import pytest
 
-from eafluct.disorder import CouplingConfig
+from eafluct.disorder import ZERO, CouplingConfig, SeedSpec, set_block
 from eafluct.exactsolve import (
+    ENUM_CAP,
     GibbsSpec,
     Solver,
+    _enum_reduce,
     antiperiodic_bc,
+    edge_correlations,
+    exp_bond_observable,
     log_partition_pairs,
     periodic_bc,
     required_edges,
+    reweight_expectation,
     uniform_fixed_bc,
 )
-from eafluct.harness import parse_config_dict, reduce_report, run_task, task_count
+from eafluct.fluctuation import (
+    BOOTSTRAP_DEFAULT,
+    _conditional_path,
+    _mean_rows,
+    _var_rows,
+    bootstrap_stderr,
+)
+from eafluct.harness import parse_config_dict, reduce_report, run_task, task_coordinates
+from eafluct.lattice import interior_edges
 
 
 def spin_assignments(sites):
@@ -119,6 +135,103 @@ def constant_one(spins, sites):
     return np.ones(len(spins))
 
 
+def gibbs_expectation(spec, observable, cap=ENUM_CAP):
+    """<f> under the spec's Gibbs measure, by enumeration."""
+    _, (value,) = _enum_reduce(spec, [observable], cap=cap)
+    return value
+
+
+def direct_free_energy(pair, cap=ENUM_CAP):
+    """F through the direct Gibbs expectation of exp(beta H_window) in both
+    states, by enumeration: the route independent of the four log Z."""
+    values = {e: -pair.gamma.couplings.value(e) for e in pair.window_edges}
+    obs = exp_bond_observable(pair.window_edges, values, pair.beta)
+    return math.log(gibbs_expectation(pair.gamma, obs, cap)) - math.log(
+        gibbs_expectation(pair.gamma_prime, obs, cap))
+
+
+def gradient(pair, solver=Solver()):
+    """``{edge: (dF/dJ_e, <ss>_Gamma, <ss>_Gamma')}`` over the window, by the
+    identity dF/dJ_e = beta (<ss>_Gamma' - <ss>_Gamma)."""
+    edges = tuple(pair.window_edges)
+    corr = [edge_correlations(s, edges, solver).tolist() for s in (pair.gamma, pair.gamma_prime)]
+    return {e: (pair.beta * (cp - c), c, cp) for e, c, cp in zip(edges, *corr)}
+
+
+def conditional_mean_direct(spec, block, values, n_outer):
+    """F of realization 0's inner draws with E(block) held at ``values``."""
+    held = set_block(spec.master(0), block, values)  # only E(block) is read
+    return _conditional_path(spec, 0, held, [tuple(interior_edges(block))], n_outer, "cond")[:, 0]
+
+
+def conditional_mean_reweight(spec, block, values, n_outer):
+    """The draws of :func:`conditional_mean_direct` with E(block) zeroed in
+    the states and added back by the tilt formula, by enumeration."""
+    out = []
+    for t in range(n_outer):
+        inner = spec.inner_master(0, t, "cond")
+        pair, full = spec.pair_from(set_block(inner, block, ZERO)), set_block(inner, block, values)
+        obs = exp_bond_observable(
+            pair.window_edges, {e: -full.value(e) for e in pair.window_edges}, spec.beta)
+        num = reweight_expectation(pair.gamma, block, values, obs)
+        den = reweight_expectation(pair.gamma_prime, block, values, obs)
+        out.append(math.log(num) - math.log(den))
+    return np.array(out)
+
+
+def gaussian_sum_identity(n, n_inner, seed, n_boot=BOOTSTRAP_DEFAULT):
+    """``{name: (value, bootstrap stderr, exact value)}`` for X = J1 + J2 of
+    independent standard gaussians, conditioned on J1: Var X = 2,
+    E[Var(X|J1)] = 1, Var(E[X|J1]) = 1 and Var X = E[(X - X')^2] / 2."""
+    rng = SeedSpec(seed, 0, "var-identity").rng()
+    direct = rng.normal(size=n) + rng.normal(size=n)
+    inner = rng.normal(size=n)[:, None] + rng.normal(size=(n, n_inner))
+    means, variances = inner.mean(axis=1), inner.var(axis=1, ddof=1)
+    x = rng.normal(size=n) + rng.normal(size=n)
+    half_sq = (x - (rng.normal(size=n) + rng.normal(size=n))) ** 2 / 2.0
+    boot = SeedSpec(seed, 0, "var-identity-boot").rng()
+    rep = {"var": (direct.var(ddof=1), bootstrap_stderr(direct, _var_rows, n_boot, boot), 2.0)}
+    e_var = variances.mean()
+    rep["e_var_given"] = (e_var, bootstrap_stderr(variances, _mean_rows, n_boot, boot), 1.0)
+    rep["var_e_given"] = (means.var(ddof=1) - e_var / n_inner, bootstrap_stderr(
+        np.stack([means, variances], axis=1),
+        lambda m: _var_rows(m[:, :, 0]) - _mean_rows(m[:, :, 1]) / n_inner, n_boot, boot), 1.0)
+    rep["sym_var"] = (half_sq.mean(), bootstrap_stderr(half_sq, _mean_rows, n_boot, boot), 2.0)
+    return rep
+
+
+def total_variance_identity(spec, block, n, n_outer, n_boot=BOOTSTRAP_DEFAULT):
+    """Var F = E[Var(F|J_B)] + Var(E[F|J_B]) on the nested MC of realizations
+    0..n-1, and Var F = E[(F - F')^2] / 2 over their disjoint halves, each
+    ``pass`` within 3 bootstrap stderr."""
+    edges = tuple(interior_edges(block))
+    f, means, variances = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(n):
+        master = spec.master(i)
+        f[i] = spec.f_from(master)
+        path = _conditional_path(spec, i, master, [edges], n_outer, "lotv")[:, 0]
+        means[i], variances[i] = path.mean(), path.var(ddof=1)
+    var, e_var = f.var(ddof=1), variances.mean()
+    var_e = means.var(ddof=1) - e_var / n_outer
+    rng = SeedSpec(spec.master_seed, 0, "lotv-bootstrap").rng()
+    stacked = np.stack([f, means, variances], axis=1)
+
+    def rhs(m):
+        return _mean_rows(m[:, :, 2]) + _var_rows(m[:, :, 1]) - _mean_rows(m[:, :, 2]) / n_outer
+
+    var_se = bootstrap_stderr(f, _var_rows, n_boot, rng)
+    bootstrap_stderr(stacked, rhs, n_boot, rng)  # the rhs alone: keeps the draws below
+    gap_se = bootstrap_stderr(stacked, lambda m: _var_rows(m[:, :, 0]) - rhs(m), n_boot, rng)
+    half_sq = (f[: n // 2] - f[n // 2 : n // 2 * 2]) ** 2 / 2.0
+    sym_se = bootstrap_stderr(half_sq, _mean_rows, n_boot, rng)
+    return {
+        "var_direct": var, "e_var_given_block": e_var, "var_e_given_block": var_e,
+        "sym_var": half_sq.mean(),
+        "pass": abs(var - (e_var + var_e)) <= 3.0 * gap_se,
+        "sym_pass": abs(half_sq.mean() - var) <= 3.0 * math.hypot(sym_se, var_se),
+    }
+
+
 def domain_wall(couplings, region, beta, seam_axis=0, method="auto"):
     """log Z_periodic - log Z_antiperiodic of ``couplings`` on the torus
     ``region``, as ``EnsembleSpec.f_stack`` takes it in domain-wall mode:
@@ -136,7 +249,7 @@ def run_in_process(data: dict) -> tuple[list[dict], dict]:
     each task index in task order, then ``reduce_report``, the work
     ``harness.run`` does without its records and report files."""
     cfg = parse_config_dict(data)
-    payloads = [run_task(cfg, task) for task in range(task_count(cfg))]
+    payloads = [run_task(cfg, task) for task in range(len(task_coordinates(cfg)))]
     return payloads, reduce_report(cfg, payloads)
 
 

@@ -8,7 +8,13 @@ import json
 import math
 
 import numpy as np
-from conftest import bond_product, run_in_process
+from conftest import (
+    bond_product,
+    gaussian_sum_identity,
+    gradient,
+    run_in_process,
+    total_variance_identity,
+)
 
 from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_block
 from eafluct.exactsolve import (
@@ -24,20 +30,9 @@ from eafluct.exactsolve import (
     reweight_expectation,
     uniform_fixed_bc,
 )
-from eafluct.fluctuation import (
-    EnsembleSpec,
-    bound_check,
-    conditioned_variance_identity,
-    covariance_sample,
-    gaussian_sum_variance_identity,
-)
+from eafluct.fluctuation import EnsembleSpec, bound_check, covariance_sample
 from eafluct.harness import parse_config_dict, run
-from eafluct.interface import (
-    free_energy_gradient,
-    interface_free_energy,
-    make_state_pair,
-    sample_master,
-)
+from eafluct.interface import interface_free_energy, make_state_pair, sample_master
 from eafluct.lattice import Region, interior_edges
 
 
@@ -148,8 +143,7 @@ def test_criterion_03_gradient_identity():
         for i in range(20):
             master = sample_master(Gaussian(), (5, 5), SeedSpec(2000, i, "couplings"))
             pair = make_state_pair((5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), master)
-            grad = free_energy_gradient(pair)
-            for e, entry in grad.items():
+            for e, (grad, _, _) in gradient(pair).items():
                 k = master.edge_set.index(e)
                 fs = {}
                 for s in (1, -1):
@@ -161,7 +155,7 @@ def test_criterion_03_gradient_identity():
                     )
                     fs[s] = interface_free_energy(p).value
                 fd = (fs[1] - fs[-1]) / (2 * h)
-                assert abs(entry.gradient - fd) <= 1e-5, f"edge {e}: {entry.gradient} vs {fd}"
+                assert abs(grad - fd) <= 1e-5, f"edge {e}: {grad} vs {fd}"
 
 
 def test_criterion_04_reweighting_agreement():
@@ -218,13 +212,14 @@ def test_criterion_06_boundary_bound():
 
 def test_criterion_07_variance_identities():
     with criterion(7, "variance identities: closed form and nested MC"):
-        closed = gaussian_sum_variance_identity(n=1000, n_inner=32, seed=6000)
-        assert closed["pass"], closed
+        closed = gaussian_sum_identity(n=1000, n_inner=32, seed=6000)
+        for name, (value, stderr, exact) in closed.items():
+            assert abs(value - exact) <= 3.0 * stderr, (name, value, stderr)
         spec = EnsembleSpec(
             Gaussian(), (5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), 64, 6001
         )
         block = Region((2, 2), None, (1, 1))
-        nested = conditioned_variance_identity(spec, block, n=64, n_outer=16)
+        nested = total_variance_identity(spec, block, n=64, n_outer=16)
         assert nested["pass"], nested
         assert nested["sym_pass"], nested
 

@@ -19,6 +19,7 @@ from conftest import (
     constant_one,
     domain_wall,
     effective_bonds,
+    gibbs_expectation,
     ring_through_couplings,
     spin_assignments,
 )
@@ -38,7 +39,6 @@ from eafluct.exactsolve import (
     edge_correlation,
     edge_correlations,
     free_bc,
-    gibbs_expectation_enum,
     log_partition,
     log_partition_enum,
     log_partition_transfer,
@@ -127,13 +127,13 @@ def test_chunked_enumeration_agrees_with_single_chunk():
     probe = bond_product(edges.edges[5])
     full = log_partition_enum(spec)
     full_corr = edge_correlations(spec, edges, Solver("enum"))
-    full_probe = gibbs_expectation_enum(spec, probe)
+    full_probe = gibbs_expectation(spec, probe)
     old = ex._CHUNK_BITS
     try:
         ex._CHUNK_BITS = 5
         chunked = log_partition_enum(spec)
         chunked_corr = edge_correlations(spec, edges, Solver("enum"))
-        chunked_probe = gibbs_expectation_enum(spec, probe)
+        chunked_probe = gibbs_expectation(spec, probe)
     finally:
         ex._CHUNK_BITS = old
     assert chunked == pytest.approx(full, abs=1e-12)
@@ -194,7 +194,7 @@ def test_moment_correlations_equal_per_edge_expectations(extents, wrap, bc):
     spec = make_spec(extents, wrap, bc, 1.3, seed=6)
     edges = interior_edges(spec.region)
     got = edge_correlations(spec, edges, Solver("enum"))
-    want = [gibbs_expectation_enum(spec, bond_product(e)) for e in edges]
+    want = [gibbs_expectation(spec, bond_product(e)) for e in edges]
     assert np.abs(got - want).max() <= 1e-13
 
 
@@ -211,7 +211,7 @@ def test_an_observable_must_return_one_value_per_state(name):
     block = Region((2, 1))
     values = {e: 0.5 for e in interior_edges(block)}
     with pytest.raises(ConfigError):
-        gibbs_expectation_enum(spec, BAD_OBSERVABLES[name])
+        gibbs_expectation(spec, BAD_OBSERVABLES[name])
     with pytest.raises(ConfigError):
         reweight_expectation(spec, block, values, BAD_OBSERVABLES[name])
 
@@ -483,13 +483,13 @@ def test_correlation_requires_contained_edge():
 
 def test_normalization_is_exact():
     spec = make_spec((3, 3), (True, True), periodic_bc(), 1.4)
-    assert gibbs_expectation_enum(spec, constant_one) == 1.0
+    assert gibbs_expectation(spec, constant_one) == 1.0
 
 
 def test_expectation_reproduces_edge_correlation():
     spec = make_spec((3, 2), (False, False), free_bc(), 1.1)
     e = tuple(interior_edges(spec.region))[2]
-    val = gibbs_expectation_enum(spec, bond_product(e))
+    val = gibbs_expectation(spec, bond_product(e))
     assert val == pytest.approx(edge_correlation(spec, e, method="enum"), abs=1e-13)
 
 
@@ -507,7 +507,7 @@ def test_expectation_of_exp_beta_h_window_is_z_ratio():
             h -= spec.couplings.value(e) * bond_product(e)(spins, sites)
         return np.exp(spec.beta * h)
 
-    lhs = gibbs_expectation_enum(spec, observable)
+    lhs = gibbs_expectation(spec, observable)
     zeroed = GibbsSpec(
         spec.region, set_block(spec.couplings, window, ZERO), spec.beta, spec.bc
     )

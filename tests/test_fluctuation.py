@@ -6,7 +6,14 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from conftest import bond_product, run_in_process
+from conftest import (
+    bond_product,
+    conditional_mean_direct,
+    conditional_mean_reweight,
+    gaussian_sum_identity,
+    run_in_process,
+    total_variance_identity,
+)
 
 from eafluct import exactsolve, fluctuation, interface
 from eafluct.disorder import Gaussian, SeedSpec, overlay, set_block
@@ -23,17 +30,14 @@ from eafluct.fluctuation import (
     EnsembleSpec,
     VarianceReport,
     _conditional_path,
+    _sem,
     block_martingale_realization,
     block_martingale_report,
     bootstrap_ci,
     bootstrap_stderr,
     bound_check,
     check_scaling,
-    conditional_mean_given_block,
-    conditioned_variance_identity,
     covariance_sample,
-    gaussian_sum_variance_identity,
-    independent_path_ends,
     scaling_sub_spec,
     variance_report_from_values,
 )
@@ -137,9 +141,9 @@ def test_conditional_mean_beta_zero():
     spec = spec_3x3_in_5x5(n=4, beta=0.0)
     block = Region((2, 2), None, (1, 1))
     values = {e: 0.5 for e in interior_edges(block)}
-    res = conditional_mean_given_block(spec, block, values, n_outer=4)
-    assert res.mean == 0.0
-    assert res.stderr == 0.0
+    vals = conditional_mean_direct(spec, block, values, n_outer=4)
+    assert vals.mean() == 0.0
+    assert _sem(vals) == 0.0
 
 
 def test_conditional_mean_two_routes_agree():
@@ -151,12 +155,12 @@ def test_conditional_mean_two_routes_agree():
     block = Region((2, 2), None, (1, 1))
     rng = SeedSpec(55, 0, "jb").rng()
     values = {e: float(v) for e, v in zip(interior_edges(block), rng.normal(size=4))}
-    direct = conditional_mean_given_block(spec, block, values, n_outer=6, route="direct")
-    rew = conditional_mean_given_block(spec, block, values, n_outer=6, route="reweight")
-    combined = math.hypot(direct.stderr, rew.stderr)
-    assert abs(direct.mean - rew.mean) <= max(3.0 * combined, 1e-9)
+    direct = conditional_mean_direct(spec, block, values, n_outer=6)
+    rew = conditional_mean_reweight(spec, block, values, n_outer=6)
+    combined = math.hypot(_sem(direct), _sem(rew))
+    assert abs(direct.mean() - rew.mean()) <= max(3.0 * combined, 1e-9)
     # with shared streams the two routes differ only by solver roundoff
-    assert direct.mean == pytest.approx(rew.mean, abs=1e-9)
+    assert direct.mean() == pytest.approx(rew.mean(), abs=1e-9)
 
 
 def test_conditional_mean_block_equals_window():
@@ -165,10 +169,10 @@ def test_conditional_mean_block_equals_window():
     window = spec.window_region
     rng = SeedSpec(56, 0, "jl").rng()
     values = {e: float(v) for e, v in zip(interior_edges(window), rng.normal(size=12))}
-    res = conditional_mean_given_block(spec, window, values, n_outer=5)
-    assert res.n_outer == 5
-    assert math.isfinite(res.mean)
-    assert res.stderr > 0.0
+    vals = conditional_mean_direct(spec, window, values, n_outer=5)
+    assert len(vals) == 5
+    assert math.isfinite(vals.mean())
+    assert _sem(vals) > 0.0
 
 
 # A block that crosses the window edge: four of its seven edges lie in the
@@ -321,16 +325,16 @@ def test_direct_route_equals_per_draw_reference_across_the_window_edge():
     rng = SeedSpec(57, 0, "jb").rng()
     edges = interior_edges(CROSSING)
     values = {e: float(v) for e, v in zip(edges, rng.normal(size=len(edges)))}
-    res = conditional_mean_given_block(spec, CROSSING, values, n_outer=4)
+    vals = conditional_mean_direct(spec, CROSSING, values, n_outer=4)
     draws = [set_block(spec.inner_master(0, t, "cond"), CROSSING, values) for t in range(4)]
     ref = [interface_free_energy(spec.pair_from(cfg)).value for cfg in draws]
-    assert res.values == tuple(ref)
-    assert res.mean == float(np.array(ref).mean())
+    assert vals.tolist() == ref
+    assert vals.mean() == np.array(ref).mean()
 
 
 def test_lotv_equals_per_prefix_reference_across_the_window_edge():
     spec = spec_3x3_in_5x5(n=4, seed=112)
-    rep = conditioned_variance_identity(spec, CROSSING, n=4, n_outer=3, n_boot=20)
+    rep = total_variance_identity(spec, CROSSING, n=4, n_outer=3, n_boot=20)
     edges = tuple(interior_edges(CROSSING))
     f = np.array([interface_free_energy(spec.pair_from(spec.master(i))).value for i in range(4)])
     paths = [
@@ -528,13 +532,14 @@ def test_edge_martingale_telescopes_to_independent_ends():
     # DERIVED: independent direct estimates of both path ends
     spec = spec_3x3_in_5x5(n=4, seed=405)
     row = edge_martingale_payloads(405, n=2, n_outer=24)[1]
-    ends = independent_path_ends(spec, 1, n_outer=24)
+    base, end = (
+        _conditional_path(spec, 1, spec.master(1), [edges], 24, purpose)[:, 0]
+        for edges, purpose in [((), "tele-base"), (tuple(spec.window_edge_set), "tele-end")]
+    )
     ys = np.array(row["ys"])
     span_trace = ys[-1] - ys[0]
-    span_indep = ends["y_end"] - ends["y0"]
-    combined = math.hypot(
-        ends["y0_stderr"], ends["y_end_stderr"]
-    ) + math.hypot(float(np.sum(row["delta_sem"])), 0.0)
+    span_indep = end.mean() - base.mean()
+    combined = math.hypot(_sem(base), _sem(end)) + math.hypot(float(np.sum(row["delta_sem"])), 0.0)
     assert abs(span_trace - span_indep) <= 3.0 * combined
     assert abs(np.diff(ys).sum() - span_trace) <= 1e-12
 
@@ -665,19 +670,17 @@ def test_probe_golden_fixed_seed_density():
 
 
 def test_gaussian_closed_form_identity():
-    rep = gaussian_sum_variance_identity(n=1000, n_inner=32, seed=17)
-    assert rep["pass"]
-    assert rep["var_direct"] == pytest.approx(2.0, abs=3 * rep["var_direct_stderr"])
-    assert rep["e_var_given"] == pytest.approx(1.0, abs=3 * rep["e_var_given_stderr"])
-    assert rep["var_e_given"] == pytest.approx(1.0, abs=3 * rep["var_e_given_stderr"])
-    assert rep["sym_var"] == pytest.approx(2.0, abs=3 * rep["sym_var_stderr"])
+    rep = gaussian_sum_identity(n=1000, n_inner=32, seed=17)
+    assert set(rep) == {"var", "e_var_given", "var_e_given", "sym_var"}
+    for name, (value, stderr, exact) in rep.items():
+        assert value == pytest.approx(exact, abs=3 * stderr), name
 
 
 def test_constant_variable_identity_terms_vanish():
     # a zero-width distribution stand-in: beta = 0 makes F constant (zero)
     spec = spec_3x3_in_5x5(n=6, beta=0.0)
     block = Region((2, 2), None, (1, 1))
-    rep = conditioned_variance_identity(spec, block, n=4, n_outer=4, n_boot=50)
+    rep = total_variance_identity(spec, block, n=4, n_outer=4, n_boot=50)
     assert rep["var_direct"] == 0.0
     assert rep["e_var_given_block"] == 0.0
     assert rep["sym_var"] == 0.0
@@ -687,7 +690,7 @@ def test_nested_mc_variance_identity_on_f():
     # DERIVED: nested MC, identity within 3 combined stderr
     spec = spec_3x3_in_5x5(n=64, seed=111)
     block = Region((2, 2), None, (1, 1))
-    rep = conditioned_variance_identity(spec, block, n=48, n_outer=16, n_boot=300)
+    rep = total_variance_identity(spec, block, n=48, n_outer=16, n_boot=300)
     assert rep["pass"]
     assert rep["sym_pass"]
 

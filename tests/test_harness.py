@@ -27,12 +27,11 @@ from eafluct.harness import (
     KINDS,
     config_digest,
     config_to_dict,
-    dump_config,
     load_config,
     parse_config_dict,
     report_from_file,
     run,
-    task_count,
+    task_coordinates,
     write_csv_reports,
 )
 from eafluct.exactsolve import SOLVER_METHODS, uniform_fixed_bc
@@ -75,7 +74,7 @@ def test_config_round_trip_is_identity(tmp_path):
     cfg = parse_config_dict(base_config(tmp_path))
     assert parse_config_dict(config_to_dict(cfg)) == cfg
     path = tmp_path / "config.json"
-    dump_config(cfg, path)
+    path.write_text(json.dumps(config_to_dict(cfg)))
     assert load_config(path) == cfg
 
 
@@ -819,12 +818,12 @@ def test_task_counts(tmp_path):
     cfg = parse_config_dict(
         base_config(tmp_path, kind="bounds", physics={"betas": [0.5, 1.0]}, sampling={"n": 3})
     )
-    assert task_count(cfg) == 6
+    assert len(task_coordinates(cfg)) == 6
     cfg2 = parse_config_dict(
         base_config(tmp_path, kind="scaling",
                     geometry={"window_sizes": [2, 3, 4]}, sampling={"n": 4})
     )
-    assert task_count(cfg2) == 12
+    assert len(task_coordinates(cfg2)) == 12
 
 
 def test_domain_wall_run(tmp_path):

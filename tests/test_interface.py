@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import brute_correlation, domain_wall
+from conftest import brute_correlation, direct_free_energy, domain_wall, gradient
 
 from eafluct import exactsolve, interface
 from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_block
@@ -22,9 +22,7 @@ from eafluct.exactsolve import (
 from eafluct.harness import _bc_from_name
 from eafluct.interface import (
     FreeEnergyResult,
-    free_energy_gradient,
     interface_free_energy,
-    interface_free_energy_direct,
     make_state_pair,
     master_edge_set,
     sample_master,
@@ -138,7 +136,7 @@ def test_route_equivalence_enumerable(beta, bc_prime_name):
     p = pair_4x4(beta=beta, bc_prime=bc_prime, seed=37)
     ratio = interface_free_energy(p, Solver("enum")).value
     transfer = interface_free_energy(p, Solver("transfer")).value
-    direct = interface_free_energy_direct(p)
+    direct = direct_free_energy(p)
     assert ratio == pytest.approx(direct, abs=1e-9)
     assert transfer == pytest.approx(direct, abs=1e-9)
 
@@ -148,7 +146,7 @@ def test_route_equivalence_3x3_window_in_5x5():
     # to the box's 25 free spins for the direct route
     p = pair_5x5(seed=21)
     ratio = interface_free_energy(p).value
-    direct = interface_free_energy_direct(p, enum_cap=25)
+    direct = direct_free_energy(p, cap=25)
     assert ratio == pytest.approx(direct, abs=1e-9)
 
 
@@ -223,14 +221,14 @@ def test_domain_wall_requires_torus():
 
 def test_gradient_zero_for_identical_states():
     p = pair_4x4(bc=periodic_bc(), bc_prime=periodic_bc())
-    for entry in free_energy_gradient(p).values():
-        assert entry.gradient == 0.0
+    for grad, _, _ in gradient(p).values():
+        assert grad == 0.0
 
 
 def test_gradient_zero_at_beta_zero():
     p = pair_4x4(beta=0.0)
-    for entry in free_energy_gradient(p).values():
-        assert entry.gradient == 0.0
+    for grad, _, _ in gradient(p).values():
+        assert grad == 0.0
 
 
 def _fd_gradient(master, box, window, beta, bc, bc_prime, edge, h=1e-4):
@@ -249,14 +247,12 @@ def test_gradient_matches_central_finite_differences():
     master = sample_master(Gaussian(), (5, 5), SeedSpec(13, 1, "couplings"))
     bc, bc_prime = free_bc(), uniform_fixed_bc(1)
     p = make_state_pair((5, 5), (3, 3), 1.0, bc, bc_prime, master)
-    grad = free_energy_gradient(p)
-    assert len(grad) == len(interior_edges(p.window))
-    for e, entry in grad.items():
+    entries = gradient(p)
+    assert len(entries) == len(interior_edges(p.window))
+    for e, (grad, corr, corr_prime) in entries.items():
         fd = _fd_gradient(master, (5, 5), (3, 3), 1.0, bc, bc_prime, e)
-        assert entry.gradient == pytest.approx(fd, abs=1e-5)
-        assert entry.gradient == pytest.approx(
-            p.beta * (entry.corr_gamma_prime - entry.corr_gamma), abs=1e-15
-        )
+        assert grad == pytest.approx(fd, abs=1e-5)
+        assert grad == pytest.approx(p.beta * (corr_prime - corr), abs=1e-15)
 
 
 # --- correlation difference ----------------------------------------------------
@@ -365,7 +361,7 @@ def test_unknown_method_raises_value_error():
     edge = next(iter(pair.window_edges))
     for call in (
         lambda: interface_free_energy(pair, Solver("exact")),
-        lambda: free_energy_gradient(pair, Solver("exact")),
+        lambda: gradient(pair, Solver("exact")),
         lambda: delta(pair, edge, method="exact"),
         lambda: domain_wall(couplings, torus, 1.0, method="exact"),
     ):

@@ -111,8 +111,7 @@ KEPT = {
     (exactsolve, "transfer_supported"): {"width_cap"},
     # the transfer kernel: it runs under the int cap it is given
     (exactsolve, "log_partition_transfer"): {"width_cap"},
-    # enumeration-only routes, the independent cross-checks: no engine choice
-    (interface, "interface_free_energy_direct"): {"enum_cap"},
+    # the enumeration-only covariance check: no engine choice
     (fluctuation, "covariance_sample"): {"enum_cap"},
 }
 

@@ -105,6 +105,17 @@ def test_export_counts_count_the_names_imported_from_each_module():
     assert _tool().export_counts(INIT) == {"alpha": 3, "beta": 1}
 
 
+def test_main_prints_the_package_rows_and_the_code_lines_of_the_tests(capsys):
+    tool = _tool()
+    tool.main()
+    rows = capsys.readouterr().out.splitlines()
+    modules = sorted(tool.PACKAGE.glob("*.py"))
+    assert [row.split()[-1] for row in rows[1:-2]] == [p.name for p in modules]
+    assert int(rows[-2].split()[0]) == sum(tool.code_lines(p.read_text()) for p in modules)
+    tests = sum(tool.code_lines(p.read_text()) for p in Path(__file__).parent.glob("*.py"))
+    assert rows[-1].split() == [str(tests), "tests/*.py"]
+
+
 @pytest.mark.parametrize("args", [
     ["--box", "4", "5", "--stack", "2"],
     ["--box", "5", "3", "--bc", "antiperiodic"],

@@ -1,5 +1,6 @@
 """Print the code lines, the public options and the exported names of each
-module of ``src/eafluct``, and their totals.
+module of ``src/eafluct``, and their totals; then the code lines of
+``tests/*.py``, so that code moved from the package into the tests shows.
 
 A line counts when a token other than a comment, NL, NEWLINE, INDENT or
 DEDENT (or the end marker, after the last line) starts on it; the lines of
@@ -19,7 +20,8 @@ import io
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eafluct"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "eafluct"
 _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
          tokenize.ENDMARKER}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -89,6 +91,8 @@ def main() -> None:
         totals = [t + r for t, r in zip(totals, row)]
         print(f"{row[0]:6d}  {row[1]:7d}  {row[2]:7d}  {path.name}")
     print(f"{totals[0]:6d}  {totals[1]:7d}  {totals[2]:7d}  total")
+    tests = sum(code_lines(p.read_text(encoding="utf-8")) for p in (ROOT / "tests").glob("*.py"))
+    print(f"{tests:6d}  {'':7}  {'':7}  tests/*.py")
 
 
 if __name__ == "__main__":
