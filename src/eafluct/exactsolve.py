@@ -654,24 +654,34 @@ def _apply(
     return out
 
 
-def _link_rows(link: tuple[np.ndarray, np.ndarray], rows: int, out: np.ndarray) -> np.ndarray:
-    """The first ``rows`` rows of ``np.kron(hi, lo)``, from one broadcast
-    product written into ``out``, a C-contiguous (..., rows, 2^W) array with
-    the factors' leading axes in front; returns ``out``."""
+def _link_rows(
+    link: tuple[np.ndarray, np.ndarray], rows: int, out: np.ndarray, first: int = 0
+) -> np.ndarray:
+    """Rows ``first`` to ``first + rows - 1`` of ``np.kron(hi, lo)``, whole
+    ``hi`` rows (both multiples of lo's size), from one broadcast product
+    written into ``out``, a C-contiguous (..., rows, 2^W) array with the
+    factors' leading axes in front; returns ``out``."""
     hi, lo = link
-    h, n = rows // lo.shape[-1], lo.shape[-1]
-    np.multiply(hi[..., :h, None, :, None], lo[..., None, :, None, :],
+    n = lo.shape[-1]
+    h, a = rows // n, first // n
+    np.multiply(hi[..., a : a + h, None, :, None], lo[..., None, :, None, :],
                 out=out.reshape(*out.shape[:-2], h, n, hi.shape[-1], n))
     return out
 
 
 def _trace_close(
-    env: np.ndarray, link: tuple[np.ndarray, np.ndarray], scratch: np.ndarray
+    env: np.ndarray,
+    link: tuple[np.ndarray, np.ndarray],
+    scratch: np.ndarray,
+    first: int = 0,
+    carried: int | None = None,
 ) -> np.ndarray:
     """(B,) trace of each stack row's environment against its symmetric
-    closing link ``np.kron(hi, lo)`` (see :func:`_link`), for ``env`` of
-    shape (B, rows, 2^W) that carries the first ``rows`` column-0 states, all
-    2^W or the 2^(W-1) whose mirrored rows add the same sum again.
+    closing link ``np.kron(hi, lo)`` (see :func:`_link`), over the rows
+    ``env`` carries: for ``env`` of shape (B, rows, 2^W), the column-0
+    states ``first`` to ``first + rows - 1``, whole ``hi`` rows, of the
+    ``carried`` states its sweep carries (by default ``rows``), all 2^W or
+    the 2^(W-1) whose mirrored rows add the same sum again.
 
     The carried rows of the link are never built: with a row x = (p, l) and a
     column y = (a, j) split into their (hi, lo) halves, the environment is
@@ -684,12 +694,13 @@ def _trace_close(
     hi, lo = link
     b, rows, side = env.shape
     n = lo.shape[-1]
-    shape = (b, rows // n, n, side // n)
+    h, a = rows // n, first // n
+    shape = (b, h, n, side // n)
     view = env.reshape(*shape, n)
     by_lo = scratch[: env.size // n].reshape(*shape, 1)
     np.matmul(view, lo[:, None, :, :, None], out=by_lo)
-    by_both = np.matmul(hi[:, : rows // n, None, None, :], by_lo)
-    return (side // rows) * by_both.reshape(b, -1).sum(axis=1)
+    by_both = np.matmul(hi[:, a : a + h, None, None, :], by_lo)
+    return (side // (rows if carried is None else carried)) * by_both.reshape(b, -1).sum(axis=1)
 
 
 _RANGE_ERROR = "transfer weights left the floating-point range at this beta"
@@ -700,6 +711,70 @@ def _in_range(values: np.ndarray) -> None:
     neither); otherwise the sweep left the range."""
     if values.size and not (0.0 < values.min() and values.max() < math.inf):
         raise ArithmeticError(_RANGE_ERROR)
+
+
+def _sweep_doubles(plan: _TransferPlan, rows: int) -> int:
+    """Doubles a sweep on ``plan`` holds per stack row while a chunk carries
+    ``rows`` column-0 states, apart from its scratch region (see
+    :func:`stack_rows`)."""
+    w, k, side, length = plan.width, plan.width // 2, 1 << plan.width, plan.length
+    links = 2 * ((1 << 2 * (w - k)) + (1 << 2 * k)) + ((w - k) << (w - k)) + (k << k) + w
+    close = rows if plan.wrap_l else 0
+    return rows * side + 2 * side * length + plan.h_pos.size + links + 5 * length + close
+
+
+def _chunk_rows(plan: _TransferPlan, carried: int, n_edges: int) -> int:
+    """How many of the ``carried`` column-0 states one chunk of a sweep on
+    ``plan`` carries: all of them, or, when one stack row of a pair of
+    states of ``n_edges`` couplings each (see :func:`stack_rows`) would not
+    fit the budget with all of them, the most whole ``hi`` rows, halving
+    from all, with which it fits; at least one ``hi`` row, 2^k states.
+    ``carried`` and 2^k are powers of two, so the chunks of a sweep are
+    equal and tile its carried states."""
+    # the sweep's scratch and broadcast buffers, then three copies of the
+    # pair's coupling rows and its two log Z
+    room = _STACK_DOUBLES - max(_BLOCK_DOUBLES, 1 << plan.width) - 2 * np.getbufsize()
+    room -= 3 * 2 * n_edges + 2
+    rows = carried
+    while rows > 1 << (plan.width // 2) and _sweep_doubles(plan, rows) > room:
+        rows //= 2
+    return rows
+
+
+def _log_z(maxima: np.ndarray, totals: np.ndarray) -> list[tuple[float, ...]]:
+    """One tuple of log Z per stack row, from a sweep's rescale maxima, of
+    shape (chunks, L-1, B, 1, 1), and its closes, (chunks, B, closings).
+
+    Each chunk's row sums the logs of its maxima in column order, as a
+    one-row sweep does, and adds the log of each close.  A sweep of one
+    chunk returns those sums; with several, each closing's chunk values
+    are combined as a log-sum-exp shifted by their max.  Any maximum or
+    close outside the floating-point range raises ``ArithmeticError``, from
+    one check of every chunk and row.
+    """
+    _in_range(maxima)
+    _in_range(totals)
+    chunks = []
+    for scales_by_row, ends_by_row in zip(
+        maxima.reshape(maxima.shape[:3]).transpose(0, 2, 1).tolist(), totals.tolist()
+    ):
+        logz = []
+        for scales, ends in zip(scales_by_row, ends_by_row):
+            acc = 0.0
+            for m in scales:
+                acc += math.log(m)
+            logz.append(tuple(acc + math.log(t) for t in ends))
+        chunks.append(logz)
+    if len(chunks) == 1:
+        return chunks[0]
+    combined = []
+    for row in zip(*chunks):
+        ends = []
+        for parts in zip(*row):
+            top = max(parts)
+            ends.append(top + math.log(math.fsum(math.exp(p - top) for p in parts)))
+        combined.append(tuple(ends))
+    return combined
 
 
 def _transfer_sweep(
@@ -718,12 +793,12 @@ def _transfer_sweep(
     default it is the spec's own values, B = 1.  Every array of the sweep
     carries the stack as its leading axis, and each row's values are
     bit-identical to a sweep of that row alone: the products are the same
-    per-row matrix products, and each row keeps its own rescale maxima and
-    ``math.log`` accumulator.  Returns (one tuple per row, environments);
-    the tuple is (log Z,), or with ``negated_close`` (log Z, log Z of the
-    second closing) as below.  Any row leaving the floating-point range
-    raises ``ArithmeticError`` for the whole stack, from one check of every
-    row's maxima and closes.
+    per-row matrix products, each row keeps its own rescale maxima and
+    ``math.log`` accumulator, and the chunks below do not depend on B.
+    Returns (one tuple per row, environments); the tuple is (log Z,), or
+    with ``negated_close`` (log Z, log Z of the second closing) as below.
+    Any row leaving the floating-point range raises ``ArithmeticError`` for
+    the whole stack (see :func:`_log_z`).
 
     Environment c is the product of columns 0..c and the links between
     them, divided by the maxima of environments 1..c-1, per row a 2-D array
@@ -734,23 +809,36 @@ def _transfer_sweep(
     ~x = 2^W-1-x and leaves every link (``M[~x, ~y] = M[x, y]``) and every
     field-free column weight unchanged, so the rows of the column-0 states
     with the top bit set are the others mirrored,
-    ``env[~x, ~y] = env[x, y]``, and are not carried.  The sweep allocates
-    one work buffer: the environment, which every step overwrites in place,
-    and a scratch region for the block of a link step and for the close's
-    first contraction.  A step applies a link through its Kronecker factors
-    (:func:`_apply`), except the first wrapped one, which writes the carried
-    rows of the link (:func:`_link_rows`) and row-scales them by the
-    column-0 weights.  The environment itself is never divided: step c >= 2
-    divides its link's small ``lo`` factor by the maximum of environment
-    c-1, the rescale of that column, so every product has the magnitude it
-    would have after dividing the environment.  The close takes the last
-    maximum the same way: it is the sum of the last environment over that
-    maximum on an open axis, and on a wrapped one its trace against the
-    closing link with that maximum in its ``lo`` (:func:`_trace_close`).
-    With ``negated_close`` (a wrapped length axis only) the close is taken
-    a second time, against the closing link with its couplings negated.
-    Environments, of shape (B, rows, 2^W), are kept only with ``keep``, as
-    copies of the buffer; otherwise the list is empty.
+    ``env[~x, ~y] = env[x, y]``, and are not carried.
+
+    The carried rows never mix: each one is its own product.  So a wrapped
+    sweep whose environment does not fit the budget takes its carried rows
+    in chunks of whole ``hi`` rows (:func:`_chunk_rows`, the rule
+    :func:`stack_rows` counts), one after the other.  Each chunk starts
+    from its own rows of the first link, runs the same steps with its own
+    rescale maxima, and closes over its own rows; each closing's chunks
+    combine as a log-sum-exp (:func:`_log_z`).  A sweep that fits takes one
+    chunk, and a ``keep`` sweep always does, since the correlation pass
+    reads every kept environment whole.
+
+    The sweep allocates one work buffer: one chunk's environment, which
+    every step overwrites in place, and a scratch region for the block of a
+    link step and for the close's first contraction.  A step applies a link
+    through its Kronecker factors (:func:`_apply`), except the first
+    wrapped one, which writes the chunk's rows of the link
+    (:func:`_link_rows`) and row-scales them by the column-0 weights.  The
+    environment itself is never divided: step c >= 2 divides its link's
+    small ``lo`` factor by the maximum of environment c-1, the rescale of
+    that column, so every product has the magnitude it would have after
+    dividing the environment.  The close takes the last maximum the same
+    way: it is the sum of the last environment over that maximum on an
+    open axis, and on a wrapped one its trace against the closing link with
+    that maximum in its ``lo`` (:func:`_trace_close`).  With
+    ``negated_close`` (a wrapped length axis only) the close is taken a
+    second time, against the closing link with its couplings negated.
+    With ``keep``, the sweep allocates instead one (L, B, rows, 2^W) array
+    and the scratch region: each step writes straight into its own slot,
+    and the list holds the L slots; otherwise the list is empty.
     """
     plan = _transfer_plan(spec.region, spec.bc, width_cap)
     beta = spec.beta
@@ -758,69 +846,67 @@ def _transfer_sweep(
     values = spec.couplings.values[None] if couplings is None else couplings
     jh = values.take(plan.h_pos, axis=-1) * plan.h_sign
     side = 1 << plan.width
+    closings = ()
+    if plan.wrap_l:
+        closings = (jh[..., -1], -jh[..., -1]) if negated_close else (jh[..., -1],)
 
-    maxima = np.empty((plan.length - 1, len(values), 1, 1))  # rescale of column c at c-1
-    envs: list[np.ndarray] = []
     # overflow surfaces as an ArithmeticError from the range checks, never
     # as a numpy warning
     with np.errstate(all="ignore"):
         d = _column_weights(spec, plan, extra_fields, values)
         # the flip reverses the row order of the column weights, so a field
         # term shows as weights that are not even under it
-        rows = 1
+        carried = 1
         if plan.wrap_l:
-            rows = side // 2 if np.array_equal(d, d[:, ::-1]) else side
+            carried = side // 2 if np.array_equal(d, d[:, ::-1]) else side
+        rows = carried if keep else _chunk_rows(plan, carried, values.shape[-1])
         weights = d.transpose(2, 0, 1)[:, :, None]  # [c] is (B, 1, 2^W)
-        # the sweep's one work buffer: the environment, overwritten step by
-        # step, and the scratch region, which holds the largest block of a
-        # link step and a wrapped close's first contraction.  A wrapped axis
-        # starts from diag(d_0), applied to the first link as row scaling,
-        # and an open one from the row d_0
-        size = len(values) * rows * side
+        # the sweep's one work buffer: a chunk's environment, overwritten
+        # step by step, and the scratch region, which holds the largest
+        # block of a link step and a wrapped close's first contraction
+        shape = (len(values), rows, side)
+        size = math.prod(shape)
         close = size >> (plan.width // 2) if plan.wrap_l else 0
-        work = np.empty(size + max(min(size, max(_BLOCK_DOUBLES, side)), close))
-        buf, scratch = work[:size].reshape(len(values), rows, side), work[size:]
-        env = buf if plan.wrap_l else d[:, None, :, 0]
-        if keep:
-            envs.append(np.eye(rows, side) * d[:, None, :, 0] if plan.wrap_l else env)
-        for c in range(1, plan.length):
-            hi, lo = _link(s, jh[..., c - 1], beta)
-            if c > 1:  # the rescale of environment c-1
-                lo /= maxima[c - 2]
-            if plan.wrap_l and c == 1:
-                env = _link_rows((hi, lo), rows, buf)
-                env *= d[:, :rows, None, 0]
-            else:  # one link per stack row, shared by its carried rows
-                env = _apply(env, (hi, lo), buf, scratch)
-            # a contiguous copy of the weights: a strided row of d halves the
-            # speed of this pass at W = 10
-            env *= np.ascontiguousarray(weights[c])
-            env.max(axis=(1, 2), keepdims=True, out=maxima[c - 1])
-            if keep:
-                envs.append(env.copy())
-        if plan.wrap_l:
-            closings = (jh[..., -1], -jh[..., -1]) if negated_close else (jh[..., -1],)
-            totals = []
-            for j in closings:
-                hi, lo = _link(s, j, beta)
-                lo /= maxima[-1]
-                totals.append(_trace_close(env, (hi, lo), scratch))
-            totals = np.stack(totals, axis=1)
+        scratch_size = max(min(size, max(_BLOCK_DOUBLES, side)), close)
+        if keep:  # one slot per environment, which its step writes
+            slots, scratch = np.empty((plan.length, *shape)), np.empty(scratch_size)
         else:
-            totals = env.reshape(len(env), -1).sum(axis=1)[:, None]
-            if len(maxima):
-                totals /= maxima[-1, :, 0]
-    _in_range(maxima)
-    _in_range(totals)
-    logz = []
-    # each row sums its own logs in column order, as a one-row sweep does
-    scales_by_row = maxima.reshape(plan.length - 1, len(values)).T.tolist()
-    for scales, ends in zip(scales_by_row, totals.tolist()):
-        acc = 0.0
-        for m in scales:
-            acc += math.log(m)
-        logz.append(tuple(acc + math.log(t) for t in ends))
-    return logz, envs
+            work = np.empty(size + scratch_size)
+            slots, scratch = work[:size].reshape(1, *shape), work[size:]
+        maxima = np.empty((carried // rows, plan.length - 1, len(values), 1, 1))
+        totals = np.empty((carried // rows, len(values), max(1, len(closings))))
+        for chunk, first in enumerate(range(0, carried, rows)):
+            scales = maxima[chunk]  # rescale of column c at c-1
+            # an open axis starts from the row d_0, and a wrapped one from
+            # diag(d_0), applied to the first link as row scaling
+            env = d[:, None, :, 0]
+            if keep and plan.wrap_l:
+                np.multiply(np.eye(rows, side), env, out=slots[0])
+            elif keep:
+                slots[0] = env
+            for c in range(1, plan.length):
+                hi, lo = _link(s, jh[..., c - 1], beta)
+                if c > 1:  # the rescale of environment c-1
+                    lo /= scales[c - 2]
+                out = slots[c if keep else 0]
+                if plan.wrap_l and c == 1:
+                    env = _link_rows((hi, lo), rows, out, first)
+                    env *= d[:, first : first + rows, None, 0]
+                else:  # one link per stack row, shared by its carried rows
+                    env = _apply(env, (hi, lo), out, scratch)
+                # a contiguous copy of the weights: a strided row of d halves
+                # the speed of this pass at W = 10
+                env *= np.ascontiguousarray(weights[c])
+                env.max(axis=(1, 2), keepdims=True, out=scales[c - 1])
+            for n, j in enumerate(closings):
+                hi, lo = _link(s, j, beta)
+                lo /= scales[-1]
+                totals[chunk, :, n] = _trace_close(env, (hi, lo), scratch, first, carried)
+            if not plan.wrap_l:
+                totals[chunk, :, 0] = env.reshape(len(env), -1).sum(axis=1)
+                if len(scales):
+                    totals[chunk] /= scales[-1, :, 0]
+    return _log_z(maxima, totals), list(slots) if keep else []
 
 
 def log_partition_transfer(
@@ -878,34 +964,34 @@ def stack_rows(spec: GibbsSpec, other: GibbsSpec, solver: Solver) -> int:
     of :func:`~eafluct.interface.free_energy_terms`, and its two log Z.
     Before the sweeps the zeroed rows and their byte keys add a fourth copy;
     during them a transfer-resolved state's sweep (see
-    :func:`_transfer_sweep`) adds its environment, its column weights with
-    the temporary a field term adds (or, during the steps, the contiguous
-    copy of one column's weights), its link couplings, two links (the last
-    and the next) with the products that build one, and its rescale maxima,
+    :func:`_transfer_sweep`) adds one chunk's environment, at the rows of
+    the chunk :func:`_chunk_rows` gives it, its column weights with the
+    temporary a field term adds (or, during the steps, the contiguous copy
+    of one column's weights), its link couplings, two links (the last and
+    the next) with the products that build one, and its rescale maxima,
     each also a Python float; a wrapped sweep's close adds one double per
-    carried row (see :func:`_trace_close`).  The two states are swept one
-    after the other, so the larger sweep counts.  Once per sweep come the
-    scratch region, one :func:`_apply` block, and the buffers numpy's
+    row of the chunk (see :func:`_trace_close`).  The two states are swept
+    one after the other, so the larger sweep counts.  Once per sweep come
+    the scratch region, one :func:`_apply` block, and the buffers numpy's
     broadcast products iterate through, one of ``np.getbufsize()`` doubles
     per input.  The scratch region also takes the close's first
-    contraction, 2^-k of the environment, which is smaller than a block in
-    any chunk whose environments fit the budget
-    (``test_a_chunk_closes_within_one_block``).
+    contraction, 2^-k of a chunk's environment, which is never larger than
+    a block (``test_a_chunk_closes_within_one_block``).  The chunk is
+    chosen so that one stack row fits; only a sweep in which one ``hi``
+    row does not fit, such as a 12x12 torus's, holds one stack row past
+    the budget.
     """
     copies = len(spec.couplings.values) + len(other.couplings.values)
     sweep, scratch = copies, 0  # the fourth copy, before the sweeps
     for state in (spec, other):
         if solver.engine(state.region) == "transfer":
             plan = _transfer_plan(state.region, state.bc, solver.width_cap)
-            w, k, side, length = plan.width, plan.width // 2, 1 << plan.width, plan.length
             # a stacked sweep carries no extra field and a wrapped region no
             # clamped ghost, so a wrapped sweep carries half the rows
-            rows = side // 2 if plan.wrap_l else 1
-            links = 2 * ((1 << 2 * (w - k)) + (1 << 2 * k)) + ((w - k) << (w - k)) + (k << k) + w
-            close = rows if plan.wrap_l else 0
-            held = rows * side + 2 * side * length + plan.h_pos.size + links + 5 * length + close
-            sweep = max(sweep, held)
-            scratch = max(scratch, _BLOCK_DOUBLES, side)
+            carried = 1 << (plan.width - 1) if plan.wrap_l else 1
+            rows = _chunk_rows(plan, carried, len(state.couplings.values))
+            sweep = max(sweep, _sweep_doubles(plan, rows))
+            scratch = max(scratch, _BLOCK_DOUBLES, 1 << plan.width)
     fixed = scratch + 2 * np.getbufsize()
     return max(1, (_STACK_DOUBLES - fixed) // (3 * copies + 2 + sweep))
 

@@ -741,7 +741,11 @@ def test_torus_values_match_pins_from_before_the_shared_closing(k):
     rescale on the next link's small factor, and closed the trace by
     contraction with the factors: 4 of the 60 log Z moved, by at most
     1.7e-16 relative, and 2 of the 30 domain walls, by at most 5.7e-14
-    absolute."""
+    absolute.  They were re-pinned once more when a sweep whose environment
+    does not fit the stack budget began to take its carried rows in chunks,
+    combined by a log-sum-exp, which only the 10x10 torus does: its 4 log Z
+    at beta 0 moved, by 2.1e-16 relative (to 1.7e-15 from 100 log 2, from
+    1.3e-14), and no domain wall moved."""
     pins = json.loads((Path(__file__).parent / "data" / "torus_transfer_hex.json").read_text())
     extents = PINNED_TORI[k]
     region, couplings = _torus(extents, k)
@@ -1040,10 +1044,11 @@ def test_the_blocked_hi_gradient_equals_one_stacked_sum_bit_for_bit(shape):
 
 
 def test_torus_pair_sweep_holds_one_environment_and_one_block():
-    # the sweep's one 4 MiB environment buffer, overwritten in place, plus a
-    # 256 KiB block; the close builds none of the closing link's 4 MiB of
-    # carried rows, and those or an environment-sized temporary in any step
-    # would cross 8 MiB
+    # the sweep takes its 512 carried rows in chunks of 64 whose 512 KiB
+    # environment buffer, overwritten in place, and 256 KiB block fit the
+    # stack budget of 1.375 MiB with the rest of the sweep; one environment
+    # of all carried rows is 4 MiB, and the close builds none of the closing
+    # link's carried rows
     region, couplings = _torus((10, 10), 7)
     spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
     other = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
@@ -1054,7 +1059,60 @@ def test_torus_pair_sweep_holds_one_environment_and_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 2**20
+    assert peak <= 8 * exactsolve._STACK_DOUBLES
+
+
+def test_a_12x12_torus_log_z_holds_one_chunk():
+    # one environment of all 2048 carried rows is 64 MiB; the smallest
+    # chunk, one hi row of 64 carried rows, is 2 MiB
+    region, couplings = _torus((12, 12), 7)
+    spec = GibbsSpec(region, couplings, 1.0, periodic_bc())
+    log_partition(spec)  # warm the plan and edge caches
+    tracemalloc.start()
+    try:
+        log_partition(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("side", [9, 10, 11, 12])
+def test_chunked_torus_sweeps_match_the_one_chunk_sweep(monkeypatch, side):
+    # the seam on the length axis closes one sweep both ways
+    region, couplings = _torus((side, side), 9)
+    p = GibbsSpec(region, couplings, 1.0, periodic_bc())
+    ap = GibbsSpec(region, couplings, 1.0, antiperiodic_bc(0))
+    plan = exactsolve._transfer_plan(region, p.bc, 12)
+    carried, n_edges = 1 << (side - 1), len(couplings.values)
+    assert exactsolve._chunk_rows(plan, carried, n_edges) < carried
+    chunked = _own_pair(p, ap)
+    monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", 1 << 40)
+    assert exactsolve._chunk_rows(plan, carried, n_edges) == carried
+    assert chunked == pytest.approx(_own_pair(p, ap), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("extents", SMALL_TORI)
+def test_chunked_torus_sweeps_match_enumeration(monkeypatch, extents):
+    # with no budget every wrapped sweep takes chunks of one hi row, 2^k of
+    # its carried rows: two or more on every torus here, but those of width
+    # 2 with half their rows carried.  A field carries all 2^W rows
+    monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", 0)
+    region, couplings = _torus(extents, 6)
+    plan = exactsolve._transfer_plan(region, periodic_bc(), 12)
+    hi_row = 1 << (plan.width // 2)
+    assert exactsolve._chunk_rows(plan, 1 << plan.width, len(couplings.values)) == hi_row
+    fields = {region.sites[len(region.sites) // 2]: 0.4}
+    for beta in (0.5, 1.0, 3.0):
+        for axes in PINNED_BCS.values():
+            spec = GibbsSpec(region, couplings, beta, _torus_bc(axes))
+            assert abs(log_partition_transfer(spec) - log_partition_enum(spec)) <= 1e-9
+            got = log_partition_transfer(spec, extra_fields=fields)
+            assert abs(got - log_partition_enum(spec, extra_fields=fields)) <= 1e-9
+        for seam in (0, 1):
+            value = domain_wall(couplings, region, beta, seam_axis=seam)
+            enum = domain_wall(couplings, region, beta, seam_axis=seam, method="enum")
+            assert abs(value - enum) <= 1e-9
 
 
 # --- in-place, blocked link applications ---------------------------------------
@@ -1158,10 +1216,11 @@ def test_the_factored_close_equals_the_dot_product_with_the_closing_rows(extents
 
 
 def test_a_chunk_closes_within_one_block():
-    # a wrapped close's first contraction, 2^-k of the environments, shares
-    # the sweep's scratch region, which stack_rows counts as one block.  Only
-    # a chunk of one row past the budget can outgrow it: from W = 11 one
-    # row's contraction is larger than a block
+    # a wrapped close's first contraction, 2^-k of a chunk's environments,
+    # shares the sweep's scratch region, which stack_rows counts as one
+    # block.  A chunk whose environments fit the budget makes a contraction
+    # smaller than a block, and the smallest chunk, one hi row, makes one of
+    # 2^W doubles
     checked = 0
     for w in range(1, 13):
         for length in sorted({w + 1, 2 * w, 24}):
@@ -1170,13 +1229,14 @@ def test_a_chunk_closes_within_one_block():
                                          SeedSpec(30, 0, "t"))
             torus = GibbsSpec(region, couplings, 1.0, periodic_bc())
             box = GibbsSpec(Region((length, w)), couplings, 1.0, free_bc())
+            plan = exactsolve._transfer_plan(region, torus.bc, 12)
+            side = 1 << w
+            chunk = exactsolve._chunk_rows(plan, side // 2, len(torus.couplings.values))
             for other in (torus, box):
-                rows, side = exactsolve.stack_rows(torus, other, Solver()), 1 << w
-                env = rows * (side // 2) * side
-                if env <= exactsolve._STACK_DOUBLES:
-                    checked += 1
-                    assert env >> (w // 2) <= max(exactsolve._BLOCK_DOUBLES, side), (w, length)
-    assert checked == 52  # every pair up to W = 9
+                env = exactsolve.stack_rows(torus, other, Solver()) * chunk * side
+                checked += 1
+                assert env >> (w // 2) <= max(exactsolve._BLOCK_DOUBLES, side), (w, length)
+    assert checked == 68  # every pair up to W = 12
 
 
 # boxes whose masters the beta ceiling was measured on (ROADMAP item 4), by
@@ -1205,6 +1265,19 @@ def test_the_transfer_beta_ceiling_is_pinned(route):
                 firsts.append(beta)
                 break
     assert firsts == FIRST_FAILING_BETA[route]
+
+
+def test_chunked_torus_sweeps_keep_the_beta_ceiling(monkeypatch):
+    # with no budget the 3x3 torus takes two chunks and the 8x8 one eight;
+    # each still passes every beta below its pinned first failing one
+    monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", 0)
+    for (extents, wrap, bc), first in zip(CEILING_BOXES[1:], FIRST_FAILING_BETA["log_z"][1:]):
+        region = Region(extents, wrap)
+        couplings = sample_couplings(Gaussian(), interior_edges(region),
+                                     SeedSpec(0, 0, "couplings"))
+        for beta in CEILING_BETAS:
+            if beta < first:
+                log_partition_transfer(GibbsSpec(region, couplings, float(beta), bc))
 
 
 # --- Kronecker link factors ----------------------------------------------------

@@ -208,14 +208,16 @@ def chunk_rows(spec):
 
 
 def set_budget(monkeypatch, spec, rows):
-    """Set the smallest stack budget whose chunks hold ``rows`` rows of
-    ``spec``'s state pair."""
+    """Set the largest stack budget whose chunks hold ``rows`` rows of
+    ``spec``'s state pair, one double short of holding one more.  One stack
+    row then fits whole, so a wrapped state sweeps all its carried rows in
+    one chunk, as the reference does (see ``exactsolve._chunk_rows``)."""
     lo, hi = 0, 1 << 24
     while lo < hi:
         mid = (lo + hi) // 2
         monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", mid)
-        lo, hi = (lo, mid) if chunk_rows(spec) >= rows else (mid + 1, hi)
-    monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", lo)
+        lo, hi = (lo, mid) if chunk_rows(spec) > rows else (mid + 1, hi)
+    monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", lo - 1)
 
 
 # (bc_prime, rows per chunk, n_outer): each draw here is 5 prefix rows and

@@ -116,16 +116,43 @@ def test_main_prints_the_package_rows_and_the_code_lines_of_the_tests(capsys):
     assert rows[-1].split() == [str(tests), "tests/*.py"]
 
 
-@pytest.mark.parametrize("args", [
-    ["--box", "4", "5", "--stack", "2"],
-    ["--box", "5", "3", "--bc", "antiperiodic"],
-    ["--box", "3", "4", "--bc", "free", "--stack", "3"],
-])
-def test_sweep_profile_replays_the_sweep_and_times_every_stage(args, capsys):
-    # main exits with an error if the replay's log Z is not the sweep's
+def _profile(args, capsys):
+    """What ``tools/sweep_profile.py`` prints for ``args``, checked for
+    every stage's line."""
     tool = _tool("sweep_profile")
     tool.main([*args, "--repeats", "2"])
     out = capsys.readouterr().out
     for stage in (*tool.STAGES, "replay", "sweep"):
         assert re.search(rf"^{stage} +\d+\.\d{{3}}$", out, re.M), stage
     assert re.search(r"^tracemalloc peak of one sweep: \d+\.\d\d MiB$", out, re.M)
+    return out
+
+
+def _chunks(out):
+    """(chunk count, carried rows per chunk) that the tool printed."""
+    count, rows = re.search(r"^chunks: (\d+) of (\d+) carried rows each$", out, re.M).groups()
+    return int(count), int(rows)
+
+
+@pytest.mark.parametrize("args", [
+    ["--box", "4", "5", "--stack", "2"],
+    ["--box", "5", "3", "--bc", "antiperiodic"],
+    ["--box", "3", "4", "--bc", "free", "--stack", "3"],
+])
+def test_sweep_profile_replays_the_sweep_and_times_every_stage(args, capsys):
+    # main exits with an error if the replay's log Z is not the sweep's; a
+    # torus of width W carries 2^(W-1) rows in one chunk, an open strip one
+    width = min(int(args[1]), int(args[2]))
+    rows = 1 if "free" in args else 2 ** (width - 1)
+    assert _chunks(_profile(args, capsys)) == (1, rows)
+
+
+def test_sweep_profile_replays_a_sweep_in_chunks(monkeypatch, capsys):
+    # with no budget a wrapped sweep takes one hi row, 2^k states, a chunk:
+    # a width-4 torus two chunks of 4 of its 8 carried rows, a width-6 one
+    # four chunks of 8 of its 32
+    from eafluct import exactsolve
+
+    monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", 0)
+    assert _chunks(_profile(["--box", "4", "5", "--stack", "2"], capsys)) == (2, 4)
+    assert _chunks(_profile(["--box", "6", "6", "--bc", "antiperiodic"], capsys)) == (4, 8)

@@ -6,8 +6,10 @@
 The sweep is ``exactsolve._transfer_sweep`` on a box of Gaussian couplings,
 ``--stack`` rows of them drawn from ``--seed``: wrapped on both axes for a
 ``periodic`` or ``antiperiodic`` bc (the seam on axis 0), open for ``free``.
-The script replays that sweep stage by stage with the package's own kernels
-and sums each stage's time over the sweep:
+The script replays that sweep chunk by chunk (a wrapped sweep whose
+environment does not fit the stack budget takes its carried column-0 rows in
+chunks, ``exactsolve._chunk_rows``) and stage by stage with the package's own
+kernels, and sums each stage's time over the sweep:
 
 * ``weights``: the column weights (``_column_weights``);
 * ``links``: each link's two factors (``_link``), with the rescale that
@@ -20,7 +22,7 @@ and sums each stage's time over the sweep:
   or the sum of the last environment on an open axis.
 
 It checks that the replay's log Z equals the sweep's bit for bit, then
-prints the median of each stage over ``--repeats`` replays, in
+prints the chunk count and the carried rows per chunk, the median of each stage over ``--repeats`` replays, in
 milliseconds, beside the median time of the sweep itself, and the
 ``tracemalloc`` peak of one sweep.  Run it with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``) to time what the benchmark's children run.
@@ -30,7 +32,6 @@ Run from anywhere: the package is taken from this checkout's ``src/``.
 from __future__ import annotations
 
 import argparse
-import math
 import statistics
 import sys
 import time
@@ -59,9 +60,10 @@ def make_stack(box, bc: str, stack: int, beta: float, seed: int):
     return spec, np.stack([row.values for row in rows])
 
 
-def replay(spec, values) -> tuple[list[float], dict[str, float]]:
-    """(log Z of each row, seconds per stage) of the sweep of ``values``
-    over ``spec``'s plan, taken step for step as the sweep takes them."""
+def replay(spec, values) -> tuple[list[float], dict[str, float], int, int]:
+    """(log Z of each row, seconds per stage, carried rows per chunk, chunk
+    count) of the sweep of ``values`` over ``spec``'s plan, taken chunk for
+    chunk and step for step as the sweep takes them."""
     plan = exactsolve._transfer_plan(spec.region, spec.bc, exactsolve.TRANSFER_WIDTH_CAP)
     s, beta, side = plan.s_matrix, spec.beta, 1 << plan.width
     seconds = dict.fromkeys(STAGES, 0.0)
@@ -84,40 +86,39 @@ def replay(spec, values) -> tuple[list[float], dict[str, float]]:
 
     jh = values.take(plan.h_pos, axis=-1) * plan.h_sign
     d = timed("weights", exactsolve._column_weights, spec, plan, None, values)
-    rows = 1
+    carried = 1
     if plan.wrap_l:
-        rows = side // 2 if np.array_equal(d, d[:, ::-1]) else side
+        carried = side // 2 if np.array_equal(d, d[:, ::-1]) else side
+    rows = exactsolve._chunk_rows(plan, carried, values.shape[-1])
     weights = d.transpose(2, 0, 1)[:, :, None]
     buf = np.empty((len(values), rows, side))
     close = buf.size >> (plan.width // 2) if plan.wrap_l else 0
     scratch = np.empty(max(min(buf.size, max(exactsolve._BLOCK_DOUBLES, side)), close))
-    env = buf if plan.wrap_l else d[:, None, :, 0]
-    maxima = np.empty((plan.length - 1, len(values), 1, 1))
-    for c in range(1, plan.length):
-        hi, lo = timed("links", link, jh[..., c - 1], maxima[c - 2] if c > 1 else None)
-        if plan.wrap_l and c == 1:
-            env = timed("steps", exactsolve._link_rows, (hi, lo), rows, buf)
-            env *= d[:, :rows, None, 0]
+    maxima = np.empty((carried // rows, plan.length - 1, len(values), 1, 1))
+    totals = np.empty((carried // rows, len(values), 1))
+    for chunk, first in enumerate(range(0, carried, rows)):
+        scales = maxima[chunk]
+        env = d[:, None, :, 0]
+        for c in range(1, plan.length):
+            hi, lo = timed("links", link, jh[..., c - 1], scales[c - 2] if c > 1 else None)
+            if plan.wrap_l and c == 1:
+                env = timed("steps", exactsolve._link_rows, (hi, lo), rows, buf, first)
+                env *= d[:, first : first + rows, None, 0]
+            else:
+                env = timed("steps", exactsolve._apply, env, (hi, lo), buf, scratch)
+            timed("weight pass", weigh, env, weights[c])
+            timed("maxima", env.max, (1, 2), scales[c - 1], True)
+        start = clock()
+        if plan.wrap_l:
+            hi, lo = link(jh[..., -1], scales[-1])
+            totals[chunk, :, 0] = exactsolve._trace_close(env, (hi, lo), scratch, first, carried)
         else:
-            env = timed("steps", exactsolve._apply, env, (hi, lo), buf, scratch)
-        timed("weight pass", weigh, env, weights[c])
-        timed("maxima", env.max, (1, 2), maxima[c - 1], True)
-    start = clock()
-    if plan.wrap_l:
-        totals = exactsolve._trace_close(env, link(jh[..., -1], maxima[-1]), scratch)
-    else:
-        totals = env.reshape(len(env), -1).sum(axis=1)
-        if len(maxima):
-            totals /= maxima[-1, :, 0, 0]
-    seconds["close"] += clock() - start
-    logz = []
-    scales_by_row = maxima.reshape(plan.length - 1, len(values)).T.tolist()
-    for scales, total in zip(scales_by_row, totals.tolist()):
-        acc = 0.0
-        for m in scales:
-            acc += math.log(m)
-        logz.append(acc + math.log(total))
-    return logz, seconds
+            totals[chunk, :, 0] = env.reshape(len(env), -1).sum(axis=1)
+            if len(scales):
+                totals[chunk] /= scales[-1, :, 0]
+        seconds["close"] += clock() - start
+    logz = [ends[0] for ends in exactsolve._log_z(maxima, totals)]
+    return logz, seconds, rows, carried // rows
 
 
 def main(argv=None) -> None:
@@ -131,7 +132,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     spec, values = make_stack(args.box, args.bc, args.stack, args.beta, args.seed)
     logz, _ = exactsolve._transfer_sweep(spec, couplings=values)
-    if replay(spec, values)[0] != [row[0] for row in logz]:
+    replayed, _, rows, chunks = replay(spec, values)
+    if replayed != [row[0] for row in logz]:
         raise SystemExit("the replay's log Z differs from the sweep's")
 
     runs, sweeps = [], []
@@ -150,6 +152,7 @@ def main(argv=None) -> None:
     plan = exactsolve._transfer_plan(spec.region, spec.bc, exactsolve.TRANSFER_WIDTH_CAP)
     print(f"box {args.box} {args.bc}, stack {args.stack}, beta {args.beta:g}: "
           f"W={plan.width}, L={plan.length}, wrapped length axis: {plan.wrap_l}")
+    print(f"chunks: {chunks} of {rows} carried rows each")
     print(f"{'stage':<12} ms (median of {args.repeats})")
     for stage in STAGES:
         print(f"{stage:<12} {1e3 * statistics.median(run[stage] for run in runs):.3f}")
