@@ -54,7 +54,6 @@ from .lattice import (
     Region,
     Site,
     boundary_edges,
-    edge_from_origin,
     grow,
     interior_edges,
     union,
@@ -176,7 +175,8 @@ class GibbsSpec:
         object.__setattr__(self, "beta", beta)
         self.bc.validate_for(self.region)
         needed = required_edges(self.region, self.bc)
-        if self.couplings.edge_set.edges != needed.edges:
+        held = self.couplings.edge_set
+        if held is not needed and held.edges != needed.edges:
             object.__setattr__(self, "couplings", restrict(self.couplings, needed))
 
     def with_couplings(self, couplings: CouplingConfig) -> "GibbsSpec":
@@ -528,7 +528,7 @@ def _transfer_plan(region: Region, bc: BoundaryCondition, width_cap: int) -> _Tr
     t_axis, l_axis = _transfer_axes(region, width_cap)
     w = region.extents[t_axis]
     length = region.extents[l_axis]
-    edges = required_edges(region, bc)
+    by_origin = required_edges(region, bc).position_by_origin
 
     def site(c: int, r: int) -> Site:
         coords = [0, 0]
@@ -538,11 +538,10 @@ def _transfer_plan(region: Region, bc: BoundaryCondition, width_cap: int) -> _Tr
 
     def bonds(axis: int, rows: int, columns: int) -> np.ndarray:
         """Position of the +axis bond from site(c, r), at [r, c]."""
-        grid = tuple(
-            edge_from_origin(site(c, r), axis, region)
-            for r in range(rows) for c in range(columns)
-        )
-        return edge_positions(edges, grid).reshape(rows, columns)
+        grid = [by_origin[site(c, r), axis] for r in range(rows) for c in range(columns)]
+        pos = np.array(grid, dtype=np.intp).reshape(rows, columns)
+        pos.flags.writeable = False
+        return pos
 
     # vertical bond b of a column leaves row b, and horizontal link j leaves
     # column j; a wrapped axis adds its seam bond last

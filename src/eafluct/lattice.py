@@ -10,8 +10,9 @@ martingale enumerations) is reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import attrgetter, lt
 from typing import Iterator
 
 from .errors import ContainmentError, OutOfBoundsError, PartitionError
@@ -74,11 +75,11 @@ class Region:
         )
 
     def contains_region(self, other: "Region") -> bool:
-        return all(
+        return self.dimension == other.dimension and all(
             self.origin[a] <= other.origin[a]
             and other.origin[a] + other.extents[a] <= self.origin[a] + self.extents[a]
             for a in range(self.dimension)
-        ) and self.dimension == other.dimension
+        )
 
 
 def grow(region: Region) -> Region:
@@ -115,22 +116,26 @@ class Edge:
     y: Site
     axis: int
     wrap: bool = False
+    # Lexicographic edge order: by origin vertex, then higher axis first (in
+    # 2d the vertical bond precedes the horizontal one), regular bonds before
+    # seam bonds.
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.x >= self.y:
             raise ValueError(f"edge endpoints must satisfy x < y, got {self.x}, {self.y}")
+        # computed once: edges key every position map and edge-set check
+        object.__setattr__(self, "sort_key", (self.origin, -self.axis, self.wrap))
+        object.__setattr__(self, "_hash", hash((self.x, self.y, self.axis, self.wrap)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def origin(self) -> Site:
         """The site this bond emanates from in the +axis direction."""
         return self.y if self.wrap else self.x
-
-    @property
-    def sort_key(self):
-        # Lexicographic edge order: by origin vertex, then higher axis first
-        # (in 2d the vertical bond precedes the horizontal one), regular
-        # bonds before seam bonds.
-        return (self.origin, -self.axis, self.wrap)
 
     def endpoints(self) -> tuple[Site, Site]:
         return (self.x, self.y)
@@ -158,16 +163,21 @@ class EdgeSet:
     Iteration order is the lexicographic edge order (origin vertex first,
     vertical-before-horizontal at equal origin), so it can be used directly
     as the martingale enumeration order and as the canonical coupling draw
-    order.  ``region`` records which region the set was built for.
+    order.  ``region`` records which region the set was built for.  Edges
+    handed in already in that order, with strictly rising keys and so no
+    duplicate, are kept as they are; any other input is sorted.
     """
 
     region: Region
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.edges, key=lambda e: e.sort_key))
-        if len(set(ordered)) != len(ordered):
-            raise ValueError("duplicate edges in edge set")
+        ordered = tuple(self.edges)
+        keys = [e.sort_key for e in ordered]
+        if not all(map(lt, keys, keys[1:])):  # strictly rising keys: canonical, no duplicate
+            ordered = tuple(sorted(ordered, key=attrgetter("sort_key")))
+            if len(set(ordered)) != len(ordered):
+                raise ValueError("duplicate edges in edge set")
         object.__setattr__(self, "edges", ordered)
         object.__setattr__(self, "_hash", hash((self.region, ordered)))
 
@@ -189,6 +199,17 @@ class EdgeSet:
         """Edge -> index in canonical order."""
         return {e: k for k, e in enumerate(self.edges)}
 
+    @cached_property
+    def position_by_origin(self) -> dict[tuple[Site, int], int]:
+        """(origin, axis) -> index of the bond that leaves ``origin`` in the
+        +axis direction.  A set in which two bonds leave one site along one
+        axis has no such map (ValueError): a box's master set, whose face
+        sites have a seam bond and a ghost bond each."""
+        by_origin = {(e.origin, e.axis): k for k, e in enumerate(self.edges)}
+        if len(by_origin) != len(self.edges):
+            raise ValueError("two bonds of the edge set leave one site along one axis")
+        return by_origin
+
     def index(self, edge: Edge) -> int:
         try:
             return self.position[edge]
@@ -198,40 +219,68 @@ class EdgeSet:
 
 def union(first: EdgeSet, *others: EdgeSet) -> EdgeSet:
     """Union of edge sets, re-sorted canonically; region taken from the first."""
-    seen: dict[Edge, None] = {}
-    for es in (first, *others):
-        for e in es:
-            seen[e] = None
+    seen = dict.fromkeys(itertools.chain(first, *others))
     return EdgeSet(first.region, tuple(seen))
 
 
 @lru_cache(maxsize=None)
 def interior_edges(region: Region) -> EdgeSet:
-    """E(Lambda): all bonds with both endpoints in the region, honoring wrap flags."""
-    edges = []
-    for site in region.sites:
-        for axis in range(region.dimension):
-            rel = site[axis] - region.origin[axis]
-            if rel + 1 < region.extents[axis]:
-                other = site[:axis] + (site[axis] + 1,) + site[axis + 1:]
-                edges.append(Edge(site, other, axis, wrap=False))
-            elif region.wrap[axis] and region.extents[axis] >= 2:
-                other = site[:axis] + (region.origin[axis],) + site[axis + 1:]
-                edges.append(Edge(other, site, axis, wrap=True))
-    return EdgeSet(region, tuple(edges))
+    """E(Lambda): all bonds with both endpoints in the region, honoring wrap
+    flags.  An open region's bonds are emitted site by site, each site's
+    +axis bonds with the axes in descending order: that is the canonical
+    order.  A region with seam bonds is the interior of its open box (the
+    same ``Edge`` objects) plus its seam bonds, which ``EdgeSet`` merges
+    into canonical order."""
+    # (axis, first coordinate, last coordinate, whether a seam bond closes it)
+    axes = [
+        (a, o, o + e - 1, w and e >= 2)
+        for a, o, e, w in zip(range(region.dimension), region.origin, region.extents, region.wrap)
+    ][::-1]
+    if any(seam for *_, seam in axes):
+        seams = tuple(
+            Edge(site[:axis] + (first,) + site[axis + 1:], site, axis, True)
+            for site in region.sites
+            for axis, first, last, seam in axes
+            if seam and site[axis] == last
+        )
+        return EdgeSet(region, interior_edges(Region(region.extents, None, region.origin)).edges + seams)
+    edges = tuple(
+        Edge(site, site[:axis] + (c + 1,) + site[axis + 1:], axis)
+        for site in region.sites
+        for axis, _, last, _ in axes
+        if (c := site[axis]) < last
+    )
+    return EdgeSet(region, edges)
 
 
 @lru_cache(maxsize=None)
 def boundary_edges(inner: Region, ambient: Region) -> EdgeSet:
-    """Boundary set of ``inner``: ambient bonds with exactly one endpoint in ``inner``."""
-    if not all(ambient.contains_site(s) for s in inner.sites):
+    """Boundary set of ``inner``: ambient bonds with exactly one endpoint in ``inner``.
+
+    Such a bond joins a face site of ``inner`` to its -axis or +axis
+    neighbour under the wrap rules of ``ambient``, so only the faces are
+    walked.  On a wrapped ambient axis of extent 2 both bonds between the
+    two sites count: the -axis one is the seam bond."""
+    if not ambient.contains_region(inner):
         raise ContainmentError(f"inner region {inner} not contained in ambient {ambient}")
-    edges = tuple(
-        e
-        for e in interior_edges(ambient)
-        if inner.contains_site(e.x) != inner.contains_site(e.y)
-    )
-    return EdgeSet(ambient, edges)
+    ranges = [range(o, o + e) for o, e in zip(inner.origin, inner.extents)]
+    edges = []
+    for a, span in enumerate(ranges):
+        lo, hi = span[0], span[-1]
+        start, stop = ambient.origin[a], ambient.origin[a] + ambient.extents[a]
+        for face, step in ((lo, -1), (hi, 1)):
+            n, seam = face + step, False
+            if not start <= n < stop:
+                if not ambient.wrap[a]:
+                    continue
+                n, seam = n - step * (stop - start), True
+            if lo <= n <= hi:  # wrapped back into inner, as on an axis of one site
+                continue
+            for site in itertools.product(*ranges[:a], (face,), *ranges[a + 1:]):
+                other = site[:a] + (n,) + site[a + 1:]
+                origin, target = (site, other) if step > 0 else (other, site)
+                edges.append(Edge(target, origin, a, True) if seam else Edge(origin, target, a))
+    return EdgeSet(ambient, tuple(edges))
 
 
 def translate_site(site: Site, vector: tuple[int, ...], ambient: Region) -> Site:

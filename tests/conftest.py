@@ -5,9 +5,12 @@ dictionaries, so they share no code path with the package's vectorized
 enumeration or transfer engines.  The cross-check routes (a direct free
 energy, the gradient identity, conditional means and the variance
 identities) are built from package parts, each by a route that no
-experiment kind takes.
+experiment kind takes.  The geometry routes build edge sets, Hamiltonian
+terms and transfer-plan bond grids by scanning and sorting, where the
+package builds them in one pass.
 """
 
+import functools
 import itertools
 import math
 
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 from eafluct.disorder import ZERO, CouplingConfig, SeedSpec, set_block
+from eafluct.errors import ContainmentError
 from eafluct.exactsolve import (
     ENUM_CAP,
     GibbsSpec,
@@ -37,7 +41,106 @@ from eafluct.fluctuation import (
     bootstrap_stderr,
 )
 from eafluct.harness import parse_config_dict, reduce_report, run_task, task_coordinates
-from eafluct.lattice import interior_edges
+from eafluct.lattice import Edge, Region, edge_from_origin, grow, interior_edges
+
+
+def reference_key(edge):
+    """The canonical order of edges, computed here: origin site, then the
+    higher axis first, then the regular bond before the seam bond."""
+    return (edge.y if edge.wrap else edge.x, -edge.axis, edge.wrap)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_interior_edges(region):
+    """E(region) in canonical order: each site's +axis bond under the wrap
+    rules, axes ascending, sorted by :func:`reference_key` afterwards."""
+    edges = []
+    for site in region.sites:
+        for axis in range(region.dimension):
+            rel = site[axis] - region.origin[axis]
+            if rel + 1 < region.extents[axis]:
+                other = site[:axis] + (site[axis] + 1,) + site[axis + 1:]
+                edges.append(Edge(site, other, axis, wrap=False))
+            elif region.wrap[axis] and region.extents[axis] >= 2:
+                other = site[:axis] + (region.origin[axis],) + site[axis + 1:]
+                edges.append(Edge(other, site, axis, wrap=True))
+    return tuple(sorted(edges, key=reference_key))
+
+
+def reference_boundary_edges(inner, ambient):
+    """Every bond of ``ambient`` scanned, and those with exactly one endpoint
+    in ``inner`` kept, in canonical order."""
+    if not all(ambient.contains_site(s) for s in inner.sites):
+        raise ContainmentError(f"inner region {inner} not contained in ambient {ambient}")
+    return tuple(
+        e for e in reference_interior_edges(ambient)
+        if inner.contains_site(e.x) != inner.contains_site(e.y)
+    )
+
+
+def reference_union(*parts):
+    return tuple(sorted(set().union(*parts), key=reference_key))
+
+
+def reference_master_edges(extents):
+    """The wrapped interior of the box and the ghost ring of the open box."""
+    box = Region(extents)
+    wrapped = reference_interior_edges(Region(extents, (True,) * len(extents)))
+    return reference_union(wrapped, reference_boundary_edges(box, grow(box)))
+
+
+def reference_required_edges(region, bc):
+    inner = reference_interior_edges(region)
+    if bc.kind == "fixed":
+        return reference_union(inner, reference_boundary_edges(region, grow(region)))
+    return inner
+
+
+def reference_terms(region, bc):
+    """The fields of ``exactsolve._terms(region, bc)``, from the reference
+    edges and the sites' positions in ``region.sites``."""
+    sites = list(region.sites)
+    terms = {"n": len(sites), "sign": [], "bond_ix": [], "bond_iy": [], "bond_pos": [],
+             "ghost_site": [], "ghost_pos": []}
+    for k, e in enumerate(reference_required_edges(region, bc)):
+        terms["sign"].append(-1.0 if e.wrap and e.axis in bc.seam_axes else 1.0)
+        if region.contains_site(e.x) and region.contains_site(e.y):
+            terms["bond_ix"].append(sites.index(e.x))
+            terms["bond_iy"].append(sites.index(e.y))
+            terms["bond_pos"].append(k)
+        else:
+            terms["ghost_site"].append(sites.index(e.x if region.contains_site(e.x) else e.y))
+            terms["ghost_pos"].append(k)
+    return terms
+
+
+def reference_plan_bonds(region, bc, t_axis):
+    """``(v_pos, v_sign, h_pos, h_sign)`` of a transfer plan across ``t_axis``:
+    the +axis bond of the site in column c and row r, at [r, c], built from
+    its origin site (``edge_from_origin``) and looked up in the reference
+    required edges.  A wrapped axis of two or more sites adds its seam bond
+    last."""
+    l_axis = 1 - t_axis
+    w, length = region.extents[t_axis], region.extents[l_axis]
+    edges = reference_required_edges(region, bc)
+    position = {e: k for k, e in enumerate(edges)}
+    sign = np.asarray(reference_terms(region, bc)["sign"])
+
+    def site(c, r):
+        coords = [0, 0]
+        coords[l_axis] = region.origin[l_axis] + c
+        coords[t_axis] = region.origin[t_axis] + r
+        return tuple(coords)
+
+    def bonds(axis, rows, columns):
+        grid = [position[edge_from_origin(site(c, r), axis, region)]
+                for r in range(rows) for c in range(columns)]
+        return np.asarray(grid, dtype=np.intp).reshape(rows, columns)
+
+    n_v = w if region.wrap[t_axis] and w >= 2 else w - 1
+    links = length if region.wrap[l_axis] and length >= 2 else length - 1
+    v_pos, h_pos = bonds(t_axis, n_v, length), bonds(l_axis, w, links)
+    return v_pos, sign[v_pos], h_pos, sign[h_pos]
 
 
 def spin_assignments(sites):

@@ -68,6 +68,16 @@ def test_pair_couplings_must_agree_on_shared_edges():
         type(p)(p.window, p.gamma, bad)
 
 
+@pytest.mark.parametrize("window", [
+    Region((2,), None, (1,)), Region((2, 2, 1), None, (1, 1, 0)),
+], ids=["1d", "3d"])
+def test_a_window_of_another_dimension_is_a_pair_error(window):
+    p = pair_4x4()
+    assert not Region((4, 4)).contains_region(window)
+    with pytest.raises(PairError, match="window not contained"):
+        type(p)(window, p.gamma, p.gamma_prime)
+
+
 def test_margin_recorded():
     assert pair_4x4().margin == 1
     assert pair_5x5().margin == 1

@@ -1,5 +1,6 @@
 """The metrics of ``tools/code_lines.py`` count what its docstring says,
-and ``tools/sweep_profile.py`` replays the sweep it profiles."""
+``tools/sweep_profile.py`` replays the sweep it profiles, and
+``tools/geometry_profile.py`` times and counts a workload's geometry."""
 
 import importlib.util
 import re
@@ -156,3 +157,22 @@ def test_sweep_profile_replays_a_sweep_in_chunks(monkeypatch, capsys):
     monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", 0)
     assert _chunks(_profile(["--box", "4", "5", "--stack", "2"], capsys)) == (2, 4)
     assert _chunks(_profile(["--box", "6", "6", "--bc", "antiperiodic"], capsys)) == (4, 8)
+
+
+def test_the_probe_geometry_builds_each_bond_once_and_tests_no_site():
+    # the master set's bonds and nothing else: the free state's interior is
+    # the one the master's wrapped interior shares, the fixed state's ghost
+    # ring is the master's, and the plans read positions
+    from eafluct.interface import master_edge_set
+
+    counts = _tool("geometry_profile").work("probe-strip-w8")
+    assert counts == {"edges": len(master_edge_set((16, 8))), "contains_site": 0}
+    assert counts["edges"] == 304
+
+
+@pytest.mark.parametrize("workload", ["martingale-6x6", "oracle-verify-enum"])
+def test_geometry_profile_times_a_workload_in_a_child(workload, capsys):
+    _tool("geometry_profile").main(["--workload", workload, "--runs", "1"])
+    out = capsys.readouterr().out
+    assert re.search(rf"^{workload} cold geometry: median \d+\.\d{{3}} ms over 1 runs$", out, re.M)
+    assert re.search(r"^Edge constructions: \d+, Region.contains_site calls: \d+$", out, re.M)
