@@ -73,6 +73,8 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, name)
             if value is not None:
                 overrides[name] = value
+        if args.beta is not None:  # the kinds that read physics.betas run at --beta too
+            overrides["betas"] = ()
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
             validate_config(cfg)

@@ -160,11 +160,6 @@ class CouplingConfig:
         except KeyError:
             raise UndeclaredEdgeError(f"edge {edge} carries no coupling") from None
 
-    def values_equal(self, other: "CouplingConfig") -> bool:
-        return self.edge_set.edges == other.edge_set.edges and np.array_equal(
-            self.values, other.values
-        )
-
     def with_values(self, values: np.ndarray) -> "CouplingConfig":
         return CouplingConfig(self.edge_set, values, self.seed)
 

@@ -80,6 +80,10 @@ class BoundaryCondition:
     axes give the doubled antiperiodic variants), ``fixed`` (open box with
     every adjacent ghost site clamped to ``sign``, +-1, on whatever region it
     is resolved against).  Every other kind has ``sign`` 0.
+
+    The bc is the one home of its geometry: :meth:`from_name` parses a
+    config name, :meth:`region` places the bc on a box by its wrap rule, and
+    :meth:`validate_for` refuses any other region.
     """
 
     kind: str
@@ -98,19 +102,26 @@ class BoundaryCondition:
         if self.kind != "fixed" and self.sign != 0:
             raise ValueError(f"only a fixed boundary condition has a sign, got {self.sign!r}")
 
+    def _wrap(self, dimension: int) -> tuple[bool, ...]:
+        """The wrap rule: a periodic or antiperiodic bc wraps every axis of
+        its box, a free or fixed one none."""
+        return (self.kind in ("periodic", "antiperiodic"),) * dimension
+
+    def region(self, extents: tuple[int, ...]) -> Region:
+        """The box of ``extents`` this bc lives on, wrapped by its rule; a
+        seam axis the box lacks is an ``UnsupportedOperationError``."""
+        region = Region(extents, self._wrap(len(extents)))
+        self.validate_for(region)
+        return region
+
     def validate_for(self, region: Region) -> None:
-        if self.kind in ("free", "fixed") and not region.fully_open:
-            raise UnsupportedOperationError(
-                f"{self.kind} boundary condition needs a fully open region"
-            )
-        if self.kind in ("periodic", "antiperiodic") and not region.fully_wrapped:
-            raise UnsupportedOperationError(
-                f"{self.kind} boundary condition needs a fully wrapped region"
-            )
-        if self.kind == "antiperiodic":
-            for a in self.seam_axes:
-                if not 0 <= a < region.dimension or not region.wrap[a]:
-                    raise UnsupportedOperationError(f"seam axis {a} is not a wrapped axis")
+        """Refuse, with ``UnsupportedOperationError``, a region that is not
+        wrapped by this bc's rule or that lacks one of its seam axes."""
+        if region.wrap != self._wrap(region.dimension):
+            raise UnsupportedOperationError(f"a {self.kind} bc cannot live on wrap {region.wrap}")
+        for a in self.seam_axes:
+            if not 0 <= a < region.dimension:
+                raise UnsupportedOperationError(f"seam axis {a} is not a wrapped axis")
 
     @property
     def label(self) -> str:
@@ -121,6 +132,21 @@ class BoundaryCondition:
         if self.sign:
             return f"fixed:{self.sign:+d}"
         return self.kind
+
+    @staticmethod
+    def from_name(name: str, seam_axes: tuple[int, ...]) -> "BoundaryCondition":
+        """The bc a config names: ``antiperiodic`` on ``seam_axes``, or any
+        other bc by its :attr:`label`, and ``fixed`` for ``fixed:+1``.  An
+        unknown name, or antiperiodic seam axes that are empty, repeated or
+        negative, is a ``ConfigError``."""
+        if name == "antiperiodic":
+            if not seam_axes or len(set(seam_axes)) != len(seam_axes) or min(seam_axes) < 0:
+                raise ConfigError("seam_axes must be a non-empty list of distinct axes >= 0, "
+                                  f"got {list(seam_axes)}")
+            return antiperiodic_bc(*seam_axes)
+        if name not in _LABELED:
+            raise ConfigError(f"unknown boundary condition name {name!r}")
+        return _LABELED[name]
 
 
 def free_bc() -> BoundaryCondition:
@@ -138,6 +164,11 @@ def antiperiodic_bc(*seam_axes: int) -> BoundaryCondition:
 def uniform_fixed_bc(sign: int = 1) -> BoundaryCondition:
     """The rule that clamps every ghost site of a region to ``sign``."""
     return BoundaryCondition("fixed", sign=sign)
+
+
+# each bc that :meth:`BoundaryCondition.from_name` gives by its label
+_LABELED = {bc.label: bc for bc in (free_bc(), periodic_bc(), uniform_fixed_bc(-1))}
+_LABELED["fixed"] = _LABELED["fixed:+1"] = uniform_fixed_bc(1)
 
 
 @lru_cache(maxsize=None)

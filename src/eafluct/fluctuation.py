@@ -212,7 +212,7 @@ class EnsembleSpec:
     @property
     def window_region(self) -> Region:
         if self.mode == "domain-wall":
-            return Region(self.box_extents, (True,) * len(self.box_extents))
+            return self.bc.region(self.box_extents)
         return centered_window(Region(self.box_extents), self.window_extents)
 
     @property
@@ -841,7 +841,7 @@ def covariance_sample(
 ) -> dict:
     """One torus covariance check: a random translation/edge pair and a random
     local modification, both sides by enumeration."""
-    region = Region(box_extents, (True,) * len(box_extents))
+    region = periodic_bc().region(box_extents)
     edges = interior_edges(region)
     rng = SeedSpec(master_seed, i, "covariance").rng()
     couplings = sample_couplings(dist, edges, SeedSpec(master_seed, i, "cov-couplings"))

@@ -36,6 +36,7 @@ from .errors import (
     OracleMismatchError,
     SizeCapError,
     TaskError,
+    UnsupportedOperationError,
 )
 from .exactsolve import (
     ENUM_CAP,
@@ -43,13 +44,10 @@ from .exactsolve import (
     BoundaryCondition,
     GibbsSpec,
     Solver,
-    antiperiodic_bc,
     edge_correlations,
-    free_bc,
     log_partition,
     periodic_bc,
     required_edges,
-    uniform_fixed_bc,
 )
 from .fluctuation import (
     BOOTSTRAP_DEFAULT,
@@ -74,7 +72,6 @@ from .fluctuation import (
     scaling_sub_spec,
     variance_report_from_values,
 )
-from .interface import region_for_bc
 from .lattice import block_partition, interior_edges
 
 SCHEMA_VERSION = 1
@@ -246,25 +243,30 @@ def config_digest(cfg: ExperimentConfig) -> str:
     ).hexdigest()
 
 
-def _bc_from_name(name: str, seam_axes: tuple[int, ...]) -> BoundaryCondition:
-    if name == "free":
-        return free_bc()
-    if name == "periodic":
-        return periodic_bc()
-    if name == "antiperiodic":
-        return antiperiodic_bc(*seam_axes)
-    if name in ("fixed", "fixed:+1"):
-        return uniform_fixed_bc(+1)
-    if name == "fixed:-1":
-        return uniform_fixed_bc(-1)
-    raise ConfigError(f"unknown boundary condition name {name!r}")
+def _placed_bc(
+    name: str, seam_axes: tuple[int, ...], extents: tuple[int, ...]
+) -> BoundaryCondition:
+    """The bc that config name ``name`` gives on ``seam_axes``
+    (:meth:`BoundaryCondition.from_name`), placed on a box of ``extents``: a
+    seam axis the box lacks is a ``ConfigError`` too."""
+    bc = BoundaryCondition.from_name(name, seam_axes)
+    try:
+        bc.region(extents)
+    except UnsupportedOperationError:
+        raise ConfigError(
+            f"seam_axes must be a non-empty list of distinct axes in [0, {len(extents)}), "
+            f"got {list(seam_axes)}"
+        ) from None
+    return bc
 
 
 def _state_bcs(cfg: ExperimentConfig) -> tuple[BoundaryCondition, BoundaryCondition]:
-    """The bcs of the two states an ensemble kind compares."""
+    """The bcs of the two states an ensemble kind compares, placed on its box."""
     if KIND_TABLE[cfg.kind].ensemble == "domain-wall":
-        return periodic_bc(), antiperiodic_bc(*cfg.seam_axes)
-    return _bc_from_name(cfg.bc, cfg.seam_axes), _bc_from_name(cfg.bc_prime, cfg.seam_axes)
+        names = ("periodic", "antiperiodic")
+    else:
+        names = (cfg.bc, cfg.bc_prime)
+    return tuple(_placed_bc(name, cfg.seam_axes, cfg.box) for name in names)
 
 
 def ensemble_spec_from_config(cfg: ExperimentConfig, beta: float | None = None) -> EnsembleSpec:
@@ -338,19 +340,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("window needs the box's dimension and every extent >= 1")
         if any(w + 2 > b for w, b in zip(cfg.window, cfg.box)):
             raise ConfigError("window must fit in the box with margin >= 1")
-        _bc_from_name(cfg.bc, cfg.seam_axes)
-        _bc_from_name(cfg.bc_prime, cfg.seam_axes)
-        if "antiperiodic" in (cfg.bc, cfg.bc_prime):
-            _check_seam_axes(cfg.seam_axes, len(cfg.box))
+    bcs = _state_bcs(cfg) if kind.ensemble else ()
     kind.check(cfg)
-    _check_solvable(cfg, solver)
+    _check_solvable(cfg, solver, bcs)
 
 
-def _check_solvable(cfg: ExperimentConfig, solver: Solver) -> None:
+def _check_solvable(cfg: ExperimentConfig, solver: Solver, bcs: tuple) -> None:
     """Every state a run builds must fit the cap of the engine that
     :meth:`Solver.engine` picks for its region: each box of a pair kind
-    (every size of a ``scaling`` study) under both bcs, the ``domain-wall``
-    torus, and the ``covariance`` torus, which is enumerated.
+    (every size of a ``scaling`` study) under both of its ``bcs``, the
+    ``domain-wall`` torus, and the ``covariance`` torus, which is enumerated.
     ``oracle-verify`` reports a geometry beyond a cap as unsupported."""
     if cfg.kind == "oracle-verify":
         return
@@ -358,24 +357,14 @@ def _check_solvable(cfg: ExperimentConfig, solver: Solver) -> None:
     if cfg.kind == "covariance":
         bcs = (periodic_bc(),)
         solver = replace(solver, method="enum")  # both sides of the check enumerate the torus
-    else:
-        bcs = _state_bcs(cfg)
     if cfg.kind == "scaling":
         margin = scaling_margin(cfg.box, cfg.window, cfg.window_sizes)
         boxes = [(size + margin,) * len(cfg.box) for size in cfg.window_sizes]
     for box, bc in itertools.product(boxes, bcs):
         try:
-            solver.engine(region_for_bc(box, bc))
+            solver.engine(bc.region(box))
         except SizeCapError as err:
             raise ConfigError(str(err)) from None
-
-
-def _check_seam_axes(axes: tuple[int, ...], dimension: int) -> None:
-    if not axes or len(set(axes)) != len(axes) or not all(0 <= a < dimension for a in axes):
-        raise ConfigError(
-            f"seam_axes must be a non-empty list of distinct axes in [0, {dimension}), "
-            f"got {list(axes)}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +461,6 @@ def _fe_task(cfg: ExperimentConfig, spec: EnsembleSpec, i: int) -> dict:
 def _check_domain_wall(cfg: ExperimentConfig) -> None:
     if len(cfg.seam_axes) != 1:
         raise ConfigError(f"domain-wall needs exactly one seam axis, got {list(cfg.seam_axes)}")
-    _check_seam_axes(cfg.seam_axes, len(cfg.box))
 
 
 def _reduce_domain_wall(cfg: ExperimentConfig, payloads: list[dict]) -> dict:
@@ -648,7 +636,7 @@ def _check_oracle(cfg: ExperimentConfig) -> None:
     if any(not g or min(g) < 1 for g in cfg.geometries):
         raise ConfigError("every oracle geometry needs at least one axis and extents >= 1")
     for g in cfg.geometries:  # every geometry is also run antiperiodic
-        _check_seam_axes(cfg.seam_axes, len(g))
+        _placed_bc("antiperiodic", cfg.seam_axes, g)
 
 
 def _oracle_tasks(cfg: ExperimentConfig) -> list[dict]:
@@ -661,8 +649,8 @@ def _oracle_tasks(cfg: ExperimentConfig) -> list[dict]:
 
 def _oracle_task(cfg: ExperimentConfig, at: dict) -> dict:
     extents, beta = at["geometry"], at["beta"]
-    bc = _bc_from_name(at["bc"], cfg.seam_axes)
-    region = region_for_bc(extents, bc)
+    bc = BoundaryCondition.from_name(at["bc"], cfg.seam_axes)
+    region = bc.region(extents)
     dist = distribution_from_label(cfg.distribution)
     couplings = sample_couplings(
         dist, required_edges(region, bc), SeedSpec(cfg.seed, at["realization"], "oracle")
@@ -859,13 +847,14 @@ def _finished(cfg: ExperimentConfig, todo: list[int], workers: int):
                 fut.cancel()
 
 
-def _load_existing_records(path: Path, digest: str) -> tuple[dict[int, dict], int]:
-    """Payloads of the completed tasks, and the byte length of the file's
-    newline-terminated lines.
+def _load_existing_records(path: Path, digest: str, total: int) -> tuple[dict[int, dict], int]:
+    """Payloads of the completed tasks among ``total``, and the byte length
+    of the file's newline-terminated lines.
 
     A last line without its newline was torn by an interrupted write: it is
     left out with a warning, so its task runs again.  A line anywhere else
-    that does not parse is an error.
+    that does not parse, or an ok record whose ``task`` is not a task index
+    or whose ``payload`` is not an object, is an error.
     """
     if not path.exists():
         return {}, 0
@@ -878,6 +867,9 @@ def _load_existing_records(path: Path, digest: str) -> tuple[dict[int, dict], in
             "its task runs again",
             stacklevel=3,
         )
+    def corrupt(number: int) -> ConfigError:
+        return ConfigError(f"records file {path} line {number} is corrupt; refusing to resume")
+
     done: dict[int, dict] = {}
     header = None
     for number, line in enumerate(lines, 1):
@@ -888,7 +880,7 @@ def _load_existing_records(path: Path, digest: str) -> tuple[dict[int, dict], in
         except ValueError:
             rec = None
         if not isinstance(rec, dict):
-            raise ConfigError(f"records file {path} line {number} is corrupt; refusing to resume")
+            raise corrupt(number)
         if header is None:
             if rec.get("type") != "header" or rec.get("config_digest") != digest:
                 raise ConfigError(
@@ -897,7 +889,10 @@ def _load_existing_records(path: Path, digest: str) -> tuple[dict[int, dict], in
                 )
             header = rec
         elif rec.get("type") == "record" and rec.get("status") == "ok":
-            done[rec["task"]] = rec["payload"]
+            task, payload = rec.get("task"), rec.get("payload")
+            if type(task) is not int or not 0 <= task < total or not isinstance(payload, dict):
+                raise corrupt(number)
+            done[task] = payload
     return done, len(data) - len(torn)
 
 
@@ -927,9 +922,9 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     digest = config_digest(cfg)
     records_path = Path(cfg.records)
     records_path.parent.mkdir(parents=True, exist_ok=True)
-    done, intact = _load_existing_records(records_path, digest)
     coords = task_coordinates(cfg)
     total = len(coords)
+    done, intact = _load_existing_records(records_path, digest, total)
     todo = [t for t in range(total) if t not in done]
 
     with open(records_path, "a" if done else "w", encoding="utf-8") as fh:

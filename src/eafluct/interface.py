@@ -23,6 +23,7 @@ from .exactsolve import (
     GibbsSpec,
     Solver,
     log_partition_pairs,
+    periodic_bc,
 )
 from .lattice import (
     EdgeSet,
@@ -40,13 +41,8 @@ def master_edge_set(extents: tuple[int, ...]) -> EdgeSet:
     """Every edge any boundary condition on this box can need: the wrapped
     interior (torus bonds included) plus the clamped ghost ring."""
     open_region = Region(extents)
-    wrapped = Region(extents, (True,) * len(extents))
+    wrapped = periodic_bc().region(extents)
     return union(interior_edges(wrapped), boundary_edges(open_region, grow(open_region)))
-
-
-def region_for_bc(extents: tuple[int, ...], bc: BoundaryCondition) -> Region:
-    wrapped = bc.kind in ("periodic", "antiperiodic")
-    return Region(extents, (wrapped,) * len(extents))
 
 
 def sample_master(dist, extents: tuple[int, ...], seed: SeedSpec) -> CouplingConfig:
@@ -128,8 +124,8 @@ def make_state_pair(
 ) -> StatePair:
     """Build the pair from one master realization (restricted per state)."""
     window = centered_window(Region(box_extents), window_extents)
-    gamma = GibbsSpec(region_for_bc(box_extents, bc), master, beta, bc)
-    gamma_prime = GibbsSpec(region_for_bc(box_extents, bc_prime), master, beta, bc_prime)
+    gamma = GibbsSpec(bc.region(box_extents), master, beta, bc)
+    gamma_prime = GibbsSpec(bc_prime.region(box_extents), master, beta, bc_prime)
     return StatePair(window, gamma, gamma_prime)
 
 
@@ -152,11 +148,6 @@ class FreeEnergyResult:
     bc_pair: tuple[str, str]
     margin: int
     seed: dict | None = None
-
-    def recomputed_value(self) -> float:
-        return (self.log_z_gamma_zero - self.log_z_gamma) - (
-            self.log_z_gamma_prime_zero - self.log_z_gamma_prime
-        )
 
 
 def free_energy_terms(

@@ -137,9 +137,6 @@ class Edge:
         """The site this bond emanates from in the +axis direction."""
         return self.y if self.wrap else self.x
 
-    def endpoints(self) -> tuple[Site, Site]:
-        return (self.x, self.y)
-
 
 def edge_from_origin(origin: Site, axis: int, region: Region) -> Edge:
     """Bond from ``origin`` in the +axis direction under the region's wrap rules."""

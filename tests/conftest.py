@@ -175,7 +175,7 @@ def ring_through_couplings(spec, spin=lambda k: (-1) ** k):
     assert spec.bc == uniform_fixed_bc(+1)
     region, edges = spec.region, spec.couplings.edge_set
     # each bond's ghost endpoint, None for a bond inside the region
-    outer = [next((s for s in e.endpoints() if not region.contains_site(s)), None) for e in edges]
+    outer = [next((s for s in (e.x, e.y) if not region.contains_site(s)), None) for e in edges]
     tau = {s: spin(k) for k, s in enumerate(sorted(set(outer) - {None}))}
     values = [v if s is None else v * tau[s] for v, s in zip(spec.couplings.values, outer)]
     return spec.with_couplings(CouplingConfig(edges, values))

@@ -33,6 +33,7 @@ from eafluct.errors import (
 )
 from eafluct import exactsolve
 from eafluct.exactsolve import (
+    BoundaryCondition,
     GibbsSpec,
     Solver,
     antiperiodic_bc,
@@ -48,7 +49,7 @@ from eafluct.exactsolve import (
     reweight_expectation,
     uniform_fixed_bc,
 )
-from eafluct.interface import region_for_bc
+from eafluct.interface import sample_master
 from eafluct.lattice import Edge, Region, edge_from_origin, interior_edges
 
 
@@ -402,7 +403,7 @@ PLAN_BCS = {
 def test_transfer_plan_places_every_required_edge_once(bc_name):
     for extents in itertools.product((1, 2, 3, 4), repeat=2):
         bc = PLAN_BCS[bc_name](extents)
-        region = region_for_bc(extents, bc)
+        region = bc.region(extents)
         plan = exactsolve._transfer_plan(region, bc, exactsolve.TRANSFER_WIDTH_CAP)
         edges = required_edges(region, bc).edges
         ghost_pos = exactsolve._terms(region, bc).ghost_pos
@@ -420,7 +421,7 @@ def test_transfer_plan_places_every_required_edge_once(bc_name):
         for (r, j), k in np.ndenumerate(plan.h_pos):
             assert (edges[k].axis, edges[k].origin) == (plan.l_axis, site(j, r)), extents
         for k in ghost_pos:
-            assert not all(region.contains_site(s) for s in edges[k].endpoints())
+            assert not all(region.contains_site(s) for s in (edges[k].x, edges[k].y))
         # -1 exactly on the wrap bonds along a seam axis
         for pos, sign in ((plan.v_pos, plan.v_sign), (plan.h_pos, plan.h_sign)):
             seam = [edges[k].wrap and edges[k].axis in bc.seam_axes for k in pos.ravel()]
@@ -524,7 +525,7 @@ def test_gauge_flip_leaves_log_z_invariant():
     site = (1, 1)
     flipped = spec.couplings.values.copy()
     for k, e in enumerate(spec.couplings.edge_set):
-        if site in e.endpoints():
+        if site in (e.x, e.y):
             flipped[k] = -flipped[k]
     spec2 = spec.with_couplings(spec.couplings.with_values(flipped))
     assert log_partition_enum(spec2) == pytest.approx(log_partition_enum(spec), abs=1e-10)
@@ -558,7 +559,8 @@ def test_reweight_zero_is_identity():
     block = Region((2, 2), None, (0, 0))
     zero = {e: 0.0 for e in interior_edges(block)}
     out = reweight(spec, block, zero)
-    assert out.couplings.values_equal(spec.couplings)
+    assert out.couplings.edge_set.edges == spec.couplings.edge_set.edges
+    assert np.array_equal(out.couplings.values, spec.couplings.values)
     e = tuple(interior_edges(spec.region))[0]
     assert edge_correlation(out, e, method="enum") == edge_correlation(
         spec, e, method="enum"
@@ -623,6 +625,55 @@ def test_bc_validation():
         )
     with pytest.raises(ValueError):
         antiperiodic_bc().__class__("antiperiodic")  # no seam axis
+
+
+WRAP_RULE = {  # each bc kind, and whether it wraps the axes of its box
+    "free": (free_bc(), False),
+    "periodic": (periodic_bc(), True),
+    "antiperiodic": (antiperiodic_bc(0), True),
+    "fixed": (uniform_fixed_bc(1), False),
+}
+
+
+@pytest.mark.parametrize("extent", [1, 2, 3])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("name", WRAP_RULE)
+def test_a_bc_lives_on_the_region_it_places_itself_on_and_on_no_other(name, dimension, extent):
+    # the wrap rule: a periodic or antiperiodic bc wraps every axis, a free
+    # or fixed one none; a state on any other wrap pattern is refused
+    bc, wrapped = WRAP_RULE[name]
+    extents = (extent,) * dimension
+    placed = bc.region(extents)
+    assert placed == Region(extents, (wrapped,) * dimension)
+    master = sample_master(Gaussian(), extents, SeedSpec(5))
+    for wrap in itertools.product((False, True), repeat=dimension):
+        region = Region(extents, wrap)
+        if region == placed:
+            assert GibbsSpec(region, master, 1.0, bc).region is region
+        else:
+            with pytest.raises(UnsupportedOperationError):
+                GibbsSpec(region, master, 1.0, bc)
+
+
+@pytest.mark.parametrize("bc", [
+    free_bc(), periodic_bc(), uniform_fixed_bc(1), uniform_fixed_bc(-1),
+])
+def test_the_bc_parser_inverts_the_label(bc):
+    assert BoundaryCondition.from_name(bc.label, ()) == bc
+    assert BoundaryCondition.from_name(bc.label, (0, 1)) == bc  # seam axes are antiperiodic's
+
+
+def test_the_bc_parser_names_the_seam_axes_of_an_antiperiodic_bc():
+    assert BoundaryCondition.from_name("antiperiodic", (1,)) == antiperiodic_bc(1)
+    assert BoundaryCondition.from_name("antiperiodic", (0, 1)) == antiperiodic_bc(0, 1)
+    assert BoundaryCondition.from_name("fixed", ()) == uniform_fixed_bc(1)
+    with pytest.raises(ConfigError, match="unknown boundary condition name 'torus'"):
+        BoundaryCondition.from_name("torus", ())
+    for axes in ((), (0, 0), (-1,)):
+        with pytest.raises(ConfigError, match="seam_axes must be"):
+            BoundaryCondition.from_name("antiperiodic", axes)
+    with pytest.raises(UnsupportedOperationError, match="seam axis 2"):
+        antiperiodic_bc(2).region((3, 3))
 
 
 @pytest.mark.parametrize("kind, sign", [

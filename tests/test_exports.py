@@ -1,7 +1,8 @@
 """The names the package exports, pinned: adding or removing one is a
 deliberate change of this list, and a removal is noted in CHANGES.md.  And
-every public definition of the package is reached by the package itself or
-by the benchmark, so nothing in ``src/`` is there for the tests alone."""
+every public definition of the package, down to the methods and properties
+of its public classes, is reached by the package itself or by the benchmark,
+so nothing in ``src/`` is there for the tests alone."""
 
 import ast
 import re
@@ -49,11 +50,22 @@ def test_init_imports_exactly_the_pinned_names():
         assert all(hasattr(eafluct, name) for name in names)
 
 
+def _public_definitions(path, tree):
+    """``(name, node)`` of each top-level public function and class of a
+    module, and of each public method and property of its public classes."""
+    for d in tree.body:
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
+            yield f"{path.stem}.{d.name}", d
+            if isinstance(d, ast.ClassDef):
+                for m in d.body:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        yield f"{path.stem}.{d.name}.{m.name}", m
+
+
 def test_every_public_definition_is_reached_by_the_package_or_the_benchmark():
-    # a top-level public function or class counts as reached when a Name or
-    # Attribute node of src/ outside its own definition, or a word of the
-    # text of perfbench/*.py, spells it; docstrings and __init__'s imports
-    # do not count
+    # a definition counts as reached when a Name or Attribute node of src/
+    # outside its own definition, or a word of the text of perfbench/*.py,
+    # spells it; docstrings and __init__'s imports do not count
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for p in (ROOT / "src" / "eafluct").glob("*.py") if p.stem != "__init__"}
     bench = "\n".join(p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py"))
@@ -61,11 +73,10 @@ def test_every_public_definition_is_reached_by_the_package_or_the_benchmark():
                for path, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, (ast.Name, ast.Attribute))]
     unreached = [
-        f"{path.stem}.{d.name}"
-        for path, tree in trees.items() for d in tree.body
-        if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
-        and not any(name == d.name and not (p == path and d.lineno <= line <= d.end_lineno)
-                    for p, line, name in spelled)
+        name
+        for path, tree in trees.items() for name, d in _public_definitions(path, tree)
+        if not any(spelling == d.name and not (p == path and d.lineno <= line <= d.end_lineno)
+                   for p, line, spelling in spelled)
         and not re.search(rf"\b{d.name}\b", bench)
     ]
     assert unreached == []

@@ -200,6 +200,22 @@ def test_antiperiodic_pair_needs_distinct_seam_axes_of_the_box(tmp_path, field, 
         parse_config_dict(base_config(tmp_path, kind="fe", physics=physics))
 
 
+@pytest.mark.parametrize("seam_axes", [[2], [-1], [0, 0], []])
+def test_a_bad_seam_axis_is_one_config_error_for_a_pair_a_domain_wall_and_the_oracle(
+    tmp_path, seam_axes
+):
+    pair = base_config(tmp_path, kind="fe",
+                       physics={"bc_prime": "antiperiodic", "seam_axes": seam_axes})
+    oracle = base_config(tmp_path, kind="oracle-verify", physics={"seam_axes": seam_axes})
+    oracle["geometry"] = {"geometries": [[4, 4]]}
+    messages = set()
+    for data in (pair, _domain_wall_config(tmp_path, seam_axes), oracle):
+        with pytest.raises(ConfigError, match="seam_axes must be") as info:
+            parse_config_dict(data)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
 def test_oracle_verify_needs_seam_axes_of_every_geometry(tmp_path):
     data = base_config(tmp_path, kind="oracle-verify", physics={"seam_axes": [1]})
     data["geometry"] = {"geometries": [[3, 3], [4]]}
@@ -621,6 +637,47 @@ def test_torn_line_before_the_last_is_an_error(tmp_path):
         run(cfg)
 
 
+MALFORMED_RECORDS = {  # each changes the record of task 1, on line 3
+    "bare": lambda rec: {"type": "record", "status": "ok"},
+    "string task": lambda rec: {**rec, "task": "1"},
+    "bool task": lambda rec: {**rec, "task": True},
+    "float task": lambda rec: {**rec, "task": 1.0},
+    "negative task": lambda rec: {**rec, "task": -1},
+    "task past the last": lambda rec: {**rec, "task": 4},
+    "list payload": lambda rec: {**rec, "payload": [1.0]},
+    "null payload": lambda rec: {**rec, "payload": None},
+    "no payload": lambda rec: {k: v for k, v in rec.items() if k != "payload"},
+}
+
+
+def _malform_record(path: Path, case: str) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps(MALFORMED_RECORDS[case](json.loads(lines[2]))) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("case", MALFORMED_RECORDS)
+def test_a_malformed_record_is_a_corrupt_line(tmp_path, case):
+    # it used to be a raw KeyError, or a record silently left out
+    cfg = _fe_config(tmp_path)
+    run(cfg)
+    _malform_record(tmp_path / "records.jsonl", case)
+    with pytest.raises(ConfigError, match="line 3 is corrupt; refusing to resume"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("case", ["bare", "string task", "list payload"])
+def test_the_cli_refuses_to_resume_from_a_malformed_record(tmp_path, capsys, case):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(base_config(tmp_path, kind="fe", sampling={"n": 4})))
+    assert main(["fe", "-c", str(config_path)]) == 0
+    _malform_record(tmp_path / "records.jsonl", case)
+    capsys.readouterr()
+    assert main(["fe", "-c", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3 is corrupt; refusing to resume" in err
+
+
 def test_torn_header_restarts_the_run(tmp_path):
     cfg = _fe_config(tmp_path)
     run(cfg)
@@ -998,6 +1055,23 @@ def test_cli_flag_overrides(tmp_path):
     report = report_from_file(rep2)
     assert report["config"]["seed"] == 7
     assert report["config"]["sampling"]["n"] == 4
+
+
+@pytest.mark.parametrize("kind", ["bounds", "oracle-verify"])
+def test_cli_beta_runs_every_task_at_that_beta(tmp_path, kind):
+    # --beta used to leave physics.betas in force: the report said beta 3
+    # while every task ran at 0.5 or 1
+    data = base_config(tmp_path, kind=kind, physics={"betas": [0.5, 1.0]}, sampling={"n": 2})
+    if kind == "oracle-verify":
+        data["geometry"] = {"geometries": [[2, 2]]}
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(data))
+    assert main([kind, "-c", str(config_path), "--beta", "3.0"]) == 0
+    physics = report_from_file(tmp_path / "report.json")["config"]["physics"]
+    assert (physics["beta"], physics["betas"]) == (3.0, [])
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()[1:]
+    tasks = 2 if kind == "bounds" else 2 * len(harness.ORACLE_BC_NAMES)
+    assert [json.loads(line)["payload"]["beta"] for line in lines] == [3.0] * tasks
 
 
 def test_cli_requires_seed(tmp_path, capsys):

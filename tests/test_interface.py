@@ -9,6 +9,7 @@ from eafluct import exactsolve, interface
 from eafluct.disorder import ZERO, Gaussian, SeedSpec, sample_couplings, set_block
 from eafluct.errors import ContainmentError, PairError, UnsupportedOperationError
 from eafluct.exactsolve import (
+    BoundaryCondition,
     GibbsSpec,
     Solver,
     antiperiodic_bc,
@@ -19,7 +20,6 @@ from eafluct.exactsolve import (
     periodic_bc,
     uniform_fixed_bc,
 )
-from eafluct.harness import _bc_from_name
 from eafluct.interface import (
     FreeEnergyResult,
     interface_free_energy,
@@ -114,8 +114,10 @@ def test_antisymmetry_is_exact():
 
 
 def test_value_recomputable_from_terms():
-    result = interface_free_energy(pair_4x4())
-    assert result.value == result.recomputed_value()
+    r = interface_free_energy(pair_4x4())
+    assert r.value == (r.log_z_gamma_zero - r.log_z_gamma) - (
+        r.log_z_gamma_prime_zero - r.log_z_gamma_prime
+    )
 
 
 def test_result_record_round_trip():
@@ -128,7 +130,7 @@ def test_bc_pair_names_the_sign_of_a_fixed_rule():
              for s in (1, -1)]
     assert pairs == [("free", "fixed:+1"), ("free", "fixed:-1")]
     for s in (1, -1):  # the label is the config name of the same rule
-        assert _bc_from_name(uniform_fixed_bc(s).label, ()) == uniform_fixed_bc(s)
+        assert BoundaryCondition.from_name(uniform_fixed_bc(s).label, ()) == uniform_fixed_bc(s)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])

@@ -1,5 +1,5 @@
 """The metrics of ``tools/code_lines.py`` count what its docstring says,
-``tools/sweep_profile.py`` replays the sweep it profiles, and
+``tools/sweep_profile.py`` times the kernels of a real sweep, and
 ``tools/geometry_profile.py`` times and counts a workload's geometry."""
 
 import importlib.util
@@ -117,13 +117,21 @@ def test_main_prints_the_package_rows_and_the_code_lines_of_the_tests(capsys):
     assert rows[-1].split() == [str(tests), "tests/*.py"]
 
 
+def _kernels(tool):
+    from eafluct import exactsolve
+
+    return {name: getattr(exactsolve, name) for name in (*tool.KERNELS, "_chunk_rows")}
+
+
 def _profile(args, capsys):
     """What ``tools/sweep_profile.py`` prints for ``args``, checked for
-    every stage's line."""
+    every stage's line and for the kernels it leaves behind."""
     tool = _tool("sweep_profile")
+    before = _kernels(tool)
     tool.main([*args, "--repeats", "2"])
+    assert _kernels(tool) == before
     out = capsys.readouterr().out
-    for stage in (*tool.STAGES, "replay", "sweep"):
+    for stage in (*tool.STAGES, "timed", "sweep"):
         assert re.search(rf"^{stage} +\d+\.\d{{3}}$", out, re.M), stage
     assert re.search(r"^tracemalloc peak of one sweep: \d+\.\d\d MiB$", out, re.M)
     return out
@@ -140,15 +148,14 @@ def _chunks(out):
     ["--box", "5", "3", "--bc", "antiperiodic"],
     ["--box", "3", "4", "--bc", "free", "--stack", "3"],
 ])
-def test_sweep_profile_replays_the_sweep_and_times_every_stage(args, capsys):
-    # main exits with an error if the replay's log Z is not the sweep's; a
-    # torus of width W carries 2^(W-1) rows in one chunk, an open strip one
+def test_sweep_profile_times_every_stage_of_the_sweep(args, capsys):
+    # a torus of width W carries 2^(W-1) rows in one chunk, an open strip one
     width = min(int(args[1]), int(args[2]))
     rows = 1 if "free" in args else 2 ** (width - 1)
     assert _chunks(_profile(args, capsys)) == (1, rows)
 
 
-def test_sweep_profile_replays_a_sweep_in_chunks(monkeypatch, capsys):
+def test_sweep_profile_times_a_sweep_in_chunks(monkeypatch, capsys):
     # with no budget a wrapped sweep takes one hi row, 2^k states, a chunk:
     # a width-4 torus two chunks of 4 of its 8 carried rows, a width-6 one
     # four chunks of 8 of its 32
@@ -157,6 +164,21 @@ def test_sweep_profile_replays_a_sweep_in_chunks(monkeypatch, capsys):
     monkeypatch.setattr(exactsolve, "_STACK_DOUBLES", 0)
     assert _chunks(_profile(["--box", "4", "5", "--stack", "2"], capsys)) == (2, 4)
     assert _chunks(_profile(["--box", "6", "6", "--bc", "antiperiodic"], capsys)) == (4, 8)
+
+
+def test_sweep_profile_restores_the_kernels_when_the_sweep_fails(monkeypatch):
+    from eafluct import exactsolve
+
+    def fail(*args):
+        raise ArithmeticError("out of range")
+
+    monkeypatch.setattr(exactsolve, "_log_z", fail)
+    tool = _tool("sweep_profile")
+    before = _kernels(tool)
+    spec, values = tool.make_stack((4, 4), "periodic", 1, 1.0, 0)
+    with pytest.raises(ArithmeticError, match="out of range"):
+        tool.timed_sweep(spec, values)
+    assert _kernels(tool) == before
 
 
 def test_the_probe_geometry_builds_each_bond_once_and_tests_no_site():

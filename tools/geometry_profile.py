@@ -53,8 +53,8 @@ def build(cfg) -> None:
         states = []
         for extents in cfg.geometries:
             for name in harness.ORACLE_BC_NAMES:
-                bc = harness._bc_from_name(name, cfg.seam_axes)
-                region = interface.region_for_bc(tuple(extents), bc)
+                bc = exactsolve.BoundaryCondition.from_name(name, cfg.seam_axes)
+                region = bc.region(tuple(extents))
                 couplings = zeros(exactsolve.required_edges(region, bc))
                 states.append(exactsolve.GibbsSpec(region, couplings, cfg.beta, bc))
     else:
