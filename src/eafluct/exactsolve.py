@@ -76,10 +76,11 @@ class BoundaryCondition:
     """Coupling-independent boundary condition for a finite box.
 
     kinds: ``free`` (open box), ``periodic`` (torus), ``antiperiodic``
-    (torus with the wrap bonds of each seam axis sign-flipped; several seam
-    axes give the doubled antiperiodic variants), ``fixed`` (open box with
-    every adjacent ghost site clamped to ``sign``, +-1, on whatever region it
-    is resolved against).  Every other kind has ``sign`` 0.
+    (torus with the wrap bonds of each seam axis sign-flipped; its seam axes
+    are distinct and >= 0, and several give the doubled antiperiodic
+    variants), ``fixed`` (open box with every adjacent ghost site clamped to
+    ``sign``, +-1, on whatever region it is resolved against).  Every other
+    kind has ``sign`` 0.
 
     The bc is the one home of its geometry: :meth:`from_name` parses a
     config name, :meth:`region` places the bc on a box by its wrap rule, and
@@ -97,6 +98,8 @@ class BoundaryCondition:
             raise ValueError("antiperiodic boundary condition needs at least one seam axis")
         if self.kind != "antiperiodic" and self.seam_axes:
             raise ValueError("seam axes only apply to antiperiodic boundary conditions")
+        if len(set(self.seam_axes)) != len(self.seam_axes) or min(self.seam_axes, default=0) < 0:
+            raise ValueError(f"seam axes must be distinct and >= 0, got {list(self.seam_axes)}")
         if self.kind == "fixed" and not (isinstance(self.sign, int) and self.sign in (-1, 1)):
             raise ValueError(f"a fixed boundary condition needs sign +-1, got {self.sign!r}")
         if self.kind != "fixed" and self.sign != 0:
@@ -140,10 +143,11 @@ class BoundaryCondition:
         unknown name, or antiperiodic seam axes that are empty, repeated or
         negative, is a ``ConfigError``."""
         if name == "antiperiodic":
-            if not seam_axes or len(set(seam_axes)) != len(seam_axes) or min(seam_axes) < 0:
+            try:  # no seam axis is refused, not antiperiodic_bc's default axis 0
+                return antiperiodic_bc(*seam_axes) if seam_axes else BoundaryCondition(name)
+            except ValueError:
                 raise ConfigError("seam_axes must be a non-empty list of distinct axes >= 0, "
-                                  f"got {list(seam_axes)}")
-            return antiperiodic_bc(*seam_axes)
+                                  f"got {list(seam_axes)}") from None
         if name not in _LABELED:
             raise ConfigError(f"unknown boundary condition name {name!r}")
         return _LABELED[name]

@@ -49,7 +49,6 @@ from .exactsolve import (
     stack_rows,
 )
 from .interface import (
-    FreeEnergyResult,
     StatePair,
     free_energy_terms,
     interface_free_energy,
@@ -166,14 +165,14 @@ def _quantiles(values: Sequence[float], qs: Sequence[float]) -> tuple[float, ...
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A disorder ensemble with a coupling-independent state-pair rule.
+    """The windowed pair ensemble: F_Lambda over the disorder.
 
-    ``mode="pair"`` draws a master realization per index and evaluates the
-    windowed free-energy difference between the two boundary conditions.
-    ``mode="domain-wall"`` evaluates the periodic/antiperiodic pair on the
-    box itself (window = box); it exists because that is the one geometry
-    with exact finite-volume translation symmetry.  ``solver`` picks the
-    engine of every evaluation (see :class:`~eafluct.exactsolve.Solver`).
+    Index i draws a master realization on the box, and F is the free-energy
+    difference between ``bc`` and ``bc_prime`` restricted to the window of
+    ``window_extents`` centred in the box.  ``solver`` picks the engine of
+    every evaluation (see :class:`~eafluct.exactsolve.Solver`).  The torus
+    domain wall reads its dist, box, beta, bcs, seed and solver from a spec
+    too, and takes its two tori from :func:`domain_wall_states`.
     """
 
     dist: CouplingDistribution
@@ -182,37 +181,23 @@ class EnsembleSpec:
     beta: float
     bc: BoundaryCondition
     bc_prime: BoundaryCondition
-    n_realizations: int
     master_seed: int
-    mode: str = "pair"
     solver: Solver = Solver()
 
     def __post_init__(self):
         object.__setattr__(self, "box_extents", tuple(int(e) for e in self.box_extents))
         object.__setattr__(self, "window_extents", tuple(int(e) for e in self.window_extents))
-        if self.mode not in ("pair", "domain-wall"):
-            raise ValueError(f"unknown ensemble mode {self.mode!r}")
-        if self.n_realizations < 1:
-            raise ValueError("need at least one realization")
-        if self.mode == "domain-wall":
-            if self.window_extents != self.box_extents:
-                raise ValueError("domain-wall mode requires window == box")
-            if (self.bc.kind, self.bc_prime.kind) != ("periodic", "antiperiodic"):
-                raise ValueError("domain-wall mode is the periodic/antiperiodic pair")
-            if len(self.bc_prime.seam_axes) != 1:
-                raise ValueError("domain-wall mode needs exactly one seam axis")
 
     @property
     def seam_axis(self) -> int:
-        """The domain wall's seam axis: the one seam axis of ``bc_prime``."""
-        if self.mode != "domain-wall":
-            raise UnsupportedOperationError("a seam axis exists only in domain-wall mode")
+        """The one seam axis of ``bc_prime``; a ``bc_prime`` without exactly
+        one is an ``UnsupportedOperationError``."""
+        if len(self.bc_prime.seam_axes) != 1:
+            raise UnsupportedOperationError(f"{self.bc_prime.label} has no one seam axis")
         return self.bc_prime.seam_axes[0]
 
     @property
     def window_region(self) -> Region:
-        if self.mode == "domain-wall":
-            return self.bc.region(self.box_extents)
         return centered_window(Region(self.box_extents), self.window_extents)
 
     @property
@@ -221,10 +206,7 @@ class EnsembleSpec:
 
     @property
     def boundary_edge_count(self) -> int:
-        if self.mode == "domain-wall":
-            return 0
-        box = Region(self.box_extents)
-        return len(boundary_edges(self.window_region, box))
+        return len(boundary_edges(self.window_region, Region(self.box_extents)))
 
     def master(self, i: int) -> CouplingConfig:
         return sample_master(self.dist, self.box_extents, SeedSpec(self.master_seed, i, "couplings"))
@@ -234,14 +216,9 @@ class EnsembleSpec:
         return sample_master(self.dist, self.box_extents, seed)
 
     def pair_from(self, config: CouplingConfig) -> StatePair:
-        if self.mode != "pair":
-            raise UnsupportedOperationError("state pairs exist only in pair mode")
         return make_state_pair(
             self.box_extents, self.window_extents, self.beta, self.bc, self.bc_prime, config
         )
-
-    def f_result(self, config: CouplingConfig) -> FreeEnergyResult:
-        return interface_free_energy(self.pair_from(config), self.solver)
 
     def f_from(self, config: CouplingConfig) -> float:
         """F of ``config``: the one-row :meth:`f_stack`."""
@@ -256,30 +233,42 @@ class EnsembleSpec:
         """F of ``template`` with its couplings replaced by each row of the
         (B, n_edges) stack ``values`` on its edge set, each bit-identical to
         a one-row stack of that row.  Each state's columns are gathered once,
-        and every log Z comes from one :func:`free_energy_terms` (pair mode)
-        or :func:`log_partition_pairs` (domain-wall mode) call.
+        and every log Z comes from one :func:`free_energy_terms` call.
 
-        In pair mode only the structure of the state pair is read, so a
-        caller with many templates on one edge set passes one ``pair`` built
-        from any of them; by default it is built from ``template``."""
-        pair = self.pair_from(template) if pair is None and self.mode == "pair" else pair
-        states = self._states(template, pair)
-        stacks = [values[:, edge_positions(template.edge_set, s.couplings.edge_set)] for s in states]
-        if self.mode == "domain-wall":
-            t = log_partition_pairs(*states, *stacks, self.solver)
-            return t[:, 0] - t[:, 1]
+        Only the structure of the state pair is read, so a caller with many
+        templates on one edge set passes one ``pair`` built from any of
+        them; by default it is built from ``template``."""
+        pair = self.pair_from(template) if pair is None else pair
+        stacks = [values[:, edge_positions(template.edge_set, s.couplings.edge_set)]
+                  for s in (pair.gamma, pair.gamma_prime)]
         t = free_energy_terms(pair, *stacks, self.solver)
         return (t[:, 1] - t[:, 0]) - (t[:, 3] - t[:, 2])
 
-    def _states(
-        self, template: CouplingConfig, pair: StatePair | None
-    ) -> tuple[GibbsSpec, GibbsSpec]:
-        """The two states whose log Z :meth:`f_stack` takes: the pair's, or
-        in domain-wall mode the box under each bc."""
-        if self.mode == "domain-wall":
-            return tuple(GibbsSpec(self.window_region, template, self.beta, bc)
-                         for bc in (self.bc, self.bc_prime))
-        return pair.gamma, pair.gamma_prime
+
+# ---------------------------------------------------------------------------
+# torus domain wall
+
+
+def domain_wall_states(spec: EnsembleSpec, master: CouplingConfig) -> tuple[GibbsSpec, GibbsSpec]:
+    """The periodic and the antiperiodic state of ``master`` on the spec's
+    box, a torus: the one geometry with exact finite-volume translation
+    symmetry.  Any other bc pair, or a ``bc_prime`` without exactly one seam
+    axis, is a ``ValueError``."""
+    if (spec.bc.kind, spec.bc_prime.kind) != ("periodic", "antiperiodic"):
+        raise ValueError("a domain wall is the periodic/antiperiodic pair")
+    if len(spec.bc_prime.seam_axes) != 1:
+        raise ValueError("a domain wall needs exactly one seam axis")
+    region = spec.bc.region(spec.box_extents)
+    return tuple(GibbsSpec(region, master, spec.beta, bc) for bc in (spec.bc, spec.bc_prime))
+
+
+def domain_wall_value(spec: EnsembleSpec, i: int) -> float:
+    """log Z_periodic - log Z_antiperiodic of realization i, both from one
+    :func:`log_partition_pairs` call, which closes the trace both ways in
+    one sweep when the seam lies on the transfer's length axis."""
+    states = domain_wall_states(spec, spec.master(i))
+    t = log_partition_pairs(*states, *(s.couplings.values[None] for s in states), spec.solver)
+    return float(t[0, 0] - t[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +362,14 @@ def _conditional_path(
     window-zeroed terms; G is the most draws whose rows and zeroed rows fit
     one :func:`~eafluct.exactsolve.stack_rows` chunk, and at least one.
     Every row is bit-identical to its one-draw stack.  Every draw lies on
-    the master edge set, so in pair mode one state pair serves the whole
-    path.
+    the master edge set, so one state pair serves the whole path.
     """
     n_pre = len(prefixes)
     edges = master_edge_set(spec.box_extents)
     positions = [edge_positions(edges, e) for e in prefixes]
     held = [held_master.values[edge_positions(held_master.edge_set, e)] for e in prefixes]
-    pair = spec.pair_from(held_master) if spec.mode == "pair" else None
-    states = spec._states(held_master, pair)
-    group = max(1, stack_rows(*states, spec.solver) // (n_pre + 1))
+    pair = spec.pair_from(held_master)
+    group = max(1, stack_rows(pair.gamma, pair.gamma_prime, spec.solver) // (n_pre + 1))
     out = np.empty((n_outer, n_pre))
     for start in range(0, n_outer, group):
         stop = min(start + group, n_outer)
@@ -602,8 +589,6 @@ def bound_check(
 def mgf_conditional_mean(spec: EnsembleSpec, i: int, n_outer: int) -> float:
     """M(F | J_window) for realization i: window couplings held, the rest
     resampled ``n_outer`` times."""
-    if spec.mode != "pair":
-        raise UnsupportedOperationError("the MGF check needs a windowed pair ensemble")
     master_i = spec.master(i)
     path = _conditional_path(spec, i, master_i, [tuple(spec.window_edge_set)], n_outer, "mgf")
     return float(path[:, 0].mean())

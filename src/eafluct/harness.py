@@ -62,6 +62,7 @@ from .fluctuation import (
     check_scaling,
     covariance_report_from_rows,
     covariance_sample,
+    domain_wall_value,
     edge_martingale_realization,
     mgf_report_from_values,
     mgf_conditional_mean,
@@ -72,6 +73,7 @@ from .fluctuation import (
     scaling_sub_spec,
     variance_report_from_values,
 )
+from .interface import interface_free_energy
 from .lattice import block_partition, interior_edges
 
 SCHEMA_VERSION = 1
@@ -270,21 +272,20 @@ def _state_bcs(cfg: ExperimentConfig) -> tuple[BoundaryCondition, BoundaryCondit
 
 
 def ensemble_spec_from_config(cfg: ExperimentConfig, beta: float | None = None) -> EnsembleSpec:
+    """The config's ensemble at ``beta``, by default the config's own.  Every
+    kind's config reads as one; a ``domain-wall`` config's spec carries the
+    periodic and antiperiodic bcs of its two tori."""
     if cfg.seed is None:
         raise ConfigError("a seed is required (no wall-clock seeding)")
-    # a kind with no ensemble of its own still reads its config as a pair
-    mode = KIND_TABLE[cfg.kind].ensemble or "pair"
     bc, bc_prime = _state_bcs(cfg)
     return EnsembleSpec(
         dist=distribution_from_label(cfg.distribution),
         box_extents=cfg.box,
-        window_extents=cfg.box if mode == "domain-wall" else cfg.window,
+        window_extents=cfg.window,
         beta=cfg.beta if beta is None else beta,
         bc=bc,
         bc_prime=bc_prime,
-        n_realizations=cfg.n,
         master_seed=cfg.seed,
-        mode=mode,
         solver=cfg.solver,
     )
 
@@ -388,11 +389,12 @@ class ExperimentKind:
     coordinates as the task's seed.  ``reduce(cfg, payloads)`` builds the
     summary from the payloads in task order; ``csv_tables(summary)`` lists
     its CSV files as ``(file name, header, rows)``.  ``min_n`` is the least
-    realization count; ``ensemble`` is the ensemble mode of its states:
-    ``"pair"`` compares ``bc`` with ``bc_prime`` on a window that needs a
-    margin in the box, ``"domain-wall"`` the periodic with the antiperiodic
-    box, and ``None`` builds no ensemble; ``check(cfg)`` raises
-    ``ConfigError`` for what only this kind rejects.
+    realization count; ``ensemble`` names the states its tasks compare:
+    ``"pair"`` ``bc`` with ``bc_prime`` on a window that needs a margin in
+    the box, ``"domain-wall"`` the periodic with the antiperiodic torus of
+    the box (:func:`~eafluct.fluctuation.domain_wall_states`), and ``None``
+    no states of the config's bcs; ``check(cfg)`` raises ``ConfigError`` for
+    what only this kind rejects.
     """
 
     run: Callable[[ExperimentConfig, dict], dict]
@@ -454,7 +456,7 @@ def _values_csv(kind: str):
 
 
 def _fe_task(cfg: ExperimentConfig, spec: EnsembleSpec, i: int) -> dict:
-    result = spec.f_result(spec.master(i))
+    result = interface_free_energy(spec.pair_from(spec.master(i)), spec.solver)
     return {"value": result.value, "result": asdict(result)}
 
 
@@ -702,7 +704,7 @@ KIND_TABLE: dict[str, ExperimentKind] = {
         csv_tables=_csvs(_values_csv("fe")),
     ),
     "domain-wall": ExperimentKind(
-        run=_on_ensemble(lambda cfg, spec, i: {"value": spec.f_value(i)}),
+        run=_on_ensemble(lambda cfg, spec, i: {"value": domain_wall_value(spec, i)}),
         reduce=_reduce_domain_wall,
         csv_tables=_csvs(_values_csv("domain-wall")),
         ensemble="domain-wall", check=_check_domain_wall,

@@ -305,7 +305,6 @@ class BlockPartition:
     """Disjoint congruent blocks tiling a parent region."""
 
     parent: Region
-    block_side: int
     blocks: tuple[Region, ...]
 
     def __len__(self) -> int:
@@ -330,4 +329,4 @@ def block_partition(region: Region, block_side: int) -> BlockPartition:
     for idx in itertools.product(*(range(c) for c in counts)):
         origin = tuple(o + side * i for o, i in zip(region.origin, idx))
         blocks.append(Region((side,) * region.dimension, None, origin))
-    return BlockPartition(region, side, tuple(blocks))
+    return BlockPartition(region, tuple(blocks))

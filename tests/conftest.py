@@ -337,7 +337,7 @@ def total_variance_identity(spec, block, n, n_outer, n_boot=BOOTSTRAP_DEFAULT):
 
 def domain_wall(couplings, region, beta, seam_axis=0, method="auto"):
     """log Z_periodic - log Z_antiperiodic of ``couplings`` on the torus
-    ``region``, as ``EnsembleSpec.f_stack`` takes it in domain-wall mode:
+    ``region``, as ``fluctuation.domain_wall_value`` takes it:
     ``log_partition_pairs`` of the two states' own couplings, as one-row
     stacks."""
     p = GibbsSpec(region, couplings, beta, periodic_bc())

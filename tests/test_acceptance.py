@@ -216,7 +216,7 @@ def test_criterion_07_variance_identities():
         for name, (value, stderr, exact) in closed.items():
             assert abs(value - exact) <= 3.0 * stderr, (name, value, stderr)
         spec = EnsembleSpec(
-            Gaussian(), (5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), 64, 6001
+            Gaussian(), (5, 5), (3, 3), 1.0, free_bc(), periodic_bc(), 6001
         )
         block = Region((2, 2), None, (1, 1))
         nested = total_variance_identity(spec, block, n=64, n_outer=16)

@@ -676,6 +676,16 @@ def test_the_bc_parser_names_the_seam_axes_of_an_antiperiodic_bc():
         antiperiodic_bc(2).region((3, 3))
 
 
+@pytest.mark.parametrize("axes", [(0, 0), (1, 0, 1), (-1,), (0, -2)])
+def test_a_bc_refuses_the_seam_axes_its_parser_refuses(axes):
+    # one rule for the constructor and the config parser: a repeated axis
+    # would label one bc two ways, and a negative one is no axis of any box
+    with pytest.raises(ValueError, match=r"seam axes must be distinct and >= 0"):
+        antiperiodic_bc(*axes)
+    with pytest.raises(ConfigError, match="seam_axes must be a non-empty list of distinct axes"):
+        BoundaryCondition.from_name("antiperiodic", axes)
+
+
 @pytest.mark.parametrize("kind, sign", [
     ("fixed", 0), ("fixed", 2), ("fixed", -2), ("fixed", 1.0), ("free", 1), ("periodic", -1),
 ])

@@ -32,12 +32,13 @@ from eafluct.fluctuation import (
     _conditional_path,
     _sem,
     block_martingale_realization,
-    block_martingale_report,
     bootstrap_ci,
     bootstrap_stderr,
     bound_check,
     check_scaling,
     covariance_sample,
+    domain_wall_states,
+    domain_wall_value,
     scaling_sub_spec,
     variance_report_from_values,
 )
@@ -49,7 +50,7 @@ GOLDEN_VARIANCE = 0.16652631763314996
 GOLDEN_PROBE_DENSITY = 0.8570833333333333
 
 
-def spec_3x3_in_5x5(n=200, beta=1.0, seed=GOLDEN_SEED, bc=None, bc_prime=None):
+def spec_3x3_in_5x5(beta=1.0, seed=GOLDEN_SEED, bc=None, bc_prime=None):
     return EnsembleSpec(
         dist=Gaussian(),
         box_extents=(5, 5),
@@ -57,7 +58,6 @@ def spec_3x3_in_5x5(n=200, beta=1.0, seed=GOLDEN_SEED, bc=None, bc_prime=None):
         beta=beta,
         bc=bc or free_bc(),
         bc_prime=bc_prime or periodic_bc(),
-        n_realizations=n,
         master_seed=seed,
     )
 
@@ -68,7 +68,7 @@ def config(kind, seed=GOLDEN_SEED, **sections):
     return {"schema_version": 1, "kind": kind, "seed": seed, **sections}
 
 
-def spec_4x4_in_6x6(n, beta=1.0, seed=7):
+def spec_4x4_in_6x6(beta=1.0, seed=7):
     return EnsembleSpec(
         dist=Gaussian(),
         box_extents=(6, 6),
@@ -76,7 +76,6 @@ def spec_4x4_in_6x6(n, beta=1.0, seed=7):
         beta=beta,
         bc=free_bc(),
         bc_prime=periodic_bc(),
-        n_realizations=n,
         master_seed=seed,
     )
 
@@ -138,7 +137,7 @@ def test_variance_needs_two_realizations():
 
 
 def test_conditional_mean_beta_zero():
-    spec = spec_3x3_in_5x5(n=4, beta=0.0)
+    spec = spec_3x3_in_5x5(beta=0.0)
     block = Region((2, 2), None, (1, 1))
     values = {e: 0.5 for e in interior_edges(block)}
     vals = conditional_mean_direct(spec, block, values, n_outer=4)
@@ -150,7 +149,7 @@ def test_conditional_mean_two_routes_agree():
     # DERIVED: both routes Monte Carlo with common random numbers; the
     # reweighting route evaluates the exponential tilt by enumeration
     spec = EnsembleSpec(
-        Gaussian(), (4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), 4, 99
+        Gaussian(), (4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), 99
     )
     block = Region((2, 2), None, (1, 1))
     rng = SeedSpec(55, 0, "jb").rng()
@@ -165,7 +164,7 @@ def test_conditional_mean_two_routes_agree():
 
 def test_conditional_mean_block_equals_window():
     # B = window: all interior couplings held, only the surroundings move
-    spec = spec_3x3_in_5x5(n=4)
+    spec = spec_3x3_in_5x5()
     window = spec.window_region
     rng = SeedSpec(56, 0, "jl").rng()
     values = {e: float(v) for e, v in zip(interior_edges(window), rng.normal(size=12))}
@@ -192,7 +191,7 @@ def per_prefix_reference(spec, i, held, prefixes, n_outer, purpose):
 
 
 def test_conditional_path_equals_per_prefix_reference_across_the_window_edge():
-    spec = spec_3x3_in_5x5(n=2)
+    spec = spec_3x3_in_5x5()
     inside = tuple(interior_edges(Region((2, 2), None, (1, 1))))
     crossing = tuple(interior_edges(CROSSING))
     prefixes = [(), inside, crossing, inside + crossing, inside]
@@ -239,7 +238,7 @@ CHUNK_CASES = [
 def test_conditional_path_is_bit_identical_across_chunk_boundaries(
     monkeypatch, bc_prime, rows, n_outer
 ):
-    spec = spec_3x3_in_5x5(n=2, bc_prime=bc_prime)
+    spec = spec_3x3_in_5x5(bc_prime=bc_prime)
     inside = tuple(interior_edges(Region((2, 2), None, (1, 1))))
     crossing = tuple(interior_edges(CROSSING))
     prefixes = [(), inside, crossing, inside + crossing, inside]
@@ -254,7 +253,7 @@ def test_conditional_path_is_bit_identical_across_chunk_boundaries(
 def test_edge_martingale_path_is_bit_identical_across_chunk_boundaries(monkeypatch, rows):
     # a 2x2 window: 4 edges, so 5 prefixes and a zeroed row per draw; 7 draws
     # are 7 groups of one split across two chunks, or 3 groups of two and one
-    spec = EnsembleSpec(Gaussian(), (4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), 1, 7)
+    spec = EnsembleSpec(Gaussian(), (4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), 7)
     prefixes = list(accumulate(((e,) for e in spec.window_edge_set), initial=()))
     held = spec.master(0)
     ref = per_prefix_reference(spec, 0, held, prefixes, 7, "edgemart")
@@ -266,7 +265,7 @@ def test_edge_martingale_path_is_bit_identical_across_chunk_boundaries(monkeypat
 def martingale_peak_bytes():
     """The ``tracemalloc`` peak of one realization of the martingale-6x6
     benchmark's shape: 8 prefixes, 50 inner draws."""
-    spec = spec_4x4_in_6x6(n=1)
+    spec = spec_4x4_in_6x6()
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=50)
     block_martingale_realization(spec, replace(cond, n_outer=2), 0)  # fill the plan caches
     tracemalloc.start()
@@ -289,28 +288,24 @@ def test_a_martingale_realization_holds_a_smaller_or_larger_stack_budget(monkeyp
 
 def test_the_module_budget_sweeps_four_martingale_draws_at_once():
     # 4 draws of 8 prefix rows and one zeroed row each
-    assert chunk_rows(spec_4x4_in_6x6(n=1)) >= 36
+    assert chunk_rows(spec_4x4_in_6x6()) >= 36
 
 
-# (mode, bc, bc_prime, solver) of a 4x4 box: pair mode with a 2x2 window
-# under stacks swept apart, clamped, closed both ways or enumerated, and
-# domain-wall mode with its seam on the transfer's length axis or enumerated
+# (bc, bc_prime, solver) of a 2x2 window in a 4x4 box, under stacks swept
+# apart, clamped, closed both ways or enumerated
 STACK_CASES = [
-    ("pair", free_bc(), periodic_bc(), "auto"),
-    ("pair", periodic_bc(), antiperiodic_bc(0), "auto"),
-    ("pair", periodic_bc(), antiperiodic_bc(1), "auto"),
-    ("pair", free_bc(), uniform_fixed_bc(+1), "auto"),
-    ("pair", free_bc(), periodic_bc(), "enum"),
-    ("domain-wall", periodic_bc(), antiperiodic_bc(0), "auto"),
-    ("domain-wall", periodic_bc(), antiperiodic_bc(1), "enum"),
+    (free_bc(), periodic_bc(), "auto"),
+    (periodic_bc(), antiperiodic_bc(0), "auto"),
+    (periodic_bc(), antiperiodic_bc(1), "auto"),
+    (free_bc(), uniform_fixed_bc(+1), "auto"),
+    (free_bc(), periodic_bc(), "enum"),
 ]
 
 
-@pytest.mark.parametrize("mode, bc, bc_prime, solver", STACK_CASES)
-def test_conditional_path_equals_overlay_and_f_from_row_by_row(mode, bc, bc_prime, solver):
-    window = (4, 4) if mode == "domain-wall" else (2, 2)
-    spec = EnsembleSpec(Gaussian(), (4, 4), window, 1.0, bc, bc_prime, 2, 31,
-                        mode=mode, solver=Solver(solver))
+@pytest.mark.parametrize("bc, bc_prime, solver", STACK_CASES)
+def test_conditional_path_equals_overlay_and_f_from_row_by_row(bc, bc_prime, solver):
+    spec = EnsembleSpec(Gaussian(), (4, 4), (2, 2), 1.0, bc, bc_prime, 31,
+                        solver=Solver(solver))
     edges = tuple(spec.window_edge_set)
     crossing = tuple(interior_edges(Region((2, 3), None, (1, 0))))
     prefixes = [(), edges[:2], crossing, edges, edges[:2] + crossing, edges[1:3]]
@@ -322,8 +317,20 @@ def test_conditional_path_equals_overlay_and_f_from_row_by_row(mode, bc, bc_prim
         assert [v.hex() for v in row] == [v.hex() for v in ref], (t, row, ref)
 
 
+@pytest.mark.parametrize("bc, bc_prime, text", [
+    (free_bc(), periodic_bc(), "the periodic/antiperiodic pair"),
+    (periodic_bc(), antiperiodic_bc(0, 1), "exactly one seam axis"),
+])
+def test_a_domain_wall_is_the_periodic_antiperiodic_pair_with_one_seam(bc, bc_prime, text):
+    spec = EnsembleSpec(Gaussian(), (4, 4), (2, 2), 1.0, bc, bc_prime, 31)
+    with pytest.raises(ValueError, match=text):
+        domain_wall_value(spec, 0)
+    with pytest.raises(ValueError, match=text):
+        domain_wall_states(spec, spec.master(0))
+
+
 def test_direct_route_equals_per_draw_reference_across_the_window_edge():
-    spec = spec_3x3_in_5x5(n=2)
+    spec = spec_3x3_in_5x5()
     rng = SeedSpec(57, 0, "jb").rng()
     edges = interior_edges(CROSSING)
     values = {e: float(v) for e, v in zip(edges, rng.normal(size=len(edges)))}
@@ -335,7 +342,7 @@ def test_direct_route_equals_per_draw_reference_across_the_window_edge():
 
 
 def test_lotv_equals_per_prefix_reference_across_the_window_edge():
-    spec = spec_3x3_in_5x5(n=4, seed=112)
+    spec = spec_3x3_in_5x5(seed=112)
     rep = total_variance_identity(spec, CROSSING, n=4, n_outer=3, n_boot=20)
     edges = tuple(interior_edges(CROSSING))
     f = np.array([interface_free_energy(spec.pair_from(spec.master(i))).value for i in range(4)])
@@ -363,7 +370,7 @@ def test_block_martingale_costs_2p_plus_2_sweeps_per_inner_draw(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(exactsolve, "_transfer_sweep", counting)
-    spec = spec_4x4_in_6x6(n=1)
+    spec = spec_4x4_in_6x6()
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
     block_martingale_realization(spec, cond, 0)
     assert sum(stacks) == 4 + 2 * (2 * 8 + 2)
@@ -406,7 +413,7 @@ def test_block_martingale_evaluates_one_zero_pair_per_inner_draw(monkeypatch):
         return original(spec, other, values, other_values, *args)
 
     monkeypatch.setattr(interface, "log_partition_pairs", counting)
-    spec = spec_4x4_in_6x6(n=1)
+    spec = spec_4x4_in_6x6()
     cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=2)
     block_martingale_realization(spec, cond, 0)
     *path, f = rows
@@ -428,7 +435,7 @@ def test_a_conditional_path_builds_one_state_pair(monkeypatch, n_outer):
         return original(*args)
 
     monkeypatch.setattr(fluctuation, "make_state_pair", counting)
-    spec = spec_4x4_in_6x6(n=1)
+    spec = spec_4x4_in_6x6()
     edges = tuple(spec.window_edge_set)
     held = spec.master(0)
     _conditional_path(spec, 0, held, [(), edges[:3], edges], n_outer, "pairs")
@@ -489,25 +496,6 @@ def test_block_martingale_4x4_window_2x2_blocks():
     assert details["var_deltas"] == np.diff(ys, axis=1).var(axis=0, ddof=1).tolist()
 
 
-def test_block_martingale_torus_translation_symmetry():
-    # the gauge-related pair on the torus itself: exact translation symmetry
-    # between blocks, so per-block variances agree within error bars
-    spec = EnsembleSpec(
-        Gaussian(), (4, 4), (4, 4), 1.0, periodic_bc(), antiperiodic_bc(0),
-        40, 31, mode="domain-wall",
-    )
-    # a config's martingale is a windowed pair: domain-wall mode is library-only
-    cond = BlockConditioning(block_partition(spec.window_region, 2), n_outer=10)
-    rows = [block_martingale_realization(spec, cond, i) for i in range(30)]
-    trace, rep, details = block_martingale_report(spec, cond, rows, 200)
-    assert details["inequality_ok"]
-    vs = details["block_variances"]
-    ses = details["block_variance_stderr"]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            assert abs(vs[a] - vs[b]) <= 3.0 * math.hypot(ses[a], ses[b])
-
-
 # --- edge martingale -----------------------------------------------------------
 
 
@@ -532,7 +520,7 @@ def test_edge_martingale_increment_bound():
 
 def test_edge_martingale_telescopes_to_independent_ends():
     # DERIVED: independent direct estimates of both path ends
-    spec = spec_3x3_in_5x5(n=4, seed=405)
+    spec = spec_3x3_in_5x5(seed=405)
     row = edge_martingale_payloads(405, n=2, n_outer=24)[1]
     base, end = (
         _conditional_path(spec, 1, spec.master(1), [edges], 24, purpose)[:, 0]
@@ -547,7 +535,7 @@ def test_edge_martingale_telescopes_to_independent_ends():
 
 
 def test_edge_martingale_order_is_lexicographic():
-    spec = spec_3x3_in_5x5(n=2)
+    spec = spec_3x3_in_5x5()
     (row,) = edge_martingale_payloads(n=1, n_outer=2)
     edges = tuple(spec.window_edge_set)
     master = spec.master(0)
@@ -680,7 +668,7 @@ def test_gaussian_closed_form_identity():
 
 def test_constant_variable_identity_terms_vanish():
     # a zero-width distribution stand-in: beta = 0 makes F constant (zero)
-    spec = spec_3x3_in_5x5(n=6, beta=0.0)
+    spec = spec_3x3_in_5x5(beta=0.0)
     block = Region((2, 2), None, (1, 1))
     rep = total_variance_identity(spec, block, n=4, n_outer=4, n_boot=50)
     assert rep["var_direct"] == 0.0
@@ -690,7 +678,7 @@ def test_constant_variable_identity_terms_vanish():
 
 def test_nested_mc_variance_identity_on_f():
     # DERIVED: nested MC, identity within 3 combined stderr
-    spec = spec_3x3_in_5x5(n=64, seed=111)
+    spec = spec_3x3_in_5x5(seed=111)
     block = Region((2, 2), None, (1, 1))
     rep = total_variance_identity(spec, block, n=48, n_outer=16, n_boot=300)
     assert rep["pass"]
@@ -733,7 +721,7 @@ def test_scaling_golden_run_emits_fits_with_ci():
 
 def test_fixed_bc_templates_rescale_by_their_one_sign():
     # a fixed bc is one sign, so every window size clamps its own box's ghost ring
-    template = spec_3x3_in_5x5(n=3, bc_prime=uniform_fixed_bc(-1))
+    template = spec_3x3_in_5x5(bc_prime=uniform_fixed_bc(-1))
     for size in (2, 3, 4):
         sub = scaling_sub_spec(template, size)
         assert sub.bc_prime == uniform_fixed_bc(-1)
@@ -741,7 +729,7 @@ def test_fixed_bc_templates_rescale_by_their_one_sign():
 
 
 def test_scaling_sub_specs_keep_the_templates_own_bcs():
-    template = spec_3x3_in_5x5(n=3, bc=uniform_fixed_bc(1), bc_prime=uniform_fixed_bc(-1))
+    template = spec_3x3_in_5x5(bc=uniform_fixed_bc(1), bc_prime=uniform_fixed_bc(-1))
     for size in (2, 4):
         sub = scaling_sub_spec(template, size)
         assert sub.bc is template.bc and sub.bc_prime is template.bc_prime
@@ -769,14 +757,14 @@ def test_library_scaling_rejects_what_the_config_rejects(sizes, match):
 @pytest.mark.parametrize("box, window", [((5, 6), (3, 3)), ((6, 6), (3, 3)), ((7, 5), (3, 3))])
 def test_scaling_sub_spec_keeps_an_even_margin_on_every_axis(box, window):
     # box (5, 6) with window (3, 3) used to become box (5, 5)
-    template = replace(spec_3x3_in_5x5(n=4), box_extents=box, window_extents=window)
+    template = replace(spec_3x3_in_5x5(), box_extents=box, window_extents=window)
     with pytest.raises(EafluctError, match="same even number"):
         scaling_sub_spec(template, 3)
     with pytest.raises(EafluctError, match="same even number"):
         check_scaling(box, window, [2, 3, 4])
     with pytest.raises(EafluctError, match="must be >= 1"):
-        scaling_sub_spec(spec_3x3_in_5x5(n=4), 0)
-    sub = scaling_sub_spec(spec_3x3_in_5x5(n=4), 4)
+        scaling_sub_spec(spec_3x3_in_5x5(), 0)
+    sub = scaling_sub_spec(spec_3x3_in_5x5(), 4)
     assert (sub.box_extents, sub.window_extents) == ((6, 6), (4, 4))
 
 

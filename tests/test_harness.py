@@ -22,6 +22,7 @@ from eafluct.errors import (
     OracleMismatchError,
     SizeCapError,
     TaskError,
+    UnsupportedOperationError,
 )
 from eafluct.harness import (
     KINDS,
@@ -907,6 +908,19 @@ def test_domain_wall_run_uses_the_configured_seam_axis(tmp_path, seam):
         assert abs(value - enum) <= 1e-9
         other = domain_wall(couplings, region, 1.0, seam_axis=1 - seam)
         assert abs(value - other) > 1e-6
+
+
+@pytest.mark.parametrize("physics", [
+    {"bc": "free", "bc_prime": "periodic"},
+    {"bc": "periodic", "bc_prime": "antiperiodic", "seam_axes": [0, 1]},
+])
+def test_a_spec_whose_bc_prime_has_not_one_seam_has_no_seam_axis(tmp_path, physics):
+    # a domain-wall config's spec has one (test_domain_wall_run_uses_the_configured_seam_axis)
+    spec = harness.ensemble_spec_from_config(
+        parse_config_dict(base_config(tmp_path, kind="fe", physics=physics))
+    )
+    with pytest.raises(UnsupportedOperationError, match="no one seam axis"):
+        spec.seam_axis
 
 
 # --- CSV reports --------------------------------------------------------------------

@@ -69,7 +69,7 @@ PAST_A_CAP = [
 
 @pytest.mark.parametrize("solver, box, window, text", PAST_A_CAP)
 def test_every_entry_refuses_a_box_beyond_its_cap_in_the_same_words(solver, box, window, text):
-    spec = EnsembleSpec(Gaussian(), box, window, 1.0, free_bc(), periodic_bc(), 1, 5,
+    spec = EnsembleSpec(Gaussian(), box, window, 1.0, free_bc(), periodic_bc(), 5,
                         solver=solver)
     master = spec.master(0)
     pair = spec.pair_from(master)
@@ -90,7 +90,7 @@ def test_every_entry_refuses_a_box_beyond_its_cap_in_the_same_words(solver, box,
 
 
 def test_the_default_solver_solves_what_auto_did():
-    spec = EnsembleSpec(Gaussian(), (4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), 1, 5)
+    spec = EnsembleSpec(Gaussian(), (4, 4), (2, 2), 1.0, free_bc(), periodic_bc(), 5)
     pair = spec.pair_from(spec.master(0))
     assert spec.solver == Solver() == Solver("auto", exactsolve.ENUM_CAP,
                                              exactsolve.TRANSFER_WIDTH_CAP)

@@ -192,7 +192,9 @@ def test_the_probe_geometry_builds_each_bond_once_and_tests_no_site():
     assert counts["edges"] == 304
 
 
-@pytest.mark.parametrize("workload", ["martingale-6x6", "oracle-verify-enum"])
+@pytest.mark.parametrize("workload", [
+    "martingale-6x6", "probe-strip-w8", "domain-wall-torus-w10", "oracle-verify-enum",
+])
 def test_geometry_profile_times_a_workload_in_a_child(workload, capsys):
     _tool("geometry_profile").main(["--workload", workload, "--runs", "1"])
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@
 
 The geometry is what a run of the workload builds before its first sweep:
 for an ensemble kind the master edge set of its box, the two states of one
-realization (``EnsembleSpec._states``, through the state pair in pair mode)
+realization (the state pair, or ``fluctuation.domain_wall_states``)
 and each state's transfer plan; for ``oracle-verify`` each geometry's state
 under each bc with its plan.  The couplings are zeros, since no value is
 read.  Each of ``--runs`` children is a fresh interpreter on this checkout's
@@ -42,14 +42,14 @@ def build(cfg) -> None:
     each state the config's solver sends to the transfer engine."""
     import numpy as np
 
-    from eafluct import exactsolve, harness, interface
+    from eafluct import exactsolve, fluctuation, harness, interface
     from eafluct.disorder import CouplingConfig
 
     def zeros(edges):
         return CouplingConfig(edges, np.zeros(len(edges)))
 
-    mode = harness.KIND_TABLE[cfg.kind].ensemble
-    if mode is None:
+    ensemble = harness.KIND_TABLE[cfg.kind].ensemble
+    if ensemble is None:
         states = []
         for extents in cfg.geometries:
             for name in harness.ORACLE_BC_NAMES:
@@ -60,7 +60,11 @@ def build(cfg) -> None:
     else:
         spec = harness.ensemble_spec_from_config(cfg)
         template = zeros(interface.master_edge_set(spec.box_extents))
-        states = spec._states(template, spec.pair_from(template) if mode == "pair" else None)
+        if ensemble == "domain-wall":
+            states = fluctuation.domain_wall_states(spec, template)
+        else:
+            pair = spec.pair_from(template)
+            states = (pair.gamma, pair.gamma_prime)
     for state in states:
         if cfg.solver.engine(state.region) == "transfer":
             exactsolve._transfer_plan(state.region, state.bc, cfg.solver.width_cap)
